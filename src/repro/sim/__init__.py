@@ -37,7 +37,6 @@ from repro.sim.sanitizer import (
     dual_run,
     state_digest,
 )
-from repro.sim.slab import Slab, SlabError
 from repro.sim.stores import PriorityStore, Store, StoreFull
 from repro.sim.resources import Resource
 from repro.sim.units import MS, NS, SEC, US, cycles_to_ns, ns_to_us
@@ -67,8 +66,6 @@ __all__ = [
     "ScheduledTransients",
     "SimSanitizer",
     "SimulationError",
-    "Slab",
-    "SlabError",
     "Store",
     "StoreFull",
     "Timeout",

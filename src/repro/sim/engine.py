@@ -82,7 +82,7 @@ class Engine:
         timer_band_ns: float = DEFAULT_BAND_NS,
         sanitize: bool | None = None,
         tie_break_salt: int = 0,
-        fluid: "bool | FluidCoordinator" = False,
+        fluid: bool = False,
     ):
         if timer_band_ns <= 0:
             raise ValueError(f"band width must be positive, got {timer_band_ns}")
@@ -93,10 +93,7 @@ class Engine:
         if fluid:
             from repro.sim.fluid import FluidCoordinator
 
-            self.fluid = (
-                fluid if isinstance(fluid, FluidCoordinator) else FluidCoordinator(self)
-            )
-            self.fluid.engine = self
+            self.fluid = FluidCoordinator(self)
         # Deadline of the innermost bounded run(until=...), math.inf
         # outside one.  Fluid windows never advance past it: an external
         # driver may mutate cluster state the moment a bounded run

@@ -51,7 +51,6 @@ class Event:
         "_dispatched",
         "_daemon",
         "_scheduled",
-        "_slab_live",  # freelist recycling flag; see repro.sim.slab
     )
 
     # Class-level fallback: only Timeout carries a real deadline value.
@@ -71,7 +70,6 @@ class Event:
         self._dispatched = False
         self._daemon = False
         self._scheduled = False
-        self._slab_live = False
 
     # -- state ---------------------------------------------------------
 
@@ -178,7 +176,7 @@ class Timeout(Event):
         flags would resurrect that stale entry as a spurious second
         firing.  Rearming a live timeout raises ``RuntimeError``; under
         the sanitizer it is additionally recorded as a
-        ``slab-resurrection`` finding.
+        ``rearm-resurrection`` finding.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")

@@ -60,10 +60,11 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
-# Defaults, overridable per coordinator.  The guard must exceed the
-# sink's worst-case sojourn so the discrete warm-up rebuilds in-flight
-# state before a scheduled transient fires; the warm-up keeps fluid
-# disengaged after a transient long enough for dips to resolve
+# Each coordinator starts from these (plain attributes, so a short test
+# scenario may shrink them on its own engine).  The guard must exceed
+# the sink's worst-case sojourn so the discrete warm-up rebuilds
+# in-flight state before a scheduled transient fires; the warm-up keeps
+# fluid disengaged after a transient long enough for dips to resolve
 # discretely; the minimum window keeps fluid from thrashing on windows
 # too short to amortize the step.
 DEFAULT_GUARD_NS = 5_000_000.0  # 5 ms
@@ -168,10 +169,10 @@ class FluidProfile:
 class FluidWindow:
     """One analytic interval, reported to the sink for reconciliation.
 
-    Latencies are carried as a sum plus a bounded stride sample — a
-    window can cover millions of arrivals, and the sink's reservoir is
-    reconciled analytically (see ``ReservoirSample.merge_analytic``)
-    rather than replayed value by value.
+    Latencies are carried as a sum — a window can cover millions of
+    arrivals, and the sink's reservoir is reconciled analytically (see
+    ``ReservoirSample.merge_analytic``) rather than replayed value by
+    value.
     """
 
     start_ns: float
@@ -182,7 +183,6 @@ class FluidWindow:
     completed: int
     timeouts: int = 0
     latency_sum_ns: float = 0.0
-    latency_sample_ns: tuple[float, ...] = ()
 
     @property
     def mean_latency_ns(self) -> float:
@@ -203,13 +203,13 @@ class FluidModel:
 
     __slots__ = ("servers", "service_ns", "_next_free", "_cursor", "_in_flight")
 
-    def __init__(self, profile: FluidProfile, cursor: int | None = None):
+    def __init__(self, profile: FluidProfile):
         if not profile.exact:
             raise ValueError("FluidModel needs a deterministic service time")
         self.servers = profile.servers
         self.service_ns = profile.service_ns
         self._next_free = [0.0] * profile.servers
-        self._cursor = (profile.cursor if cursor is None else cursor) % profile.servers
+        self._cursor = profile.cursor % profile.servers
         # Completion instants of virtual in-flight arrivals, ascending.
         # Round-robin over deterministic channels keeps this list
         # *almost* sorted; insort keeps it exact without heap overhead.
@@ -218,11 +218,6 @@ class FluidModel:
     @property
     def outstanding(self) -> int:
         return len(self._in_flight)
-
-    @property
-    def last_completion_ns(self) -> float:
-        """Latest pending completion (the window flush target)."""
-        return self._in_flight[-1] if self._in_flight else 0.0
 
     def offer(self, arrival_ns: float) -> float:
         """Accept one arrival; returns its exact completion instant."""
@@ -264,20 +259,11 @@ class FluidCoordinator:
     registered traffic source changes nothing.
     """
 
-    def __init__(
-        self,
-        engine: "Engine",
-        guard_ns: float = DEFAULT_GUARD_NS,
-        warmup_ns: float = DEFAULT_WARMUP_NS,
-        min_window_ns: float = DEFAULT_MIN_WINDOW_NS,
-    ):
-        if guard_ns < 0 or warmup_ns < 0 or min_window_ns < 0:
-            raise ValueError("guard/warmup/min-window must be >= 0")
+    def __init__(self, engine: "Engine"):
         self.engine = engine
-        self.enabled = True
-        self.guard_ns = guard_ns
-        self.warmup_ns = warmup_ns
-        self.min_window_ns = min_window_ns
+        self.guard_ns = DEFAULT_GUARD_NS
+        self.warmup_ns = DEFAULT_WARMUP_NS
+        self.min_window_ns = DEFAULT_MIN_WINDOW_NS
         # (source, guarded) pairs: guarded sources get the guard lead so
         # discrete simulation is warm before their transient fires;
         # observers (samplers, watchdog ticks) bound the window exactly.
@@ -320,14 +306,14 @@ class FluidCoordinator:
     def window_end(self, now_ns: float) -> float:
         """Furthest instant fluid may advance to from ``now``.
 
-        Returns ``now`` (no window) while disabled or inside a
-        post-transient warm-up.  Otherwise the minimum over every
-        registered source's next transient (guarded sources minus the
-        guard lead) and the engine's current ``run(until=...)``
-        deadline — external drivers may mutate state the moment a
-        bounded run returns, so no window ever overshoots one.
+        Returns ``now`` (no window) inside a post-transient warm-up.
+        Otherwise the minimum over every registered source's next
+        transient (guarded sources minus the guard lead) and the
+        engine's current ``run(until=...)`` deadline — external drivers
+        may mutate state the moment a bounded run returns, so no window
+        ever overshoots one.
         """
-        if not self.enabled or now_ns < self._discrete_until:
+        if now_ns < self._discrete_until:
             return now_ns
         end = self.engine.run_deadline_ns
         for source, guarded in self._sources:
@@ -337,14 +323,6 @@ class FluidCoordinator:
             if when < end:
                 end = when
         return end if end > now_ns else now_ns
-
-    def usable_window(self, now_ns: float) -> float:
-        """``window_end`` if the window clears the minimum width, else
-        ``now`` — the caller-facing gate."""
-        end = self.window_end(now_ns)
-        if end - now_ns < self.min_window_ns:
-            return now_ns
-        return end
 
     # -- accounting ------------------------------------------------------
 

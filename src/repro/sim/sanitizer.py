@@ -53,7 +53,6 @@ _KERNEL_FILES = (
     f"{os.sep}sim{os.sep}sanitizer.py",
     f"{os.sep}sim{os.sep}stores.py",
     f"{os.sep}sim{os.sep}resources.py",
-    f"{os.sep}sim{os.sep}slab.py",
     f"{os.sep}sim{os.sep}fluid.py",
 )
 
@@ -66,7 +65,7 @@ class SanitizerError(RuntimeError):
 class SanitizerFinding:
     """One detected violation."""
 
-    kind: str  # timeout-leak | orphan-process | lease-leak | clock-regression | slab-resurrection
+    kind: str  # timeout-leak | orphan-process | lease-leak | clock-regression | rearm-resurrection
     message: str
     site: str  # creation site "file:line in func", or "" when unknown
 
@@ -130,11 +129,11 @@ class SimSanitizer:
         self._timeout_sites[timeout] = _creation_site()
 
     def note_resurrection(self, message: str) -> None:
-        """A recycled object (slab entry, rearmed timeout) was brought
-        back to life while its previous life was still live."""
+        """A recycled timeout was rearmed while its previous arming was
+        still queued."""
         self.findings.append(
             SanitizerFinding(
-                kind="slab-resurrection", message=message, site=_creation_site()
+                kind="rearm-resurrection", message=message, site=_creation_site()
             )
         )
 

@@ -39,7 +39,12 @@ import typing
 from repro.analysis import LatencyStats, ReservoirSample
 from repro.cluster.load_balancer import NoHealthyDeployment
 from repro.sim import Engine, Event
+from repro.sim.fluid import FluidModel, FluidProfile, FluidWindow
 from repro.sim.units import SEC
+
+# Largest relative rate change a fluid window may span (see
+# ArrivalProcess.fluid_horizon_ns).
+FLUID_RATE_TOL = 0.05
 
 
 class ArrivalProcess:
@@ -70,9 +75,9 @@ class ArrivalProcess:
         transients the hybrid mode must simulate discretely."""
         return math.inf
 
-    def fluid_horizon_ns(self, now_ns: float, rel_tol: float = 0.05) -> float:
+    def fluid_horizon_ns(self, now_ns: float) -> float:
         """Longest analytic window from ``now`` over which the rate
-        stays within ``rel_tol`` of its current value (``inf`` for
+        stays within ``FLUID_RATE_TOL`` of its current value (``inf`` for
         piecewise-constant processes).  A slope bound, not an edge:
         smoothly-varying processes (diurnal) are chopped into windows
         short enough that each is near-homogeneous."""
@@ -152,13 +157,13 @@ class DiurnalArrivals(ArrivalProcess):
         phase = 2.0 * math.pi * (now_ns % self.period_ns) / self.period_ns
         return self.mean_rate_per_s * (1.0 + self.amplitude * math.sin(phase))
 
-    def fluid_horizon_ns(self, now_ns: float, rel_tol: float = 0.05) -> float:
+    def fluid_horizon_ns(self, now_ns: float) -> float:
         if self.amplitude == 0.0:
             return math.inf
         # |d rate/dt| <= mean * amplitude * 2π/period, so the rate moves
-        # by at most rel_tol * rate(now) over this window.
+        # by at most FLUID_RATE_TOL * rate(now) over this window.
         max_slope = self.mean_rate_per_s * self.amplitude * 2.0 * math.pi / self.period_ns
-        return rel_tol * self.rate_at(now_ns) / max_slope
+        return FLUID_RATE_TOL * self.rate_at(now_ns) / max_slope
 
 
 @dataclasses.dataclass
@@ -223,7 +228,7 @@ class _SinkProtocol(typing.Protocol):  # pragma: no cover - typing aid
 
 class _RegimeEdges:
     """Adapter registering an arrival process's rate edges as a
-    :class:`~repro.sim.fluid.TransientSource`."""
+    :class:`~repro.sim.fluid.TransientSource` for the length of a run."""
 
     __slots__ = ("arrivals",)
 
@@ -244,13 +249,10 @@ class OpenLoopInjector:
     barrier — O(1) memory per run instead of one list slot plus one
     condition callback per admitted arrival.
 
-    ``batch_window_ns`` (opt-in, default 0 = exact per-arrival timing)
-    coalesces admission: interarrival gaps are accumulated until the
-    window fills, then a *single* scheduler event drains the whole
-    batch of arrivals at once.  Latency for batched arrivals is
-    measured from the batch admission instant, so the window bounds
-    the timing distortion; the RNG draw sequence is identical either
-    way.
+    On an engine built with ``Engine(fluid=True)`` the injector
+    fast-forwards quiescent stretches analytically (see
+    :meth:`_arrivals_body`); on any other engine every arrival is
+    dispatched to the sink.
     """
 
     def __init__(
@@ -262,38 +264,25 @@ class OpenLoopInjector:
         max_queue_depth: int | None = None,
         timeout_ns: float = 5 * SEC,
         seed_tag: str = "openloop",
-        batch_window_ns: float = 0.0,
-        fluid: bool | None = None,
     ):
         if not pool:
             raise ValueError("request pool must be non-empty")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"queue depth must be positive, got {max_queue_depth}")
-        if batch_window_ns < 0:
-            raise ValueError(f"batch window must be >= 0, got {batch_window_ns}")
         self.engine = engine
         self.sink = sink
         self.arrivals = arrivals
         self.pool = list(pool)
         self.max_queue_depth = max_queue_depth
         self.timeout_ns = timeout_ns
-        self.batch_window_ns = batch_window_ns
         self.stats = OpenLoopStats()
         self._rng = engine.rng.stream(f"openloop:{seed_tag}")
+        self._fluid_rng = engine.rng.stream(f"openloop:{seed_tag}:fluid")
         self._pool_index = 0
         self._open = 0  # in-flight handlers + the arrival source itself
         self._done: Event | None = None
-        # -- fluid fast-forward (opt-in; see repro.sim.fluid) --
-        # ``fluid=None`` follows the engine: enabled iff the engine was
-        # built with a coordinator.  Batched admission already trades
-        # exact timing for throughput; the two modes do not compose.
-        if fluid is None:
-            fluid = engine.fluid is not None
-        self._fluid = bool(fluid) and engine.fluid is not None and batch_window_ns == 0.0
-        self._model = None  # persistent virtual queue across fluid windows
-        if self._fluid:
-            self._fluid_rng = engine.rng.stream(f"openloop:{seed_tag}:fluid")
-            engine.fluid.register(_RegimeEdges(arrivals), guarded=False)
+        self._edges = _RegimeEdges(arrivals)
+        self._model: FluidModel | None = None  # virtual queue across fluid windows
 
     def _next_request(self):
         request = self.pool[self._pool_index % len(self.pool)]
@@ -310,90 +299,42 @@ class OpenLoopInjector:
         done = self.engine.event(name="openloop:done")
         self._done = done
         self._open = 1  # the arrival source's own count
-        body = self._arrivals_body_fluid if self._fluid else self._arrivals_body
-        self.engine.process(body(count), name="openloop.src")
+        if self.engine.fluid is not None:
+            # This run's rate edges bound every fluid window on the
+            # engine until the run is over (unregistered in _close_one).
+            self.engine.fluid.register(self._edges, guarded=False)
+        self.engine.process(self._arrivals_body(count), name="openloop.src")
         return done
 
     def _close_one(self) -> None:
         self._open -= 1
         if self._open == 0:
+            if self.engine.fluid is not None:
+                self.engine.fluid.unregister(self._edges)
             self._done.succeed(self.stats)
 
     def _arrivals_body(self, count: int) -> collections.abc.Generator:
-        engine = self.engine
-        timeout = engine.timeout
-        spawn = engine.process
-        stats = self.stats
-        sink = self.sink
-        max_depth = self.max_queue_depth
-        batch_window = self.batch_window_ns
-        rng = self._rng
-        # Constant-rate fast path: precompute the exponential scale once
-        # and draw straight from the hoisted ``expovariate`` instead of
-        # calling ``rate_at`` per arrival.  Same draws either way.
-        expovariate = rng.expovariate
-        constant_rate = self.arrivals.constant_rate_per_s()
-        scale = (SEC / constant_rate) if constant_rate else None
-        interarrival = self.arrivals.interarrival_ns
-        remaining = count
-        # One recycled Timeout serves every arrival gap: rearm() resets
-        # and re-schedules the dispatched object in place, so a million
-        # sleeps cost zero allocations instead of a million (identical
-        # schedule entries and RNG draws — same-seed runs are unchanged).
-        gate = None
-        while remaining:
-            # Accumulate gaps until the batch window fills (one draw —
-            # batch of one — when the window is 0, the exact pre-change
-            # per-arrival behavior).
-            if scale is not None:
-                wait = expovariate(1.0) * scale
-            else:
-                wait = interarrival(rng, engine.now)
-            batch = 1
-            while wait < batch_window and batch < remaining:
-                if scale is not None:
-                    gap = expovariate(1.0) * scale
-                else:
-                    gap = interarrival(rng, engine.now + wait)
-                wait += gap
-                batch += 1
-            if gate is None:
-                gate = timeout(wait)
-            else:
-                gate.rearm(wait)
-            yield gate
-            remaining -= batch
-            now = engine.now
-            stats.offered += batch
-            for _ in range(batch):
-                if max_depth is not None and sink.outstanding >= max_depth:
-                    stats.rejected += 1
-                    continue
-                stats.admitted += 1
-                self._open += 1
-                spawn(self._handle(self._next_request(), now))
-        self._close_one()  # release the source's own count
+        """The arrival source, for both modes.
 
-    def _arrivals_body_fluid(self, count: int) -> collections.abc.Generator:
-        """The hybrid arrival source: identical RNG draw sequence and
-        arrival instants as :meth:`_arrivals_body`, but whenever the
-        cluster is quiescent (no pending transient within the guard, no
+        Each pass draws the next arrival — the loop's only RNG draw —
+        and places it in a window.  A discrete arrival is a window of
+        zero width: the source sleeps to the arrival instant and
+        dispatches it to the real sink.  On a fluid engine, whenever the
+        cluster is quiescent (no transient due within the guard, no
         regime edge, real sink idle) and the sink publishes a
-        :class:`~repro.sim.fluid.FluidProfile`, whole stretches of
-        arrivals are credited analytically — counters, admission
-        decisions, and latency samples computed from a virtual M/D/c
-        queue — with a *single* engine event advancing the clock across
-        the window.
+        :class:`~repro.sim.fluid.FluidProfile`, the window widens to the
+        next transient: every arrival up to its end is credited
+        analytically — admission, completion and latency sample from a
+        virtual M/D/c queue (exact profiles) or the sink's sojourn
+        sampler — and one engine event jumps the clock across it.
 
-        Exactness: with a deterministic-service profile the virtual
-        queue reproduces the discrete sink's per-channel dynamics
-        exactly (same arrival times, same round-robin assignment, same
-        completion instants), so offered/admitted/rejected/completed
-        totals match a same-seed discrete run; only the handful of
-        requests straddling a window boundary can see their latency
-        shift within the service-time scale.  Window stats are credited
-        *before* the jump, so observers waking at the window edge
-        (metrics ticks, watchdogs) read fully-settled counters.
+        Exactness: both modes draw the same arrival instants, and a
+        deterministic-service profile reproduces the sink's per-channel
+        dynamics (same round-robin assignment, same completion
+        instants), so offered/admitted/rejected/completed totals and
+        the final clock match a same-seed discrete run.  Window stats
+        are credited *before* the jump, so observers waking at the
+        window edge (metrics ticks, watchdogs) read settled counters.
         """
         engine = self.engine
         coordinator = engine.fluid
@@ -404,161 +345,155 @@ class OpenLoopInjector:
         arrivals = self.arrivals
         max_depth = self.max_queue_depth
         request_timeout = self.timeout_ns
+        latencies = stats.latencies_ns
         rng = self._rng
+        fluid_rng = self._fluid_rng
+        # Constant-rate fast path: precompute the exponential scale once
+        # and draw straight from the hoisted ``expovariate`` instead of
+        # calling ``rate_at`` per arrival.  Same draws either way.
         expovariate = rng.expovariate
         constant_rate = arrivals.constant_rate_per_s()
         scale = (SEC / constant_rate) if constant_rate else None
         interarrival = arrivals.interarrival_ns
-        profile_fn = getattr(sink, "fluid_profile", None)
+        fluid = coordinator is not None and hasattr(sink, "fluid_profile")
         note_fluid = getattr(sink, "note_fluid", None)
-        latencies = stats.latencies_ns
-        min_window = coordinator.min_window_ns
-        from repro.sim.fluid import FluidModel, FluidWindow
 
         remaining = count
-        pending_at: float | None = None  # drawn arrival not yet served
+        t = engine.now  # the last arrival instant: the next gap starts here
+        start = None  # start of the open analytic window (None: none open)
+        window_end = -math.inf
         tail_ns = 0.0  # latest analytically credited completion
-        gate = None  # recycled sleep Timeout (see _arrivals_body)
-        while remaining:
-            now = engine.now
-            if pending_at is None:
+        # One recycled Timeout serves every sleep: rearm() re-schedules
+        # the dispatched object in place, so a million sleeps cost zero
+        # allocations (identical schedule entries and RNG draws).
+        gate = None
+        while True:
+            if remaining:
                 if scale is not None:
-                    arrive_at = now + expovariate(1.0) * scale
+                    arrive_at = t + expovariate(1.0) * scale
                 else:
-                    arrive_at = now + interarrival(rng, now)
-            else:
-                arrive_at = pending_at
-                pending_at = None
-            # -- can an analytic window open at `now`? --------------------
-            profile = None
-            if profile_fn is not None and sink.outstanding == 0:
-                window_end = coordinator.window_end(now)
-                edge = arrivals.next_regime_edge_ns(now)
-                if edge < window_end:
-                    window_end = edge
-                horizon = now + arrivals.fluid_horizon_ns(now)
-                if horizon < window_end:
-                    window_end = horizon
-                if window_end - now >= min_window and arrive_at <= window_end:
-                    profile = profile_fn()
-            if profile is not None and profile.exact:
-                model = self._model
-                if model is not None:
-                    model.drain(now)
-                if model is None or model.outstanding == 0:
-                    # No live virtual tail: resync channel state from the
-                    # sink (cursor moves under discrete interludes).
-                    model = self._model = FluidModel(profile)
-                elif (
-                    model.servers != profile.servers
-                    or model.service_ns != profile.service_ns
-                ):
-                    profile = None  # sink reshaped under a live tail
-            if profile is None:
-                # -- discrete arrival: the legacy per-request sequence ----
-                if gate is None:
-                    gate = timeout(arrive_at - now)
-                else:
-                    gate.rearm(arrive_at - now)
-                yield gate
-                remaining -= 1
-                now = engine.now
-                stats.offered += 1
-                if max_depth is not None and sink.outstanding >= max_depth:
-                    stats.rejected += 1
-                else:
-                    stats.admitted += 1
-                    self._open += 1
-                    spawn(self._handle(self._next_request(), now))
-                continue
-            # -- analytic window: credit arrivals in [now, window_end] ----
-            offered = admitted = rejected = completed = timeouts = 0
-            latency_sum = 0.0
-            exact = profile.service_ns is not None
-            model = self._model if exact else None
-            sampler = profile.sampler
-            fluid_rng = self._fluid_rng
-            t = arrive_at
-            while True:
-                offered += 1
-                remaining -= 1
-                if exact:
-                    model.drain(t)
-                    if max_depth is not None and model.outstanding >= max_depth:
-                        rejected += 1
+                    arrive_at = t + interarrival(rng, t)
+            if not remaining or arrive_at > window_end:
+                if start is not None:
+                    # -- close the analytic window and jump to its end ----
+                    self._pool_index += admitted
+                    stats.offered += offered
+                    stats.admitted += admitted
+                    stats.rejected += rejected
+                    stats.completed += completed
+                    stats.timeouts += timeouts
+                    coordinator.credit_window(start, window_end, offered)
+                    if note_fluid is not None:
+                        note_fluid(
+                            FluidWindow(
+                                start_ns=start,
+                                end_ns=window_end,
+                                offered=offered,
+                                admitted=admitted,
+                                rejected=rejected,
+                                completed=completed,
+                                timeouts=timeouts,
+                                latency_sum_ns=latency_sum,
+                            )
+                        )
+                    # Mid-run the held arrival is placed by the next
+                    # pass; after the last one, run past the final
+                    # virtual completion so `done` fires no earlier than
+                    # in a discrete run.
+                    if remaining:
+                        target = window_end
                     else:
-                        admitted += 1
-                        sojourn = model.offer(t) - t
-                        if sojourn > request_timeout:
-                            timeouts += 1
-                        else:
-                            completed += 1
-                            latency_sum += sojourn
-                            latencies.append(sojourn)
-                        if t + sojourn > tail_ns:
-                            tail_ns = t + sojourn
-                else:
-                    # Flow/sampler mode (live cluster sinks): no virtual
-                    # queue — admission is assumed (steady state implies
-                    # the depth limit is slack) and sojourns are drawn
-                    # from the sink's empirical distribution on a
-                    # dedicated seeded stream.
-                    admitted += 1
-                    sojourn = sampler(fluid_rng)
-                    if sojourn > request_timeout:
-                        timeouts += 1
+                        target = tail_ns if tail_ns > t else t
+                    start = None
+                    window_end = -math.inf
+                    if gate is None:
+                        gate = timeout(target - engine.now)
                     else:
-                        completed += 1
-                        latency_sum += sojourn
-                        latencies.append(sojourn)
-                    if t + sojourn > tail_ns:
-                        tail_ns = t + sojourn
+                        gate.rearm(target - engine.now)
+                    yield gate
                 if not remaining:
                     break
-                if scale is not None:
-                    gap = expovariate(1.0) * scale
-                else:
-                    gap = interarrival(rng, t)
-                if t + gap > window_end:
-                    pending_at = t + gap
-                    break
-                t += gap
-            self._pool_index += admitted
-            stats.offered += offered
-            stats.admitted += admitted
-            stats.rejected += rejected
-            stats.completed += completed
-            stats.timeouts += timeouts
-            coordinator.credit_window(now, window_end, offered)
-            if note_fluid is not None:
-                note_fluid(
-                    FluidWindow(
-                        start_ns=now,
-                        end_ns=window_end,
-                        offered=offered,
-                        admitted=admitted,
-                        rejected=rejected,
-                        completed=completed,
-                        timeouts=timeouts,
-                        latency_sum_ns=latency_sum,
-                    )
-                )
-            if remaining:
-                # Jump to the window edge; the held arrival beyond it is
-                # served by the next loop pass (fluid again if a fresh
-                # window opens, discretely otherwise).
-                target = window_end
+                now = engine.now
+                window = self._fluid_window(now, arrive_at) if fluid else None
+                if window is None:
+                    # -- zero-width window: dispatch to the real sink -----
+                    if gate is None:
+                        gate = timeout(arrive_at - now)
+                    else:
+                        gate.rearm(arrive_at - now)
+                    yield gate
+                    remaining -= 1
+                    t = now = engine.now
+                    stats.offered += 1
+                    if max_depth is not None and sink.outstanding >= max_depth:
+                        stats.rejected += 1
+                    else:
+                        stats.admitted += 1
+                        self._open += 1
+                        spawn(self._handle(self._next_request(), now))
+                    continue
+                profile, window_end = window
+                start = now
+                model = self._model if profile.exact else None
+                sampler = profile.sampler
+                offered = admitted = rejected = completed = timeouts = 0
+                latency_sum = 0.0
+            # -- credit one arrival inside the analytic window -------------
+            t = arrive_at
+            offered += 1
+            remaining -= 1
+            if model is not None:
+                model.drain(t)
+                if max_depth is not None and model.outstanding >= max_depth:
+                    rejected += 1
+                    continue
+                sojourn = model.offer(t) - t
             else:
-                # Last arrival credited analytically: advance the clock
-                # past the final virtual completion so `done` fires at
-                # (or after) the same instant as a discrete run.
-                target = tail_ns if tail_ns > t else t
-            if gate is None:
-                gate = timeout(target - now)
+                # Sampler mode (live cluster sinks): no virtual queue —
+                # admission is assumed (steady state implies the depth
+                # limit is slack) and sojourns are drawn from the sink's
+                # empirical distribution on a dedicated seeded stream.
+                sojourn = sampler(fluid_rng)
+            admitted += 1
+            if sojourn > request_timeout:
+                timeouts += 1
             else:
-                gate.rearm(target - now)
-            yield gate
+                completed += 1
+                latency_sum += sojourn
+                latencies.append(sojourn)
+            if t + sojourn > tail_ns:
+                tail_ns = t + sojourn
         self._close_one()  # release the source's own count
+
+    def _fluid_window(
+        self, now: float, arrive_at: float
+    ) -> tuple[FluidProfile, float] | None:
+        """``(profile, window_end)`` if an analytic window covering
+        ``arrive_at`` can open at ``now``, else None."""
+        sink = self.sink
+        if sink.outstanding:
+            return None
+        coordinator = self.engine.fluid
+        window_end = coordinator.window_end(now)
+        horizon = now + self.arrivals.fluid_horizon_ns(now)
+        if horizon < window_end:
+            window_end = horizon
+        if window_end - now < coordinator.min_window_ns or arrive_at > window_end:
+            return None
+        profile = sink.fluid_profile()
+        if profile is None:
+            return None
+        if profile.exact:
+            model = self._model
+            if model is not None:
+                model.drain(now)
+            if model is None or model.outstanding == 0:
+                # No live virtual tail: resync channel state from the
+                # sink (its cursor moves under discrete interludes).
+                self._model = FluidModel(profile)
+            elif model.servers != profile.servers or model.service_ns != profile.service_ns:
+                return None  # the sink reshaped under a live tail
+        return profile, window_end
 
     def _handle(self, request, arrived_ns: float) -> collections.abc.Generator:
         try:

@@ -1,6 +1,6 @@
 """Fluid fast-forward: equivalence with the discrete path, transient
-handling, and the recycling primitives that ride along (Timeout.rearm,
-Slab, ReservoirSample.merge_analytic)."""
+handling, and the primitives that ride along (Timeout.rearm,
+ReservoirSample.merge_analytic)."""
 
 import math
 
@@ -11,8 +11,6 @@ from repro.sim import (
     AnyOf,
     Engine,
     SEC,
-    Slab,
-    SlabError,
     Store,
 )
 from repro.sim.fluid import (
@@ -252,6 +250,44 @@ def test_fluid_off_is_the_default_and_discrete_path_is_unchanged():
     assert a == b  # same seed, same series — still fully deterministic
 
 
+def test_finished_injector_stops_bounding_fluid_windows():
+    """A bursty injector's rate edges bound fluid windows only while its
+    run is in flight: once the run drains its source is unregistered,
+    and an injector that never ran registered nothing."""
+
+    def bursty():
+        return BurstyArrivals(
+            base_rate_per_s=150_000.0,
+            burst_rate_per_s=900_000.0,
+            period_s=0.008,
+            duty=0.25,
+        )
+
+    def poisson_windows(engine, cluster):
+        injector = OpenLoopInjector(
+            engine, cluster, PoissonArrivals(400_000.0), pool=[0], seed_tag="poisson"
+        )
+        before = engine.fluid.windows
+        engine.run_until(injector.run(2_000))
+        return engine.fluid.windows - before
+
+    def fresh():
+        engine = Engine(seed=2014, fluid=True)
+        return engine, EchoCluster(engine, 4, 1_500.0)
+
+    alone = poisson_windows(*fresh())
+
+    engine, cluster = fresh()
+    finished = OpenLoopInjector(engine, cluster, bursty(), pool=[0], seed_tag="bursty")
+    engine.run_until(finished.run(2_000))
+    assert all(source is not finished._edges for source, _ in engine.fluid._sources)
+    assert poisson_windows(engine, cluster) == alone
+
+    engine, cluster = fresh()
+    OpenLoopInjector(engine, cluster, bursty(), pool=[0], seed_tag="idle")
+    assert poisson_windows(engine, cluster) == alone
+
+
 # --- coordinator mechanics ------------------------------------------------
 
 
@@ -273,20 +309,36 @@ def test_note_transient_forces_discrete_warmup():
     fluid = engine.fluid
     fluid.note_transient("test")
     assert fluid.window_end(0.0) == 0.0  # no window during warm-up
-    assert fluid.usable_window(0.0) == 0.0
     after = fluid.discrete_until_ns
     assert after == engine.now + fluid.warmup_ns
     assert fluid.window_end(after + 1.0) > after
 
 
-def test_usable_window_enforces_minimum_width():
-    engine = Engine(seed=0, fluid=True)
-    fluid = engine.fluid
-    fluid.register(
-        ScheduledTransients([fluid.guard_ns + fluid.min_window_ns / 2])
-    )
-    assert fluid.window_end(0.0) == fluid.min_window_ns / 2
-    assert fluid.usable_window(0.0) == 0.0  # too narrow to engage
+def test_window_narrower_than_minimum_opens_no_fluid_window():
+    """A guarded transient half a minimum window past the guard leaves
+    too narrow a window: the injector stays discrete.  Moved to twice
+    the minimum, the same run opens a window."""
+
+    def factory():
+        return PoissonArrivals(400_000.0)
+
+    def transient_at(min_windows):
+        def script(engine, cluster):
+            fluid = engine.fluid
+            when = fluid.guard_ns + fluid.min_window_ns * min_windows
+            fluid.register(ScheduledTransients([when]))
+            assert fluid.window_end(0.0) == fluid.min_window_ns * min_windows
+
+        return script
+
+    # 200 arrivals span ~0.5 ms, all before the transient.
+    discrete = run_once(False, factory, count=200)
+    narrow = run_once(True, factory, count=200, script=transient_at(0.5))
+    wide = run_once(True, factory, count=200, script=transient_at(2.0))
+    assert narrow["windows"] == 0
+    assert narrow["dispatched"] == discrete["dispatched"]
+    assert wide["windows"] > 0
+    assert narrow["counters"] == wide["counters"] == discrete["counters"]
 
 
 def test_run_deadline_bounds_windows():
@@ -324,15 +376,17 @@ def test_scheduled_transients_ordering():
 
 def test_fluid_model_tracks_queue_buildup_exactly():
     model = FluidModel(FluidProfile(servers=2, service_ns=10.0))
-    # Three arrivals at t=0: two start immediately, one queues.
-    assert model.offer(0.0) == 10.0
-    assert model.offer(0.0) == 10.0
-    assert model.offer(0.0) == 20.0  # waits for channel 0 to free
+    # Three arrivals at t=0: two start immediately, one queues and
+    # waits for channel 0 to free.
+    completions = [model.offer(0.0) for _ in range(3)]
+    assert completions == [10.0, 10.0, 20.0]
     assert model.outstanding == 3
     assert model.drain(10.0) == 2
     assert model.outstanding == 1
-    assert model.last_completion_ns == 20.0
-    assert model.drain(25.0) == 1
+    # The queued arrival retires exactly at its returned instant.
+    assert model.drain(completions[-1] - 1.0) == 0
+    assert model.drain(completions[-1]) == 1
+    assert model.outstanding == 0
 
 
 def test_fluid_model_requires_exact_profile():
@@ -378,6 +432,17 @@ def test_rearm_of_pending_timeout_raises():
         gate.rearm(1.0)  # still queued: rearming would resurrect it
 
 
+def test_rearm_of_pending_timeout_is_a_sanitizer_finding():
+    engine = Engine(seed=0, sanitize=True)
+    gate = engine.timeout(5.0)
+    with pytest.raises(RuntimeError):
+        gate.rearm(1.0)
+    assert any(
+        finding.kind == "rearm-resurrection"
+        for finding in engine.sanitizer.findings
+    )
+
+
 def test_rearm_rejects_negative_delay():
     engine = Engine(seed=0)
 
@@ -389,74 +454,6 @@ def test_rearm_rejects_negative_delay():
 
     engine.process(sleeper())
     engine.run()
-
-
-# --- Slab -----------------------------------------------------------------
-
-
-def test_slab_recycles_and_counts():
-    engine = Engine(seed=0)
-    slab = Slab.for_events(engine, name="pooled")
-    first = slab.acquire()
-    slab.release(first)
-    second = slab.acquire()
-    assert second is first
-    assert slab.allocated == 1 and slab.recycled == 1
-
-
-def test_slab_double_release_raises():
-    engine = Engine(seed=0)
-    slab = Slab.for_events(engine)
-    event = slab.acquire()
-    slab.release(event)
-    with pytest.raises(SlabError):
-        slab.release(event)
-
-
-def test_slab_refuses_to_recycle_scheduled_event():
-    engine = Engine(seed=0)
-    slab = Slab.for_events(engine)
-    event = slab.acquire()
-    event.succeed("x")  # scheduled but not yet dispatched
-    with pytest.raises(SlabError):
-        slab.release(event)
-
-
-def test_slab_reset_restores_pristine_event():
-    engine = Engine(seed=0)
-    slab = Slab.for_events(engine, name="pooled")
-    event = slab.acquire()
-    event.succeed("payload")
-    engine.run()
-    slab.release(event)  # dispatched: safe to recycle
-    fresh = slab.acquire()
-    assert fresh is event
-    assert not fresh.triggered and fresh.callbacks is None
-    fresh.succeed("again")  # a triggered event would raise here
-    engine.run()
-    assert fresh.value == "again"
-
-
-def test_slab_capacity_bounds_the_freelist():
-    engine = Engine(seed=0)
-    slab = Slab(lambda: engine.event(), capacity=1)
-    a, b = slab.acquire(), slab.acquire()
-    slab.release(a)
-    slab.release(b)  # beyond capacity: dropped, not parked
-    assert len(slab) == 1
-
-
-def test_slab_violation_is_a_sanitizer_finding():
-    engine = Engine(seed=0, sanitize=True)
-    slab = Slab.for_events(engine)
-    event = slab.acquire()
-    event.succeed("x")
-    with pytest.raises(SlabError):
-        slab.release(event)
-    assert any(
-        finding.kind == "slab-resurrection"
-        for finding in engine.sanitizer.findings
-    )
 
 
 # --- ReservoirSample.merge_analytic ---------------------------------------

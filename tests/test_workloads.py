@@ -306,30 +306,6 @@ def test_second_run_while_in_flight_is_rejected():
         injector.run(5)
 
 
-def test_batched_admission_same_load_fewer_scheduler_events():
-    """A batch window must not change what is offered or completed —
-    only how many scheduler wakeups it takes to admit it."""
-    outcomes = []
-    scheduled = []
-    for window_ns in (0.0, 50_000.0):
-        eng = Engine(seed=9)
-        sink = EchoService(eng)
-        injector = OpenLoopInjector(
-            eng,
-            sink,
-            PoissonArrivals(1_000_000.0),
-            pool=list(range(4)),
-            batch_window_ns=window_ns,
-        )
-        stats = eng.run_until(injector.run(500))
-        outcomes.append(
-            (stats.offered, stats.admitted, stats.completed, stats.rejected)
-        )
-        scheduled.append(eng._seq)
-    assert outcomes[0] == outcomes[1]
-    assert scheduled[1] < scheduled[0]
-
-
 def test_open_loop_latencies_are_reservoir_bounded():
     from repro.analysis import ReservoirSample
     from repro.workloads.openloop import OpenLoopStats
