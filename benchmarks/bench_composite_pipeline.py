@@ -111,7 +111,13 @@ def run_one(config: str) -> dict:
             and manager.scheduler.cordoned_slots
             and handle.status().ready_replicas == handle.spec.replicas
         ):
-            recovered_at = elapsed
+            # The sample grid notices the restored count up to one step
+            # late; the pass that placed the replacement logged when.
+            recovered_at = max(
+                report.at_ns
+                for report in manager.reconcile_reports
+                if any(action.kind == "replace" for action in report.actions)
+            ) - started
     stats = done.value
 
     arrival_end = arrivals / RATE_PER_S * SEC

@@ -152,11 +152,9 @@ def run_week(fluid: bool = False) -> dict:
     while not done.triggered:
         engine.run(until=engine.now + SAMPLE_NS)
         elapsed = engine.now - start_ns
-        # One ring killed per day, threshold-based (a reconciliation
-        # pass can fast-forward the clock across a day boundary, so an
-        # equality check on the current day would skip that day's kill);
-        # the last two days stay quiet so every ticket's repair fits
-        # inside the measured horizon.
+        # One ring killed per day, at the first sample past the day's
+        # threshold; the last two days stay quiet so every ticket's
+        # repair fits inside the measured horizon.
         if (
             next_fail_day < DAYS - 2
             and elapsed >= (next_fail_day + FAIL_AT_FRACTION) * DAY_NS

@@ -89,11 +89,6 @@ class BitstreamCache:
         """Staged images, oldest first (exposed for tests)."""
         return list(self._staged.get(machine_id, ()))
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, int]:
         return {
             "hits": self.hits,

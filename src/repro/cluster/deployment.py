@@ -116,23 +116,23 @@ class Deployment:
     # -- deployment ------------------------------------------------------------
 
     def deploy(self) -> RingAssignment:
-        return self.finish_deploy(self.begin_deploy())
+        """Configure the ring from top level; returns the assignment."""
+        return self.engine.drive(self.configure())
 
-    def begin_deploy(self) -> Event:
-        """Start configuring the ring; returns the completion event.
-
-        Split from :meth:`finish_deploy` so the scheduler can overlap
-        the ~1 s full-ring reconfigurations of a gang's members when
-        they sit in different pods.  A region tenant configures only
-        its granted node run, not the whole ring.
+    def configure(self) -> collections.abc.Generator:
+        """Start configuring now; returns the generator that waits it
+        out and adopts the assignment.  Starting eagerly lets the
+        scheduler overlap the ~1 s reconfigurations of rings in
+        different pods.  A region tenant configures only its node run.
         """
         nodes = list(self.region.nodes) if self.region is not None else None
-        return self.mapping_manager.deploy(self.service, self.ring_x, nodes=nodes)
+        done = self.mapping_manager.deploy(self.service, self.ring_x, nodes=nodes)
 
-    def finish_deploy(self, done: Event) -> RingAssignment:
-        """Wait out a :meth:`begin_deploy` and adopt the assignment."""
-        self.assignment = self.engine.run_until(done)
-        return self.assignment
+        def adopt() -> collections.abc.Generator:
+            self.assignment = yield done
+            return self.assignment
+
+        return adopt()
 
     @property
     def head_node(self):

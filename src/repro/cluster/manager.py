@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import math
 import typing
+from collections import deque
 
 from repro.analysis import LatencyStats, percentile
 from repro.cluster.composite import CompositeDeployment
@@ -49,7 +51,7 @@ from repro.cluster.scheduler import (
 )
 from repro.fabric.datacenter import Datacenter, RingSlot
 from repro.services.health_monitor import HealthMonitor
-from repro.sim import Engine
+from repro.sim import Engine, Event
 from repro.sim.units import US
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -205,7 +207,6 @@ class ServiceHandle:
         self._watchdog = None
         self._watchdog_ticks = None  # fluid window bound while sweeping
         self._last_report: ReconcileReport | None = None
-        self._upgrading = False  # rolling upgrade in flight; see upgrade()
 
     @property
     def name(self) -> str:
@@ -246,8 +247,6 @@ class ServiceHandle:
 
     def upgrade(self, new_spec: "ServiceSpec") -> ReconcileReport:
         """Roll every replica onto ``new_spec`` — one gang at a time."""
-        if not self.active:
-            raise RuntimeError(f"service {self.name!r} has been drained")
         return self.manager.upgrade(self, new_spec)
 
     def status(self) -> ServiceStatus:
@@ -261,9 +260,6 @@ class ServiceHandle:
         return ReconcileReport(at_ns=self.manager.engine.now, actions=())
 
     # -- health watchdog -------------------------------------------------------
-
-    def start_watchdog(self, period_ns: float | None = None) -> None:
-        self.manager.start_watchdog(self, period_ns)
 
     def stop_watchdog(self) -> None:
         if self._watchdog is not None and self._watchdog.is_alive:
@@ -282,8 +278,48 @@ class ServiceHandle:
         )
 
 
+class _ConvergenceLock:
+    """Serialises convergence passes: one holder, later passes queue
+    FIFO.  Acquiring a free lock schedules no event."""
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self.held = False
+        self._waiters: deque[Event] = deque()
+
+    def acquire(self) -> collections.abc.Generator:
+        """Wait for the lock (a generator); yields only when contended."""
+        if not self.held:
+            self.held = True
+            return
+        grant = self.engine.event(name="cluster.converge")
+        self._waiters.append(grant)
+        try:
+            yield grant
+        except BaseException:
+            if grant.triggered:  # handed over, but the waiter was killed
+                self.release()
+            raise
+
+    def release(self) -> None:
+        """Hand the lock to the oldest live waiter, or free it."""
+        while self._waiters:
+            grant = self._waiters.popleft()
+            if not grant.cancelled:
+                grant.succeed()
+                return
+        self.held = False
+
+
 class ClusterManager:
-    """Datacenter-wide, declarative service management."""
+    """Datacenter-wide, declarative service management.
+
+    Every convergence pass is a generator that holds one lock, so
+    passes never overlap: a later pass queues until the lock frees.
+    Watchdog ticks and repairs run passes as engine processes; the
+    synchronous methods drive the same generators and are top-level
+    only (:meth:`~repro.sim.engine.Engine.drive`).
+    """
 
     def __init__(
         self,
@@ -306,10 +342,12 @@ class ClusterManager:
         # them returns.
         self._preempted: list[str] = []
         # Convergence passes must not overlap: placing a replica spans
-        # simulated time (a ~1 s ring reconfiguration inside a nested
-        # run), during which a watchdog tick or repair callback could
-        # start a second pass that picks the same still-unmarked slot.
-        self._converging = False
+        # simulated time (a ~1 s ring reconfiguration), during which a
+        # watchdog tick or a repair could start a second pass.
+        self._lock = _ConvergenceLock(self.engine)
+        self._reacting = False  # the holder is a reactive pass
+        if self.engine.fluid is not None:
+            self.engine.fluid.register(self, guarded=False)
         # With a repair policy, every cordon opens a service ticket and
         # the slot returns to the pool on its own once the ticket's
         # timer expires — the §3.5 loop closed without an operator.
@@ -323,12 +361,12 @@ class ClusterManager:
 
     # -- wiring ----------------------------------------------------------------
 
-    def _note_transient(self, label: str, actions=None) -> None:
-        """Tell the fluid coordinator cluster state changed (no-op on a
-        discrete-only engine, or when a convergence pass had nothing to
-        do — a healthy watchdog tick must not hold fluid mode off)."""
-        if self.engine.fluid is not None and (actions is None or actions):
-            self.engine.fluid.note_transient(label)
+    def next_transient_ns(self, now_ns: float) -> float:
+        """Fluid windows stay shut while a watchdog, sweep or repair pass
+        holds the lock: no driver can announce these dips and recoveries
+        ahead, so they are simulated exactly.  Operator calls are bounded
+        by the driver's own schedule and run deadlines."""
+        return now_ns if self._reacting else math.inf
 
     def health_monitor(self, pod_id: int) -> HealthMonitor:
         """The pod's Health Monitor, attached to its Mapping Manager.
@@ -354,67 +392,76 @@ class ClusterManager:
         end.  Re-applying a spec for the same service updates the
         declaration in place — replica count and balancing policy take
         effect immediately via reconciliation; the placement policy
-        governs future placements.
+        governs future placements.  Top-level only.
         """
-        existing = self.handles.get(spec.name)
-        if existing is not None and existing.active:
-            if (
-                existing.spec.service is not spec.service
-                # Independently built but identical definitions (the
-                # declarative path rebuilds catalogs) are the same
-                # declaration; compare by canonical form, since role
-                # factories are distinct closures on every build.
-                and existing.spec.service.to_dict() != spec.service.to_dict()
-            ):
-                raise ValueError(
-                    f"service {spec.name!r} is already applied with a "
-                    "different ServiceDefinition; use "
-                    "handle.upgrade(new_spec) for a rolling in-place "
-                    "upgrade, or drain the old handle first"
-                )
-            existing.spec = spec
-            existing.balancer.policy = spec.balancing
-            self.reconcile(existing)
-            return existing
-        deployments: list[Deployment] = []
-        actions: list[ReconcileAction] = []
-        self._converging = True
+        return self.engine.drive(self._apply(spec))
+
+    def _apply(self, spec: "ServiceSpec") -> collections.abc.Generator:
+        yield from self._lock.acquire()
         try:
+            existing = self.handles.get(spec.name)
+            if existing is not None and existing.active:
+                if (
+                    existing.spec.service is not spec.service
+                    # Independently built but identical definitions (the
+                    # declarative path rebuilds catalogs) are the same
+                    # declaration; compare by canonical form, since role
+                    # factories are distinct closures on every build.
+                    and existing.spec.service.to_dict() != spec.service.to_dict()
+                ):
+                    raise ValueError(
+                        f"service {spec.name!r} is already applied with a "
+                        "different ServiceDefinition; use "
+                        "handle.upgrade(new_spec) for a rolling in-place "
+                        "upgrade, or drain the old handle first"
+                    )
+                existing.spec = spec
+                existing.balancer.policy = spec.balancing
+                actions = yield from self._converge([existing])
+                self._record("reconcile", actions, [existing])
+                return existing
+            deployments: list[Deployment] = []
+            actions = []
             while len(deployments) < spec.replicas:
-                placed, place_actions = self._place_one(spec, kind="place")
+                placed, place_actions = yield from self._place_one(spec, kind="place")
                 actions.extend(place_actions)
                 if placed is None:
                     break
                 deployments.append(placed)
-            actions.extend(self._drain_preempted())
-        finally:
-            self._converging = False
-        if not deployments:
-            raise InsufficientClusterCapacity(
-                f"no servable ring for service {spec.name!r}"
+            actions.extend((yield from self._drain_preempted()))
+            if not deployments:
+                raise InsufficientClusterCapacity(
+                    f"no servable ring for service {spec.name!r}"
+                )
+            balancer = LoadBalancer(
+                self.engine, deployments, policy=spec.balancing, name=spec.name
             )
-        balancer = LoadBalancer(
-            self.engine, deployments, policy=spec.balancing, name=spec.name
-        )
-        handle = ServiceHandle(self, spec, balancer)
-        self.handles[spec.name] = handle
-        self._note_transient(f"apply:{spec.name}", actions)
-        report = ReconcileReport(at_ns=self.engine.now, actions=tuple(actions))
-        self.reconcile_reports.append(report)
-        handle._last_report = report
+            handle = ServiceHandle(self, spec, balancer)
+            self.handles[spec.name] = handle
+            self._record(f"apply:{spec.name}", actions, [handle])
+        finally:
+            self._lock.release()
         self.start_watchdog(handle)
         return handle
 
     def drain(self, handle: ServiceHandle) -> list[RingSlot]:
-        """Tear a service down: release every ring, stop its watchdog."""
-        handle.stop_watchdog()
-        freed = []
-        for replica in list(handle.balancer.deployments):
-            freed.extend(self._release_replica(replica))
-            handle.balancer.deployments.remove(replica)
-            handle.retired.append(replica)
-        handle.active = False
-        self.handles.pop(handle.name, None)
+        """Tear a service down: release every ring, stop its watchdog
+        (after any pass in flight).  Top-level only."""
+        return self.engine.drive(self._drain(handle))
+
+    def _drain(self, handle: ServiceHandle) -> collections.abc.Generator:
+        yield from self._lock.acquire()
+        try:
+            handle.stop_watchdog()
+            freed = []
+            for replica in list(handle.balancer.deployments):
+                freed.extend(self._release_replica(replica))
+                handle.balancer.deployments.remove(replica)
+                handle.retired.append(replica)
+            handle.active = False
+            self.handles.pop(handle.name, None)
+        finally:
+            self._lock.release()
         return freed
 
     # -- replica plumbing (single ring vs composite gang) ----------------------
@@ -444,24 +491,43 @@ class ClusterManager:
         (the hardware needs manual service); replacements are placed on
         free slots under the spec's placement policy.  When the
         datacenter runs out of free rings the shortfall is recorded and
-        the service keeps running degraded.
+        the service keeps running degraded.  Top-level only; waits for
+        an in-flight pass first.
         """
-        if self._converging:
-            # A pass is already in flight (we are inside its nested
-            # simulated-time wait); it will converge this state, and the
-            # caller's next tick covers anything it misses.
-            return ReconcileReport(at_ns=self.engine.now, actions=())
-        handles = [handle] if handle is not None else list(self.handles.values())
-        actions: list[ReconcileAction] = []
-        self._converging = True
+        return self.engine.drive(self._reconcile(handle))
+
+    def _reconcile(
+        self, handle: ServiceHandle | None = None, reactive: bool = False
+    ) -> collections.abc.Generator:
+        """:meth:`reconcile` as a generator; returns the report.
+        ``reactive`` marks a watchdog, sweep or repair pass."""
+        yield from self._lock.acquire()
+        self._reacting = reactive
         try:
-            for one in handles:
-                if one.active:
-                    actions.extend(self._reconcile_one(one))
-            actions.extend(self._drain_preempted())
+            handles = [handle] if handle is not None else list(self.handles.values())
+            actions = yield from self._converge(handles)
+            return self._record("reconcile", actions, handles)
         finally:
-            self._converging = False
-        self._note_transient("reconcile", actions)
+            self._reacting = False
+            self._lock.release()
+
+    def _converge(self, handles: list[ServiceHandle]) -> collections.abc.Generator:
+        """Reconcile each live handle, then re-place preempted tenants
+        (a generator, run under the lock); returns the actions."""
+        actions: list[ReconcileAction] = []
+        for one in handles:
+            if one.active:
+                actions.extend((yield from self._reconcile_one(one)))
+        actions.extend((yield from self._drain_preempted()))
+        return actions
+
+    def _record(
+        self, label: str, actions: list, handles: list[ServiceHandle]
+    ) -> ReconcileReport:
+        """Log one pass's report; tell the fluid coordinator if the pass
+        changed state (a healthy watchdog tick must not hold fluid off)."""
+        if actions and self.engine.fluid is not None:
+            self.engine.fluid.note_transient(label)
         report = ReconcileReport(at_ns=self.engine.now, actions=tuple(actions))
         self.reconcile_reports.append(report)
         for one in handles:
@@ -471,22 +537,20 @@ class ClusterManager:
     def _on_repaired(self, ticket: ServiceTicket) -> None:
         """A service ticket closed: capacity just returned to the pool.
 
-        Reconcile every service immediately so replicas that were stuck
-        in shortfall re-place onto the recovered slot — the repair half
-        of the §3.5 loop, with no operator in it.  (The per-service
+        Start a pass over every service so replicas that were stuck in
+        shortfall re-place onto the recovered slot — the repair half of
+        the §3.5 loop, with no operator in it.  (The per-service
         watchdogs would converge eventually; this closes the window.)
+        The pass queues behind one already in flight.
         """
         del ticket  # which slot recovered does not matter; any shortfall may use it
         if self.handles:
-            self.reconcile()
+            self.engine.process(
+                self._reconcile(reactive=True), name="cluster.repair-reconcile"
+            )
 
-    def _reconcile_one(self, handle: ServiceHandle) -> list[ReconcileAction]:
-        if handle._upgrading:
-            # A rolling upgrade owns this service's replicas right now;
-            # a concurrent pass (watchdog tick or repair callback firing
-            # inside the upgrade's nested waits) would release rings the
-            # upgrade is already iterating over.
-            return []
+    def _reconcile_one(self, handle: ServiceHandle) -> collections.abc.Generator:
+        """Converge one service (a generator); returns the actions."""
         actions: list[ReconcileAction] = []
         spec = handle.spec
         balancer = handle.balancer
@@ -538,7 +602,7 @@ class ClusterManager:
         for replica in list(balancer.deployments):
             if len(self._member_rings(replica)) == spec.rings_per_replica:
                 continue
-            outcome = self._roll_one(
+            outcome = yield from self._roll_one(
                 handle,
                 replica,
                 verb="reshape",
@@ -551,7 +615,7 @@ class ClusterManager:
                 break  # capacity raced away; step 4 records the rest
         # 4. Scale up / replace until the declared count is restored.
         while len(balancer.deployments) < spec.replicas:
-            placed, place_actions = self._place_one(spec, kind="replace")
+            placed, place_actions = yield from self._place_one(spec, kind="replace")
             actions.extend(place_actions)
             if placed is None:
                 break
@@ -567,10 +631,10 @@ class ClusterManager:
         kind_place: str,
         bound_ns: float,
         actions: list,
-    ) -> str:
-        """One rolling step shared by reshape and upgrade: drain a
-        replica out of rotation, release its rings, re-place at the
-        live spec's shape.
+    ) -> collections.abc.Generator:
+        """One rolling step shared by reshape and upgrade (a generator):
+        drain a replica out of rotation, release its rings, re-place at
+        the live spec's shape.
 
         Returns ``"kept"`` when the capacity pre-flight shows the new
         shape cannot possibly fit even reusing this replica's own slots
@@ -602,58 +666,53 @@ class ClusterManager:
         # are released (bounded — a dead ring's stragglers resolve as
         # timeouts and divert on release, the §3.2 behavior).
         balancer.deployments.remove(replica)
-        self._quiesce(replica, bound_ns=bound_ns)
+        yield from self._quiesce(replica, bound_ns=bound_ns)
         for slot in self._release_replica(replica):
             actions.append(ReconcileAction(spec.name, kind_release, slot))
         handle.retired.append(replica)
         if len(balancer.deployments) >= spec.replicas:
             return "rolled"  # rolling past a scale-down: nothing to place
-        placed, place_actions = self._place_one(spec, kind=kind_place)
+        placed, place_actions = yield from self._place_one(spec, kind=kind_place)
         actions.extend(place_actions)
         if placed is None:
             return "capacity"
         balancer.deployments.append(placed)
         return "rolled"
 
-    def _place_one(
-        self, spec: "ServiceSpec", kind: str
-    ) -> tuple[Deployment | CompositeDeployment | None, list[ReconcileAction]]:
-        """Place one replica — a single ring, or a gang of
+    def _place_one(self, spec: "ServiceSpec", kind: str) -> collections.abc.Generator:
+        """Place one replica (a generator) — a single ring, or a gang of
         ``rings_per_replica`` rings wrapped in a
         :class:`CompositeDeployment` — cordoning slots that fail at
         configure time and retrying until the replica sticks or
         capacity runs out.  Gangs are all-or-nothing: a configure
         failure rolls the partial gang back inside the scheduler, the
-        bad slot is cordoned here, and the whole gang is retried."""
+        bad slot is cordoned here, and the whole gang is retried.
+        Returns the replica (``None`` on shortfall) and the actions."""
         actions: list[ReconcileAction] = []
         while True:
             try:
                 if spec.regions is not None:
-                    placed = self.scheduler.deploy_region(
+                    placed = yield from self.scheduler.place_region(
                         spec.service,
                         spec.regions,
                         priority=spec.priority,
                         adapter=spec.adapter,
                         slots_per_server=spec.slots_per_server,
                     )
-                elif spec.rings_per_replica == 1:
-                    (placed,) = self.scheduler.deploy(
-                        spec.service,
-                        rings=1,
-                        adapter=spec.adapter,
-                        slots_per_server=spec.slots_per_server,
-                        policy=spec.placement,
-                    )
                 else:
-                    members = self.scheduler.deploy_gang(
+                    members = yield from self.scheduler.place_rings(
                         spec.service,
-                        rings=spec.rings_per_replica,
+                        spec.rings_per_replica,
                         adapter=spec.adapter,
                         slots_per_server=spec.slots_per_server,
                         policy=spec.placement,
                     )
-                    placed = CompositeDeployment(
-                        self.engine, members, datacenter=self.datacenter
+                    placed = (
+                        members[0]
+                        if len(members) == 1
+                        else CompositeDeployment(
+                            self.engine, members, datacenter=self.datacenter
+                        )
                     )
             except PlacementFailed as failure:
                 # The chosen slot turned out to have bad hardware the
@@ -685,7 +744,7 @@ class ClusterManager:
                         spec.service, spec.regions
                     )
                     if victim is not None:
-                        actions.append(self._preempt(victim, spec))
+                        actions.append((yield from self._preempt(victim, spec)))
                         continue
                 actions.append(
                     ReconcileAction(spec.name, "shortfall", None, detail=str(exc))
@@ -711,8 +770,9 @@ class ClusterManager:
 
     # -- priority preemption (region tenants) ----------------------------------
 
-    def _preempt(self, victim: Deployment, spec: "ServiceSpec") -> ReconcileAction:
-        """Evict ``victim`` (a batch region tenant) for ``spec``.
+    def _preempt(self, victim: Deployment, spec: "ServiceSpec") -> collections.abc.Generator:
+        """Evict ``victim`` (a batch region tenant) for ``spec`` (a
+        generator); returns the action.
 
         The victim leaves its front-end rotation, drains its in-flight
         requests (bounded by its own timeout), and its region is
@@ -727,7 +787,9 @@ class ClusterManager:
             and victim in victim_handle.balancer.deployments
         ):
             victim_handle.balancer.deployments.remove(victim)
-            self._quiesce(victim, bound_ns=victim_handle.spec.request_timeout_ns)
+            yield from self._quiesce(
+                victim, bound_ns=victim_handle.spec.request_timeout_ns
+            )
             victim_handle.retired.append(victim)
             if victim_handle.name not in self._preempted:
                 self._preempted.append(victim_handle.name)
@@ -739,8 +801,9 @@ class ClusterManager:
             detail=f"evicted batch tenant {region.service!r}",
         )
 
-    def _drain_preempted(self) -> list[ReconcileAction]:
-        """Re-place the services whose tenants this pass evicted.
+    def _drain_preempted(self) -> collections.abc.Generator:
+        """Re-place the services whose tenants this pass evicted (a
+        generator); returns the actions.
 
         Evicted tenants are batch priority and batch placements never
         preempt, so the drain cannot cascade; at worst a victim lands
@@ -750,7 +813,7 @@ class ClusterManager:
         while self._preempted:
             victim_handle = self.handles.get(self._preempted.pop(0))
             if victim_handle is not None and victim_handle.active:
-                actions.extend(self._reconcile_one(victim_handle))
+                actions.extend((yield from self._reconcile_one(victim_handle)))
         return actions
 
     # -- rolling in-place upgrades ---------------------------------------------
@@ -780,37 +843,36 @@ class ClusterManager:
         serving the *old* definition — re-run ``upgrade`` once capacity
         returns (e.g. after a repair ticket closes) to finish the roll.
         """
-        if not handle.active:
-            raise RuntimeError(f"service {handle.name!r} has been drained")
-        if self.handles.get(handle.name) is not handle:
-            raise ValueError(f"{handle.name!r} is not managed by this manager")
-        if new_spec.name != handle.name:
-            raise ValueError(
-                f"an upgrade keeps the service name: handle is "
-                f"{handle.name!r}, new spec is {new_spec.name!r} "
-                "(declare a differently named spec with apply())"
-            )
-        if self._converging:
-            raise RuntimeError(
-                "another convergence pass is in flight; upgrade() is a "
-                "top-level operator action"
-            )
-        # In-flight requests dispatched before the roll carry the OLD
-        # spec's timeout; those dispatched during it carry the new one.
-        # The drain bound must honour whichever is longer, or requests
-        # with a legitimately longer budget are spuriously diverted.
-        drain_bound_ns = max(
-            handle.spec.request_timeout_ns, new_spec.request_timeout_ns
-        )
-        handle.spec = new_spec
-        handle.balancer.policy = new_spec.balancing
-        balancer = handle.balancer
-        actions: list[ReconcileAction] = []
-        handle._upgrading = True
-        self._converging = True
+        return self.engine.drive(self._upgrade(handle, new_spec))
+
+    def _upgrade(
+        self, handle: ServiceHandle, new_spec: "ServiceSpec"
+    ) -> collections.abc.Generator:
+        yield from self._lock.acquire()
         try:
-            for replica in list(balancer.deployments):
-                outcome = self._roll_one(
+            if not handle.active:
+                raise RuntimeError(f"service {handle.name!r} has been drained")
+            if self.handles.get(handle.name) is not handle:
+                raise ValueError(f"{handle.name!r} is not managed by this manager")
+            if new_spec.name != handle.name:
+                raise ValueError(
+                    f"an upgrade keeps the service name: handle is "
+                    f"{handle.name!r}, new spec is {new_spec.name!r} "
+                    "(declare a differently named spec with apply())"
+                )
+            # In-flight requests dispatched before the roll carry the OLD
+            # spec's timeout; those dispatched during it carry the new
+            # one.  The drain bound must honour whichever is longer, or
+            # requests with a legitimately longer budget are spuriously
+            # diverted.
+            drain_bound_ns = max(
+                handle.spec.request_timeout_ns, new_spec.request_timeout_ns
+            )
+            handle.spec = new_spec
+            handle.balancer.policy = new_spec.balancing
+            actions: list[ReconcileAction] = []
+            for replica in list(handle.balancer.deployments):
+                outcome = yield from self._roll_one(
                     handle,
                     replica,
                     verb="upgrade",
@@ -821,44 +883,28 @@ class ClusterManager:
                 )
                 if outcome == "capacity":
                     # Capacity raced away mid-roll (e.g. configure
-                    # failures cordoned the freed slots): stop
-                    # releasing healthy old replicas; the final
-                    # reconcile pass records the remaining delta.
+                    # failures cordoned the freed slots): stop releasing
+                    # healthy old replicas; the final pass records the
+                    # remaining delta.
                     break
-            # Converge any remaining delta: scale-up past the old
-            # replica count, or shortfall bookkeeping if capacity ran
-            # out mid-roll.  Still inside the guard — a watchdog tick
-            # must not start a competing pass mid-placement.
-            handle._upgrading = False
-            actions.extend(self._reconcile_one(handle))
-            actions.extend(self._drain_preempted())
+            # Converge any remaining delta: scale-up past the old replica
+            # count, or shortfall bookkeeping if capacity ran out mid-roll.
+            actions.extend((yield from self._converge([handle])))
+            return self._record(f"upgrade:{handle.name}", actions, [handle])
         finally:
-            handle._upgrading = False
-            self._converging = False
-        self._note_transient(f"upgrade:{handle.name}", actions)
-        report = ReconcileReport(at_ns=self.engine.now, actions=tuple(actions))
-        self.reconcile_reports.append(report)
-        handle._last_report = report
-        return report
+            self._lock.release()
 
-    def _quiesce(self, replica, bound_ns: float, poll_ns: float = 50 * US) -> None:
-        """Wait (in simulated time) until ``replica`` has no in-flight
+    def _quiesce(
+        self, replica, bound_ns: float, poll_ns: float = 50 * US
+    ) -> collections.abc.Generator:
+        """Wait (a generator) until ``replica`` has no in-flight
         requests, bounded by ``bound_ns`` — every dispatched request
         resolves within its timeout, so the bound only bites when a
         ring died with stragglers (which then divert as timeouts on
         release, the §3.2 behavior)."""
-        if replica.outstanding == 0:
-            return
         deadline = self.engine.now + bound_ns + poll_ns
-        done = self.engine.event(name=f"drain:{replica.name}")
-
-        def body() -> collections.abc.Generator:
-            while replica.outstanding > 0 and self.engine.now < deadline:
-                yield self.engine.timeout(poll_ns)
-            done.succeed()
-
-        self.engine.process(body(), name=f"cluster.drain:{replica.name}")
-        self.engine.run_until(done)
+        while replica.outstanding > 0 and self.engine.now < deadline:
+            yield self.engine.timeout(poll_ns)
 
     # -- health watchdog -------------------------------------------------------
 
@@ -890,7 +936,7 @@ class ClusterManager:
                 if not handle.active:
                     return
                 yield from self._sweep_body(handle)
-                self.reconcile(handle)
+                yield from self._reconcile(handle, reactive=True)
 
         handle._watchdog = self.engine.process(
             body(), name=f"cluster.watchdog:{handle.name}", daemon=True
@@ -910,17 +956,14 @@ class ClusterManager:
             self.engine.fluid.register(handle._watchdog_ticks, guarded=False)
 
     def sweep(self, handle: ServiceHandle):
-        """One immediate health sweep + reconcile; returns a completion
-        event (usable with ``engine.run_until``)."""
-        done = self.engine.event(name=f"sweep:{handle.name}")
+        """One immediate health sweep + reconcile, as a process whose
+        value is the report (usable with ``engine.run_until``)."""
 
         def body() -> collections.abc.Generator:
             yield from self._sweep_body(handle)
-            report = self.reconcile(handle)
-            done.succeed(report)
+            return (yield from self._reconcile(handle, reactive=True))
 
-        self.engine.process(body(), name=f"cluster.sweep:{handle.name}")
-        return done
+        return self.engine.process(body(), name=f"cluster.sweep:{handle.name}")
 
     def _sweep_body(self, handle: ServiceHandle) -> collections.abc.Generator:
         by_pod: dict[int, list] = {}

@@ -31,7 +31,6 @@ from repro.cluster.tenancy import (
     RegionClaim,
     RingTenancy,
     check_region_fit,
-    pack_first_fit_decreasing,
     region_node_count,
 )
 from repro.fabric.datacenter import Datacenter, RingSlot
@@ -215,12 +214,6 @@ class ClusterScheduler:
             self._mapping_managers[pod_id] = manager
         return self._mapping_managers[pod_id]
 
-    def set_bitstream_cache(self, cache: "BitstreamCache | None") -> None:
-        """Attach (or detach) the bitstream cache, fleet-wide."""
-        self.bitstream_cache = cache
-        for manager in self._mapping_managers.values():
-            manager.bitstream_cache = cache
-
     def free_slots(self) -> list[RingSlot]:
         return [
             slot for slot in self.datacenter.ring_slots()
@@ -232,9 +225,6 @@ class ClusterScheduler:
     def tenancy_of(self, slot: RingSlot) -> RingTenancy | None:
         """The shared-ring ledger for ``slot``, if it hosts tenants."""
         return self._tenancies.get(slot)
-
-    def tenancies(self) -> list[RingTenancy]:
-        return [self._tenancies[slot] for slot in sorted(self._tenancies)]
 
     def attach_repair_queue(self, queue: "RepairQueue") -> None:
         """Ticket every cordon through ``queue`` from now on.
@@ -364,16 +354,6 @@ class ClusterScheduler:
                 return slot
         raise KeyError(f"{deployment.name} is not placed by this scheduler")
 
-    def deployments(self) -> list[Deployment]:
-        whole = [self._occupied[slot] for slot in sorted(self._occupied)]
-        tenants = [
-            tenancy.occupants[service]
-            for tenancy in self.tenancies()
-            for service in sorted(tenancy.claims)
-            if service in tenancy.occupants
-        ]
-        return whole + tenants
-
     def capacity_report(self) -> CapacityReport:
         queue = self.repair_queue
         cache = self.bitstream_cache
@@ -436,11 +416,34 @@ class ClusterScheduler:
 
     # -- placement -------------------------------------------------------------
 
-    def _free_pool(
-        self, count: int, policy: str | None
-    ) -> tuple[str, dict[int, list[RingSlot]]]:
-        """Validated policy + the free slots grouped by pod, or raise
-        if fewer than ``count`` rings are free datacenter-wide."""
+    def _choose_gang(
+        self, count: int, policy: str | None = None, chained: bool = True
+    ) -> list[RingSlot]:
+        """Choose ``count`` free rings under ``policy``.
+
+        By default the rings compose ONE replica (a gang): they are
+        chained into one request path, so consecutive members should sit
+        on pods that are close on the datacenter's inter-pod loop
+        (:meth:`~repro.fabric.datacenter.Datacenter.pod_distance`):
+
+        ``pack``
+            Span the fewest pods (ideally one), breaking ties by the
+            shortest chained inter-pod path — minimises the cable runs
+            a request crosses between stages.  Independent replicas
+            (``chained=False``), where only pod diversity matters, take
+            the first free rings in pod-major order instead — what
+            ``count`` successive one-ring picks give.
+
+        ``spread``
+            One ring per pod where capacity allows, on *consecutive*
+            pods of the loop starting at the round-robin cursor: blast
+            radius still spans power domains, but each stage-to-stage
+            hop crosses a single inter-pod run.  Successive calls keep
+            rotating across pods instead of restarting at pod 0.
+
+        Raises :class:`InsufficientClusterCapacity` if fewer than
+        ``count`` rings are free datacenter-wide.
+        """
         policy = policy or self.policy
         if policy not in PLACEMENT_POLICIES:
             raise ValueError(
@@ -456,56 +459,10 @@ class ClusterScheduler:
         by_pod: dict[int, list[RingSlot]] = {}
         for slot in free:
             by_pod.setdefault(slot.pod_id, []).append(slot)
-        return policy, by_pod
-
-    def _choose(self, count: int, policy: str | None = None) -> list[RingSlot]:
-        policy, by_pod = self._free_pool(count, policy)
-        if policy == "pack":
-            # free_slots() is pod-major ordered; fill pods in order.
-            ordered = [
-                slot for pod_id in sorted(by_pod) for slot in by_pod[pod_id]
-            ]
-            return ordered[:count]
-        # spread: take one slot from each pod in turn until satisfied,
-        # starting from the round-robin cursor so successive deploy()
-        # calls keep rotating across pods instead of restarting at pod 0.
-        pods = sorted(by_pod)
-        start = 0
-        for index, pod_id in enumerate(pods):
-            if pod_id >= self._next_pod_id:
-                start = index
-                break
-        queues = [by_pod[pod_id] for pod_id in pods[start:] + pods[:start]]
-        chosen: list[RingSlot] = []
-        while len(chosen) < count:
-            for queue in queues:
-                if queue and len(chosen) < count:
-                    chosen.append(queue.pop(0))
-        self._next_pod_id = chosen[-1].pod_id + 1
-        return chosen
-
-    def _choose_gang(self, count: int, policy: str | None = None) -> list[RingSlot]:
-        """Choose ``count`` rings composing ONE replica (a gang).
-
-        Unlike :meth:`_choose` — independent replicas, where only pod
-        diversity matters — gang members are chained into one request
-        path, so consecutive members should sit on pods that are close
-        on the datacenter's inter-pod loop
-        (:meth:`~repro.fabric.datacenter.Datacenter.pod_distance`):
-
-        ``pack``
-            Span the fewest pods (ideally one), breaking ties by the
-            shortest chained inter-pod path — minimises the cable runs
-            a request crosses between stages.
-
-        ``spread``
-            One ring per pod where capacity allows, on *consecutive*
-            pods of the loop starting at the round-robin cursor: blast
-            radius still spans power domains, but each stage-to-stage
-            hop crosses a single inter-pod run.
-        """
-        policy, by_pod = self._free_pool(count, policy)
         num_pods = self.datacenter.num_pods
+        if policy == "pack" and not chained:
+            ordered = [slot for pod_id in sorted(by_pod) for slot in by_pod[pod_id]]
+            return ordered[:count]
         if policy == "pack":
             best: tuple | None = None
             for start in range(num_pods):
@@ -558,12 +515,14 @@ class ClusterScheduler:
         and is fully configured — FPGA images written, RX-Halt released
         — before this returns.  ``policy`` overrides the scheduler-wide
         placement policy for this call (the control plane places each
-        service under its spec's policy).
+        service under its spec's policy).  Top-level only; a process
+        uses :meth:`place_rings`.
         """
-        if rings < 1:
-            raise ValueError(f"need at least one ring, got {rings}")
-        chosen = self._choose(rings, policy)
-        return self._configure_slots(service, chosen, adapter, slots_per_server)
+        return self.engine.drive(
+            self.place_rings(
+                service, rings, adapter, slots_per_server, policy, chained=False
+            )
+        )
 
     def deploy_gang(
         self,
@@ -576,48 +535,65 @@ class ClusterScheduler:
         """Place ONE composite replica: ``rings`` member rings, all or
         nothing.
 
-        Members are chosen by :meth:`_choose_gang` (link-aware, in chain
-        order) and configured like :meth:`deploy`; a configure failure
-        on any member rolls the whole gang back before re-raising, so a
-        replica never comes up partially placed.  The returned list is
-        in chain order — the caller wires it into a
+        Members are chosen link-aware, in chain order, and configured
+        like :meth:`deploy`; a configure failure on any member rolls the
+        whole gang back before re-raising, so a replica never comes up
+        partially placed.  The returned list is in chain order — the
+        caller wires it into a
         :class:`~repro.cluster.composite.CompositeDeployment`.
         """
+        return self.engine.drive(
+            self.place_rings(service, rings, adapter, slots_per_server, policy)
+        )
+
+    def place_rings(
+        self,
+        service: ServiceDefinition,
+        rings: int,
+        adapter: RequestAdapter | None = None,
+        slots_per_server: int = 48,
+        policy: str | None = None,
+        chained: bool = True,
+    ) -> collections.abc.Generator:
+        """Choose and configure ``rings`` whole rings (a generator);
+        returns their deployments in chain order."""
         if rings < 1:
             raise ValueError(f"need at least one ring, got {rings}")
-        chosen = self._choose_gang(rings, policy)
-        return self._configure_slots(service, chosen, adapter, slots_per_server)
+        chosen = self._choose_gang(rings, policy, chained)
+        return (yield from self._configure(service, chosen, adapter, slots_per_server))
 
-    def _configure_slots(
+    def _configure(
         self,
         service: ServiceDefinition,
         chosen: list[RingSlot],
         adapter: RequestAdapter | None,
         slots_per_server: int,
-    ) -> list[Deployment]:
-        """Configure the chosen rings, in waves of one slot per pod.
+        region: RegionClaim | None = None,
+    ) -> collections.abc.Generator:
+        """Configure a deployment of ``service`` on each chosen slot (as
+        the ``region`` tenant, if given), all or nothing (a generator);
+        returns the deployments in ``chosen`` order.
 
-        Rings in *different* pods reconfigure concurrently — a ~1 s
-        full-ring reload per wave instead of per ring, which is what
-        bounds gang re-placement time after a replica failure.  Rings
-        in the *same* pod stay serial: same-pod deploys share the
-        spare-image configure work and the FPGA rejects overlapping
-        reconfigurations.  Any configure failure rolls back every
-        already-placed ring before re-raising ``PlacementFailed`` —
-        without the rollback, a partial placement stranded the earlier
-        rings in ``_occupied`` and leaked their capacity (the caller
-        only ever sees the exception).
+        Rings in *different* pods reconfigure concurrently, in waves of
+        one slot per pod — a ~1 s full-ring reload per wave instead of
+        per ring, which is what bounds gang re-placement time after a
+        replica failure.  Rings in the *same* pod stay serial: same-pod
+        deploys share the spare-image configure work and the FPGA
+        rejects overlapping reconfigurations.  Each deployment holds its
+        slot (or region claim) from the moment its wave starts.  Any
+        configure failure rolls back every deployment before raising
+        ``PlacementFailed``, so a partial placement leaks no capacity.
         """
+        nodes = region.nodes if region is not None else ()
         by_pod: dict[int, list[RingSlot]] = {}
         for slot in chosen:
             by_pod.setdefault(slot.pod_id, []).append(slot)
         placed: dict[RingSlot, Deployment] = {}
         failure: PlacementFailed | None = None
         while failure is None and any(by_pod.values()):
-            wave = [queue.pop(0) for queue in by_pod.values() if queue]
-            started: list[tuple[RingSlot, Deployment, object]] = []
-            for slot in wave:
-                deployment = Deployment(
+            waits = []
+            for slot in [queue.pop(0) for queue in by_pod.values() if queue]:
+                placed[slot] = deployment = Deployment(
                     self.engine,
                     self.datacenter.pod(slot.pod_id),
                     service,
@@ -625,31 +601,31 @@ class ClusterScheduler:
                     adapter=adapter,
                     mapping_manager=self.mapping_manager(slot.pod_id),
                     slots_per_server=slots_per_server,
+                    region=region,
                 )
+                if region is None:
+                    self._occupied[slot] = deployment
+                else:
+                    self._tenancies[slot].occupants[region.service] = deployment
                 try:
-                    event = deployment.begin_deploy()
+                    waits.append((slot, deployment.configure()))
                 except InsufficientRingCapacity as exc:
-                    failure = PlacementFailed(slot, exc)
+                    failure = PlacementFailed(slot, exc, nodes)
                     break
-                started.append((slot, deployment, event))
             # Settle every configure this wave launched (they progress
             # concurrently) even after a failure, so rollback acts on
             # stable state rather than racing in-flight reconfigures.
-            for slot, deployment, event in started:
+            for slot, wait in waits:
                 try:
-                    deployment.finish_deploy(event)
+                    yield from wait
                 except (InsufficientRingCapacity, ReconfigError) as exc:
-                    if failure is None:
-                        failure = PlacementFailed(slot, exc)
-                    continue
-                self._occupied[slot] = deployment
-                placed[slot] = deployment
+                    failure = failure or PlacementFailed(slot, exc, nodes)
         if failure is not None:
             for deployment in placed.values():
                 self.release(deployment)
             raise failure
-        # Log decisions in chain order, and only for placements that
-        # stuck — a rolled-back ring was never really placed.
+        # Logged in chain order, and only for placements that stuck — a
+        # rolled-back ring was never really placed.
         self.decisions.extend(
             PlacementDecision(
                 service=service.name,
@@ -661,16 +637,6 @@ class ClusterScheduler:
         return [placed[slot] for slot in chosen]
 
     # -- region tenancy (shared rings) -----------------------------------------
-
-    @staticmethod
-    def pack_regions(requests: list) -> list[list[str]]:
-        """Plan an FFD packing of ``(name, fraction)`` region requests.
-
-        Pure planning — no placement happens.  Feeding requests to
-        :meth:`deploy_region` largest-first realises the same packing,
-        since deploy_region is first-fit over rings in slot order.
-        """
-        return pack_first_fit_decreasing(requests)
 
     def deploy_region(
         self,
@@ -689,7 +655,21 @@ class ClusterScheduler:
         Raises :class:`InsufficientClusterCapacity` when no ring can
         host the region, and :class:`PlacementFailed` (carrying the
         region's nodes) when the chosen run fails to configure.
+        Top-level only; a process uses :meth:`place_region`.
         """
+        return self.engine.drive(
+            self.place_region(service, fraction, priority, adapter, slots_per_server)
+        )
+
+    def place_region(
+        self,
+        service: ServiceDefinition,
+        fraction: float,
+        priority: str = "batch",
+        adapter: RequestAdapter | None = None,
+        slots_per_server: int = 48,
+    ) -> collections.abc.Generator:
+        """:meth:`deploy_region` as a generator; returns the deployment."""
         chosen: RingSlot | None = None
         tenancy: RingTenancy | None = None
         node_count = 0
@@ -724,28 +704,8 @@ class ClusterScheduler:
         claim = tenancy.claim(
             service.name, fraction, priority, node_count, slots_per_server
         )
-        deployment = Deployment(
-            self.engine,
-            pod,
-            service,
-            ring_x=chosen.ring_x,
-            adapter=adapter,
-            mapping_manager=self.mapping_manager(chosen.pod_id),
-            slots_per_server=slots_per_server,
-            region=claim,
-        )
-        try:
-            deployment.deploy()
-        except (InsufficientRingCapacity, ReconfigError) as exc:
-            tenancy.release(claim)
-            if tenancy.empty:
-                del self._tenancies[chosen]
-            raise PlacementFailed(chosen, exc, nodes=claim.nodes) from exc
-        tenancy.occupants[service.name] = deployment
-        self.decisions.append(
-            PlacementDecision(
-                service=service.name, slot=chosen, spares=deployment.spare_count
-            )
+        (deployment,) = yield from self._configure(
+            service, [chosen], adapter, slots_per_server, claim
         )
         return deployment
 
@@ -793,10 +753,18 @@ class ClusterScheduler:
         remain.
         """
         region: RegionClaim | None = getattr(deployment, "region", None)
-        if region is not None:
-            return self._release_region(deployment, region)
-        slot = self.slot_of(deployment)
-        del self._occupied[slot]
+        if region is None:
+            slot = self.slot_of(deployment)
+            del self._occupied[slot]
+        else:
+            slot = region.slot
+            tenancy = self._tenancies.get(slot)
+            if tenancy is None or tenancy.occupants.get(region.service) is not deployment:
+                raise KeyError(f"{deployment.name} is not placed by this scheduler")
+            del tenancy.occupants[region.service]
+            tenancy.release(region)
+            if tenancy.empty:
+                del self._tenancies[slot]
         manager = deployment.mapping_manager
         if deployment.assignment in manager.assignments:
             manager.assignments.remove(deployment.assignment)
@@ -809,34 +777,10 @@ class ClusterScheduler:
                 server = deployment.pod.server_at(node)
                 if server.fpga.state is FpgaState.CONFIGURED:
                     server.shell.attach_role(spare.factory(assignment, spare.name))
+        if region is not None:
+            deployment.release_slots()
         deployment.released = True
         return slot
-
-    def _release_region(
-        self, deployment: Deployment, region: RegionClaim
-    ) -> RingSlot:
-        tenancy = self._tenancies.get(region.slot)
-        if tenancy is None or tenancy.occupants.get(region.service) is not deployment:
-            raise KeyError(f"{deployment.name} is not placed by this scheduler")
-        del tenancy.occupants[region.service]
-        tenancy.release(region)
-        manager = deployment.mapping_manager
-        if deployment.assignment in manager.assignments:
-            manager.assignments.remove(deployment.assignment)
-        assignment = deployment.assignment
-        if assignment is not None:
-            spare = deployment.service.spare
-            for node in assignment.ring_nodes:
-                if node in assignment.excluded:
-                    continue
-                server = deployment.pod.server_at(node)
-                if server.fpga.state is FpgaState.CONFIGURED:
-                    server.shell.attach_role(spare.factory(assignment, spare.name))
-        deployment.release_slots()
-        deployment.released = True
-        if tenancy.empty:
-            del self._tenancies[region.slot]
-        return region.slot
 
     def __repr__(self) -> str:
         report = self.capacity_report()

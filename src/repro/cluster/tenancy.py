@@ -72,15 +72,6 @@ def slot_quota(fraction: float, priority: str, slots_per_server: int) -> int:
     return max(1, math.floor(slots_per_server * fraction * weight))
 
 
-def region_budget(service: ServiceDefinition) -> ResourceBudget:
-    """The service's total role demand (spare included: every region
-    node hosts either an active role or the spare image)."""
-    total = ResourceBudget()
-    for spec in service.roles:
-        total = total + spec.bitstream.role_budget
-    return total + service.spare.bitstream.role_budget
-
-
 def check_region_fit(service: ServiceDefinition, device) -> None:
     """Every role image must fit the per-node headroom beside the shell.
 

@@ -412,8 +412,3 @@ class MappingManager:
                 yield from self._configure_body(assignment, reconfig_nodes, finished)
         done.succeed(report)
 
-    def assignment_for(self, service_name: str) -> RingAssignment:
-        for assignment in self.assignments:
-            if assignment.service.name == service_name:
-                return assignment
-        raise KeyError(f"no assignment for service {service_name!r}")

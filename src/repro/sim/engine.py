@@ -94,7 +94,7 @@ class Engine:
             from repro.sim.fluid import FluidCoordinator
 
             self.fluid = FluidCoordinator(self)
-        # Deadline of the innermost bounded run(until=...), math.inf
+        # Deadline of the current bounded run(until=...), math.inf
         # outside one.  Fluid windows never advance past it: an external
         # driver may mutate cluster state the moment a bounded run
         # returns, and the analytic step must not have credited traffic
@@ -388,13 +388,6 @@ class Engine:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> None:
-        """Process the single next event in the queue."""
-        entry = self._pop_next()
-        if entry is None:
-            raise IndexError("step() on an empty event queue")
-        self._dispatch(entry)
-
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or simulated time passes ``until``.
 
@@ -405,7 +398,6 @@ class Engine:
         self._running = True
         pop_next = self._pop_next
         dispatch = self._dispatch
-        saved_deadline = self.run_deadline_ns
         self.run_deadline_ns = math.inf if until is None else until
         try:
             if until is None:
@@ -420,17 +412,12 @@ class Engine:
                     if entry is None:
                         break
                     if entry[0] > until:
-                        # max(): a nested run_until (e.g. a reconciliation
-                        # placing a replacement ring from inside a watchdog
-                        # callback) may already have advanced the clock past
-                        # the deadline; never move time backwards.
                         self._unpop(entry)
-                        self.now = max(self.now, until)
                         break
                     dispatch(entry)
         finally:
             self._running = False
-            self.run_deadline_ns = saved_deadline
+            self.run_deadline_ns = math.inf
         if until is not None and self.now < until:
             self.now = until
         if self.sanitizer is not None:
@@ -442,25 +429,66 @@ class Engine:
     def run_until(self, event: Event) -> object:
         """Run until ``event`` triggers; returns its value (raises on fail).
 
-        Raises :class:`SimulationError` if the queue drains first.
+        Raises :class:`SimulationError` if the queue drains first, or
+        when called while the engine is dispatching: a nested run would
+        advance the clock under a suspended process.
         """
+        if self._running:
+            raise SimulationError(
+                "run_until() is top-level only: the engine is already "
+                "dispatching; yield the event from a process instead"
+            )
+        self._running = True
+        if self.sanitizer is not None and isinstance(event, Timeout):
+            # The caller is this timeout's waiter: an opaque callback
+            # keeps the timeout-leak detector from flagging it.
+            event.add_callback(lambda _event: None)
         pop_next = self._pop_next
         dispatch = self._dispatch
-        while not event.triggered:
-            entry = pop_next()
-            if entry is None:
-                raise SimulationError(f"queue drained before {event!r} triggered")
-            dispatch(entry)
-        # Drain same-timestamp callbacks so observers see a settled state.
-        while True:
-            entry = pop_next()
-            if entry is None:
-                break
-            if entry[0] != self.now:
-                self._unpop(entry)
-                break
-            dispatch(entry)
+        try:
+            while not event.triggered:
+                entry = pop_next()
+                if entry is None:
+                    raise SimulationError(f"queue drained before {event!r} triggered")
+                dispatch(entry)
+            # Drain same-timestamp callbacks so observers see a settled state.
+            while True:
+                entry = pop_next()
+                if entry is None:
+                    break
+                if entry[0] != self.now:
+                    self._unpop(entry)
+                    break
+                dispatch(entry)
+        finally:
+            self._running = False
         return event.value
+
+    def drive(self, body: collections.abc.Generator) -> object:
+        """Run a process body from top level; returns its return value.
+
+        Each event ``body`` yields goes to :meth:`run_until`, and its
+        value (or failure) goes back in.  Top-level only, like
+        :meth:`run_until`: inside a process, ``yield from`` the body.
+        """
+        if self._running:
+            raise SimulationError(
+                f"{body.__qualname__} is top-level only: the engine is "
+                "already dispatching; yield from the generator in a process"
+            )
+        value, failure = None, None
+        while True:
+            try:
+                event = body.send(value) if failure is None else body.throw(failure)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                value, failure = self.run_until(event), None
+            except BaseException as exc:
+                if exc is not event.exception:
+                    body.close()
+                    raise
+                value, failure = None, exc
 
     def _pending_entries(self) -> "Iterator[tuple[float, int, Event]]":
         """Every queued entry across all tiers (diagnostic/sanitizer)."""

@@ -561,7 +561,9 @@ def test_openloop_sheds_instead_of_crashing_during_total_outage():
     # Shed arrivals are reclassified, not double-counted.
     assert stats.offered == stats.admitted + stats.rejected
     assert stats.admitted == stats.completed + stats.timeouts
-    # The watchdog re-placed the replica on the free ring meanwhile.
+    # The watchdog is re-placing the replica on the free ring; the
+    # ring takes about 1 s to configure.
+    eng.run(until=eng.now + 1 * SEC)
     assert handle.status().ready_replicas == 1
 
 

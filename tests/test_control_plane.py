@@ -17,6 +17,7 @@ from repro.cluster import (
     ClusterScheduler,
     InsufficientClusterCapacity,
     PlacementFailed,
+    RepairPolicy,
     RingSlot,
     ServiceSpec,
     echo_service,
@@ -422,3 +423,71 @@ def test_placement_failed_carries_slot():
     # The failed placement left no residue: slot free, no assignment.
     assert RingSlot(0, 0) in scheduler.free_slots()
     assert scheduler.mapping_manager(0).assignments == []
+
+
+# --- convergence as engine processes ---------------------------------------------------
+
+
+def test_bounded_run_returns_on_time_during_replacement_and_upgrade_waits():
+    """A watchdog re-placement runs inside the engine: a bounded run
+    that ends mid-placement returns at its deadline, and a top-level
+    upgrade issued then waits for the pass before rolling."""
+    eng, dc, manager = small_cluster(pods=2)
+    handle = manager.apply(echo_spec(health_period_ns=0.1e9))
+    ClusterFailureInjector(dc).kill_ring(handle.deployments[0])
+    # The tick at +0.1 s sheds the dead ring and starts configuring its
+    # replacement, which takes about 1 s.
+    deadline = eng.now + 0.5e9
+    assert eng.run(until=deadline) == deadline
+    assert eng.now == deadline
+    assert handle.status().ready_replicas == 1
+    new_service = echo_service(payload="v2")
+    report = handle.upgrade(echo_spec(service=new_service, health_period_ns=0.1e9))
+    assert report.at_ns > deadline + 0.5e9  # queued behind the re-placement
+    kinds = [action.kind for action in report.actions]
+    assert kinds.count("upgrade_release") == 2
+    assert kinds.count("upgrade_place") == 2
+    assert len(handle.deployments) == 2
+    assert all(d.service is new_service for d in handle.deployments)
+    assert handle.status().ready_replicas == 2
+
+
+def test_repair_during_a_pass_queues_its_reconcile():
+    """A repair that completes while another pass holds the convergence
+    lock is not dropped: its pass runs when the lock frees and re-places
+    the shortfall replicas, long before the next watchdog tick."""
+    eng = Engine(seed=5)
+    dc = Datacenter(eng, num_pods=2, topology=TorusTopology(width=2, height=3))
+    manager = ClusterManager(
+        dc, repair_policy=RepairPolicy(distribution="fixed", mean_ns=0.5e9)
+    )
+    front = manager.apply(echo_spec(replicas=3, health_period_ns=100e9))
+    back = manager.apply(
+        echo_spec(service=echo_service(name="back"), replicas=1, health_period_ns=100e9)
+    )
+    assert manager.scheduler.capacity_report().free_rings == 0
+    injector = ClusterFailureInjector(dc)
+    injector.kill_ring(front.deployments[0])
+    injector.kill_ring(front.deployments[1])
+    # The sweep cordons both dead rings (repairs due in 0.5 s) and
+    # records a shortfall: no ring is free.
+    report = eng.run_until(manager.sweep(front))
+    assert [a.kind for a in report.actions][-1] == "shortfall"
+    swept = eng.now
+    # The upgrade holds the lock for the ~1 s re-placement of its one
+    # replica; both repairs land inside it and their passes queue.
+    back.upgrade(echo_spec(service=echo_service(name="back", payload="v2"), replicas=1))
+    assert manager.repairs.repaired_count == 2
+    assert front.status().ready_replicas == 1
+    # The queued pass places both shortfall replicas, ~1 s each.
+    eng.run(until=eng.now + 2.5e9)
+    assert eng.now < swept + 100e9  # no watchdog tick yet
+    assert front.status().ready_replicas == 3
+    replaced = [
+        action
+        for report in manager.reconcile_reports
+        if report.at_ns > swept
+        for action in report.actions
+        if action.service == "echo-service"
+    ]
+    assert [action.kind for action in replaced] == ["replace", "replace"]

@@ -216,7 +216,9 @@ def test_killed_ring_heals_without_operator():
     handle = manager.apply(echo_spec(replicas=2))
     initial = manager.scheduler.capacity_report()
     ClusterFailureInjector(dc).kill_ring(handle.deployments[0])
-    eng.run(until=eng.now + 1.0 * SEC)  # watchdog sweeps, sheds, replaces
+    # The watchdog sweeps and sheds at its first tick (+0.2 s), then
+    # configures the replacement ring for about 1 s.
+    eng.run(until=eng.now + 1.5 * SEC)
     mid = manager.scheduler.capacity_report()
     assert mid.cordoned_rings == 1
     assert mid.open_tickets == 1

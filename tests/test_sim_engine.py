@@ -544,3 +544,67 @@ def test_compaction_applies_in_heap_only_mode():
     assert eng.peak_queue_length < 4_000
     eng.run(until=10_000_000.0)
     assert eng.events_dropped == 6_000
+
+
+# --- top-level only: no nested engine runs --------------------------------------
+
+
+def test_run_until_inside_a_dispatching_engine_raises():
+    eng = Engine()
+
+    def nested(eng):
+        yield eng.timeout(1.0)
+        eng.run_until(eng.timeout(1.0))
+
+    eng.process(nested(eng))
+    with pytest.raises(SimulationError, match="top-level only"):
+        eng.run()
+    # The same misuse under a top-level run_until.
+    eng = Engine()
+    with pytest.raises(SimulationError, match="top-level only"):
+        eng.run_until(eng.process(nested(eng)))
+
+
+def test_drive_feeds_yielded_events_and_failures_back():
+    eng = Engine()
+
+    def body(eng):
+        got = yield eng.timeout(5.0, value="tick")
+        failing = eng.event()
+        failing.fail(ValueError("boom"))
+        try:
+            yield failing
+        except ValueError as exc:
+            return got, str(exc), eng.now
+
+    assert eng.drive(body(eng)) == ("tick", "boom", 5.0)
+
+
+def test_control_plane_calls_inside_a_running_engine_raise():
+    from repro.cluster import ClusterManager, ServiceSpec, echo_service
+    from repro.fabric import Datacenter, TorusTopology
+
+    eng = Engine(seed=1)
+    dc = Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=3))
+    manager = ClusterManager(dc)
+    spec = ServiceSpec(service=echo_service(), replicas=1)
+    handle = manager.apply(spec)
+    calls = {
+        "apply": lambda: manager.apply(spec),
+        "reconcile": lambda: manager.reconcile(handle),
+        "upgrade": lambda: manager.upgrade(handle, spec),
+    }
+    for name, call in calls.items():
+        errors = []
+
+        def body(call=call, errors=errors):
+            yield eng.timeout(1.0)
+            try:
+                call()
+            except SimulationError as exc:
+                errors.append(str(exc))
+
+        eng.run_until(eng.process(body()))
+        assert len(errors) == 1, name
+        assert "top-level only" in errors[0], name
+    assert len(handle.deployments) == 1  # nothing ran
