@@ -249,18 +249,21 @@ class Deployment:
             get = store.get()
             if not get.triggered:
                 # Contended: bound the wait, abandoning the claim on
-                # timeout so a late lease is not handed to a departed
-                # waiter (and thereby lost).
+                # timeout (or kill) so a late lease is not handed to a
+                # departed waiter (and thereby lost).
                 deadline = self.engine.timeout(timeout_ns)
-                yield AnyOf(self.engine, [get, deadline])
+                try:
+                    yield AnyOf(self.engine, [get, deadline])
+                finally:
+                    # Disarm the deadline so it does not keep a bare
+                    # run() alive for the full timeout after the wait
+                    # resolved.
+                    deadline.cancel()
+                    if not get.triggered:
+                        get.cancelled = True
                 if not get.triggered:
-                    get.cancelled = True
                     self.timeouts += 1
                     return None
-                # The lease arrived: disarm the deadline so it does not
-                # keep a bare run() alive (and the heap populated) for
-                # the full timeout after the request already resolved.
-                deadline.cancel()
             lease = get.value
             try:
                 if include_prep:
@@ -277,30 +280,39 @@ class Deployment:
                     quarantined = True
                     self._quarantine(server, lease, store)
                     return None
+                except GeneratorExit:
+                    # Killed in flight: the response may still land in
+                    # the slot, so the lease waits for it like a timed-
+                    # out one.
+                    quarantined = True
+                    self._quarantine(server, lease, store)
+                    raise
                 self.latencies_ns.append(self.engine.now - arrived)
                 self.completed += 1
                 self.meter.record()
                 return response
             finally:
+                # Never yield here: a killed request (GeneratorExit)
+                # must finish without waiting.
                 if not quarantined:
-                    yield store.put(lease)
+                    store.try_put(lease)
         finally:
             self.outstanding -= 1
 
     def _quarantine(self, server: Server, lease, store: Store) -> None:
-        """Hold a timed-out lease out of the pool until its slot drains.
+        """Hold a timed-out (or killed) lease out of the pool until its
+        slot drains.
 
-        The abandoned request left a consume callback armed on the
-        lease's output slot; if the late response ever arrives it would
-        be swallowed as the *next* request's response.  A daemon process
-        waits for the slot to fill-and-drain before recycling the lease;
-        if the response was truly lost in the fabric, the lease stays
-        retired.
+        The abandoned request's response may still arrive; left in the
+        lease's output slot it would be taken as the *next* request's
+        response.  A process waits for the slot to fill-and-drain
+        before recycling the lease; if the response was truly lost in
+        the fabric, the lease stays retired.
         """
 
         def drain() -> collections.abc.Generator:
             yield server.buffers.consume_output(lease.slot_id)
-            yield store.put(lease)
+            store.try_put(lease)
 
         # Not a daemon: a blocked process does not keep a bare run()
         # alive, and the lease hand-back must stay on the non-daemon

@@ -18,7 +18,6 @@ import dataclasses
 from repro.analysis import ReservoirSample
 from repro.fabric.server import Server
 from repro.shell.messages import Packet, PacketKind
-from repro.sim import AnyOf
 from repro.sim.units import US
 
 # §3.1: the FPGA "generates an interrupt to wake and notify the
@@ -63,20 +62,33 @@ class SlotLease:
             injected_at_ns=engine.now,
         )
         self.requests_sent += 1
-        yield server.buffers.fill_input(self.slot_id, packet)
-        consume = server.buffers.consume_output(self.slot_id)
-        if timeout_ns is None:
-            response = yield consume
-        else:
+        buffers = server.buffers
+        yield buffers.fill_input(self.slot_id, packet)
+        consumer = buffers.consume_output(self.slot_id)
+        deadline = None
+        if timeout_ns is not None:
             deadline = engine.timeout(timeout_ns)
-            yield AnyOf(engine, [consume, deadline])
-            if not consume.triggered:
-                self.timeouts += 1
-                raise RequestTimeout(packet.trace_id)
-            # The response won the race: disarm the deadline so it does
-            # not keep a bare run() alive for the full timeout.
-            deadline.cancel()
-            response = consume.value
+
+            def expire(_deadline) -> None:
+                if buffers.withdraw(self.slot_id, consumer):
+                    consumer.fail(RequestTimeout(packet.trace_id))
+
+            deadline.add_callback(expire)
+        try:
+            response = yield consumer
+        except RequestTimeout:
+            self.timeouts += 1
+            raise
+        except GeneratorExit:
+            # Killed mid-request: a late response must stay in the slot
+            # rather than reach a consumer that is gone.
+            buffers.withdraw(self.slot_id, consumer)
+            raise
+        finally:
+            # Disarm the guard so it does not keep a bare run() alive
+            # for the full timeout after the request resolved.
+            if deadline is not None:
+                deadline.cancel()
         # The response interrupt must wake this sleeping thread (§3.1).
         yield engine.timeout(INTERRUPT_WAKE_NS)
         self.responses_received += 1

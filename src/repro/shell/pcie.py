@@ -7,7 +7,8 @@ that is the whole thread-safety story.  The FPGA monitors the input
 full bits and *fairly* selects slots by taking periodic snapshots of
 the full bits and DMA'ing every full slot before snapshotting again.
 Results DMA into the output buffer, set the output full bit, and raise
-an interrupt to wake the consumer thread.
+an interrupt to wake the consumer thread: the output DMA hands the
+response straight to the slot's waiting consumer, as one event.
 
 A reconfiguring FPGA appears as a failed PCIe device and raises a
 non-maskable interrupt that destabilizes the host unless the driver
@@ -27,7 +28,7 @@ from repro.hardware.constants import (
 )
 from repro.shell.messages import Packet
 from repro.shell.router import Port, Router
-from repro.sim import Engine, Event, Resource
+from repro.sim import Engine, Event
 from repro.sim.units import transfer_time_ns
 
 
@@ -43,7 +44,7 @@ class Slot:
     full: bool = False
     packet: Packet | None = None
     freed: Event | None = None  # waiters for the slot to drain
-    filled: Event | None = None  # waiters for data to arrive
+    consumer: Event | None = None  # the thread waiting for a response
 
 
 class HostDmaBuffers:
@@ -73,7 +74,8 @@ class HostDmaBuffers:
     def fill_input(self, slot_id: int, packet: Packet) -> Event:
         """Fill an input slot; returns an event that fires once accepted.
 
-        Blocks (event pends) while the slot is still full from the
+        A free slot is filled at once (the event is already done).  It
+        blocks (event pends) while the slot is still full from the
         previous send — slots apply natural backpressure per thread.
         """
         slot = self._input_slot(slot_id)
@@ -84,41 +86,68 @@ class HostDmaBuffers:
         done = self.engine.event(name=f"fill:{slot_id}")
         packet.slot_id = slot_id
 
-        def do_fill(_event=None):
+        def do_fill(_event=None) -> Event:
             slot.full = True
             slot.packet = packet
             self._wake_dma()
-            done.succeed()
+            return done
 
-        if slot.full:
-            if slot.freed is None:
-                slot.freed = self.engine.event(name=f"freed:{slot_id}")
-            slot.freed.add_callback(do_fill)
-        else:
-            do_fill()
+        if not slot.full:
+            return do_fill()._complete()
+        if slot.freed is None:
+            slot.freed = self.engine.event(name=f"freed:{slot_id}")
+        slot.freed.add_callback(lambda event: do_fill(event).succeed())
         return done
 
     def consume_output(self, slot_id: int) -> Event:
-        """Wait for the output slot to fill; returns the packet, clears it."""
+        """Wait for the output slot's response; returns the packet, clears it.
+
+        The slot has at most one waiting consumer; the output DMA hands
+        it the response directly (see :meth:`deliver_output`).
+        """
         slot = self._output_slot(slot_id)
+        if slot.consumer is not None:
+            raise SlotError(f"output slot {slot_id} already has a waiting consumer")
         done = self.engine.event(name=f"consume:{slot_id}")
-
-        def do_consume(_event=None):
-            packet = slot.packet
-            slot.full = False
-            slot.packet = None
-            if slot.freed is not None:
-                freed, slot.freed = slot.freed, None
-                freed.succeed()
-            done.succeed(packet)
-
         if slot.full:
-            do_consume()
+            done.succeed(self.clear(slot))
         else:
-            if slot.filled is None:
-                slot.filled = self.engine.event(name=f"filled:{slot_id}")
-            slot.filled.add_callback(do_consume)
+            slot.consumer = done
         return done
+
+    def withdraw(self, slot_id: int, consumer: Event) -> bool:
+        """Take back ``consumer`` if it is still waiting; True if it was.
+
+        A response that arrives afterwards stays in the slot for the
+        next consumer (the quarantine drain of a timed-out lease).
+        """
+        slot = self._output_slot(slot_id)
+        if slot.consumer is not consumer:
+            return False  # already handed its response
+        slot.consumer = None
+        return True
+
+    def deliver_output(self, slot: Slot, packet: Packet) -> None:
+        """The output DMA into an empty slot finished: hand the packet
+        to the waiting consumer, or leave the slot full for the next."""
+        consumer = slot.consumer
+        if consumer is None:
+            slot.full = True
+            slot.packet = packet
+        else:
+            slot.consumer = None
+            consumer.succeed(packet)
+
+    def clear(self, slot: Slot) -> Packet | None:
+        """Clear ``slot``'s full bit, wake a thread waiting to refill
+        it, and return the packet it held."""
+        packet = slot.packet
+        slot.full = False
+        slot.packet = None
+        if slot.freed is not None:
+            freed, slot.freed = slot.freed, None
+            freed.succeed()
+        return packet
 
     # -- device side helpers -----------------------------------------------------
 
@@ -165,7 +194,6 @@ class PcieCore:
         buffers: HostDmaBuffers,
         gbps: float = PCIE_GBPS,
         setup_ns: float = PCIE_DMA_SETUP_NS,
-        staging_buffers: int = 2,
     ):
         self.engine = engine
         self.router = router
@@ -176,9 +204,6 @@ class PcieCore:
         self.device_up = True
         self.on_nmi: collections.abc.Callable[[], None] | None = None
         self._device_up_event: Event | None = None
-        # Two staging buffers on the FPGA: at most two DMA transfers
-        # can be in flight between host memory and the router.
-        self._staging = Resource(engine, capacity=staging_buffers, name="pcie-staging")
         # Expendable: both DMA loops idle forever once traffic stops.
         engine.process(self._input_scan_loop(), name="pcie.scan", expendable=True)
         engine.process(self._output_loop(), name="pcie.out", expendable=True)
@@ -224,16 +249,10 @@ class PcieCore:
                 packet = slot.packet
                 if packet is None:
                     continue
-                grant = self._staging.request()
-                yield grant
                 yield self.engine.timeout(self.dma_time_ns(packet.size_bytes))
                 # Transfer complete: clear the full bit so the thread
                 # can refill while the packet traverses the fabric.
-                slot.full = False
-                slot.packet = None
-                if slot.freed is not None:
-                    freed, slot.freed = slot.freed, None
-                    freed.succeed()
+                buffers.clear(slot)
                 self.stats.requests_dma_in += 1
                 packet.injected_at_ns = (
                     packet.injected_at_ns or self.engine.now
@@ -241,7 +260,6 @@ class PcieCore:
                 put = self.router.submit(packet, Port.PCIE)
                 if put is not None:
                     yield put
-                self._staging.release()
 
     def _output_loop(self) -> collections.abc.Generator:
         queue = self.router.output_queues[Port.PCIE]
@@ -258,10 +276,6 @@ class PcieCore:
                     slot.freed = self.engine.event(name=f"ofreed:{slot.index}")
                 yield slot.freed
             yield self.engine.timeout(self.dma_time_ns(packet.size_bytes))
-            slot.full = True
-            slot.packet = packet
             self.stats.responses_dma_out += 1
             self.stats.interrupts_raised += 1  # wake the consumer thread
-            if slot.filled is not None:
-                filled, slot.filled = slot.filled, None
-                filled.succeed()
+            self.buffers.deliver_output(slot, packet)

@@ -4,12 +4,16 @@ Time is a float in nanoseconds.  Determinism is guaranteed by a
 monotonic tie-break sequence number on every scheduled entry, so two
 runs with the same seed produce identical traces.
 
-The queue is three-tiered for per-event cost (the ceiling on
-million-arrival experiments):
+Operations that finish when they are called — a ``Store`` put with
+room, a get with an item waiting, a free ``Resource`` unit, the end of
+a process that nobody joins — never enter the queue: their event comes
+back already dispatched, and a process that yields it continues in the
+same resume.  Everything else queues, three-tiered for per-event cost
+(the ceiling on million-arrival experiments):
 
-* a FIFO **ready deque** for already-triggered events dispatching at the
-  current instant (the majority: every ``succeed()``/``fail()``) — O(1)
-  instead of a heap push;
+* a FIFO **ready deque** for events triggered by ``succeed()`` /
+  ``fail()``, dispatching at the current instant after everything
+  already pending there — O(1) instead of a heap push;
 * a binary **heap** for near deadlines;
 * a banded **timer wheel** for far deadlines (coarse time bands, one
   list per band, flushed into the heap when the clock approaches the

@@ -114,6 +114,19 @@ class Event:
         self.engine._schedule_trigger(self)
         return self
 
+    def _complete(self, value: object = None) -> "Event":
+        """Finish at once: triggered *and* dispatched, with no queue entry.
+
+        For an operation that is done the moment it is called: a process
+        that yields the event continues in the same resume, and a
+        callback added later fires at once.  Not counted in
+        ``events_dispatched``.
+        """
+        self.triggered = True
+        self._value = value
+        self._dispatched = True
+        return self
+
     # -- engine plumbing -------------------------------------------------
 
     def add_callback(self, callback: collections.abc.Callable[["Event"], None]) -> None:

@@ -2,7 +2,9 @@
 
 A process wraps a generator that yields :class:`~repro.sim.events.Event`
 objects.  The process is itself an event, so processes can wait for each
-other by yielding them (a *join*).
+other by yielding them (a *join*).  A process that ends with nobody
+joining it finishes without a queue entry; a later join sees the value
+at once.
 """
 
 from __future__ import annotations
@@ -66,29 +68,39 @@ class Process(Event):
         if self._waiting_on is not None and event is not self._waiting_on:
             return  # superseded by an interrupt; ignore the old event
         self._waiting_on = None
-        try:
-            exception = event._exception
-            if exception is None:
-                target = self.generator.send(event._value)
-            else:
-                target = self.generator.throw(exception)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            if not self.callbacks and not isinstance(exc, ProcessKilled):
-                # Nobody is joining this process: surface the crash loudly
-                # rather than failing an event no-one observes.
-                raise
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self.generator.close()
-            raise TypeError(f"process {self.name!r} yielded non-event {target!r}")
-        if self.daemon and not target.triggered:
-            self.engine.mark_daemon(target)
-        self._waiting_on = target
-        target.add_callback(self._resume)
+        generator = self.generator
+        # An already-dispatched event (a put with room, a get with an
+        # item waiting, a finished join) needs no wakeup: keep sending
+        # in this resume, in a loop rather than by recursion.
+        while True:
+            try:
+                exception = event._exception
+                if exception is None:
+                    event = generator.send(event._value)
+                else:
+                    event = generator.throw(exception)
+            except StopIteration as stop:
+                if not self.callbacks:
+                    self._complete(stop.value)  # nobody joins: no queue entry
+                else:
+                    self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                if not self.callbacks and not isinstance(exc, ProcessKilled):
+                    # Nobody is joining this process: surface the crash
+                    # loudly rather than failing an event no-one observes.
+                    raise
+                self.fail(exc)
+                return
+            if not isinstance(event, Event):
+                generator.close()
+                raise TypeError(f"process {self.name!r} yielded non-event {event!r}")
+            if not event._dispatched:
+                break
+        if self.daemon and not event.triggered:
+            self.engine.mark_daemon(event)
+        self._waiting_on = event
+        event.add_callback(self._resume)
 
     # -- control ---------------------------------------------------------
 

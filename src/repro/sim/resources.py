@@ -14,8 +14,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 class Resource:
     """A resource with ``capacity`` interchangeable units.
 
-    ``request()`` returns an event that succeeds when a unit is granted;
-    the holder must call ``release()`` exactly once.  Grants are FIFO.
+    ``request()`` returns an event that succeeds when a unit is granted
+    (already dispatched when a unit is free); the holder must call
+    ``release()`` exactly once.  Grants are FIFO.
 
     Example::
 
@@ -54,7 +55,7 @@ class Resource:
         event = Event(self.engine, self._request_label)
         if self.in_use < self.capacity:
             self.in_use += 1
-            event.succeed()
+            event._complete()
         else:
             self._waiters.append(event)
         return event

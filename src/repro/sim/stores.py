@@ -2,8 +2,10 @@
 
 ``Store.put`` and ``Store.get`` return events; processes yield them.
 Bounded stores apply backpressure: a ``put`` into a full store blocks
-until a consumer makes room — this is how Xon/Xoff flow control and
-DMA staging buffers are modelled.
+until a consumer makes room — this is how Xon/Xoff flow control is
+modelled.  A put with room or a get with an item waiting finishes when
+it is called: its event is already dispatched and never queued, so the
+yielding process continues in the same resume.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class Store:
         event = Event(self.engine, self._put_label)
         if not self.is_full and not self._putters:
             self._enqueue(item)
-            event.succeed(item)
+            event._complete(item)
         else:
             self._putters.append((event, item))
         return event
@@ -68,7 +70,7 @@ class Store:
         """Return an event that succeeds with the next item."""
         event = Event(self.engine, self._get_label)
         if self.items:
-            event.succeed(self.items.popleft())
+            event._complete(self.items.popleft())
             self._admit_waiting_putters()
         else:
             self._getters.append(event)
@@ -146,7 +148,7 @@ class PriorityStore(Store):
     def get(self) -> Event:
         event = Event(self.engine, self._get_label)
         if self.items:
-            event.succeed(heapq.heappop(self.items))
+            event._complete(heapq.heappop(self.items))
             self._admit_waiting_putters()
         else:
             self._getters.append(event)

@@ -250,6 +250,45 @@ def test_timed_out_lease_is_quarantined_until_slot_drains():
     assert deployment.outstanding == 0
 
 
+def test_killing_an_in_flight_request_returns_its_lease():
+    eng, dc = small_datacenter()
+    scheduler = ClusterScheduler(dc)
+    (deployment,) = scheduler.deploy(echo_service(), rings=1)
+    server = deployment.injection_servers()[0]
+    store = deployment._leases(server)
+    request = eng.process(deployment.submit(object(), server=server))
+    eng.run(until=eng.now + 1_000.0)  # the echo role answers after 2 us
+    assert len(store) == 47 and deployment.outstanding == 1
+    request.kill()
+    assert not request.is_alive
+    assert deployment.outstanding == 0
+    eng.run()  # the response still arrives; its slot drains
+    assert len(store) == 48
+    assert not any(slot.full for slot in server.buffers.output_slots)
+    assert deployment.completed == 0
+
+
+def test_killing_a_request_waiting_for_a_lease_loses_no_lease():
+    eng, dc = small_datacenter()
+    scheduler = ClusterScheduler(dc)
+    (deployment,) = scheduler.deploy(echo_service(), rings=1, slots_per_server=1)
+    server = deployment.injection_servers()[0]
+    store = deployment._leases(server)
+    started = eng.now
+    holder = eng.process(deployment.submit(object(), server=server))
+    waiter = eng.process(deployment.submit(object(), server=server))
+    eng.run(until=started + 1_000.0)
+    assert len(store) == 0 and deployment.outstanding == 2
+    waiter.kill()
+    assert deployment.outstanding == 1
+    eng.run()
+    assert holder.value.payload == "scored"
+    assert len(store) == 1  # not handed to the departed waiter
+    # The waiter's 5 s lease deadline was disarmed: it kept no run alive.
+    assert eng.now - started < 1_000_000.0
+    assert deployment.timeouts == 0
+
+
 def test_submit_before_deploy_raises():
     eng, dc = small_datacenter()
     deployment = Deployment(eng, dc.pod(0), echo_service())

@@ -1,25 +1,85 @@
-"""Exact event budget of the real serving stack.
+"""Exact event budgets of the real serving stack, rung by rung.
 
-A small fixed-seed open-loop run enters through ``manager.endpoint()``
-and is served by two echo replicas.  The engine's dispatched-event
-count, the final clock and the admission counters do not depend on the
-machine, so a change that adds an event per request, or moves one
-arrival instant, fails here on any host.  The same run on a fluid
-engine whose sink publishes no fluid profile must give the same
-numbers: the injector's discrete arrivals are the discrete path.
+Dispatched-event counts, simulated instants and admission counters do
+not depend on the machine, so a change that adds an event per request,
+or moves one arrival instant, fails here on any host.
+
+* L1 components: one request through ``SlotLease.request`` on an idle
+  echo ring, and one ``Router.submit`` hop over an SL3 link.
+* L2 end to end: a small fixed-seed open-loop run enters through
+  ``manager.endpoint()`` and is served by two echo replicas.  The same
+  run on a fluid engine whose sink publishes no fluid profile must give
+  the same numbers: the injector's discrete arrivals are the discrete
+  path.
 """
 
 import pytest
 
-from repro.cluster import ClusterManager, ServiceSpec, echo_service
+from repro.cluster import ClusterManager, ClusterScheduler, ServiceSpec, echo_service
 from repro.fabric import Datacenter, TorusTopology
+from repro.host.slots import SlotClient
+from repro.shell import Packet, PacketKind, Port
 from repro.sim import Engine
 from repro.sim.units import MS, US
 from repro.workloads import OpenLoopInjector, PoissonArrivals
+from tests.test_shell_integration import build_pair
 
 ARRIVALS = 2_000
-EVENTS_DISPATCHED = 57_410
+EVENTS_DISPATCHED = 30_255
 FINAL_NOW_NS = 2035768639.9525208
+
+# One request from a ring server one hop from the echo head: process
+# start, the input DMA's wake and transfer, the hop there and back (see
+# below, less the start), the role's queue wake and 20 us of service,
+# the output DMA's queue wake and transfer, the hand-off to the waiting
+# thread, and the interrupt wake.  Its simulated time is echo_steady's
+# p50.
+LEASE_REQUEST_EVENTS = 17
+LEASE_REQUEST_NS = 48_296.0
+# One hop: process start, then the feeder, wire and delivery processes
+# each wake once, and the wire serializes once; every put has room.
+ROUTER_HOP_EVENTS = 5
+ROUTER_HOP_NS = 656.0
+
+
+def test_one_lease_request_on_an_idle_ring_is_exact():
+    engine = Engine(seed=7)
+    datacenter = Datacenter(engine, num_pods=1, topology=TorusTopology(width=3, height=3))
+    (deployment,) = ClusterScheduler(datacenter).deploy(
+        echo_service(delay_ns=20 * US), rings=1
+    )
+    server = deployment.injection_servers()[1]
+    assert server.node_id != deployment.head_node
+    lease = SlotClient(server).lease()
+
+    def one_request():
+        return (
+            yield from lease.request(
+                dst=deployment.head_node, size_bytes=64, timeout_ns=40 * MS
+            )
+        )
+
+    before, started = engine.events_dispatched, engine.now
+    response = engine.run_until(engine.process(one_request()))
+    assert response.kind is PacketKind.RESPONSE
+    assert engine.events_dispatched - before == LEASE_REQUEST_EVENTS
+    assert engine.now - started == LEASE_REQUEST_NS
+
+
+def test_one_router_hop_is_exact():
+    engine = Engine()
+    shell_a, shell_b = build_pair(engine)
+    packet = Packet(kind=PacketKind.REQUEST, src=(0, 0), dst=(1, 0), size_bytes=512)
+
+    def submit():
+        yield shell_a.router.submit(packet, Port.PCIE)
+
+    before, started = engine.events_dispatched, engine.now
+    engine.process(submit())
+    engine.run()
+    assert shell_b.router.queue_depth(Port.ROLE) == 1
+    assert engine.events_dispatched - before == ROUTER_HOP_EVENTS
+    assert engine.now - started == ROUTER_HOP_NS
 
 
 class NoProfileSink:

@@ -1,12 +1,17 @@
 """Tests for the slot-based PCIe DMA interface (§3.1)."""
 
+import types
+
 import pytest
 
+from repro.cluster import ClusterScheduler
 from repro.hardware.constants import PCIE_DMA_LATENCY_TARGET_NS
+from repro.host.slots import RequestTimeout, SlotClient
 from repro.shell.messages import Packet, PacketKind
 from repro.shell.pcie import HostDmaBuffers, PcieCore, SlotError
 from repro.shell.router import Port, Router
 from repro.sim import Engine
+from tests.test_cluster import echo_service, small_datacenter
 
 
 def setup_pcie(eng, slot_count=64):
@@ -149,3 +154,137 @@ def test_slot_count_validation():
     eng = Engine()
     with pytest.raises(SlotError):
         HostDmaBuffers(eng, slot_count=0)
+
+
+# --- response hand-off: one event to the waiting consumer ----------------------------
+
+
+def response(slot_id, payload="late"):
+    return Packet(
+        kind=PacketKind.RESPONSE, src=(1, 0), dst=(0, 0), size_bytes=16,
+        payload=payload, slot_id=slot_id,
+    )
+
+
+def lease_on(eng, buffers):
+    """A slot lease on a bare host: requests go to an unattached role."""
+    host = types.SimpleNamespace(engine=eng, buffers=buffers, node_id=(0, 0))
+    return SlotClient(host).lease()
+
+
+def test_dropped_response_times_out_at_exactly_the_deadline():
+    eng = Engine()
+    router, buffers, _pcie = setup_pcie(eng)
+    lease = lease_on(eng, buffers)
+    outcome = []
+
+    def thread():
+        try:
+            yield from lease.request(dst=(0, 0), size_bytes=64, timeout_ns=40_000.0)
+        except RequestTimeout:
+            outcome.append(eng.now)
+
+    eng.process(thread())
+    eng.run()
+    assert outcome == [40_000.0]
+    assert lease.timeouts == 1
+    assert router.queue_depth(Port.ROLE) == 1  # delivered, never answered
+    assert buffers.output_slots[lease.slot_id].consumer is None
+
+
+def test_late_response_lands_in_the_slot_for_the_next_consumer():
+    eng = Engine()
+    router, buffers, pcie = setup_pcie(eng)
+    lease = lease_on(eng, buffers)
+    taken = []
+
+    def thread():
+        with pytest.raises(RequestTimeout):
+            yield from lease.request(dst=(0, 0), size_bytes=64, timeout_ns=1_000.0)
+        yield eng.timeout(10_000.0)
+        taken.append((yield buffers.consume_output(lease.slot_id)).payload)
+
+    def late_responder():
+        yield eng.timeout(5_000.0)
+        yield router.output_queues[Port.PCIE].put(response(lease.slot_id))
+
+    eng.process(thread())
+    eng.process(late_responder())
+    eng.run(until=8_000.0)
+    slot = buffers.output_slots[lease.slot_id]
+    assert slot.full and slot.packet.payload == "late"  # nobody was waiting
+    eng.run()
+    assert taken == ["late"]
+    assert not slot.full
+    assert pcie.stats.responses_dma_out == 1
+
+
+def test_timed_out_deployment_lease_returns_after_the_late_response():
+    eng, dc = small_datacenter()
+    (deployment,) = ClusterScheduler(dc).deploy(echo_service(), rings=1)
+    server = deployment.injection_servers()[0]
+    store = deployment._leases(server)
+    results = []
+
+    def driver():
+        # The echo role answers after 2 us, long after this deadline.
+        results.append((yield from deployment.submit(object(), server=server, timeout_ns=500.0)))
+
+    eng.process(driver())
+    eng.run(until=eng.now + 1_000.0)
+    assert results == [None] and deployment.timeouts == 1
+    assert len(store) == 47  # quarantined until its slot drains
+    eng.run()
+    assert len(store) == 48
+    assert not any(slot.full for slot in server.buffers.output_slots)
+
+
+def test_withdrawn_consumer_is_never_triggered_twice():
+    eng = Engine()
+    _router, buffers, _pcie = setup_pcie(eng)
+    slot = buffers.output_slots[3]
+    consumer = buffers.consume_output(3)
+    assert buffers.withdraw(3, consumer)
+    assert not buffers.withdraw(3, consumer)
+    buffers.deliver_output(slot, response(3))
+    assert not consumer.triggered and slot.full
+    # Handed over first: a later withdraw (the guard firing at the same
+    # instant) must leave the consumer alone.
+    assert buffers.consume_output(3).triggered  # takes the parked response
+    served = buffers.consume_output(3)
+    buffers.deliver_output(slot, response(3, payload="on time"))
+    assert not buffers.withdraw(3, served)
+    eng.run()
+    assert served.value.payload == "on time"
+    buffers.consume_output(3)
+    with pytest.raises(SlotError, match="already has a waiting consumer"):
+        buffers.consume_output(3)
+
+
+def test_response_at_the_deadline_instant_resolves_once():
+    """The guard fires first (it was armed first): the consumer fails
+    once, and the response that completes in the same instant is parked
+    in the slot instead of triggering the consumer a second time."""
+    eng = Engine()
+    router, buffers, pcie = setup_pcie(eng)
+    lease = lease_on(eng, buffers)
+    timeout_ns = 10_000.0
+    outcome = []
+
+    def thread():
+        try:
+            yield from lease.request(dst=(0, 0), size_bytes=64, timeout_ns=timeout_ns)
+        except RequestTimeout:
+            outcome.append(eng.now)
+
+    def responder():
+        late = response(lease.slot_id)
+        yield eng.timeout(timeout_ns - pcie.dma_time_ns(late.size_bytes))
+        yield router.output_queues[Port.PCIE].put(late)
+
+    eng.process(thread())
+    eng.process(responder())
+    eng.run()
+    assert outcome == [timeout_ns]
+    assert eng.now == timeout_ns
+    assert buffers.output_slots[lease.slot_id].full

@@ -7,9 +7,13 @@ from repro.sim import (
     AnyOf,
     Engine,
     Interrupt,
+    PriorityStore,
     ProcessKilled,
+    Resource,
     SimulationError,
+    Store,
     Timeout,
+    dual_run,
 )
 
 
@@ -608,3 +612,183 @@ def test_control_plane_calls_inside_a_running_engine_raise():
         assert len(errors) == 1, name
         assert "top-level only" in errors[0], name
     assert len(handle.deployments) == 1  # nothing ran
+
+
+# --- operations that finish when they are called skip the queue --------------------
+
+
+def test_immediate_put_get_and_request_continue_in_the_same_resume():
+    eng = Engine()
+    store = Store(eng)
+    heap = PriorityStore(eng)
+    heap.try_put((2, "late"))
+    heap.try_put((1, "early"))
+    cpu = Resource(eng, capacity=1)
+    order = []
+    dispatched = []
+
+    def body():
+        yield eng.timeout(1.0)
+        before = eng.events_dispatched
+        value = yield store.put("a")
+        order.append(("put", value))
+        order.append(("get", (yield store.get())))
+        order.append(("heap", (yield heap.get())))
+        yield cpu.request()
+        order.append(("request", cpu.in_use))
+        dispatched.append(eng.events_dispatched - before)
+
+    def other():
+        yield eng.timeout(1.0)  # due at the same instant, queued after body's
+        order.append(("other", None))
+
+    eng.process(body())
+    eng.process(other())
+    eng.run()
+    # No queued wakeup between the steps: `other` could not cut in.
+    assert order == [
+        ("put", "a"),
+        ("get", "a"),
+        ("heap", (1, "early")),
+        ("request", 1),
+        ("other", None),
+    ]
+    assert dispatched == [0]
+
+
+def test_blocked_get_is_woken_by_exactly_one_dispatched_event():
+    eng = Engine()
+    store = Store(eng)
+    marks = {}
+
+    def getter():
+        item = yield store.get()  # empty: waits
+        marks["woken"] = (eng.now, item, eng.events_dispatched)
+
+    def producer():
+        yield eng.timeout(5.0)
+        store.try_put("x")
+        marks["put"] = eng.events_dispatched
+
+    eng.process(getter())
+    eng.process(producer())
+    eng.run()
+    now, item, dispatched = marks["woken"]
+    assert (now, item) == (5.0, "x")
+    assert dispatched - marks["put"] == 1
+
+
+def test_blocked_put_is_woken_by_exactly_one_dispatched_event():
+    eng = Engine()
+    store = Store(eng, capacity=1)
+    store.try_put("full")
+    marks = {}
+
+    def putter():
+        yield store.put("y")  # full: waits for room
+        marks["woken"] = (eng.now, eng.events_dispatched)
+
+    def consumer():
+        yield eng.timeout(5.0)
+        assert store.try_get() == "full"
+        marks["got"] = eng.events_dispatched
+
+    eng.process(putter())
+    eng.process(consumer())
+    eng.run()
+    now, dispatched = marks["woken"]
+    assert now == 5.0
+    assert dispatched - marks["got"] == 1
+    assert list(store.items) == ["y"]
+
+
+def test_long_run_of_immediate_gets_does_not_recurse():
+    eng = Engine()
+    store = Store(eng)
+    count = 100_000
+    for item in range(count):
+        store.try_put(item)
+
+    def drain():
+        total = 0
+        for _ in range(count):
+            total += yield store.get()
+        return total
+
+    assert eng.run_until(eng.process(drain())) == sum(range(count))
+    assert eng.events_dispatched == 1  # only the process start
+
+
+def test_finished_process_without_joiner_leaves_no_queue_entry():
+    eng = Engine()
+
+    def quick():
+        yield eng.timeout(1.0)
+        return 42
+
+    proc = eng.process(quick())
+    eng.run()
+    assert not proc.is_alive
+    assert eng.events_dispatched == 2  # start + timeout; the end is not queued
+    assert eng.queue_length == 0
+    assert eng.run_until(proc) == 42
+
+    def joiner():
+        value = yield proc
+        return value + 1
+
+    assert eng.run_until(eng.process(joiner())) == 43
+
+
+def test_conditions_over_completed_children():
+    eng = Engine()
+    store = Store(eng)
+    store.try_put("a")
+    store.try_put("b")
+    results = []
+
+    def quick():
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    finished = eng.process(quick())
+
+    def body():
+        yield eng.timeout(1.0)
+        first, second = store.get(), store.get()
+        both = yield AllOf(eng, [first, second, finished])
+        results.append(sorted(str(value) for value in both.values()))
+        guard = eng.timeout(10.0)
+        either = yield AnyOf(eng, [store.put("c"), guard])
+        guard.cancel()
+        results.append((eng.now, list(either.values())))
+
+    eng.run_until(eng.process(body()))
+    assert results == [["a", "b", "done"], (1.0, ["c"])]
+
+
+def test_immediate_handoffs_are_tie_break_stable():
+    def scenario(eng):
+        store = Store(eng)
+        cpu = Resource(eng, capacity=2)
+        items = []
+
+        def worker(tag):
+            for index in range(5):
+                yield cpu.request()
+                yield eng.timeout(10.0)
+                cpu.release()
+                yield store.put((tag, index))
+
+        def sink():
+            for _ in range(10):
+                items.append((yield store.get()))
+
+        for tag in "ab":
+            eng.process(worker(tag), name=f"worker-{tag}")
+        eng.process(sink(), name="sink")
+        eng.run()
+        return {"items": sorted(items), "now": eng.now}
+
+    report = dual_run(scenario, seed=3)
+    assert not report.racy
