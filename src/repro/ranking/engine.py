@@ -49,6 +49,7 @@ class ScoringEngine:
         self._ffe_cache = _LruCache()
         self._pack_cache = _LruCache()
         self._cycle_cache: dict = {}
+        self._output_counts: dict = {}
 
     # -- functional pipeline -------------------------------------------------
 
@@ -110,3 +111,13 @@ class ScoringEngine:
             result = FfeProcessor(program).execute({})
             self._cycle_cache[key] = result.cycles
         return self._cycle_cache[key]
+
+    def ffe_stage0_outputs(self, model: RankingModel) -> int:
+        """How many result slots FFE stage 0 forwards per document.
+
+        Like the cycle count, it depends only on the program, so it is
+        computed once per model.
+        """
+        if model.model_id not in self._output_counts:
+            self._output_counts[model.model_id] = len(model.ffe_stage0.output_slots())
+        return self._output_counts[model.model_id]

@@ -6,6 +6,19 @@ the document's position in the ranked results.  The model occupies
 three FPGAs (Scoring 0/1/2 in Figure 5), so the evaluator is an
 additive ensemble of decision trees partitioned into three banks whose
 partial sums combine down the pipeline.
+
+``DecisionTree.evaluate`` walks ``TreeNode`` objects and is the
+reference.  ``BoostedTreeScorer`` scores over a flat form of each tree,
+built on the scorer's first use: a decision node is the tuple
+``(feature, threshold, left, right)`` and a leaf is its bare value, so
+one walk step is a class check and two tuple reads.  A packed vector
+too short for the largest feature index is padded with ``0.0`` once per
+call, which is what the reference reads for an out-of-range feature.
+
+Scores must match the reference bit for bit.  Leaf values are therefore
+collected in tree order and added by one ``sum()``, as the reference
+does: Python 3.12's ``sum()`` of floats is compensated, so neither the
+order nor ``sum()`` itself may change.
 """
 
 from __future__ import annotations
@@ -38,6 +51,21 @@ class DecisionTree:
     """One regression tree over the packed feature vector."""
 
     root: TreeNode
+
+    def __post_init__(self) -> None:
+        # A malformed node would otherwise fail (or read ``packed[-1]``)
+        # only when a request first takes its path.
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.left is None and node.right is None:
+                continue
+            if node.left is None or node.right is None:
+                raise ValueError("a decision node needs both children")
+            if node.feature < 0:
+                raise ValueError(f"decision node has feature {node.feature}")
+            stack.append(node.left)
+            stack.append(node.right)
 
     def evaluate(self, packed: collections.abc.Sequence[float]) -> float:
         node = self.root
@@ -126,6 +154,19 @@ class NeuralScorer:
         return self.hidden_units
 
 
+def _flatten(node: TreeNode, features: list):
+    """The flat form of the subtree at ``node`` (see the module docstring)."""
+    if node.left is None:
+        return node.value
+    features.append(node.feature)
+    return (
+        node.feature,
+        node.threshold,
+        _flatten(node.left, features),
+        _flatten(node.right, features),
+    )
+
+
 class BoostedTreeScorer:
     """An additive tree ensemble split into three scoring banks."""
 
@@ -136,6 +177,29 @@ class BoostedTreeScorer:
             raise ValueError("scorer needs at least one tree")
         self.trees = list(trees)
         self.learning_rate = learning_rate
+        self._flat: tuple | None = None  # (trees, banks), built on first use
+        self._width = 0  # largest feature index + 1
+
+    def _flat_form(self) -> tuple:
+        """The flat trees in tree order, and the flat trees of each bank."""
+        if self._flat is None:
+            features: list = []
+            trees = [_flatten(tree.root, features) for tree in self.trees]
+            self._width = max(features, default=-1) + 1
+            self._flat = (trees, [trees[i :: self.BANKS] for i in range(self.BANKS)])
+        return self._flat
+
+    def _leaves(self, roots: list, packed: collections.abc.Sequence[float]) -> list:
+        """Leaf values of the flat trees ``roots`` on ``packed``, in order."""
+        x = packed
+        if len(x) < self._width:
+            x = list(x) + [0.0] * (self._width - len(x))
+        leaves = []
+        for n in roots:
+            while n.__class__ is tuple:
+                n = n[2] if x[n[0]] <= n[1] else n[3]
+            leaves.append(n)
+        return leaves
 
     def bank(self, index: int) -> list:
         """The trees evaluated on scoring FPGA ``index`` (round-robin)."""
@@ -145,13 +209,14 @@ class BoostedTreeScorer:
 
     def evaluate_bank(self, index: int, packed: collections.abc.Sequence[float]) -> float:
         """Partial sum contributed by one scoring FPGA."""
-        return self.learning_rate * sum(
-            tree.evaluate(packed) for tree in self.bank(index)
-        )
+        if not 0 <= index < self.BANKS:
+            raise ValueError(f"bank index {index} out of range")
+        banks = self._flat_form()[1]
+        return self.learning_rate * sum(self._leaves(banks[index], packed))
 
     def evaluate(self, packed: collections.abc.Sequence[float]) -> float:
         """The full score: what the three banks' partial sums add up to."""
-        return self.learning_rate * sum(tree.evaluate(packed) for tree in self.trees)
+        return self.learning_rate * sum(self._leaves(self._flat_form()[0], packed))
 
     def bank_node_count(self, index: int) -> int:
         return sum(tree.node_count() for tree in self.bank(index))

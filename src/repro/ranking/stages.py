@@ -247,9 +247,8 @@ class FfeRole(RankingStageRole):
             payload.ffe_merged = self.engine_ref.ffe_values(payload.document, model)
             size = FEATURE_ENTRY_BYTES * len(payload.ffe_merged)
         else:
-            size = packet.size_bytes + FEATURE_ENTRY_BYTES * len(
-                model.ffe_stage0.output_slots()
-            )
+            outputs = self.engine_ref.ffe_stage0_outputs(model)
+            size = packet.size_bytes + FEATURE_ENTRY_BYTES * outputs
         yield self.forward(packet, size)
 
 

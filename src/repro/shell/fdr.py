@@ -18,13 +18,7 @@ from repro.hardware.constants import FDR_CAPACITY
 
 
 class FdrEntry(typing.NamedTuple):
-    """One recorded router event.
-
-    A NamedTuple rather than a frozen dataclass: one entry is built per
-    router hop, and frozen-dataclass construction (``__init__`` +
-    ``object.__setattr__`` per field) is several times the cost of a
-    tuple — measurable across tens of millions of hops.
-    """
+    """One recorded router event, as the health check streams it out."""
 
     timestamp_ns: float
     trace_id: int
@@ -32,6 +26,19 @@ class FdrEntry(typing.NamedTuple):
     direction: str  # e.g. "north->role", "role->south", "pcie->role"
     kind: str
     queue_lengths: tuple  # (port_name, depth) pairs, non-zero only
+
+
+def _entry(hop: tuple) -> FdrEntry:
+    """The ``FdrEntry`` for one recorded hop (see ``record``)."""
+    timestamp_ns, trace_id, size_bytes, in_port, out_port, kind, lengths = hop
+    return FdrEntry(
+        timestamp_ns,
+        trace_id,
+        size_bytes,
+        f"{in_port.value}->{out_port.value}",
+        kind.value,
+        lengths,
+    )
 
 
 class FlightDataRecorder:
@@ -54,21 +61,26 @@ class FlightDataRecorder:
         self.capacity = capacity
         self.spill_to_dram = spill_to_dram
         self.dram_budget_entries = dram_budget_entries
-        self._events: deque[FdrEntry] = deque()
-        self._spilled: deque[FdrEntry] = deque()
+        self._events: deque[tuple] = deque(maxlen=capacity)
+        self._spilled: deque[tuple] = deque()
         self.power_on_checks: dict[str, bool] = {}
         self.total_recorded = 0
 
-    def record(self, entry: FdrEntry) -> None:
-        """Append an event, evicting (or spilling) the oldest when full."""
-        self._events.append(entry)
+    def record(self, hop: tuple) -> None:
+        """Append an event, evicting (or spilling) the oldest when full.
+
+        ``hop`` is the raw tuple the router appends on every hop:
+        ``(timestamp_ns, trace_id, size_bytes, in_port, out_port, kind,
+        queue_lengths)``, with the ports and the packet kind as enums.
+        Hops become ``FdrEntry`` objects only when they are read.
+        """
         self.total_recorded += 1
-        if len(self._events) > self.capacity:
-            evicted = self._events.popleft()
-            if self.spill_to_dram:
-                self._spilled.append(evicted)
-                if len(self._spilled) > self.dram_budget_entries:
-                    self._spilled.popleft()
+        events = self._events
+        if self.spill_to_dram and len(events) == self.capacity:
+            self._spilled.append(events[0])
+            if len(self._spilled) > self.dram_budget_entries:
+                self._spilled.popleft()
+        events.append(hop)  # a full deque drops its oldest
 
     def record_power_on(self, check: str, ok: bool) -> None:
         """Record a power-on sequence check (SL3 lock, PLL, resets...)."""
@@ -76,18 +88,18 @@ class FlightDataRecorder:
 
     def stream_out(self) -> list[FdrEntry]:
         """Dump the on-chip buffer (what the health check reads)."""
-        return list(self._events)
+        return [_entry(hop) for hop in self._events]
 
     def extended_history(self) -> list[FdrEntry]:
         """DRAM-spilled entries plus the on-chip window, oldest first."""
-        return list(self._spilled) + list(self._events)
+        return [_entry(hop) for hop in (*self._spilled, *self._events)]
 
     def entries_for_trace(self, trace_id: int) -> list[FdrEntry]:
         """All retained events for one trace ID (deadlock debugging)."""
         return [
-            entry
-            for entry in self.extended_history()
-            if entry.trace_id == trace_id
+            _entry(hop)
+            for hop in (*self._spilled, *self._events)
+            if hop[1] == trace_id
         ]
 
     @property

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.shell.fdr import FdrEntry, FlightDataRecorder
+from repro.shell.fdr import FlightDataRecorder
 from repro.shell.messages import NodeId, Packet, PacketKind
 from repro.sim import Engine, Event, Store
 
@@ -58,12 +58,8 @@ class Router:
         }
         self.dropped_no_route = 0
         self.forwarded = 0
-        # Hot-path precomputation: the port set is static, so the
-        # direction labels (36 combinations) and the queue-probe list
-        # are built once instead of per recorded hop.
-        self._directions = {
-            (a, b): f"{a.value}->{b.value}" for a in Port for b in Port
-        }
+        # The port set is static: build the queue-probe list once, not
+        # per recorded hop.
         self._queue_probe = [
             (port.value, store.items) for port, store in self.output_queues.items()
         ]
@@ -92,7 +88,17 @@ class Router:
             return None
         self.forwarded += 1
         packet.route.append(self.node_id)
-        self._record(packet, in_port, out_port)
+        self.fdr.record(
+            (
+                self.engine.now,
+                packet.trace_id,
+                packet.size_bytes,
+                in_port,
+                out_port,
+                packet.kind,
+                tuple([(name, len(items)) for name, items in self._queue_probe if items]),
+            )
+        )
         return self.output_queues[out_port].put(packet)
 
     def _select_output(self, packet: Packet) -> Port | None:
@@ -108,23 +114,6 @@ class Router:
                 return Port.PCIE
             return Port.ROLE
         return self.routing_table.get(packet.dst)
-
-    def _record(self, packet: Packet, in_port: Port, out_port: Port) -> None:
-        lengths = []
-        for probe in self._queue_probe:
-            depth = len(probe[1])
-            if depth:
-                lengths.append((probe[0], depth))
-        self.fdr.record(
-            FdrEntry(
-                timestamp_ns=self.engine.now,
-                trace_id=packet.trace_id,
-                size_bytes=packet.size_bytes,
-                direction=self._directions[(in_port, out_port)],
-                kind=packet.kind.value,
-                queue_lengths=tuple(lengths),
-            )
-        )
 
     def queue_depth(self, port: Port) -> int:
         return len(self.output_queues[port])

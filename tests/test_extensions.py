@@ -11,8 +11,8 @@ from repro.fabric import Pod, ServerState, TorusTopology
 from repro.hardware import Bitstream, ResourceBudget, ReconfigError
 from repro.hardware.bitstream import ShellVersion
 from repro.hardware.constants import FULL_RECONFIG_NS, PARTIAL_RECONFIG_NS
-from repro.shell import Role
-from repro.shell.fdr import FdrEntry, FlightDataRecorder
+from repro.shell import PacketKind, Port, Role
+from repro.shell.fdr import FlightDataRecorder
 from repro.sim import Engine, SEC
 
 
@@ -161,21 +161,15 @@ def test_full_reconfig_by_contrast_blocks_through_traffic():
 # --- FDR extended history ------------------------------------------------------
 
 
-def entry(i):
-    return FdrEntry(
-        timestamp_ns=float(i),
-        trace_id=i % 7,
-        size_bytes=64,
-        direction="north->role",
-        kind="request",
-        queue_lengths=(),
-    )
+def hop(i):
+    """A raw router hop, as ``Router.submit`` records it."""
+    return (float(i), i % 7, 64, Port.NORTH, Port.ROLE, PacketKind.REQUEST, ())
 
 
 def test_fdr_spill_extends_history():
     fdr = FlightDataRecorder(capacity=100, spill_to_dram=True)
     for i in range(1_000):
-        fdr.record(entry(i))
+        fdr.record(hop(i))
     assert len(fdr) == 100
     history = fdr.extended_history()
     assert len(history) == 1_000
@@ -188,7 +182,7 @@ def test_fdr_spill_respects_dram_budget():
         capacity=100, spill_to_dram=True, dram_budget_entries=200
     )
     for i in range(1_000):
-        fdr.record(entry(i))
+        fdr.record(hop(i))
     assert len(fdr.extended_history()) == 300  # 200 spilled + 100 on-chip
     assert fdr.dropped == 700
 
@@ -196,7 +190,7 @@ def test_fdr_spill_respects_dram_budget():
 def test_fdr_no_spill_preserves_old_behavior():
     fdr = FlightDataRecorder(capacity=100)
     for i in range(250):
-        fdr.record(entry(i))
+        fdr.record(hop(i))
     assert len(fdr) == 100
     assert fdr.dropped == 150
     assert len(fdr.extended_history()) == 100
@@ -205,6 +199,6 @@ def test_fdr_no_spill_preserves_old_behavior():
 def test_fdr_trace_search_covers_spilled_entries():
     fdr = FlightDataRecorder(capacity=10, spill_to_dram=True)
     for i in range(100):
-        fdr.record(entry(i))
+        fdr.record(hop(i))
     matches = fdr.entries_for_trace(3)
     assert len(matches) == len([i for i in range(100) if i % 7 == 3])

@@ -1,5 +1,7 @@
 """Cross-cutting property tests (hypothesis) on system invariants."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 from repro.fabric.torus import TorusTopology, dor_routes, yx_routes
 from repro.ranking.compression import CompressionMap
 from repro.ranking.documents import HitTuple
+from repro.ranking.engine import ScoringEngine
 from repro.ranking.ffe import BinOp, Const, Feature, FfeCompiler, assemble
+from repro.ranking.models import ModelLibrary
 from repro.ranking.scoring import BoostedTreeScorer, DecisionTree, TreeNode
 from repro.shell.router import Port
-from repro.sim import Engine, Store
+from repro.sim import Engine, RngStreams, Store
+from repro.workloads import TraceGenerator
 
 
 # --- torus geometry ---------------------------------------------------------------
@@ -128,6 +133,72 @@ def test_tree_banks_partition_exactly(n_trees, values):
     assert sum(scorer.evaluate_bank(i, packed) for i in range(3)) == pytest.approx(
         scorer.evaluate(packed)
     )
+
+
+def assert_flat_walk_is_exact(scorer, packed):
+    """The scorer's banks and total equal the reference walk, bit for bit."""
+    lr = scorer.learning_rate
+    for i in range(3):
+        reference = lr * sum(tree.evaluate(packed) for tree in scorer.bank(i))
+        assert scorer.evaluate_bank(i, packed) == reference
+    assert scorer.evaluate(packed) == lr * sum(tree.evaluate(packed) for tree in scorer.trees)
+
+
+# Thresholds and inputs share a grid half the time, so ``x == threshold``
+# (which goes left) comes up often.
+_GRID = (-1.0, 0.0, 0.5, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 40),
+    max_depth=st.integers(0, 12),
+    length=st.integers(0, 12),
+    nan_every=st.integers(0, 4),
+    int_leaves=st.booleans(),
+    learning_rate=st.sampled_from([0.1, 0.25, 1.0, 1 / 3]),
+)
+def test_flat_walk_matches_reference_exactly(
+    seed, n_trees, max_depth, length, nan_every, int_leaves, learning_rate
+):
+    """Random trees up to depth 12 over features 0..15: vectors of length
+    0..12 leave some features past the end, 1-2 trees leave banks empty,
+    and NaN inputs (``NaN <= t`` is false) go right."""
+    rng = RngStreams(seed).stream("trees")
+
+    def value(low, high):
+        return rng.choice(_GRID) if rng.random() < 0.5 else rng.uniform(low, high)
+
+    def node(depth):
+        if depth == 0 or rng.random() < 0.25:
+            if int_leaves and rng.random() < 0.5:
+                return TreeNode(value=rng.randint(-3, 3))
+            return TreeNode(value=rng.uniform(-1.0, 1.0))
+        return TreeNode(
+            feature=rng.randrange(16),
+            threshold=value(-2.0, 2.0),
+            left=node(depth - 1),
+            right=node(depth - 1),
+        )
+
+    scorer = BoostedTreeScorer(
+        [DecisionTree(node(max_depth)) for _ in range(n_trees)], learning_rate
+    )
+    packed = [
+        math.nan if nan_every and i % nan_every == 0 else value(-2.0, 2.0)
+        for i in range(length)
+    ]
+    assert_flat_walk_is_exact(scorer, packed)
+
+
+def test_flat_walk_matches_reference_on_default_models():
+    library = ModelLibrary.default(scale=0.05)
+    engine = ScoringEngine(library)
+    generator = TraceGenerator(seed=12, model_mix={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
+    for request in generator.requests(20):
+        model = engine.model_for(request.document)
+        assert_flat_walk_is_exact(model.scorer, engine.packed(request.document, model))
 
 
 # --- FFE assembler ---------------------------------------------------------------------

@@ -66,6 +66,32 @@ def test_scorer_validation():
         BoostedTreeScorer([])
     with pytest.raises(ValueError):
         BoostedTreeScorer([simple_tree()]).bank(3)
+    with pytest.raises(ValueError):
+        BoostedTreeScorer([simple_tree()]).evaluate_bank(-1, [0.0])
+
+
+def test_decision_node_without_feature_rejected_at_build():
+    # Left at the default feature=-1, the node would read packed[-1].
+    headless = TreeNode(threshold=0.5, left=leaf(1.0), right=leaf(-1.0))
+    with pytest.raises(ValueError, match="feature"):
+        DecisionTree(headless)
+    nested = TreeNode(feature=0, threshold=1.0, left=leaf(0.5), right=headless)
+    with pytest.raises(ValueError, match="feature"):
+        BoostedTreeScorer([simple_tree(), DecisionTree(nested)])
+
+
+def test_decision_node_with_one_child_rejected_at_build():
+    one_sided = TreeNode(feature=0, threshold=0.5, left=leaf(1.0))
+    with pytest.raises(ValueError, match="both children"):
+        DecisionTree(one_sided)
+    nested = TreeNode(
+        feature=1,
+        threshold=2.0,
+        left=leaf(0.5),
+        right=TreeNode(feature=0, threshold=0.5, right=leaf(1.0)),
+    )
+    with pytest.raises(ValueError, match="both children"):
+        BoostedTreeScorer([simple_tree(), DecisionTree(nested)])
 
 
 # --- compression -------------------------------------------------------------
@@ -155,6 +181,14 @@ def test_engine_ffe_cycles_cached_and_positive():
     c1 = engine.ffe_stage_cycles(model, 1)
     assert c0 > 0 and c1 > 0
     assert engine.ffe_stage_cycles(model, 0) == c0  # cached
+
+
+def test_engine_ffe_stage0_outputs_is_the_program_slot_count():
+    model = small_model()
+    engine = ScoringEngine(ModelLibrary([model]))
+    count = engine.ffe_stage0_outputs(model)
+    assert count == len(model.ffe_stage0.output_slots()) > 0
+    assert engine.ffe_stage0_outputs(model) == count
 
 
 def test_engine_metafeatures_flow_into_stage1():

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.analysis import replay_trace
+from repro.fabric import Pod, TorusTopology
+from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import RankingPipeline
 from repro.shell.fdr import FdrEntry, FlightDataRecorder
 from repro.shell.messages import Packet, PacketKind
 from repro.shell.router import Port, Router, RoutingError
@@ -80,21 +84,15 @@ def test_packet_route_tracks_nodes():
 # --- FDR ----------------------------------------------------------------------
 
 
-def entry(i, trace=1):
-    return FdrEntry(
-        timestamp_ns=float(i),
-        trace_id=trace,
-        size_bytes=64,
-        direction="north->role",
-        kind="request",
-        queue_lengths=(),
-    )
+def hop(i, trace=1):
+    """A raw router hop, as ``Router.submit`` records it."""
+    return (float(i), trace, 64, Port.NORTH, Port.ROLE, PacketKind.REQUEST, ())
 
 
 def test_fdr_keeps_most_recent_512():
     fdr = FlightDataRecorder()
     for i in range(600):
-        fdr.record(entry(i))
+        fdr.record(hop(i))
     assert len(fdr) == 512
     events = fdr.stream_out()
     assert events[0].timestamp_ns == 88.0  # oldest retained
@@ -105,9 +103,9 @@ def test_fdr_keeps_most_recent_512():
 
 def test_fdr_trace_filter():
     fdr = FlightDataRecorder(capacity=10)
-    fdr.record(entry(0, trace=7))
-    fdr.record(entry(1, trace=8))
-    fdr.record(entry(2, trace=7))
+    fdr.record(hop(0, trace=7))
+    fdr.record(hop(1, trace=8))
+    fdr.record(hop(2, trace=7))
     assert len(fdr.entries_for_trace(7)) == 2
 
 
@@ -121,3 +119,73 @@ def test_fdr_power_on_checks():
 def test_fdr_capacity_validation():
     with pytest.raises(ValueError):
         FlightDataRecorder(capacity=0)
+
+
+def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
+    """Hops are kept raw and become entries when read; what a reader gets
+    must equal, entry for entry, the FdrEntry an eager recorder would
+    have built at the hop (with eviction and DRAM spill in play)."""
+    eng = Engine(seed=31)
+    pod = Pod(eng, topology=TorusTopology(width=2, height=8))
+    pipeline = RankingPipeline(eng, pod, ModelLibrary.default(scale=0.03), ring_x=0)
+    pipeline.deploy()
+    for server in pod.servers.values():
+        fdr = FlightDataRecorder(capacity=6, spill_to_dram=True, dram_budget_entries=10)
+        server.shell.fdr = server.shell.router.fdr = fdr
+
+    eager: dict = {}  # node -> every FdrEntry, in hop order
+    submit = Router.submit
+
+    def eager_submit(router, packet, in_port):
+        out_port = router._select_output(packet)
+        if out_port is not None:
+            lengths = tuple(
+                (port.value, len(queue))
+                for port, queue in router.output_queues.items()
+                if len(queue)
+            )
+            eager.setdefault(router.node_id, []).append(
+                FdrEntry(
+                    timestamp_ns=router.engine.now,
+                    trace_id=packet.trace_id,
+                    size_bytes=packet.size_bytes,
+                    direction=f"{in_port.value}->{out_port.value}",
+                    kind=packet.kind.value,
+                    queue_lengths=lengths,
+                )
+            )
+        return submit(router, packet, in_port)
+
+    monkeypatch.setattr(Router, "submit", eager_submit)
+    pool = pipeline.make_request_pool(8, seed=5)
+    done, stats = pipeline.spawn_injector(
+        pod.server_at((1, 3)), threads=12, pool=pool, requests_per_thread=2
+    )
+    eng.run_until(done)
+    assert stats.completed == 24
+
+    assert sum(1 for entries in eager.values() if len(entries) > 16) >= 6
+    assert any(entry.queue_lengths for entries in eager.values() for entry in entries)
+    for node, entries in eager.items():
+        fdr = pod.server_at(node).shell.fdr
+        assert fdr.total_recorded == len(entries)
+        assert fdr.dropped == max(0, len(entries) - 16)
+        assert fdr.stream_out() == entries[-6:]
+        assert fdr.extended_history() == entries[-16:]
+        for entry in fdr.extended_history():
+            assert type(entry) is FdrEntry
+        for trace_id in sorted({entry.trace_id for entry in entries}):
+            assert fdr.entries_for_trace(trace_id) == [
+                entry for entry in entries[-16:] if entry.trace_id == trace_id
+            ]
+    # Replay reads the same entries back across the pod.
+    last = max(entry.trace_id for entry in eager[(0, 0)])
+    replay = replay_trace(pod, last)
+    expected = sorted(
+        (entry.timestamp_ns, entry.direction)
+        for entries in eager.values()
+        for entry in entries[-16:]
+        if entry.trace_id == last
+    )
+    assert sorted((s.timestamp_ns, s.direction) for s in replay.steps) == expected
+    assert replay.hop_count >= 8
