@@ -7,14 +7,10 @@ memory-hierarchy contention while the FPGA stays stable.  At rate 1.0
 the FPGA's 95th-percentile latency is ~29 % lower (ratio ~0.71).
 """
 
-from bench_harness import (
-    RATE_ONE_PER_S,
-    build_ring,
-    latency_stats,
-    open_loop_fpga,
-    open_loop_software,
-)
+from bench_harness import RATE_ONE_PER_S, build_ring
 from repro.analysis import format_series
+from repro.ranking.software_ranker import SoftwareRanker
+from repro.workloads import OpenLoopInjector, PoissonArrivals
 
 RATES = [0.5, 1.0, 1.5, 2.0]
 SAMPLES_PER_POINT = 1_600
@@ -24,30 +20,21 @@ def run_experiment():
     ratios = {"avg": [], "p95": [], "p99": [], "p999": []}
     for rate in RATES:
         per_server = rate * RATE_ONE_PER_S
-        # FPGA: all eight ring servers inject (production operation).
+        # FPGA: all eight ring servers inject (production operation):
+        # submit() round-robins the ring's aggregate Poisson stream.
         eng, pod, pipeline, pool = build_ring(seed=14)
-        fpga_lat = open_loop_fpga(
-            eng,
-            pipeline,
-            pod.ring(0),
-            pool,
-            per_server,
-            SAMPLES_PER_POINT,
-            seed_tag=f"f{rate}",
+        fpga_loop = OpenLoopInjector(
+            eng, pipeline, PoissonArrivals(8 * per_server), pool, seed_tag=f"f{rate}"
         )
-        fpga = latency_stats(fpga_lat)
+        eng.run_until(fpga_loop.run(SAMPLES_PER_POINT))
         # Software: one server at the same per-server rate.
         eng2, pod2, pipeline2, pool2 = build_ring(seed=15)
-        sw_lat = open_loop_software(
-            eng2,
-            pod2.server_at((1, 3)),
-            pipeline2.scoring_engine,
-            pool2,
-            per_server,
-            SAMPLES_PER_POINT,
-            seed_tag=f"s{rate}",
+        ranker = SoftwareRanker(pod2.server_at((1, 3)), pipeline2.scoring_engine)
+        sw_loop = OpenLoopInjector(
+            eng2, ranker, PoissonArrivals(per_server), pool2, seed_tag=f"s{rate}"
         )
-        software = latency_stats(sw_lat)
+        eng2.run_until(sw_loop.run(SAMPLES_PER_POINT))
+        fpga, software = fpga_loop.stats.stats(), sw_loop.stats.stats()
         ratios["avg"].append(fpga.mean / software.mean)
         ratios["p95"].append(fpga.p95 / software.p95)
         ratios["p99"].append(fpga.p99 / software.p99)

@@ -11,15 +11,10 @@ inflation over the nominal (rate-1.0) operating point, which lands on
 software's knee.  The FPGA rides flat until FE saturates the ring.
 """
 
-from bench_harness import (
-    FPGA_PER_SERVER_SATURATION_PER_S,
-    RATE_ONE_PER_S,
-    build_ring,
-    latency_stats,
-    open_loop_fpga,
-    open_loop_software,
-)
+from bench_harness import FPGA_PER_SERVER_SATURATION_PER_S, RATE_ONE_PER_S, build_ring
 from repro.analysis import format_table
+from repro.ranking.software_ranker import SoftwareRanker
+from repro.workloads import OpenLoopInjector, PoissonArrivals
 
 SW_RATES = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0]
 FPGA_RATES = [1.0, 1.5, 2.0, 2.5, 3.0, 3.4, 3.7]
@@ -31,16 +26,11 @@ def sweep_software():
     curve = []
     for rate in SW_RATES:
         eng, pod, pipeline, pool = build_ring(seed=16)
-        latencies = open_loop_software(
-            eng,
-            pod.server_at((1, 3)),
-            pipeline.scoring_engine,
-            pool,
-            rate * RATE_ONE_PER_S,
-            SAMPLES_PER_POINT,
-            seed_tag=f"sw{rate}",
-        )
-        curve.append((rate, latency_stats(latencies).p95))
+        ranker = SoftwareRanker(pod.server_at((1, 3)), pipeline.scoring_engine)
+        arrivals = PoissonArrivals(rate * RATE_ONE_PER_S)
+        injector = OpenLoopInjector(eng, ranker, arrivals, pool, seed_tag=f"sw{rate}")
+        eng.run_until(injector.run(SAMPLES_PER_POINT))
+        curve.append((rate, injector.stats.stats().p95))
     return curve
 
 
@@ -48,16 +38,11 @@ def sweep_fpga():
     curve = []
     for rate in FPGA_RATES:
         eng, pod, pipeline, pool = build_ring(seed=17)
-        latencies = open_loop_fpga(
-            eng,
-            pipeline,
-            pod.ring(0),
-            pool,
-            rate * RATE_ONE_PER_S,
-            SAMPLES_PER_POINT,
-            seed_tag=f"fp{rate}",
-        )
-        curve.append((rate, latency_stats(latencies).p95))
+        # All eight ring servers inject: submit() round-robins them.
+        arrivals = PoissonArrivals(8 * rate * RATE_ONE_PER_S)
+        injector = OpenLoopInjector(eng, pipeline, arrivals, pool, seed_tag=f"fp{rate}")
+        eng.run_until(injector.run(SAMPLES_PER_POINT))
+        curve.append((rate, injector.stats.stats().p95))
     return curve
 
 

@@ -13,15 +13,11 @@ import sys
 
 sys.path.insert(0, "benchmarks")  # reuse the benchmark harness
 
-from bench_harness import (
-    RATE_ONE_PER_S,
-    build_ring,
-    latency_stats,
-    open_loop_fpga,
-    open_loop_software,
-)
+from bench_harness import RATE_ONE_PER_S, build_ring
 from repro.analysis import format_table
+from repro.ranking.software_ranker import SoftwareRanker
 from repro.sim.units import MS
+from repro.workloads import OpenLoopInjector, PoissonArrivals
 
 
 def main() -> None:
@@ -34,18 +30,20 @@ def main() -> None:
 
     print("\n[1/2] FPGA-accelerated ranking (8 servers sharing one ring)...")
     eng, pod, pipeline, pool = build_ring(seed=101)
-    fpga = latency_stats(
-        open_loop_fpga(eng, pipeline, pod.ring(0), pool, per_server, samples)
+    injector = OpenLoopInjector(
+        eng, pipeline, PoissonArrivals(8 * per_server), pool, seed_tag="fpga"
     )
+    eng.run_until(injector.run(samples))
+    fpga = injector.stats.stats()
 
     print("[2/2] software-only ranking (12-core server)...")
     eng2, pod2, pipeline2, pool2 = build_ring(seed=102)
-    software = latency_stats(
-        open_loop_software(
-            eng2, pod2.server_at((1, 3)), pipeline2.scoring_engine,
-            pool2, per_server, samples,
-        )
+    ranker = SoftwareRanker(pod2.server_at((1, 3)), pipeline2.scoring_engine)
+    injector = OpenLoopInjector(
+        eng2, ranker, PoissonArrivals(per_server), pool2, seed_tag="software"
     )
+    eng2.run_until(injector.run(samples))
+    software = injector.stats.stats()
 
     rows = []
     for label, get in [

@@ -60,10 +60,6 @@ class TraceReplay:
                 slow.append((before, after, gap))
         return slow
 
-    def congested_steps(self) -> list:
-        """Sightings where the router reported non-empty queues."""
-        return [step for step in self.steps if step.queue_lengths]
-
     def format(self) -> str:
         lines = [f"trace {self.trace_id}: {self.hop_count} sightings, "
                  f"{self.total_latency_ns / 1000.0:.1f} us end to end"]

@@ -4,11 +4,13 @@ The paper's production deployment maps one service instance onto one
 torus ring and scales by deploying many rings across many pods (§2.3:
 1,632 machines serving Bing ranking).  :class:`Deployment` is the
 reusable per-ring handle: it wraps a :class:`MappingManager` deploy of
-one :class:`ServiceDefinition` onto one ring and provides the two
-injection paths the evaluation uses — closed-loop injector threads
-(:meth:`spawn_injector`) and a single-request dispatch generator
-(:meth:`submit`) that the front-end load balancer and the open-loop
-traffic layer build on.
+one :class:`ServiceDefinition` onto one ring and owns its one dispatch
+body, :meth:`submit` — take a slot lease from the injection server's
+pool, do the host-side prep, inject to the head node, wait for the
+response.  Every request to the ring goes through it: the front-end
+load balancer, the open-loop traffic layer (Figures 14–15), and the
+§5 closed-loop injector threads (:meth:`spawn_injector`, Figures
+9–13), which loop over it.
 
 Service-specific concerns (what payload rides the fabric, what
 host-side software work precedes injection) are factored into a
@@ -334,47 +336,39 @@ class Deployment:
         pool: list,
         requests_per_thread: int,
         include_prep: bool = True,
-        timeout_ns: float = 1e9,
     ) -> tuple[Event, InjectorStats]:
         """Closed-loop injection from ``server`` with ``threads`` threads.
 
-        Each thread repeatedly: does the adapter's software portion when
-        ``include_prep``, fills its slot, and sleeps until the response
-        interrupt.  Returns a completion event plus the stats object
-        (filled in-place).
+        Each thread sends one request through :meth:`submit` (lease from
+        the server's pool, the adapter's software portion when
+        ``include_prep``, inject, sleep until the response) and only
+        then sends the next; a ``None`` result counts as a timeout.
+        Returns a completion event plus the stats object (filled
+        in-place).
         """
-        client = SlotClient(server)
         stats = InjectorStats(latencies_ns=[], timeouts=0, completed=0)
         pool_cycle = itertools.cycle(pool)
         done = self.engine.event(name=f"injector:{server.machine_id}")
 
-        def thread_body(lease) -> collections.abc.Generator:
+        def thread_body() -> collections.abc.Generator:
             for _ in range(requests_per_thread):
-                request = next(pool_cycle)
                 started = self.engine.now
-                if include_prep:
-                    yield from self.adapter.prep(server)
-                try:
-                    yield from lease.request(
-                        dst=self.head_node,
-                        size_bytes=self.adapter.size_of(request),
-                        payload=self.adapter.payload_for(request),
-                        timeout_ns=timeout_ns,
-                    )
-                except RequestTimeout:
+                response = yield from self.submit(
+                    next(pool_cycle), server=server, include_prep=include_prep
+                )
+                if response is None:
                     stats.timeouts += 1
-                    continue
-                stats.latencies_ns.append(self.engine.now - started)
-                stats.completed += 1
-                self.meter.record()
+                else:
+                    stats.latencies_ns.append(self.engine.now - started)
+                    stats.completed += 1
 
         def waiter(procs) -> collections.abc.Generator:
             yield AllOf(self.engine, procs)
             done.succeed(stats)
 
         procs = [
-            self.engine.process(thread_body(lease), name=f"inj.{server.machine_id}")
-            for lease in client.leases(threads)
+            self.engine.process(thread_body(), name=f"inj.{server.machine_id}")
+            for _ in range(threads)
         ]
         self.engine.process(waiter(procs))
         return done, stats

@@ -20,7 +20,7 @@ from repro.hardware.fpga import Fpga, FpgaState
 from repro.shell.pcie import HostDmaBuffers
 from repro.shell.shell import Shell, ShellConfig
 from repro.sim import Engine, Event, Resource
-from repro.sim.units import SEC, US
+from repro.sim.units import SEC
 
 
 class ServerState(enum.Enum):
@@ -45,7 +45,6 @@ class Server:
     CORE_COUNT = 12
     SOFT_REBOOT_NS = 60 * SEC
     HARD_REBOOT_NS = 300 * SEC
-    SSD_LOOKUP_NS = 120 * US  # document + metastream fetch (§4)
 
     def __init__(
         self,
@@ -147,10 +146,6 @@ class Server:
             yield self.engine.timeout(duration_ns)
         finally:
             self.cpu.release()
-
-    def ssd_lookup(self) -> Event:
-        """Fetch a document + metastreams from the local SSD."""
-        return self.engine.timeout(self.SSD_LOOKUP_NS)
 
     # -- health RPC (answered over Ethernet) ------------------------------------------
 

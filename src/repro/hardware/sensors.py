@@ -46,11 +46,5 @@ class ThermalModel:
             )
         return temp
 
-    def worst_case_headroom_w(self) -> float:
-        """Power at which a 68 °C inlet (worst case) hits the rating."""
-        return (
-            BOARD_LIMITS.max_junction_temp_c - BOARD_LIMITS.max_inlet_temp_c
-        ) / self.theta_ja_c_per_w
-
     def clear(self) -> None:
         self.shutdown_tripped = False

@@ -31,15 +31,6 @@ class SynthesisReport:
     dsp_pct: float
     clock_mhz: float
 
-    def as_row(self) -> dict[str, float | str]:
-        return {
-            "role": self.role_name,
-            "logic_pct": round(self.logic_pct),
-            "ram_pct": round(self.ram_pct),
-            "dsp_pct": round(self.dsp_pct),
-            "clock_mhz": round(self.clock_mhz),
-        }
-
 
 # Component cost library (calibrated against Table 1).  Units: one
 # instance of the named component.

@@ -48,10 +48,3 @@ class FpgaDriver:
 
         server.engine.process(body(), name=f"driver.{server.machine_id}")
         return done
-
-    def reconfigure_unsafely(self, bitstream: Bitstream) -> Event:
-        """Skip the protocol entirely — crashes the host via NMI and
-        sprays garbage at the neighbours.  Exists to demonstrate why
-        the protocol is necessary (tests/benchmarks only)."""
-        self.reconfigurations += 1
-        return self.server.shell.unsafe_reconfigure(bitstream)

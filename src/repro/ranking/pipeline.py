@@ -4,12 +4,14 @@
 eight ranking roles (Figure 5) onto a ring, with bitstreams synthesized
 from the Table-1-calibrated component library.  :class:`RankingPipeline`
 is a thin per-ring adapter over the generic cluster-layer
-:class:`~repro.cluster.deployment.Deployment`: the injection machinery
-(closed-loop injector threads, single-request dispatch) is inherited,
-with :class:`RankingRequestAdapter` supplying the ranking-specific
-parts — the software portion of scoring (SSD lookup, hit-vector
-computation on a CPU core, §4) and the :class:`RankingPayload` that
-rides the ring.
+:class:`~repro.cluster.deployment.Deployment`, whose one dispatch body
+(``submit``) serves every request: the §5 closed-loop injector threads
+(``spawn_injector``, Figures 9–13) loop over it, and the production
+comparison (Figures 14–15) drives it with an
+:class:`~repro.workloads.OpenLoopInjector`.
+:class:`RankingRequestAdapter` supplies the ranking-specific parts —
+the software portion of scoring (SSD lookup, hit-vector computation on
+a CPU core, §4) and the :class:`RankingPayload` that rides the ring.
 """
 
 from __future__ import annotations

@@ -146,9 +146,6 @@ class NeuralScorer:
         width = len(self.weights[0]) if self.weights else 0
         return units * (width + 2)
 
-    def total_nodes(self) -> int:
-        return sum(self.bank_node_count(i) for i in range(self.BANKS))
-
     @property
     def tree_count(self) -> int:  # uniform scorer interface
         return self.hidden_units
@@ -220,9 +217,6 @@ class BoostedTreeScorer:
 
     def bank_node_count(self, index: int) -> int:
         return sum(tree.node_count() for tree in self.bank(index))
-
-    def total_nodes(self) -> int:
-        return sum(tree.node_count() for tree in self.trees)
 
     @property
     def tree_count(self) -> int:

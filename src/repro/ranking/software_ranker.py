@@ -14,6 +14,10 @@ mechanism the paper cites for the widening software tail at higher
 injection rates ("the variability of software latency increases at
 higher loads due to contention in the CPU's memory hierarchy while
 the FPGA's performance remains stable").
+
+:meth:`SoftwareRanker.submit` makes the ranker an open-loop sink, so
+the Figure 14–15 baseline runs behind the same
+:class:`~repro.workloads.OpenLoopInjector` as the fabric.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ class SoftwareRanker:
         self._rng = server.engine.rng.stream(f"swrank:{server.machine_id}")
         self.latencies_ns = ReservoirSample()
         self.scored = 0
+        self.outstanding = 0  # in submit(), not yet scored
 
     # -- timing model ---------------------------------------------------------
 
@@ -102,3 +107,19 @@ class SoftwareRanker:
         self.latencies_ns.append(latency)
         self.scored += 1
         return score, latency
+
+    def submit(
+        self, request: ScoringRequest, timeout_ns: float
+    ) -> collections.abc.Generator:
+        """Serve one request as an open-loop sink (a generator).
+
+        Returns ``score_request``'s ``(score, latency_ns)``, or ``None``
+        when the latency exceeded ``timeout_ns`` — a timeout, as on the
+        fabric path.
+        """
+        self.outstanding += 1
+        try:
+            result = yield from self.score_request(request)
+        finally:
+            self.outstanding -= 1
+        return None if result[1] > timeout_ns else result

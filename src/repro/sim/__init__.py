@@ -39,7 +39,7 @@ from repro.sim.sanitizer import (
 )
 from repro.sim.stores import PriorityStore, Store, StoreFull
 from repro.sim.resources import Resource
-from repro.sim.units import MS, NS, SEC, US, cycles_to_ns, ns_to_us
+from repro.sim.units import MS, NS, SEC, US, cycles_to_ns
 
 __all__ = [
     "AllOf",
@@ -73,6 +73,5 @@ __all__ = [
     "US",
     "cycles_to_ns",
     "dual_run",
-    "ns_to_us",
     "state_digest",
 ]

@@ -24,11 +24,6 @@ def cycles_to_ns(cycles: float, clock_mhz: float) -> float:
     return cycles * 1_000.0 / clock_mhz
 
 
-def ns_to_us(ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return ns / US
-
-
 def gbps_to_bytes_per_ns(gbps: float) -> float:
     """Convert gigabits/second into bytes/nanosecond.
 

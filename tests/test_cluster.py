@@ -17,7 +17,8 @@ from repro.hardware import Bitstream, ResourceBudget
 from repro.services.mapping_manager import RoleSpec, ServiceDefinition
 from repro.shell import PacketKind, Role
 from repro.shell.role import PassthroughRole
-from repro.sim import Engine
+from repro.sim import AllOf, Engine
+from repro.sim.units import SEC
 from repro.workloads import OpenLoopInjector, PoissonArrivals
 
 
@@ -25,14 +26,31 @@ class ClusterEchoRole(Role):
     """Head role of the test service: scores a request after a delay."""
 
     name = "echo"
+    delay_ns = 2_000.0
+
+    def reply(self, packet):
+        return "scored"
 
     def handle(self, packet):
-        yield self.shell.engine.timeout(2_000.0)
+        yield self.shell.engine.timeout(self.delay_ns)
         if packet.kind is PacketKind.REQUEST:
-            yield self.send(packet.response_to(size_bytes=64, payload="scored"))
+            yield self.send(packet.response_to(size_bytes=64, payload=self.reply(packet)))
 
 
-def echo_service(name="echo-service") -> ServiceDefinition:
+class PayloadEchoRole(ClusterEchoRole):
+    """Answers each request with the request's own payload."""
+
+    def reply(self, packet):
+        return packet.payload
+
+
+class LateEchoRole(ClusterEchoRole):
+    """Answers after 6 s: past submit()'s 5 s default timeout."""
+
+    delay_ns = 6 * SEC
+
+
+def echo_service(name="echo-service", role=ClusterEchoRole) -> ServiceDefinition:
     def bitstream(role):
         return Bitstream(
             role_name=role, role_budget=ResourceBudget(alms=1000), clock_mhz=175.0
@@ -44,7 +62,7 @@ def echo_service(name="echo-service") -> ServiceDefinition:
             RoleSpec(
                 name="echo",
                 bitstream=bitstream("echo"),
-                factory=lambda assignment, name: ClusterEchoRole(),
+                factory=lambda assignment, name: role(),
             ),
         ),
         spare=RoleSpec(
@@ -287,6 +305,59 @@ def test_killing_a_request_waiting_for_a_lease_loses_no_lease():
     # The waiter's 5 s lease deadline was disarmed: it kept no run alive.
     assert eng.now - started < 1_000_000.0
     assert deployment.timeouts == 0
+
+
+def test_closed_loop_never_counts_a_late_response():
+    eng, dc = small_datacenter()
+    scheduler = ClusterScheduler(dc)
+    (deployment,) = scheduler.deploy(echo_service(role=LateEchoRole), rings=1)
+    server = deployment.injection_servers()[0]
+    done, stats = deployment.spawn_injector(
+        server, threads=1, pool=[object()], requests_per_thread=2
+    )
+    eng.run_until(done)
+    # The first response lands after the second request was sent; it
+    # must not complete the second request.
+    assert stats.completed == 0 and stats.timeouts == 2
+    eng.run()  # both late responses land and their slots drain
+    assert len(deployment._leases(server)) == 48
+    assert not any(slot.full for slot in server.buffers.output_slots)
+
+
+def test_closed_and_open_loops_share_one_lease_pool(monkeypatch, request_pool):
+    eng, dc = small_datacenter()
+    scheduler = ClusterScheduler(dc)
+    (deployment,) = scheduler.deploy(echo_service(role=PayloadEchoRole), rings=1)
+    server = deployment.injection_servers()[0]
+    served = []
+    submit = deployment.submit
+
+    def recorded_submit(request, **kwargs):
+        response = yield from submit(request, **kwargs)
+        served.append((request, response))
+        return response
+
+    monkeypatch.setattr(deployment, "submit", recorded_submit)
+
+    class SameServer:
+        """Open-loop sink injecting every arrival from ``server``."""
+
+        outstanding = 0
+
+        def submit(self, request, timeout_ns):
+            return deployment.submit(request, server=server, timeout_ns=timeout_ns)
+
+    closed = [
+        deployment.spawn_injector(server, threads=4, pool=request_pool, requests_per_thread=5)
+        for _ in range(2)
+    ]
+    open_loop = OpenLoopInjector(eng, SameServer(), PoissonArrivals(200_000.0), request_pool)
+    eng.run_until(AllOf(eng, [done for done, _ in closed] + [open_loop.run(40)]))
+    assert [stats.completed for _, stats in closed] == [20, 20]
+    assert open_loop.stats.completed == 40
+    assert len(served) == 80
+    assert all(response.payload is request for request, response in served)
+    assert len(deployment._leases(server)) == 48
 
 
 def test_submit_before_deploy_raises():

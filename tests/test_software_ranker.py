@@ -7,7 +7,7 @@ from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.software_ranker import SoftwareRanker
 from repro.sim import AllOf, Engine
-from repro.workloads import TraceGenerator
+from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,24 @@ def test_score_matches_engine(setup):
     score, latency = proc.value
     assert score == scoring.score(request.document, model)
     assert latency > 0
+
+    # The same scores when the ranker serves as an open-loop sink.
+    served = []
+    submit = ranker.submit
+
+    def recorded_submit(request, timeout_ns):
+        result = yield from submit(request, timeout_ns)
+        served.append((request, result))
+        return result
+
+    ranker.submit = recorded_submit
+    injector = OpenLoopInjector(eng, ranker, PoissonArrivals(20_000.0), requests)
+    stats = eng.run_until(injector.run(len(requests)))
+    assert stats.offered == stats.admitted == stats.completed == len(requests)
+    assert ranker.outstanding == 0 and len(served) == len(requests)
+    for request, (score, _latency) in served:
+        model = library[request.document.model_id]
+        assert score == scoring.score(request.document, model)
 
 
 def test_latency_includes_ssd_and_queueing(setup):
