@@ -289,3 +289,121 @@ def test_store_multi_producer_conservation(batches):
     for tag, batch in enumerate(batches):
         mine = [item for t, item in received if t == tag]
         assert mine == batch  # per-producer order held
+
+
+# --- scheduler capacity accounting ---------------------------------------------------
+
+_PLACEMENT_OPS = st.one_of(
+    st.tuples(st.just("whole"), st.sampled_from(("spread", "pack"))),
+    st.tuples(st.just("gang"), st.integers(2, 3), st.sampled_from(("spread", "pack"))),
+    st.tuples(
+        st.just("region"),
+        st.sampled_from((0.25, 0.5, 0.75)),
+        st.sampled_from(("latency", "batch")),
+    ),
+    st.tuples(st.just("release"), st.integers(0, 50)),
+    st.tuples(st.just("cordon"), st.integers(0, 50)),
+    st.tuples(st.just("cordon_nodes"), st.integers(0, 50), st.integers(1, 2)),
+    st.tuples(st.just("service"), st.integers(0, 50)),
+)
+
+
+def _assert_capacity_balances(scheduler, dc):
+    report = scheduler.capacity_report()
+    totals = dict.fromkeys(
+        ("total", "free", "occupied", "cordoned", "regions", "region_cordons"), 0
+    )
+    for pod in report.per_pod.values():
+        assert pod.free_rings + pod.occupied_rings + pod.cordoned_rings == pod.total_rings
+        assert min(pod.free_rings, pod.occupied_rings, pod.cordoned_rings) >= 0
+        totals["total"] += pod.total_rings
+        totals["free"] += pod.free_rings
+        totals["occupied"] += pod.occupied_rings
+        totals["cordoned"] += pod.cordoned_rings
+        totals["regions"] += pod.tenant_regions
+        totals["region_cordons"] += pod.cordoned_regions
+    assert totals == {
+        "total": dc.total_rings,
+        "free": report.free_rings,
+        "occupied": report.occupied_rings,
+        "cordoned": report.cordoned_rings,
+        "regions": report.tenant_regions,
+        "region_cordons": report.cordoned_regions,
+    }
+    assert report.free_rings == len(scheduler.free_slots())
+    return report
+
+
+def _free_nodes(scheduler, dc, slot):
+    """The nodes of ``slot`` no claim or cordon holds."""
+    tenancy = scheduler.tenancy_of(slot)
+    if tenancy is not None:
+        return tenancy.free_nodes()
+    if slot in scheduler.free_slots():
+        return [server.node_id for server in dc.ring_servers(slot)]
+    return []
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    pods=st.integers(2, 3),
+    width=st.integers(2, 3),
+    ops=st.lists(_PLACEMENT_OPS, min_size=1, max_size=10),
+)
+def test_capacity_accounting_balances_under_placement_churn(pods, width, ops):
+    """Whole rings, gangs and region tenants, placed, released, cordoned
+    and serviced in any order: every pod's rings are free, occupied or
+    cordoned exactly once, the per-pod figures sum to the datacenter's,
+    and releasing and servicing everything frees every ring."""
+    from repro.cluster import ClusterScheduler, InsufficientClusterCapacity, echo_service
+    from repro.fabric import Datacenter
+
+    dc = Datacenter(
+        Engine(seed=5), num_pods=pods, topology=TorusTopology(width=width, height=4)
+    )
+    scheduler = ClusterScheduler(dc)
+    placed = []  # one list of member deployments per replica
+    for number, op in enumerate(ops):
+        service = echo_service(f"svc{number}")
+        try:
+            if op[0] == "whole":
+                placed.append(scheduler.deploy(service, rings=1, policy=op[1]))
+            elif op[0] == "gang":
+                placed.append(scheduler.deploy_gang(service, rings=op[1], policy=op[2]))
+            elif op[0] == "region":
+                placed.append(
+                    [scheduler.deploy_region(service, op[1], priority=op[2])]
+                )
+        except InsufficientClusterCapacity:
+            pass
+        if op[0] == "release" and placed:
+            for member in placed.pop(op[1] % len(placed)):
+                scheduler.release(member)
+        elif op[0] == "cordon" and scheduler.free_slots():
+            free = scheduler.free_slots()
+            scheduler.cordon(free[op[1] % len(free)], reason="bad card")
+        elif op[0] == "cordon_nodes":
+            runs = [
+                (slot, nodes) for slot in dc.ring_slots()
+                if (nodes := _free_nodes(scheduler, dc, slot))
+            ]
+            if runs:
+                slot, nodes = runs[op[1] % len(runs)]
+                scheduler.cordon_region(slot, nodes[: op[2]], reason="bad run")
+        elif op[0] == "service":
+            slot = dc.ring_slots()[op[1] % dc.total_rings]
+            if slot in scheduler.cordoned_slots:
+                scheduler.uncordon(slot)
+            scheduler.slot_serviced(slot)
+        _assert_capacity_balances(scheduler, dc)
+    for members in placed:
+        for member in members:
+            scheduler.release(member)
+    for slot in dc.ring_slots():
+        if slot in scheduler.cordoned_slots:
+            scheduler.uncordon(slot)
+        scheduler.slot_serviced(slot)
+    report = _assert_capacity_balances(scheduler, dc)
+    assert report.free_rings == dc.total_rings
+    assert report.occupied_rings == report.cordoned_rings == 0
+    assert report.tenant_regions == report.cordoned_regions == 0
