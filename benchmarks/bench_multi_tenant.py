@@ -155,7 +155,7 @@ def run_preemption() -> dict:
     # The third ring has a bad node run: held out, not free.
     spoiled = [s for s in dc.ring_slots() if s.ring_x == 2][0]
     bad = [server.node_id for server in dc.ring_servers(spoiled)][:2]
-    manager.scheduler.cordon_region(spoiled, bad, reason="bad cable")
+    manager.scheduler.cordon(spoiled, bad, reason="bad cable")
 
     passes_before = len(manager.reconcile_reports)
     urgent = manager.apply(region_spec("urgent", 1.0, priority="latency"))
@@ -184,10 +184,10 @@ def run_cache() -> dict:
         eng, dc = make_dc(seed=11)
         scheduler = ClusterScheduler(dc, bitstream_cache=cache)
         service = echo_service("tenant")
-        first = scheduler.deploy_region(service, 0.5)
+        (first,) = scheduler.deploy(service, fraction=0.5)
         scheduler.release(first)
         start = eng.now
-        scheduler.deploy_region(service, 0.5)
+        scheduler.deploy(service, fraction=0.5)
         timings[label] = eng.now - start
         report = scheduler.capacity_report()
         counters[label] = (report.bitstream_hits, report.bitstream_misses)

@@ -88,7 +88,6 @@ from repro.cluster.tenancy import (
     PRIORITY_WEIGHT,
     RegionClaim,
     RingTenancy,
-    pack_first_fit_decreasing,
     region_node_count,
     slot_quota,
 )

@@ -18,7 +18,7 @@ unchanged.  Failure semantics follow from the min: a member ring that
 exhausts its spares drives the replica's weight to zero, and the
 control-plane watchdog releases the whole gang and re-places it
 all-or-nothing (:meth:`~repro.cluster.scheduler.ClusterScheduler
-.deploy_gang`).
+.place`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The paper's production deployment maps one service instance onto one
 torus ring and scales by deploying many rings across many pods (§2.3:
 1,632 machines serving Bing ranking).  :class:`Deployment` is the
 reusable per-ring handle: it wraps a :class:`MappingManager` deploy of
-one :class:`ServiceDefinition` onto one ring and owns its one dispatch
+one :class:`ServiceDefinition` onto one region claim of a ring — every
+node of it, unless the service is a tenant — and owns its one dispatch
 body, :meth:`submit` — take a slot lease from the injection server's
 pool, do the host-side prep, inject to the head node, wait for the
 response.  Every request to the ring goes through it: the front-end
@@ -25,6 +26,8 @@ import dataclasses
 import itertools
 
 from repro.analysis import LatencyStats, ReservoirSample, ThroughputMeter
+from repro.cluster.tenancy import RegionClaim, RingTenancy
+from repro.fabric.datacenter import RingSlot
 from repro.fabric.pod import Pod
 from repro.fabric.server import Server
 from repro.host.slots import (
@@ -37,7 +40,7 @@ from repro.services.mapping_manager import (
     RingAssignment,
     ServiceDefinition,
 )
-from repro.sim import AllOf, AnyOf, Engine, Event, Store
+from repro.sim import AllOf, AnyOf, Engine, Event, Process, Store
 from repro.sim.units import SEC
 
 
@@ -76,7 +79,11 @@ class InjectorStats:
 
 
 class Deployment:
-    """One service deployed on one ring of one pod."""
+    """One service deployed on one region claim of one ring of one pod.
+
+    Without a ``region`` the deployment claims the whole ring for
+    itself.
+    """
 
     def __init__(
         self,
@@ -87,7 +94,7 @@ class Deployment:
         adapter: RequestAdapter | None = None,
         mapping_manager: MappingManager | None = None,
         slots_per_server: int = 48,
-        region=None,  # RegionClaim when this is a tenant of a shared ring
+        region: RegionClaim | None = None,
     ):
         self.engine = engine
         self.pod = pod
@@ -95,8 +102,13 @@ class Deployment:
         self.ring_x = ring_x
         self.adapter = adapter or RequestAdapter()
         self.mapping_manager = mapping_manager or MappingManager(engine, pod)
-        self.slots_per_server = slots_per_server
-        self.region = region
+        self.region = region or RingTenancy(
+            RingSlot(pod.pod_id, ring_x), pod.topology.ring(ring_x)
+        ).claim_whole(service.name, slots_per_server)
+        # Whole rings keep the bare ring name; the metrics series key on it.
+        self.name = f"{service.name}@pod{pod.pod_id}/ring{ring_x}"
+        if len(self.region.nodes) < len(pod.topology.ring(ring_x)):
+            self.name += f"/region{self.region.index}"
         self.assignment: RingAssignment | None = None
         self.released = False  # set when the scheduler reclaims the ring
         self.meter = ThroughputMeter(engine)
@@ -106,14 +118,10 @@ class Deployment:
         self.outstanding = 0  # dispatched via submit(), not yet resolved
         self._lease_stores: dict[str, Store] = {}
         self._owned_slots: list[tuple[Server, list[int]]] = []
+        # Quarantine drains by (machine id, slot id): each holds its slot
+        # until the late response lands.
+        self._draining: dict[tuple[str, int], Process] = {}
         self._injection_cycle: collections.abc.Iterator[Server] | None = None
-
-    @property
-    def name(self) -> str:
-        base = f"{self.service.name}@pod{self.pod.pod_id}/ring{self.ring_x}"
-        if self.region is not None:
-            return f"{base}/region{self.region.index}"
-        return base
 
     # -- deployment ------------------------------------------------------------
 
@@ -125,10 +133,11 @@ class Deployment:
         """Start configuring now; returns the generator that waits it
         out and adopts the assignment.  Starting eagerly lets the
         scheduler overlap the ~1 s reconfigurations of rings in
-        different pods.  A region tenant configures only its node run.
+        different pods.  Only the claim's nodes are configured.
         """
-        nodes = list(self.region.nodes) if self.region is not None else None
-        done = self.mapping_manager.deploy(self.service, self.ring_x, nodes=nodes)
+        done = self.mapping_manager.deploy(
+            self.service, self.ring_x, nodes=list(self.region.nodes)
+        )
 
         def adopt() -> collections.abc.Generator:
             self.assignment = yield done
@@ -180,33 +189,39 @@ class Deployment:
     def _leases(self, server: Server) -> Store:
         store = self._lease_stores.get(server.machine_id)
         if store is None:
+            # Draw the claim's slot quota from the server's shared
+            # allocator, so slot ids never collide with a co-resident
+            # tenant's or with a predecessor's quarantine drain.
             client = SlotClient(server)
             store = Store(self.engine, name=f"leases:{self.name}:{server.machine_id}")
-            if self.region is not None:
-                # Co-resident tenants share the ring's servers: draw the
-                # weighted fair-share quota from the server's shared
-                # allocator so slot ids never collide across tenants.
-                allocator = shared_slot_allocator(server)
-                quota = min(self.region.slot_quota, server.buffers.slot_count)
-                slot_ids = allocator.acquire(quota, owner=self.name, owner_obj=self)
-                self._owned_slots.append((server, slot_ids))
-                leases = [client.lease_for(slot_id) for slot_id in slot_ids]
-            else:
-                count = min(self.slots_per_server, server.buffers.slot_count)
-                leases = client.leases(count)
-            for lease in leases:
-                store.try_put(lease)
+            quota = min(self.region.slot_quota, server.buffers.slot_count)
+            slot_ids = shared_slot_allocator(server).acquire(
+                quota, owner=self.name, owner_obj=self
+            )
+            self._owned_slots.append((server, slot_ids))
+            for slot_id in slot_ids:
+                store.try_put(client.lease_for(slot_id))
             self._lease_stores[server.machine_id] = store
         return store
 
     def release_slots(self) -> None:
-        """Return quota slots to the shared allocators (region tenants).
+        """Return the quota slots to the shared allocators.
 
-        Called by the scheduler on release so a successor tenant of the
-        same servers can acquire a full quota.
+        Called by the scheduler on release so a successor on the same
+        servers can acquire a full quota.  A slot whose quarantine
+        drain still waits for a late response stays with the drain,
+        which returns it once the response lands.
         """
         for server, slot_ids in self._owned_slots:
-            shared_slot_allocator(server).release(slot_ids)
+            allocator = shared_slot_allocator(server)
+            free = []
+            for slot_id in slot_ids:
+                drain = self._draining.get((server.machine_id, slot_id))
+                if drain is None:
+                    free.append(slot_id)
+                else:
+                    allocator.hand_over(slot_id, drain)
+            allocator.release(free)
         self._owned_slots.clear()
         self._lease_stores.clear()
 
@@ -308,20 +323,27 @@ class Deployment:
         The abandoned request's response may still arrive; left in the
         lease's output slot it would be taken as the *next* request's
         response.  A process waits for the slot to fill-and-drain
-        before recycling the lease; if the response was truly lost in
-        the fabric, the lease stays retired.
+        before recycling the lease — or, once the deployment has been
+        released, before returning the slot to the shared allocator.
+        If the response was truly lost in the fabric, the slot stays
+        retired.
         """
+        key = (server.machine_id, lease.slot_id)
 
         def drain() -> collections.abc.Generator:
             yield server.buffers.consume_output(lease.slot_id)
-            store.try_put(lease)
+            del self._draining[key]
+            if self.released:
+                shared_slot_allocator(server).release([lease.slot_id])
+            else:
+                store.try_put(lease)
 
         # Not a daemon: a blocked process does not keep a bare run()
         # alive, and the lease hand-back must stay on the non-daemon
         # dispatch chain so waiting submitters actually resume.
         # Expendable: if the response was truly lost in the fabric this
         # process never finishes, by design — not an orphan.
-        self.engine.process(
+        self._draining[key] = self.engine.process(
             drain(),
             name=f"quarantine:{server.machine_id}:{lease.slot_id}",
             expendable=True,

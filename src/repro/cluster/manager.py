@@ -564,17 +564,13 @@ class ClusterManager:
                 continue
             for member in self._member_rings(replica):
                 dead = member.health_weight() == 0.0
-                region = getattr(member, "region", None)
                 slot = self.scheduler.release(member)
                 if dead:
-                    if region is not None:
-                        # Only the tenant's node run is bad hardware;
-                        # co-resident tenants keep serving the ring.
-                        self.scheduler.cordon_region(
-                            slot, region.nodes, reason="spares exhausted"
-                        )
-                    else:
-                        self.scheduler.cordon(slot, reason="spares exhausted")
+                    # Only the member's own nodes are bad hardware; a
+                    # tenant's co-residents keep serving the ring.
+                    self.scheduler.cordon(
+                        slot, member.region.nodes, reason="spares exhausted"
+                    )
                 actions.append(
                     ReconcileAction(
                         spec.name,
@@ -680,55 +676,44 @@ class ClusterManager:
         return "rolled"
 
     def _place_one(self, spec: "ServiceSpec", kind: str) -> collections.abc.Generator:
-        """Place one replica (a generator) — a single ring, or a gang of
-        ``rings_per_replica`` rings wrapped in a
-        :class:`CompositeDeployment` — cordoning slots that fail at
-        configure time and retrying until the replica sticks or
+        """Place one replica (a generator) — a tenant's region, a single
+        ring, or a gang of ``rings_per_replica`` rings wrapped in a
+        :class:`CompositeDeployment` — cordoning the claims that fail
+        at configure time and retrying until the replica sticks or
         capacity runs out.  Gangs are all-or-nothing: a configure
         failure rolls the partial gang back inside the scheduler, the
-        bad slot is cordoned here, and the whole gang is retried.
-        Returns the replica (``None`` on shortfall) and the actions."""
+        bad claim's nodes are cordoned here, and the whole gang is
+        retried.  Returns the replica (``None`` on shortfall) and the
+        actions."""
         actions: list[ReconcileAction] = []
         while True:
             try:
-                if spec.regions is not None:
-                    placed = yield from self.scheduler.place_region(
-                        spec.service,
-                        spec.regions,
-                        priority=spec.priority,
-                        adapter=spec.adapter,
-                        slots_per_server=spec.slots_per_server,
+                members = yield from self.scheduler.place(
+                    spec.service,
+                    spec.rings_per_replica,
+                    adapter=spec.adapter,
+                    slots_per_server=spec.slots_per_server,
+                    policy=spec.placement,
+                    chained=True,
+                    fraction=spec.regions,
+                    priority=spec.priority,
+                )
+                placed = (
+                    members[0]
+                    if len(members) == 1
+                    else CompositeDeployment(
+                        self.engine, members, datacenter=self.datacenter
                     )
-                else:
-                    members = yield from self.scheduler.place_rings(
-                        spec.service,
-                        spec.rings_per_replica,
-                        adapter=spec.adapter,
-                        slots_per_server=spec.slots_per_server,
-                        policy=spec.placement,
-                    )
-                    placed = (
-                        members[0]
-                        if len(members) == 1
-                        else CompositeDeployment(
-                            self.engine, members, datacenter=self.datacenter
-                        )
-                    )
+                )
             except PlacementFailed as failure:
-                # The chosen slot turned out to have bad hardware the
-                # scheduler had no record of; hold it out and retry.  A
-                # failed *region* cordons only its node run — the
-                # ring's other tenants are unaffected.
-                if failure.nodes:
-                    self.scheduler.cordon_region(
-                        failure.slot,
-                        failure.nodes,
-                        reason=f"configure failed: {failure.cause}",
-                    )
-                else:
-                    self.scheduler.cordon(
-                        failure.slot, reason=f"configure failed: {failure.cause}"
-                    )
+                # The chosen claim turned out to have bad hardware the
+                # scheduler had no record of; hold its nodes out and
+                # retry.  A failed tenant's co-residents are unaffected.
+                self.scheduler.cordon(
+                    failure.slot,
+                    failure.nodes,
+                    reason=f"configure failed: {failure.cause}",
+                )
                 actions.append(
                     ReconcileAction(
                         spec.name, "cordon", failure.slot, detail=str(failure.cause)
@@ -736,10 +721,11 @@ class ClusterManager:
                 )
                 continue
             except InsufficientClusterCapacity as exc:
-                if spec.regions is not None and spec.priority == "latency":
+                if spec.priority == "latency":
                     # Priority preemption: a latency tenant may evict a
-                    # batch tenant's region; the victim's service is
-                    # re-placed elsewhere before this pass returns.
+                    # batch tenant's region (a whole ring never does);
+                    # the victim's service is re-placed elsewhere before
+                    # this pass returns.
                     victim = self.scheduler.preemption_victim(
                         spec.service, spec.regions
                     )

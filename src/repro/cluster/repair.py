@@ -243,12 +243,9 @@ class RepairQueue:
         if self.engine.fluid is not None:
             self.engine.fluid.note_transient("repair")
         ticket.components_serviced = self.datacenter.service_ring(ticket.slot)
-        if ticket.slot in self.scheduler.cordoned_slots:
-            self.scheduler.uncordon(ticket.slot)
-        # Serviced boards return with empty staging DRAM and good
-        # hardware: drop the slot's cached images and lift any
-        # region-granular cordons (shared-ring tenancy).
-        self.scheduler.slot_serviced(ticket.slot)
+        # Serviced boards return with good hardware and empty staging
+        # DRAM: lift every cordon on the ring, drop its cached images.
+        self.scheduler.uncordon(ticket.slot)
         for callback in list(self.on_repaired):
             callback(ticket)
 

@@ -2,10 +2,12 @@
 
 The production deployment (§2.3) ran one service over 1,632 machines —
 34 pods, each offering six 8-FPGA rings.  The scheduler owns that
-ring-granular resource view: it tracks which :class:`RingSlot`s are
-occupied, places new :class:`ServiceDefinition` instances under a
-placement policy, and accounts for capacity and spares so operators can
-ask "how many more rings can this datacenter absorb?".
+resource view as one ledger of region claims per ring
+(:mod:`repro.cluster.tenancy`): a whole ring, a gang member and a
+tenant each hold one claim, and a cordon holds bad nodes out.  It
+places new :class:`ServiceDefinition` instances under a placement
+policy, and accounts for capacity and spares so operators can ask "how
+many more rings can this datacenter absorb?".
 
 Placement policies:
 
@@ -53,18 +55,16 @@ class InsufficientClusterCapacity(Exception):
 
 
 class PlacementFailed(Exception):
-    """A chosen slot could not be configured (bad hardware found late).
+    """A chosen claim could not be configured (bad hardware found late).
 
-    Carries the slot so the control plane can cordon it and retry on a
-    different ring.
+    Carries the slot and the claim's nodes so the control plane can
+    cordon exactly those nodes and retry elsewhere.
     """
 
-    def __init__(self, slot: RingSlot, cause: Exception, nodes: tuple = ()):
+    def __init__(self, slot: RingSlot, cause: Exception, nodes: tuple):
         super().__init__(f"placement on {slot} failed: {cause}")
         self.slot = slot
         self.cause = cause
-        # For a region placement: the node run that failed to
-        # configure, so the control plane can cordon just that region.
         self.nodes = tuple(nodes)
 
 
@@ -86,8 +86,8 @@ class PodCapacity:
     free_rings: int
     occupied_rings: int
     cordoned_rings: int
-    tenant_regions: int  # region claims on this pod's shared rings
-    cordoned_regions: int  # region-granular cordons (bad node runs)
+    tenant_regions: int  # claims narrower than their ring
+    cordoned_regions: int  # cordons narrower than their ring (bad node runs)
 
     def to_dict(self) -> dict:
         """Canonical JSON form (stable keys, plain ints)."""
@@ -112,10 +112,10 @@ class CapacityReport:
     returns to the pool — so capacity planners can distinguish "gone"
     from "coming back, and when".
 
-    Tenancy-aware: a shared ring hosting region tenants counts as one
-    occupied ring; ``tenant_regions`` counts the claims packed onto
-    such rings and ``cordoned_regions`` the node runs held out at
-    region granularity.  ``per_pod`` breaks every ring/region figure
+    Tenancy-aware: a ring holding any claim counts as one occupied
+    ring; ``tenant_regions`` counts the claims narrower than their
+    ring and ``cordoned_regions`` the cordons narrower than their
+    ring.  ``per_pod`` breaks every ring/region figure
     down by pod for the packer and future autoscalers (the per-pod
     figures always sum to the datacenter totals).  With a
     :class:`~repro.cluster.bitstream_cache.BitstreamCache` attached,
@@ -129,8 +129,8 @@ class CapacityReport:
     cordoned_rings: int = 0  # held out pending manual service
     open_tickets: int = 0  # cordoned rings with a repair in flight
     next_repair_due_ns: float | None = None
-    tenant_regions: int = 0  # region claims across shared rings
-    cordoned_regions: int = 0  # region-granular cordons
+    tenant_regions: int = 0  # claims narrower than their ring
+    cordoned_regions: int = 0  # cordons narrower than their ring
     bitstream_hits: int = 0
     bitstream_misses: int = 0
     per_pod: dict = dataclasses.field(default_factory=dict)
@@ -179,7 +179,7 @@ class CapacityReport:
 
 
 class ClusterScheduler:
-    """Places service instances onto free torus rings across pods."""
+    """Places service instances as region claims on rings across pods."""
 
     def __init__(
         self,
@@ -196,9 +196,8 @@ class ClusterScheduler:
         self.engine = datacenter.engine
         self.policy = policy
         self.decisions: list[PlacementDecision] = []
-        self._occupied: dict[RingSlot, Deployment] = {}
-        self._cordoned: dict[RingSlot, str] = {}  # slot -> cordon reason
-        self._tenancies: dict[RingSlot, RingTenancy] = {}  # shared rings
+        # The one ledger: every ring that holds a claim or a cordon.
+        self._rings: dict[RingSlot, RingTenancy] = {}
         self._mapping_managers: dict[int, MappingManager] = {}
         self._next_pod_id = 0  # spread policy's round-robin cursor
         self.repair_queue: "RepairQueue | None" = None
@@ -215,16 +214,20 @@ class ClusterScheduler:
         return self._mapping_managers[pod_id]
 
     def free_slots(self) -> list[RingSlot]:
-        return [
-            slot for slot in self.datacenter.ring_slots()
-            if slot not in self._occupied
-            and slot not in self._cordoned
-            and slot not in self._tenancies
-        ]
+        """Rings with no claim and no cordon, in slot order."""
+        return [slot for slot in self.datacenter.ring_slots() if slot not in self._rings]
 
     def tenancy_of(self, slot: RingSlot) -> RingTenancy | None:
-        """The shared-ring ledger for ``slot``, if it hosts tenants."""
-        return self._tenancies.get(slot)
+        """The ledger entry for ``slot``, if it holds a claim or a cordon."""
+        return self._rings.get(slot)
+
+    def _tenancy(self, slot: RingSlot) -> RingTenancy:
+        """``slot``'s ledger entry, opened by its first claim or cordon."""
+        tenancy = self._rings.get(slot)
+        if tenancy is None:
+            tenancy = RingTenancy(slot, self.datacenter.topology.ring(slot.ring_x))
+            self._rings[slot] = tenancy
+        return tenancy
 
     def attach_repair_queue(self, queue: "RepairQueue") -> None:
         """Ticket every cordon through ``queue`` from now on.
@@ -239,120 +242,88 @@ class ClusterScheduler:
         if self.repair_queue is not None and self.repair_queue is not queue:
             raise RuntimeError("a repair queue is already attached")
         self.repair_queue = queue
-        for slot, reason in self._cordoned.items():
-            queue.open_ticket(slot, reason=reason)
-        for slot, tenancy in self._tenancies.items():
+        for slot, tenancy in self._rings.items():
             if tenancy.cordoned:
-                queue.open_ticket(
-                    slot, reason=next(iter(tenancy.cordoned.values()))
-                )
+                queue.open_ticket(slot, reason=next(iter(tenancy.cordoned.values())))
 
-    def cordon(self, slot: RingSlot, reason: str = "") -> None:
-        """Hold ``slot`` out of placement (bad hardware awaiting service).
-
-        Cordoning an occupied or unknown slot raises: an occupied slot
-        counts against ``occupied_rings`` already, so also counting it
-        cordoned would double-subtract from ``free_rings`` (release it
-        first), and an unknown slot is a caller bug.  With a repair
-        queue attached a service ticket is opened for the slot.
-        """
-        if slot not in self.datacenter.ring_slots():
-            raise ValueError(f"{slot} is not a ring of this datacenter")
-        if slot in self._occupied:
-            raise ValueError(f"{slot} is occupied; release it first")
-        if slot in self._tenancies:
-            raise ValueError(
-                f"{slot} is a shared ring; use cordon_region for its "
-                "node runs"
-            )
-        self._cordoned.setdefault(slot, reason)
-        if self.repair_queue is not None:
-            self.repair_queue.open_ticket(slot, reason=reason)
-
-    def cordon_region(
-        self, slot: RingSlot, nodes: collections.abc.Sequence, reason: str = ""
+    def cordon(
+        self,
+        slot: RingSlot,
+        nodes: collections.abc.Sequence | None = None,
+        reason: str = "",
     ) -> None:
-        """Hold one region's node run out of ``slot``'s free pool.
+        """Hold ``nodes`` of ``slot`` — by default the whole ring — out
+        of placement (bad hardware awaiting service).
 
-        The slot keeps serving its other tenants; only the bad run
-        leaves the pool.  With a repair queue attached a (slot-level)
-        service ticket is opened — the technician services the whole
-        ring's broken components on one visit, which lifts every region
-        cordon via :meth:`slot_serviced`.
+        The ring's claims on other nodes keep serving.  Cordoning a
+        claimed node or an unknown slot raises: a claimed node counts
+        as occupied already, so also counting it cordoned would
+        double-subtract from ``free_rings`` (release it first), and an
+        unknown slot is a caller bug.  With a repair queue attached a
+        (slot-level) service ticket is opened — the technician services
+        the whole ring's broken components on one visit.
         """
         if slot not in self.datacenter.ring_slots():
             raise ValueError(f"{slot} is not a ring of this datacenter")
-        if slot in self._cordoned:
-            raise ValueError(f"{slot} is already cordoned whole")
-        tenancy = self._tenancies.get(slot)
-        if tenancy is None:
-            ring_nodes = [
-                server.node_id
-                for server in self.datacenter.pod(slot.pod_id).ring(slot.ring_x)
-            ]
-            tenancy = RingTenancy(slot, ring_nodes)
-            self._tenancies[slot] = tenancy
-        tenancy.cordon_region(tuple(nodes), reason)
+        if nodes is None:
+            nodes = self.datacenter.topology.ring(slot.ring_x)
+        held = self._rings.get(slot)
+        if held is not None and held.claimed_nodes.intersection(nodes):
+            raise ValueError(f"{slot} is occupied; release it first")
+        self._tenancy(slot).cordon_region(tuple(nodes), reason)
         if self.repair_queue is not None:
             self.repair_queue.open_ticket(slot, reason=reason)
 
-    def slot_serviced(self, slot: RingSlot) -> None:
-        """Post-repair hook: ``slot``'s hardware was just serviced.
+    def uncordon(self, slot: RingSlot) -> None:
+        """Return every cordoned node of ``slot`` to the placement pool:
+        the ring's hardware was just serviced.
 
-        Serviced boards come back with empty staging DRAM, so every
-        image the bitstream cache had for the ring's nodes is gone; and
-        region cordons lift — the bad node runs are bad no longer.
+        Serviced boards come back with empty staging DRAM, so the
+        bitstream cache forgets every image it had for the ring's
+        nodes.  Raises ``KeyError`` for a slot that holds no cordon —
+        silently ignoring it let typos pass unnoticed mid-experiment.
+        Cancels the slot's open service ticket, if any (the operator
+        serviced it out-of-band).
         """
+        self.cordon_reason(slot)  # raises KeyError unless cordoned
+        tenancy = self._rings[slot]
+        tenancy.clear_cordons()
+        if tenancy.empty:
+            del self._rings[slot]
         if self.bitstream_cache is not None:
             for server in self.datacenter.ring_servers(slot):
                 self.bitstream_cache.invalidate(server.machine_id)
-        tenancy = self._tenancies.get(slot)
-        if tenancy is not None:
-            tenancy.clear_cordons()
-            if tenancy.empty:
-                del self._tenancies[slot]
-
-    def uncordon(self, slot: RingSlot) -> None:
-        """Return a cordoned slot to the placement pool (post-repair).
-
-        Raises ``KeyError`` for a slot that is not cordoned — silently
-        ignoring it let typos pass unnoticed mid-experiment.  A manual
-        uncordon cancels the slot's open service ticket, if any (the
-        operator serviced it out-of-band).
-        """
-        if slot not in self._cordoned:
-            raise KeyError(f"{slot} is not cordoned")
-        del self._cordoned[slot]
         if self.repair_queue is not None:
             self.repair_queue.cancel(slot)
 
     def cordon_reason(self, slot: RingSlot) -> str:
         """Why ``slot`` is cordoned (raises ``KeyError`` if it is not)."""
-        return self._cordoned[slot]
+        tenancy = self._rings.get(slot)
+        if tenancy is None or not tenancy.cordoned:
+            raise KeyError(f"{slot} is not cordoned")
+        return next(iter(tenancy.cordoned.values()))
 
     @property
     def cordoned_slots(self) -> list[RingSlot]:
-        return sorted(self._cordoned)
+        """Rings cordoned whole."""
+        return sorted(
+            slot
+            for slot, tenancy in self._rings.items()
+            if not all(map(tenancy.narrower, tenancy.cordoned))
+        )
 
     def is_occupied(self, slot: RingSlot) -> bool:
-        """Whether a deployment (or any region tenant) holds ``slot``."""
-        if slot in self._occupied:
-            return True
-        tenancy = self._tenancies.get(slot)
+        """Whether any claim holds part of ``slot``."""
+        tenancy = self._rings.get(slot)
         return tenancy is not None and bool(tenancy.claims)
 
     def slot_of(self, deployment: Deployment) -> RingSlot:
         """The ring slot ``deployment`` occupies."""
-        region = getattr(deployment, "region", None)
-        if region is not None:
-            tenancy = self._tenancies.get(region.slot)
-            if tenancy is not None and tenancy.occupants.get(region.service) is deployment:
-                return region.slot
+        region = deployment.region
+        tenancy = self._rings.get(region.slot)
+        if tenancy is None or tenancy.occupants.get(region.service) is not deployment:
             raise KeyError(f"{deployment.name} is not placed by this scheduler")
-        for slot, occupant in self._occupied.items():
-            if occupant is deployment:
-                return slot
-        raise KeyError(f"{deployment.name} is not placed by this scheduler")
+        return region.slot
 
     def capacity_report(self) -> CapacityReport:
         queue = self.repair_queue
@@ -361,23 +332,21 @@ class ClusterScheduler:
         by_pod: dict[int, list[RingSlot]] = {}
         for slot in self.datacenter.ring_slots():
             by_pod.setdefault(slot.pod_id, []).append(slot)
-        totals = {"occupied": 0, "cordoned": 0, "regions": 0, "region_cordons": 0}
         for pod_id in sorted(by_pod):
             occupied = cordoned = regions = region_cordons = 0
             for slot in by_pod[pod_id]:
-                tenancy = self._tenancies.get(slot)
-                if tenancy is not None:
-                    regions += len(tenancy.claims)
-                    region_cordons += len(tenancy.cordoned)
-                    if tenancy.claims:
-                        occupied += 1
-                    else:
-                        # Only cordoned node runs remain: the ring is
-                        # out of the free pool but hosts nobody.
-                        cordoned += 1
-                elif slot in self._occupied:
+                tenancy = self._rings.get(slot)
+                if tenancy is None:
+                    continue
+                regions += sum(
+                    tenancy.narrower(claim.nodes) for claim in tenancy.claims.values()
+                )
+                region_cordons += sum(map(tenancy.narrower, tenancy.cordoned))
+                if tenancy.claims:
                     occupied += 1
-                elif slot in self._cordoned:
+                else:
+                    # Only cordons remain: the ring is out of the free
+                    # pool but hosts nobody.
                     cordoned += 1
             per_pod[pod_id] = PodCapacity(
                 pod_id=pod_id,
@@ -388,27 +357,20 @@ class ClusterScheduler:
                 tenant_regions=regions,
                 cordoned_regions=region_cordons,
             )
-            totals["occupied"] += occupied
-            totals["cordoned"] += cordoned
-            totals["regions"] += regions
-            totals["region_cordons"] += region_cordons
-        spares = sum(
-            deployment.spare_count for deployment in self._occupied.values()
-        )
-        spares += sum(
-            occupant.spare_count
-            for tenancy in self._tenancies.values()
-            for occupant in tenancy.occupants.values()
-        )
+        pods = per_pod.values()
         return CapacityReport(
             total_rings=self.datacenter.total_rings,
-            occupied_rings=totals["occupied"],
-            total_spare_nodes=spares,
-            cordoned_rings=totals["cordoned"],
+            occupied_rings=sum(pod.occupied_rings for pod in pods),
+            total_spare_nodes=sum(
+                occupant.spare_count
+                for tenancy in self._rings.values()
+                for occupant in tenancy.occupants.values()
+            ),
+            cordoned_rings=sum(pod.cordoned_rings for pod in pods),
             open_tickets=len(queue.open_tickets) if queue is not None else 0,
             next_repair_due_ns=queue.next_due_ns() if queue is not None else None,
-            tenant_regions=totals["regions"],
-            cordoned_regions=totals["region_cordons"],
+            tenant_regions=sum(pod.tenant_regions for pod in pods),
+            cordoned_regions=sum(pod.cordoned_regions for pod in pods),
             bitstream_hits=cache.hits if cache is not None else 0,
             bitstream_misses=cache.misses if cache is not None else 0,
             per_pod=per_pod,
@@ -500,79 +462,93 @@ class ClusterScheduler:
         self._next_pod_id = chosen[-1].pod_id + 1
         return chosen
 
-    def deploy(
+    def deploy(self, service: ServiceDefinition, **placement) -> list[Deployment]:
+        """:meth:`place` from top level; returns the deployments, each
+        fully configured — FPGA images written, RX-Halt released.
+        Top-level only; a process uses :meth:`place`."""
+        return self.engine.drive(self.place(service, **placement))
+
+    def place(
         self,
         service: ServiceDefinition,
         rings: int = 1,
         adapter: RequestAdapter | None = None,
         slots_per_server: int = 48,
         policy: str | None = None,
-    ) -> list[Deployment]:
-        """Place ``service`` on ``rings`` free rings and configure them.
-
-        Each chosen ring gets its own :class:`Deployment` (sharing the
-        pod's mapping manager so failure handling sees every assignment)
-        and is fully configured — FPGA images written, RX-Halt released
-        — before this returns.  ``policy`` overrides the scheduler-wide
-        placement policy for this call (the control plane places each
-        service under its spec's policy).  Top-level only; a process
-        uses :meth:`place_rings`.
-        """
-        return self.engine.drive(
-            self.place_rings(
-                service, rings, adapter, slots_per_server, policy, chained=False
-            )
-        )
-
-    def deploy_gang(
-        self,
-        service: ServiceDefinition,
-        rings: int,
-        adapter: RequestAdapter | None = None,
-        slots_per_server: int = 48,
-        policy: str | None = None,
-    ) -> list[Deployment]:
-        """Place ONE composite replica: ``rings`` member rings, all or
-        nothing.
-
-        Members are chosen link-aware, in chain order, and configured
-        like :meth:`deploy`; a configure failure on any member rolls the
-        whole gang back before re-raising, so a replica never comes up
-        partially placed.  The returned list is in chain order — the
-        caller wires it into a
-        :class:`~repro.cluster.composite.CompositeDeployment`.
-        """
-        return self.engine.drive(
-            self.place_rings(service, rings, adapter, slots_per_server, policy)
-        )
-
-    def place_rings(
-        self,
-        service: ServiceDefinition,
-        rings: int,
-        adapter: RequestAdapter | None = None,
-        slots_per_server: int = 48,
-        policy: str | None = None,
-        chained: bool = True,
+        chained: bool = False,
+        fraction: float | None = None,
+        priority: str = "batch",
     ) -> collections.abc.Generator:
-        """Choose and configure ``rings`` whole rings (a generator);
-        returns their deployments in chain order."""
+        """Claim ``rings`` regions for ``service`` on distinct rings and
+        configure them, all or nothing (a generator); returns their
+        deployments in chain order.
+
+        Each claim is a whole ring, or with ``fraction`` a ``priority``
+        tenant's region of that share of a ring.  First fit: the partly
+        used rings, in slot order, take claims first — one per service
+        per ring, so a service's replicas land on different rings; a
+        whole ring never fits one.  The rest open fresh rings: whole
+        rings under ``policy`` (the scheduler-wide one by default),
+        ``chained`` when they compose one replica (a gang, see
+        :meth:`_choose_gang`); tenants the first free rings in slot
+        order.  Every deployment shares its pod's mapping manager, so
+        failure handling sees every assignment.
+
+        Raises :class:`InsufficientClusterCapacity` when the claims do
+        not fit, and :class:`PlacementFailed` (carrying the failed
+        claim's nodes) when one fails to configure; a failure rolls
+        every claim of the call back first, so a replica never comes
+        up partially placed.
+        """
         if rings < 1:
             raise ValueError(f"need at least one ring, got {rings}")
-        chosen = self._choose_gang(rings, policy, chained)
-        return (yield from self._configure(service, chosen, adapter, slots_per_server))
+        ring_size = len(self.datacenter.topology.ring(0))
+        whole = fraction is None
+        count = ring_size if whole else region_node_count(service, fraction, ring_size)
+        chosen = [
+            slot
+            for slot in sorted(self._rings)
+            if self._rings[slot].can_host(service.name, count)
+        ][:rings]
+        missing = rings - len(chosen)
+        if whole:
+            chosen += self._choose_gang(missing, policy, chained)
+        else:
+            free = self.free_slots()
+            if len(free) < missing:
+                raise InsufficientClusterCapacity(
+                    f"no ring with a free {fraction:.2f} region for "
+                    f"{service.name!r}"
+                )
+            if count > ring_size:
+                raise InsufficientClusterCapacity(
+                    f"service {service.name!r} needs {count} nodes, "
+                    f"rings have {ring_size}"
+                )
+            chosen += free[:missing]
+            check_region_fit(
+                service, self.datacenter.ring_servers(chosen[0])[0].fpga.device
+            )
+
+        def claim(tenancy: RingTenancy) -> RegionClaim:
+            if whole:
+                return tenancy.claim_whole(service.name, slots_per_server)
+            return tenancy.claim(
+                service.name, fraction, priority, count, slots_per_server
+            )
+
+        return (yield from self._configure(service, chosen, claim, adapter))
 
     def _configure(
         self,
         service: ServiceDefinition,
         chosen: list[RingSlot],
+        claim: collections.abc.Callable[[RingTenancy], RegionClaim],
         adapter: RequestAdapter | None,
-        slots_per_server: int,
-        region: RegionClaim | None = None,
     ) -> collections.abc.Generator:
-        """Configure a deployment of ``service`` on each chosen slot (as
-        the ``region`` tenant, if given), all or nothing (a generator);
-        returns the deployments in ``chosen`` order.
+        """Claim and configure a deployment of ``service`` on each chosen
+        slot, all or nothing (a generator); returns the deployments in
+        ``chosen`` order.
 
         Rings in *different* pods reconfigure concurrently, in waves of
         one slot per pod — a ~1 s full-ring reload per wave instead of
@@ -580,11 +556,10 @@ class ClusterScheduler:
         replica failure.  Rings in the *same* pod stay serial: same-pod
         deploys share the spare-image configure work and the FPGA
         rejects overlapping reconfigurations.  Each deployment holds its
-        slot (or region claim) from the moment its wave starts.  Any
-        configure failure rolls back every deployment before raising
-        ``PlacementFailed``, so a partial placement leaks no capacity.
+        claim from the moment its wave starts.  Any configure failure
+        rolls back every deployment before raising ``PlacementFailed``,
+        so a partial placement leaks no capacity.
         """
-        nodes = region.nodes if region is not None else ()
         by_pod: dict[int, list[RingSlot]] = {}
         for slot in chosen:
             by_pod.setdefault(slot.pod_id, []).append(slot)
@@ -593,6 +568,7 @@ class ClusterScheduler:
         while failure is None and any(by_pod.values()):
             waits = []
             for slot in [queue.pop(0) for queue in by_pod.values() if queue]:
+                tenancy = self._tenancy(slot)
                 placed[slot] = deployment = Deployment(
                     self.engine,
                     self.datacenter.pod(slot.pod_id),
@@ -600,17 +576,13 @@ class ClusterScheduler:
                     ring_x=slot.ring_x,
                     adapter=adapter,
                     mapping_manager=self.mapping_manager(slot.pod_id),
-                    slots_per_server=slots_per_server,
-                    region=region,
+                    region=claim(tenancy),
                 )
-                if region is None:
-                    self._occupied[slot] = deployment
-                else:
-                    self._tenancies[slot].occupants[region.service] = deployment
+                tenancy.occupants[service.name] = deployment
                 try:
                     waits.append((slot, deployment.configure()))
                 except InsufficientRingCapacity as exc:
-                    failure = PlacementFailed(slot, exc, nodes)
+                    failure = PlacementFailed(slot, exc, deployment.region.nodes)
                     break
             # Settle every configure this wave launched (they progress
             # concurrently) even after a failure, so rollback acts on
@@ -619,7 +591,9 @@ class ClusterScheduler:
                 try:
                     yield from wait
                 except (InsufficientRingCapacity, ReconfigError) as exc:
-                    failure = failure or PlacementFailed(slot, exc, nodes)
+                    failure = failure or PlacementFailed(
+                        slot, exc, placed[slot].region.nodes
+                    )
         if failure is not None:
             for deployment in placed.values():
                 self.release(deployment)
@@ -636,92 +610,23 @@ class ClusterScheduler:
         )
         return [placed[slot] for slot in chosen]
 
-    # -- region tenancy (shared rings) -----------------------------------------
-
-    def deploy_region(
-        self,
-        service: ServiceDefinition,
-        fraction: float,
-        priority: str = "batch",
-        adapter: RequestAdapter | None = None,
-        slots_per_server: int = 48,
-    ) -> Deployment:
-        """Place ``service`` as a region tenant on a shared ring.
-
-        First-fit: the first already-shared ring (in slot order) with a
-        large-enough free node run takes the claim; otherwise the first
-        free ring opens as a new shared ring.  One claim per service
-        per ring, so a service's replicas land on different rings.
-        Raises :class:`InsufficientClusterCapacity` when no ring can
-        host the region, and :class:`PlacementFailed` (carrying the
-        region's nodes) when the chosen run fails to configure.
-        Top-level only; a process uses :meth:`place_region`.
-        """
-        return self.engine.drive(
-            self.place_region(service, fraction, priority, adapter, slots_per_server)
-        )
-
-    def place_region(
-        self,
-        service: ServiceDefinition,
-        fraction: float,
-        priority: str = "batch",
-        adapter: RequestAdapter | None = None,
-        slots_per_server: int = 48,
-    ) -> collections.abc.Generator:
-        """:meth:`deploy_region` as a generator; returns the deployment."""
-        chosen: RingSlot | None = None
-        tenancy: RingTenancy | None = None
-        node_count = 0
-        for slot in sorted(self._tenancies):
-            candidate = self._tenancies[slot]
-            count = region_node_count(service, fraction, len(candidate.ring_nodes))
-            if candidate.can_host(service.name, count):
-                chosen, tenancy, node_count = slot, candidate, count
-                break
-        if chosen is None:
-            free = self.free_slots()
-            if not free:
-                raise InsufficientClusterCapacity(
-                    f"no ring with a free {fraction:.2f} region for "
-                    f"{service.name!r}"
-                )
-            chosen = free[0]
-            ring_nodes = [
-                server.node_id
-                for server in self.datacenter.pod(chosen.pod_id).ring(chosen.ring_x)
-            ]
-            tenancy = RingTenancy(chosen, ring_nodes)
-            node_count = region_node_count(service, fraction, len(ring_nodes))
-            if node_count > len(ring_nodes):
-                raise InsufficientClusterCapacity(
-                    f"service {service.name!r} needs {node_count} nodes, "
-                    f"rings have {len(ring_nodes)}"
-                )
-            self._tenancies[chosen] = tenancy
-        pod = self.datacenter.pod(chosen.pod_id)
-        check_region_fit(service, pod.server_at(tenancy.ring_nodes[0]).fpga.device)
-        claim = tenancy.claim(
-            service.name, fraction, priority, node_count, slots_per_server
-        )
-        (deployment,) = yield from self._configure(
-            service, [chosen], adapter, slots_per_server, claim
-        )
-        return deployment
-
     def preemption_victim(
-        self, service: ServiceDefinition, fraction: float
+        self, service: ServiceDefinition, fraction: float | None
     ) -> Deployment | None:
-        """A batch tenant whose eviction would make room for ``service``.
+        """A batch tenant whose eviction would make room for a
+        ``fraction`` region of ``service``.
 
-        Scans shared rings in slot order; on each, batch-priority
+        Scans the ledger in slot order; on each ring, batch-priority
         claims in claim order.  Returns the first occupant whose region
-        plus the ring's current free run covers the needed node count —
-        or ``None`` when no eviction helps (the caller records a
-        shortfall instead of evicting pointlessly).
+        plus the ring's current free nodes covers the needed node count
+        — or ``None`` when no eviction helps (the caller records a
+        shortfall instead of evicting pointlessly) and for a whole-ring
+        request (``fraction`` of ``None``), which never preempts.
         """
-        for slot in sorted(self._tenancies):
-            tenancy = self._tenancies[slot]
+        if fraction is None:
+            return None
+        for slot in sorted(self._rings):
+            tenancy = self._rings[slot]
             if service.name in tenancy.claims:
                 continue
             needed = region_node_count(service, fraction, len(tenancy.ring_nodes))
@@ -737,34 +642,26 @@ class ClusterScheduler:
         return None
 
     def release(self, deployment: Deployment) -> RingSlot:
-        """Return a deployment's ring to the free pool (scale-down).
+        """Return a deployment's claim to the free pool (scale-down).
 
         Deregisters the ring's assignment from the pod's mapping manager
         so later failure reports no longer act on it, detaches the
         service's roles from the surviving nodes (each reverts to the
-        service's passthrough spare, keeping the torus routable), and
+        service's passthrough spare, keeping the torus routable), hands
+        the deployment's slot leases back to the shared allocators, and
         marks the deployment released so stale handles can no longer
-        dispatch.  The freed slot is immediately redeployable — the next
-        deploy reconfigures the ring with the new service's images, with
-        any permanently failed hardware pre-mapped-out.
-
-        A region tenant's release frees only its claim: the tenancy
-        (and the ring) persists while other tenants or region cordons
-        remain.
+        dispatch.  The freed nodes are immediately redeployable — the
+        next placement reconfigures them with the new service's images,
+        with any permanently failed hardware pre-mapped-out.  The ring's
+        other claims and cordons stay.
         """
-        region: RegionClaim | None = getattr(deployment, "region", None)
-        if region is None:
-            slot = self.slot_of(deployment)
-            del self._occupied[slot]
-        else:
-            slot = region.slot
-            tenancy = self._tenancies.get(slot)
-            if tenancy is None or tenancy.occupants.get(region.service) is not deployment:
-                raise KeyError(f"{deployment.name} is not placed by this scheduler")
-            del tenancy.occupants[region.service]
-            tenancy.release(region)
-            if tenancy.empty:
-                del self._tenancies[slot]
+        region = deployment.region
+        slot = self.slot_of(deployment)
+        tenancy = self._rings[slot]
+        del tenancy.occupants[region.service]
+        tenancy.release(region)
+        if tenancy.empty:
+            del self._rings[slot]
         manager = deployment.mapping_manager
         if deployment.assignment in manager.assignments:
             manager.assignments.remove(deployment.assignment)
@@ -777,8 +674,7 @@ class ClusterScheduler:
                 server = deployment.pod.server_at(node)
                 if server.fpga.state is FpgaState.CONFIGURED:
                     server.shell.attach_role(spare.factory(assignment, spare.name))
-        if region is not None:
-            deployment.release_slots()
+        deployment.release_slots()
         deployment.released = True
         return slot
 

@@ -1,29 +1,28 @@
-"""Ring tenancy: virtualized role regions on a shared ring.
+"""Ring tenancy: every placement is a region claim on a ring.
 
 The paper dedicates one 8-FPGA ring per service (§2.3); RC3E-style
 cloud provisioning instead hands *virtual* FPGA regions to multiple
 tenants, and Coyote raises the abstraction so several roles share one
-device.  This module is the middle ground the fabric supports today: a
-ring's nodes are carved into **regions** — contiguous runs of nodes in
-ring order — and several small services become co-resident tenants of
-one ring, each owning its region's nodes outright (one role per shell,
-so isolation is physical).
+device.  This module generalises the first into the second: every
+placement claims a **region** of a ring's nodes.  A whole ring, or one
+member ring of a gang, is a claim over every node of its ring; a small
+service is a narrower claim, and several such tenants co-reside on one
+ring, each owning its region's nodes outright (one role per shell, so
+isolation is physical).  A region takes the first free nodes in ring
+order, so after a release its nodes need not be contiguous.
 
-A :class:`RegionClaim` is one tenant's grant: its node run, its declared
-ring fraction, its priority class, and its *slot quota* — the weighted
-fair share of each injection server's 64 PCIe slots the tenant may hold
+A :class:`RegionClaim` is one grant: its nodes, its declared ring
+fraction, its priority class, and its *slot quota* — the weighted fair
+share of each injection server's 64 PCIe slots the claim may hold
 concurrently.  Quotas are the dispatch-path isolation: co-resident
 tenants share the ring's servers, so without them one tenant's burst
 could occupy every slot and starve its neighbours.  Latency-class
 tenants weigh twice batch-class ones, and the weighted shares are
 normalised so they can never oversubscribe the pool.
 
-:class:`RingTenancy` is a ring's occupancy ledger (claims, per-region
-cordons, free nodes); the scheduler keeps one per shared ring.  The
-:func:`pack_first_fit_decreasing` planner bin-packs a set of region
-fractions onto the fewest rings — the classic FFD heuristic the
-scheduler's ``deploy_region`` first-fit realises when requests arrive
-largest-first.
+:class:`RingTenancy` is one ring's occupancy ledger (claims, cordons,
+free nodes); the scheduler keeps one per ring that holds a claim or a
+cordon.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def check_region_fit(service: ServiceDefinition, device) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class RegionClaim:
-    """One tenant's grant of a region on a shared ring."""
+    """One grant of a region of a ring: a tenant's, or a whole ring's."""
 
     slot: RingSlot
     index: int  # claim ordinal on its ring (stable display/name key)
@@ -109,7 +108,7 @@ class RegionClaim:
 
 
 class RingTenancy:
-    """Occupancy ledger of one shared ring: claims, cordons, free nodes."""
+    """Occupancy ledger of one ring: claims, cordons, free nodes."""
 
     def __init__(self, slot: RingSlot, ring_nodes: collections.abc.Sequence[NodeId]):
         self.slot = slot
@@ -140,6 +139,11 @@ class RingTenancy:
     @property
     def empty(self) -> bool:
         return not self.claims and not self.cordoned
+
+    def narrower(self, nodes: collections.abc.Sized) -> bool:
+        """Whether ``nodes`` leave part of the ring out: a tenant's
+        region or a bad node run, not a whole ring."""
+        return len(nodes) < len(self.ring_nodes)
 
     # -- claims ------------------------------------------------------------------
 
@@ -181,6 +185,16 @@ class RingTenancy:
         self.claims[service_name] = claim
         return claim
 
+    def claim_whole(self, service_name: str, slots_per_server: int) -> RegionClaim:
+        """Claim every node: a whole ring, or one member ring of a gang.
+
+        Latency weight at full fraction gives it the whole slot budget,
+        and a latency claim is never a preemption victim.
+        """
+        return self.claim(
+            service_name, 1.0, "latency", len(self.ring_nodes), slots_per_server
+        )
+
     def release(self, claim: RegionClaim) -> None:
         existing = self.claims.get(claim.service)
         if existing is not claim:
@@ -201,30 +215,3 @@ class RingTenancy:
             f"<RingTenancy {self.slot} tenants={sorted(self.claims)} "
             f"free={len(self.free_nodes())}/{len(self.ring_nodes)}>"
         )
-
-
-def pack_first_fit_decreasing(
-    requests: collections.abc.Sequence[tuple[str, float]],
-) -> list[list[str]]:
-    """Plan region packing: FFD bin-packing of fractions onto rings.
-
-    ``requests`` is ``(name, fraction)`` pairs; the result is one list
-    of names per ring, largest requests placed first — the classic
-    first-fit-decreasing heuristic (≤ 11/9 OPT + 1 bins).  Ties break
-    by name so planning is deterministic.
-    """
-    for name, fraction in requests:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(
-                f"region fraction must be in (0, 1], got {fraction} for {name!r}"
-            )
-    bins: list[tuple[float, list[str]]] = []  # (remaining, names)
-    ordered = sorted(requests, key=lambda item: (-item[1], item[0]))
-    for name, fraction in ordered:
-        for index, (remaining, names) in enumerate(bins):
-            if fraction <= remaining + 1e-9:
-                bins[index] = (remaining - fraction, names + [name])
-                break
-        else:
-            bins.append((1.0 - fraction, [name]))
-    return [names for _remaining, names in bins]

@@ -138,14 +138,13 @@ class SlotClient:
 
 
 class SlotAllocator:
-    """Partitions one server's slot pool among co-resident tenants.
+    """Partitions one server's slot pool among its deployments.
 
-    A whole-ring deployment owns every slot of its injection servers by
-    construction, so each builds a private :class:`SlotClient` starting
-    at slot 0.  Region tenants *share* a ring's servers; without a
-    common free-list two tenants would lease the same slot id and
-    silently swallow each other's responses.  The allocator is the
-    shared free-list — cached on the server so every tenant of that
+    Region tenants *share* a ring's servers, and a ring's next
+    deployment shares them with its predecessor's quarantine drains;
+    without a common free-list two of them would lease the same slot id
+    and silently swallow each other's responses.  The allocator is the
+    shared free-list — cached on the server so every deployment on that
     server sees the same one.
     """
 
@@ -188,6 +187,14 @@ class SlotAllocator:
                     owner=owner_obj,
                 )
         return taken
+
+    def hand_over(self, slot_id: int, owner_obj: object) -> None:
+        """Pass one owned slot to ``owner_obj``: a quarantine drain that
+        outlives the deployment which acquired the slot, and releases
+        it once the late response lands."""
+        token = self._tokens.get(slot_id)
+        if token is not None:
+            token.owner = owner_obj
 
     def release(self, slot_ids: collections.abc.Iterable[int]) -> None:
         for slot_id in slot_ids:

@@ -14,6 +14,7 @@ from repro.cluster import (
 from repro.core import CatapultFabric
 from repro.fabric import Datacenter, TorusTopology
 from repro.hardware import Bitstream, ResourceBudget
+from repro.host.slots import INTERRUPT_WAKE_NS, shared_slot_allocator
 from repro.services.mapping_manager import RoleSpec, ServiceDefinition
 from repro.shell import PacketKind, Role
 from repro.shell.role import PassthroughRole
@@ -321,6 +322,56 @@ def test_closed_loop_never_counts_a_late_response():
     assert stats.completed == 0 and stats.timeouts == 2
     eng.run()  # both late responses land and their slots drain
     assert len(deployment._leases(server)) == 48
+    assert not any(slot.full for slot in server.buffers.output_slots)
+
+
+def test_next_service_on_a_released_ring_skips_a_draining_slot():
+    """Regression: release handed every slot back to the ring's
+    servers, so the next service on the ring collided with a
+    predecessor's quarantine drain that still waited on slot 0."""
+    eng, dc = small_datacenter(pods=1)
+    scheduler = ClusterScheduler(dc, policy="pack")
+    (first,) = scheduler.deploy(echo_service("first", role=LateEchoRole), rings=1)
+    server = first.injection_servers()[0]
+    timed_out = eng.process(first.submit(object(), server=server, timeout_ns=1 * SEC))
+    assert eng.run_until(timed_out) is None and first.timeouts == 1
+    slot = scheduler.release(first)
+    (second,) = scheduler.deploy(echo_service("second"), rings=1)
+    assert scheduler.slot_of(second) == slot
+    response = eng.run_until(eng.process(second.submit(object(), server=server)))
+    assert response.payload == "scored"
+    # The drain still holds slot 0: the release detached the late role,
+    # so its response never lands and the slot stays retired.
+    eng.run()
+    assert shared_slot_allocator(server).owners[0] == first.name
+
+
+def test_drain_hands_a_released_slot_back_when_the_late_response_lands():
+    def timed_out_then_released(timeout_ns):
+        eng, dc = small_datacenter(pods=1)
+        scheduler = ClusterScheduler(dc)
+        (deployment,) = scheduler.deploy(echo_service(), rings=1)
+        server = deployment.injection_servers()[0]
+        started = eng.now
+        request = eng.process(
+            deployment.submit(
+                object(), server=server, timeout_ns=timeout_ns, include_prep=False
+            )
+        )
+        response = eng.run_until(request)
+        scheduler.release(deployment)
+        return eng, server, response, eng.now - started
+
+    _eng, _server, response, round_trip_ns = timed_out_then_released(5 * SEC)
+    assert response is not None
+    # Time out once the role has answered, while the response is still
+    # on its way back, and release at once: the drain holds slot 0...
+    landed_ns = round_trip_ns - INTERRUPT_WAKE_NS
+    eng, server, response, _ = timed_out_then_released(0.9 * landed_ns)
+    allocator = shared_slot_allocator(server)
+    assert response is None and allocator.free_count == 63
+    eng.run()  # ...until the response lands, then hands it back.
+    assert allocator.free_count == 64 and not allocator.owners
     assert not any(slot.full for slot in server.buffers.output_slots)
 
 

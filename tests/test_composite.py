@@ -151,7 +151,7 @@ def test_deploy_gang_is_all_or_nothing():
     scheduler = ClusterScheduler(dc)
     wreck_ring(dc, 0, 1)
     with pytest.raises(PlacementFailed) as info:
-        scheduler.deploy_gang(echo_service(), rings=2, policy="pack")
+        scheduler.deploy(echo_service(), rings=2, policy="pack", chained=True)
     assert info.value.slot == RingSlot(0, 1)
     # The gang rolled back: nothing occupied, the good ring redeployable.
     assert scheduler.capacity_report().occupied_rings == 0
@@ -242,8 +242,8 @@ def test_chain_handoffs_pay_the_inter_pod_cable_runs():
     """Gang placement's link-awareness is observable: the same chain
     costs more end to end when its members sit on different pods."""
     eng, dc, manager = small_cluster(pods=3)
-    packed_members = manager.scheduler.deploy_gang(
-        echo_service("packed"), rings=2, policy="pack"
+    packed_members = manager.scheduler.deploy(
+        echo_service("packed"), rings=2, policy="pack", chained=True
     )
     packed = CompositeDeployment(eng, packed_members, datacenter=dc)
     assert packed.hop_delays_ns == [0.0]  # same pod: no cable run

@@ -344,6 +344,12 @@ def _free_nodes(scheduler, dc, slot):
     return []
 
 
+def _cordoned(scheduler, slot):
+    """Whether any cordon holds nodes of ``slot``."""
+    tenancy = scheduler.tenancy_of(slot)
+    return tenancy is not None and bool(tenancy.cordoned)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     pods=st.integers(2, 3),
@@ -369,11 +375,11 @@ def test_capacity_accounting_balances_under_placement_churn(pods, width, ops):
             if op[0] == "whole":
                 placed.append(scheduler.deploy(service, rings=1, policy=op[1]))
             elif op[0] == "gang":
-                placed.append(scheduler.deploy_gang(service, rings=op[1], policy=op[2]))
-            elif op[0] == "region":
                 placed.append(
-                    [scheduler.deploy_region(service, op[1], priority=op[2])]
+                    scheduler.deploy(service, rings=op[1], policy=op[2], chained=True)
                 )
+            elif op[0] == "region":
+                placed.append(scheduler.deploy(service, fraction=op[1], priority=op[2]))
         except InsufficientClusterCapacity:
             pass
         if op[0] == "release" and placed:
@@ -389,20 +395,18 @@ def test_capacity_accounting_balances_under_placement_churn(pods, width, ops):
             ]
             if runs:
                 slot, nodes = runs[op[1] % len(runs)]
-                scheduler.cordon_region(slot, nodes[: op[2]], reason="bad run")
+                scheduler.cordon(slot, nodes[: op[2]], reason="bad run")
         elif op[0] == "service":
             slot = dc.ring_slots()[op[1] % dc.total_rings]
-            if slot in scheduler.cordoned_slots:
+            if _cordoned(scheduler, slot):
                 scheduler.uncordon(slot)
-            scheduler.slot_serviced(slot)
         _assert_capacity_balances(scheduler, dc)
     for members in placed:
         for member in members:
             scheduler.release(member)
     for slot in dc.ring_slots():
-        if slot in scheduler.cordoned_slots:
+        if _cordoned(scheduler, slot):
             scheduler.uncordon(slot)
-        scheduler.slot_serviced(slot)
     report = _assert_capacity_balances(scheduler, dc)
     assert report.free_rings == dc.total_rings
     assert report.occupied_rings == report.cordoned_rings == 0

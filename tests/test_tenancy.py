@@ -3,7 +3,7 @@ fair-share dispatch, priority preemption, and the LRU bitstream cache.
 
 The paper dedicates a ring per service (§2.3); the tenancy layer carves
 a ring into regions so several small services co-reside.  These tests
-pin the new subsystem's contracts: FFD packing, one-claim-per-service,
+pin the subsystem's contracts: first-fit packing, one-claim-per-service,
 slot-quota isolation on shared injection servers, latency-over-batch
 preemption inside a single reconcile pass, region-granular cordon and
 repair, per-pod capacity invariants under churn, and the staging-DRAM
@@ -23,7 +23,6 @@ from repro.cluster import (
     RingTenancy,
     ServiceSpec,
     echo_service,
-    pack_first_fit_decreasing,
     region_node_count,
     slot_quota,
 )
@@ -85,15 +84,6 @@ def test_slot_quota_weights_latency_twice_batch():
         slot_quota(0.5, "interactive", 48)
     # Normalised: co-resident full-weight shares cannot oversubscribe.
     assert slot_quota(0.5, "latency", 48) * 2 <= 48
-
-
-def test_pack_ffd_plans_minimal_rings():
-    plan = pack_first_fit_decreasing(
-        [("a", 0.5), ("b", 0.5), ("c", 0.25), ("d", 0.75)]
-    )
-    assert plan == [["d", "c"], ["a", "b"]]
-    with pytest.raises(ValueError):
-        pack_first_fit_decreasing([("x", 1.25)])
 
 
 def test_ring_tenancy_claims_cordons_and_release():
@@ -175,8 +165,8 @@ def test_lease_for_is_range_checked():
 def test_deploy_region_packs_two_tenants_per_ring():
     _eng, dc = make_dc()
     scheduler = ClusterScheduler(dc)
-    a = scheduler.deploy_region(echo_service("a"), 0.5, priority="latency")
-    b = scheduler.deploy_region(echo_service("b"), 0.5, priority="batch")
+    (a,) = scheduler.deploy(echo_service("a"), fraction=0.5, priority="latency")
+    (b,) = scheduler.deploy(echo_service("b"), fraction=0.5, priority="batch")
     # First fit co-locates both halves on the first ring.
     assert scheduler.slot_of(a) == scheduler.slot_of(b)
     tenancy = scheduler.tenancy_of(scheduler.slot_of(a))
@@ -194,16 +184,16 @@ def test_replicas_of_one_service_land_on_distinct_rings():
     _eng, dc = make_dc(width=3)
     scheduler = ClusterScheduler(dc)
     svc = echo_service("spread-me")
-    first = scheduler.deploy_region(svc, 0.25)
-    second = scheduler.deploy_region(svc, 0.25)
+    (first,) = scheduler.deploy(svc, fraction=0.25)
+    (second,) = scheduler.deploy(svc, fraction=0.25)
     assert scheduler.slot_of(first) != scheduler.slot_of(second)
 
 
 def test_region_release_keeps_the_other_tenant():
     eng, dc = make_dc()
     scheduler = ClusterScheduler(dc)
-    a = scheduler.deploy_region(echo_service("a"), 0.5)
-    b = scheduler.deploy_region(echo_service("b"), 0.5)
+    (a,) = scheduler.deploy(echo_service("a"), fraction=0.5)
+    (b,) = scheduler.deploy(echo_service("b"), fraction=0.5)
     slot = scheduler.slot_of(a)
     scheduler.release(a)
     assert a.released and not b.released
@@ -222,10 +212,10 @@ def test_region_release_keeps_the_other_tenant():
 def test_oversized_region_rejected():
     _eng, dc = make_dc(height=4)
     scheduler = ClusterScheduler(dc)
-    scheduler.deploy_region(echo_service("big"), 1.0)
-    scheduler.deploy_region(echo_service("big2"), 1.0)
+    scheduler.deploy(echo_service("big"), fraction=1.0)
+    scheduler.deploy(echo_service("big2"), fraction=1.0)
     with pytest.raises(InsufficientClusterCapacity):
-        scheduler.deploy_region(echo_service("late"), 0.25)
+        scheduler.deploy(echo_service("late"), fraction=0.25)
 
 
 # --- capacity report: per-pod breakdown under churn ----------------------------------
@@ -263,15 +253,15 @@ def test_per_pod_breakdown_invariants_under_churn():
     whole = scheduler.deploy(echo_service("whole"), rings=2)
     assert_report_invariants(scheduler, dc)
 
-    a = scheduler.deploy_region(echo_service("a"), 0.5)
-    b = scheduler.deploy_region(echo_service("b"), 0.5)
+    (a,) = scheduler.deploy(echo_service("a"), fraction=0.5)
+    (b,) = scheduler.deploy(echo_service("b"), fraction=0.5)
     report = assert_report_invariants(scheduler, dc)
     assert report.tenant_regions == 2
 
     free = scheduler.free_slots()
     scheduler.cordon(free[0], reason="whole-ring fault")
     nodes = [server.node_id for server in dc.ring_servers(free[1])][:2]
-    scheduler.cordon_region(free[1], nodes, reason="bad run")
+    scheduler.cordon(free[1], nodes, reason="bad run")
     report = assert_report_invariants(scheduler, dc)
     assert report.cordoned_rings == 2  # one whole, one tenantless shared
     assert report.cordoned_regions == 1
@@ -282,7 +272,7 @@ def test_per_pod_breakdown_invariants_under_churn():
     assert report.tenant_regions == 1
 
     scheduler.uncordon(free[0])
-    scheduler.slot_serviced(free[1])
+    scheduler.uncordon(free[1])
     scheduler.release(whole[1])
     scheduler.release(b)
     report = assert_report_invariants(scheduler, dc)
@@ -342,7 +332,7 @@ def test_latency_preempts_batch_within_one_pass():
     # incoming whole-ring latency tenant cannot simply take it.
     spoiled = slot_at(dc, 0, 2)
     bad = [server.node_id for server in dc.ring_servers(spoiled)][:2]
-    manager.scheduler.cordon_region(spoiled, bad, reason="bad cable")
+    manager.scheduler.cordon(spoiled, bad, reason="bad cable")
 
     urgent = manager.apply(region_spec("urgent", 1.0, priority="latency"))
 
@@ -408,10 +398,10 @@ def warm_replacement_times(seed):
         eng, dc = make_dc(seed=seed)
         scheduler = ClusterScheduler(dc, bitstream_cache=cache)
         svc = echo_service("tenant")
-        first = scheduler.deploy_region(svc, 0.5)
+        (first,) = scheduler.deploy(svc, fraction=0.5)
         scheduler.release(first)
         start = eng.now
-        scheduler.deploy_region(svc, 0.5)
+        scheduler.deploy(svc, fraction=0.5)
         results.append((eng.now - start, scheduler))
     (cold, _), (warm, warm_scheduler) = results
     return cold, warm, warm_scheduler
@@ -451,7 +441,7 @@ def test_repair_ticket_invalidates_staged_images():
     assert all(cache.staged_on(m) for m in other_machines)
 
     nodes = [server.node_id for server in dc.ring_servers(other)][:2]
-    manager.scheduler.cordon_region(other, nodes, reason="bad run")
+    manager.scheduler.cordon(other, nodes, reason="bad run")
     ticket = manager.repairs.ticket_for(other)
     assert ticket is not None
 
