@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterScheduler, InsufficientClusterCapacity, echo_service
+from repro.fabric import Datacenter
 from repro.fabric.torus import TorusTopology, dor_routes, yx_routes
 from repro.ranking.compression import CompressionMap
 from repro.ranking.documents import HitTuple
@@ -361,9 +363,6 @@ def test_capacity_accounting_balances_under_placement_churn(pods, width, ops):
     and serviced in any order: every pod's rings are free, occupied or
     cordoned exactly once, the per-pod figures sum to the datacenter's,
     and releasing and servicing everything frees every ring."""
-    from repro.cluster import ClusterScheduler, InsufficientClusterCapacity, echo_service
-    from repro.fabric import Datacenter
-
     dc = Datacenter(
         Engine(seed=5), num_pods=pods, topology=TorusTopology(width=width, height=4)
     )
