@@ -40,7 +40,7 @@ from repro.services.mapping_manager import (
     RingAssignment,
     ServiceDefinition,
 )
-from repro.sim import AllOf, AnyOf, Engine, Event, Process, Store
+from repro.sim import AllOf, AnyOf, Engine, Event, Store
 from repro.sim.units import SEC
 
 
@@ -107,7 +107,7 @@ class Deployment:
         ).claim_whole(service.name, slots_per_server)
         # Whole rings keep the bare ring name; the metrics series key on it.
         self.name = f"{service.name}@pod{pod.pod_id}/ring{ring_x}"
-        if len(self.region.nodes) < len(pod.topology.ring(ring_x)):
+        if not self.region.whole:
             self.name += f"/region{self.region.index}"
         self.assignment: RingAssignment | None = None
         self.released = False  # set when the scheduler reclaims the ring
@@ -118,9 +118,6 @@ class Deployment:
         self.outstanding = 0  # dispatched via submit(), not yet resolved
         self._lease_stores: dict[str, Store] = {}
         self._owned_slots: list[tuple[Server, list[int]]] = []
-        # Quarantine drains by (machine id, slot id): each holds its slot
-        # until the late response lands.
-        self._draining: dict[tuple[str, int], Process] = {}
         self._injection_cycle: collections.abc.Iterator[Server] | None = None
 
     # -- deployment ------------------------------------------------------------
@@ -191,7 +188,7 @@ class Deployment:
         if store is None:
             # Draw the claim's slot quota from the server's shared
             # allocator, so slot ids never collide with a co-resident
-            # tenant's or with a predecessor's quarantine drain.
+            # tenant's or with a predecessor's unfinished request.
             client = SlotClient(server)
             store = Store(self.engine, name=f"leases:{self.name}:{server.machine_id}")
             quota = min(self.region.slot_quota, server.buffers.slot_count)
@@ -208,22 +205,27 @@ class Deployment:
         """Return the quota slots to the shared allocators.
 
         Called by the scheduler on release so a successor on the same
-        servers can acquire a full quota.  A slot whose quarantine
-        drain still waits for a late response stays with the drain,
-        which returns it once the response lands.
+        servers can acquire a full quota.  Only idle slots (their
+        leases back in the pool) are freed here; a slot still held by
+        an in-flight request or a quarantine drain is handed over to
+        that work, which frees it when it finishes (:meth:`_recycle`).
         """
         for server, slot_ids in self._owned_slots:
             allocator = shared_slot_allocator(server)
-            free = []
-            for slot_id in slot_ids:
-                drain = self._draining.get((server.machine_id, slot_id))
-                if drain is None:
-                    free.append(slot_id)
-                else:
-                    allocator.hand_over(slot_id, drain)
-            allocator.release(free)
+            store = self._lease_stores[server.machine_id]
+            idle = {lease.slot_id for lease in store.items}
+            allocator.release(slot_id for slot_id in slot_ids if slot_id in idle)
+            allocator.hand_over(slot_id for slot_id in slot_ids if slot_id not in idle)
         self._owned_slots.clear()
         self._lease_stores.clear()
+
+    def _recycle(self, server: Server, lease, store: Store) -> None:
+        """Put a finished lease back in the pool, or, once the
+        deployment has been released, its slot back in the allocator."""
+        if self.released:
+            shared_slot_allocator(server).release([lease.slot_id])
+        else:
+            store.try_put(lease)
 
     def _next_injection_server(self) -> Server:
         if self._injection_cycle is None:
@@ -312,7 +314,7 @@ class Deployment:
                 # Never yield here: a killed request (GeneratorExit)
                 # must finish without waiting.
                 if not quarantined:
-                    store.try_put(lease)
+                    self._recycle(server, lease, store)
         finally:
             self.outstanding -= 1
 
@@ -328,22 +330,17 @@ class Deployment:
         If the response was truly lost in the fabric, the slot stays
         retired.
         """
-        key = (server.machine_id, lease.slot_id)
 
         def drain() -> collections.abc.Generator:
             yield server.buffers.consume_output(lease.slot_id)
-            del self._draining[key]
-            if self.released:
-                shared_slot_allocator(server).release([lease.slot_id])
-            else:
-                store.try_put(lease)
+            self._recycle(server, lease, store)
 
         # Not a daemon: a blocked process does not keep a bare run()
         # alive, and the lease hand-back must stay on the non-daemon
         # dispatch chain so waiting submitters actually resume.
         # Expendable: if the response was truly lost in the fabric this
         # process never finishes, by design — not an orphan.
-        self._draining[key] = self.engine.process(
+        self.engine.process(
             drain(),
             name=f"quarantine:{server.machine_id}:{lease.slot_id}",
             expendable=True,

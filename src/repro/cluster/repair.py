@@ -246,6 +246,10 @@ class RepairQueue:
         # Serviced boards return with good hardware and empty staging
         # DRAM: lift every cordon on the ring, drop its cached images.
         self.scheduler.uncordon(ticket.slot)
+        cache = self.scheduler.bitstream_cache
+        if cache is not None:
+            for server in self.datacenter.ring_servers(ticket.slot):
+                cache.invalidate(server.machine_id)
         for callback in list(self.on_repaired):
             callback(ticket)
 

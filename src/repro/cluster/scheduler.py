@@ -86,7 +86,7 @@ class PodCapacity:
     free_rings: int
     occupied_rings: int
     cordoned_rings: int
-    tenant_regions: int  # claims narrower than their ring
+    tenant_regions: int  # tenant claims (not whole rings or gang members)
     cordoned_regions: int  # cordons narrower than their ring (bad node runs)
 
     def to_dict(self) -> dict:
@@ -113,9 +113,9 @@ class CapacityReport:
     from "coming back, and when".
 
     Tenancy-aware: a ring holding any claim counts as one occupied
-    ring; ``tenant_regions`` counts the claims narrower than their
-    ring and ``cordoned_regions`` the cordons narrower than their
-    ring.  ``per_pod`` breaks every ring/region figure
+    ring; ``tenant_regions`` counts the tenants' claims (not whole
+    rings or gang members) and ``cordoned_regions`` the cordons
+    narrower than their ring.  ``per_pod`` breaks every ring/region figure
     down by pod for the packer and future autoscalers (the per-pod
     figures always sum to the datacenter totals).  With a
     :class:`~repro.cluster.bitstream_cache.BitstreamCache` attached,
@@ -129,7 +129,7 @@ class CapacityReport:
     cordoned_rings: int = 0  # held out pending manual service
     open_tickets: int = 0  # cordoned rings with a repair in flight
     next_repair_due_ns: float | None = None
-    tenant_regions: int = 0  # claims narrower than their ring
+    tenant_regions: int = 0  # tenant claims (not whole rings or gang members)
     cordoned_regions: int = 0  # cordons narrower than their ring
     bitstream_hits: int = 0
     bitstream_misses: int = 0
@@ -278,21 +278,16 @@ class ClusterScheduler:
         """Return every cordoned node of ``slot`` to the placement pool:
         the ring's hardware was just serviced.
 
-        Serviced boards come back with empty staging DRAM, so the
-        bitstream cache forgets every image it had for the ring's
-        nodes.  Raises ``KeyError`` for a slot that holds no cordon —
-        silently ignoring it let typos pass unnoticed mid-experiment.
-        Cancels the slot's open service ticket, if any (the operator
-        serviced it out-of-band).
+        Raises ``KeyError`` for a slot that holds no cordon — silently
+        ignoring it let typos pass unnoticed mid-experiment.  Cancels
+        the slot's open service ticket, if any (the operator serviced
+        it out-of-band).
         """
         self.cordon_reason(slot)  # raises KeyError unless cordoned
         tenancy = self._rings[slot]
         tenancy.clear_cordons()
         if tenancy.empty:
             del self._rings[slot]
-        if self.bitstream_cache is not None:
-            for server in self.datacenter.ring_servers(slot):
-                self.bitstream_cache.invalidate(server.machine_id)
         if self.repair_queue is not None:
             self.repair_queue.cancel(slot)
 
@@ -338,9 +333,7 @@ class ClusterScheduler:
                 tenancy = self._rings.get(slot)
                 if tenancy is None:
                     continue
-                regions += sum(
-                    tenancy.narrower(claim.nodes) for claim in tenancy.claims.values()
-                )
+                regions += sum(not claim.whole for claim in tenancy.claims.values())
                 region_cordons += sum(map(tenancy.narrower, tenancy.cordoned))
                 if tenancy.claims:
                     occupied += 1

@@ -95,14 +95,21 @@ class RegionClaim:
     slot: RingSlot
     index: int  # claim ordinal on its ring (stable display/name key)
     service: str
-    fraction: float
+    fraction: float | None  # None for a whole ring or gang member
     priority: str
     nodes: tuple  # NodeIds of the region, in ring order
     slot_quota: int  # concurrent PCIe slots per injection server
 
+    @property
+    def whole(self) -> bool:
+        """A whole ring or gang member, not a tenant — even a tenant
+        whose region spans every node of its ring."""
+        return self.fraction is None
+
     def __str__(self) -> str:
+        share = "whole" if self.whole else f"{self.fraction:.2f}"
         return (
-            f"region{self.index}[{self.service} {self.fraction:.2f} "
+            f"region{self.index}[{self.service} {share} "
             f"{self.priority} nodes={len(self.nodes)}]"
         )
 
@@ -141,8 +148,8 @@ class RingTenancy:
         return not self.claims and not self.cordoned
 
     def narrower(self, nodes: collections.abc.Sized) -> bool:
-        """Whether ``nodes`` leave part of the ring out: a tenant's
-        region or a bad node run, not a whole ring."""
+        """Whether cordoned ``nodes`` leave part of the ring out: a bad
+        node run, not a whole-ring cordon."""
         return len(nodes) < len(self.ring_nodes)
 
     # -- claims ------------------------------------------------------------------
@@ -161,7 +168,7 @@ class RingTenancy:
     def claim(
         self,
         service_name: str,
-        fraction: float,
+        fraction: float | None,
         priority: str,
         node_count: int,
         slots_per_server: int,
@@ -179,7 +186,11 @@ class RingTenancy:
             fraction=fraction,
             priority=priority,
             nodes=nodes,
-            slot_quota=slot_quota(fraction, priority, slots_per_server),
+            slot_quota=(
+                slots_per_server
+                if fraction is None
+                else slot_quota(fraction, priority, slots_per_server)
+            ),
         )
         self._next_index += 1
         self.claims[service_name] = claim
@@ -188,11 +199,11 @@ class RingTenancy:
     def claim_whole(self, service_name: str, slots_per_server: int) -> RegionClaim:
         """Claim every node: a whole ring, or one member ring of a gang.
 
-        Latency weight at full fraction gives it the whole slot budget,
-        and a latency claim is never a preemption victim.
+        It holds the whole slot budget, and as a latency claim it is
+        never a preemption victim.
         """
         return self.claim(
-            service_name, 1.0, "latency", len(self.ring_nodes), slots_per_server
+            service_name, None, "latency", len(self.ring_nodes), slots_per_server
         )
 
     def release(self, claim: RegionClaim) -> None:

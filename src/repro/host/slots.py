@@ -141,7 +141,7 @@ class SlotAllocator:
     """Partitions one server's slot pool among its deployments.
 
     Region tenants *share* a ring's servers, and a ring's next
-    deployment shares them with its predecessor's quarantine drains;
+    deployment shares them with its predecessor's unfinished requests;
     without a common free-list two of them would lease the same slot id
     and silently swallow each other's responses.  The allocator is the
     shared free-list — cached on the server so every deployment on that
@@ -188,13 +188,15 @@ class SlotAllocator:
                 )
         return taken
 
-    def hand_over(self, slot_id: int, owner_obj: object) -> None:
-        """Pass one owned slot to ``owner_obj``: a quarantine drain that
-        outlives the deployment which acquired the slot, and releases
-        it once the late response lands."""
-        token = self._tokens.get(slot_id)
-        if token is not None:
-            token.owner = owner_obj
+    def hand_over(self, slot_ids: collections.abc.Iterable[int]) -> None:
+        """Detach owned slots from their released deployment's leak
+        check: each is still held by an in-flight request or a
+        quarantine drain, which releases it when it finishes (or, if
+        the response was lost in the fabric, retires it for good)."""
+        for slot_id in slot_ids:
+            token = self._tokens.get(slot_id)
+            if token is not None:
+                token.owner = None
 
     def release(self, slot_ids: collections.abc.Iterable[int]) -> None:
         for slot_id in slot_ids:

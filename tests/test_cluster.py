@@ -375,6 +375,44 @@ def test_drain_hands_a_released_slot_back_when_the_late_response_lands():
     assert not any(slot.full for slot in server.buffers.output_slots)
 
 
+def test_release_keeps_an_in_flight_slot_until_its_drain_frees_it():
+    """Regression: release freed a slot whose request was still in
+    flight; its later timeout drained a slot a successor could hold, and
+    the late response then freed the successor's slot."""
+
+    def submitted(timeout_ns):
+        eng, dc = small_datacenter(pods=1)
+        scheduler = ClusterScheduler(dc)
+        (deployment,) = scheduler.deploy(echo_service(), rings=1)
+        server = deployment.injection_servers()[0]
+        started = eng.now
+        request = eng.process(
+            deployment.submit(
+                object(), server=server, timeout_ns=timeout_ns, include_prep=False
+            )
+        )
+        return eng, scheduler, deployment, server, request, started
+
+    eng, _, _, _, request, started = submitted(5 * SEC)
+    assert eng.run_until(request) is not None
+    landed_ns = eng.now - started - INTERRUPT_WAKE_NS
+    # Release once the role has answered, time out before the response
+    # lands: the slot is in flight at release and drains after it.
+    eng, scheduler, deployment, server, request, started = submitted(0.9 * landed_ns)
+    eng.run_until(eng.timeout(0.8 * landed_ns))
+    assert deployment.outstanding == 1
+    scheduler.release(deployment)
+    allocator = shared_slot_allocator(server)
+    assert allocator.owners == {0: deployment.name} and allocator.free_count == 63
+    successor = allocator.acquire(48, owner="successor")
+    assert 0 not in successor
+    assert eng.run_until(request) is None and deployment.timeouts == 1
+    eng.run()  # the late response lands and the drain frees slot 0
+    assert allocator.owners == {slot_id: "successor" for slot_id in successor}
+    assert allocator.free_count == 16
+    assert not any(slot.full for slot in server.buffers.output_slots)
+
+
 def test_closed_and_open_loops_share_one_lease_pool(monkeypatch, request_pool):
     eng, dc = small_datacenter()
     scheduler = ClusterScheduler(dc)

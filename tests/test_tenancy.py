@@ -218,6 +218,24 @@ def test_oversized_region_rejected():
         scheduler.deploy(echo_service("late"), fraction=0.25)
 
 
+def test_full_ring_tenant_stays_a_tenant_but_its_cordon_is_whole():
+    _eng, dc = make_dc(height=4)
+    scheduler = ClusterScheduler(dc)
+    (tenant,) = scheduler.deploy(echo_service("big"), fraction=1.0)
+    (whole,) = scheduler.deploy(echo_service("ring"))
+    # A tenant spanning its ring keeps its region name, batch priority
+    # and tenant count; only the whole-ring claim has the bare name.
+    assert tenant.name.endswith("/region0") and tenant.region.priority == "batch"
+    assert whole.name == "ring@pod0/ring1" and whole.region.whole
+    assert scheduler.capacity_report().tenant_regions == 1
+    # A cordon is hardware held out: over every node it is a whole-ring
+    # cordon, whichever claim the nodes came from.
+    slot = scheduler.release(tenant)
+    scheduler.cordon(slot, tenant.region.nodes, reason="spares exhausted")
+    assert scheduler.cordoned_slots == [slot]
+    assert scheduler.capacity_report().cordoned_regions == 0
+
+
 # --- capacity report: per-pod breakdown under churn ----------------------------------
 
 
@@ -457,3 +475,20 @@ def test_repair_ticket_invalidates_staged_images():
     # ...and the untouched tenant ring kept its staged images.
     tenant_machines = [s.machine_id for s in dc.ring_servers(tenant_slot)]
     assert any(cache.staged_on(m) for m in tenant_machines)
+
+
+def test_manual_uncordon_keeps_staged_images():
+    _eng, dc = make_dc(seed=13)
+    cache = BitstreamCache()
+    manager = ClusterManager(dc, bitstream_cache=cache)
+    manager.apply(region_spec("tenant", 0.5))
+    other = slot_at(dc, 0, 1)
+    machines = [s.machine_id for s in dc.ring_servers(other)]
+    staged = {m: cache.staged_on(m) for m in machines}
+    assert all(staged.values())
+    manager.scheduler.cordon(other, reason="burn-in")
+    # Only a repair ticket services the boards; an operator's uncordon
+    # returns the ring with its staging DRAM intact.
+    manager.scheduler.uncordon(other)
+    assert {m: cache.staged_on(m) for m in machines} == staged
+    assert cache.invalidations == 0
