@@ -7,31 +7,32 @@ performance."  We compare the paper's per-model batched queues against
 a strawman FIFO that reloads on every model change.
 """
 
-from bench_harness import build_ring
+from bench_harness import build_ring, warm_engine
 from repro.analysis import format_table
+from repro.workloads import TraceGenerator
 
 REQUESTS = 96
 MODEL_MIX = {0: 0.4, 1: 0.3, 2: 0.3}
 
 
 def run_policy(policy: str):
-    eng, pod, pipeline, _pool = build_ring(seed=20, qm_policy=policy)
-    pool = pipeline.make_request_pool(32, seed=55, model_mix=MODEL_MIX)
-    from bench_harness import warm_engine
-
-    warm_engine(pipeline, pool)
-    pipeline.meter.start_measurement()
-    done, stats = pipeline.spawn_injector(
-        pod.server_at((1, 2)),
+    ring = build_ring(seed=20, qm_policy=policy)
+    deployment = ring.deployment
+    generator = TraceGenerator(seed=55, model_mix=MODEL_MIX)
+    pool = [generator.request() for _ in range(32)]
+    warm_engine(ring.scoring_engine, ring.library, pool)
+    deployment.meter.start_measurement()
+    done, stats = deployment.spawn_injector(
+        ring.pod.server_at((1, 2)),
         threads=12,
         pool=pool,
         requests_per_thread=REQUESTS // 12,
         include_prep=False,
     )
-    eng.run_until(done)
-    qm = pipeline.stage_role("fe").queue_manager
+    ring.engine.run_until(done)
+    qm = deployment.stage_role("fe").queue_manager
     return {
-        "throughput": pipeline.meter.per_second,
+        "throughput": deployment.meter.per_second,
         "reloads": qm.reload_count,
         "completed": stats.completed,
         "mean_latency_us": sum(stats.latencies_ns) / len(stats.latencies_ns) / 1e3,

@@ -10,7 +10,7 @@ while per-ring p99 stays balanced under the least-outstanding policy.
 
 Runs on the declarative control plane: each configuration is one
 ``ServiceSpec`` applied through the ``ClusterManager``; traffic drives
-the returned handle and the per-ring numbers come from
+``manager.endpoint("bing-ranking")`` and the per-ring numbers come from
 ``handle.status()``.  Set ``BENCH_SMOKE=1`` for the reduced CI
 configuration.
 """
@@ -18,8 +18,12 @@ configuration.
 import os
 
 from repro.analysis import format_series, percentile
-from repro.core import CatapultFabric
-from repro.fabric import TorusTopology
+from repro.cluster import ClusterManager
+from repro.fabric import Datacenter, TorusTopology
+from repro.ranking.engine import ScoringEngine
+from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import ranking_spec
+from repro.sim import Engine
 from repro.sim.units import SEC, US
 from repro.workloads import OpenLoopInjector, PoissonArrivals
 from repro.workloads.traces import TraceGenerator
@@ -33,32 +37,34 @@ MAX_QUEUE_DEPTH = 256
 
 
 def run_one(rings: int) -> dict:
-    fabric = CatapultFabric(
-        pods=2, topology=TorusTopology(width=2, height=8), seed=21
+    engine = Engine(seed=21)
+    manager = ClusterManager(
+        Datacenter(engine, num_pods=2, topology=TorusTopology(width=2, height=8))
     )
-    cluster = fabric.deploy_ranking_cluster(
-        rings=rings,
-        placement_policy="spread",
-        balancing_policy="least_outstanding",
-        model_scale=0.1,
+    library = ModelLibrary.default(scale=0.1)
+    scoring_engine = ScoringEngine(library)
+    handle = manager.apply(
+        ranking_spec(
+            scoring_engine,
+            replicas=rings,
+            placement="spread",
+            balancing="least_outstanding",
+        )
     )
-    handle = cluster.handle
     generator = TraceGenerator(seed=77)
     pool = [generator.request() for _ in range(48)]
     for request in pool:  # pre-compute functional scores: pure-timing run
-        cluster.scoring_engine.score(
-            request.document, cluster.library[request.document.model_id]
-        )
+        scoring_engine.score(request.document, library[request.document.model_id])
     injector = OpenLoopInjector(
-        fabric.engine,
-        handle,
+        engine,
+        manager.endpoint("bing-ranking"),
         PoissonArrivals(OFFERED_PER_S),
         pool,
         max_queue_depth=MAX_QUEUE_DEPTH,
     )
-    started = fabric.engine.now
-    stats = fabric.engine.run_until(injector.run(ARRIVALS))
-    window_ns = fabric.engine.now - started
+    started = engine.now
+    stats = engine.run_until(injector.run(ARRIVALS))
+    window_ns = engine.now - started
     status = handle.status()
     return {
         "rings": rings,

@@ -10,37 +10,34 @@ for manual replacement).
 
 from bench_harness import build_ring
 from repro.analysis import format_table
-from repro.services import FailureInjector, FailureKind, HealthMonitor
+from repro.services import FailureInjector, FailureKind
 from repro.sim.units import SEC
 
 
 def run_experiment():
     # --- with spare: rotate the ring ----------------------------------
-    eng, pod, pipeline, pool = build_ring(seed=18)
-    monitor = HealthMonitor(eng, pod, mapping_manager=pipeline.mapping_manager)
-    victim = pipeline.assignment.node_of("ffe1")
-    injector = FailureInjector(pod)
+    ring = build_ring(seed=18)
+    eng, deployment = ring.engine, ring.deployment
+    victim = deployment.assignment.node_of("ffe1")
     fault_time = eng.now
-    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, victim)
-    eng.run_until(monitor.investigate([victim]))
+    FailureInjector(ring.pod).inject(FailureKind.FPGA_HARDWARE_FAULT, victim)
+    eng.run_until(ring.manager.health_monitor(0).investigate([victim]))
     rotate_recovery_ns = eng.now - fault_time
     # Service works again end to end.
-    done, stats = pipeline.spawn_injector(
-        pod.server_at((1, 1)), threads=1, pool=pool[:2], requests_per_thread=2
+    done, stats = deployment.spawn_injector(
+        ring.pod.server_at((1, 1)), threads=1, pool=ring.pool[:2], requests_per_thread=2
     )
     eng.run_until(done)
     rotated_ok = stats.completed == 2 and stats.timeouts == 0
 
     # --- without spare: full ring already consumed --------------------
-    eng2, pod2, pipeline2, _pool2 = build_ring(seed=19)
-    assignment = pipeline2.assignment
+    ring2 = build_ring(seed=19)
+    assignment = ring2.deployment.assignment
     for node in list(assignment.spare_nodes):
         assignment.exclude(node)  # spare already burned
-    monitor2 = HealthMonitor(eng2, pod2, mapping_manager=pipeline2.mapping_manager)
     victim2 = assignment.node_of("score1")
-    injector2 = FailureInjector(pod2)
-    injector2.inject(FailureKind.FPGA_HARDWARE_FAULT, victim2)
-    eng2.run_until(monitor2.investigate([victim2]))
+    FailureInjector(ring2.pod).inject(FailureKind.FPGA_HARDWARE_FAULT, victim2)
+    ring2.engine.run_until(ring2.manager.health_monitor(0).investigate([victim2]))
     # With no spare left the Mapping Manager cannot rotate: it marks
     # the assignment unservable and leaves it for reconciliation (the
     # control plane would release the ring and re-place the replica;

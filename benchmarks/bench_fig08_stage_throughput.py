@@ -6,7 +6,6 @@ SAS cable.  Scoring stages achieve very high rates; the pipeline is
 limited by Feature Extraction's throughput.
 """
 
-from bench_harness import build_ring  # noqa: F401  (shared import path)
 from repro.analysis import format_table
 from repro.core import LoopbackHarness, LoopbackMode
 from repro.ranking.engine import ScoringEngine

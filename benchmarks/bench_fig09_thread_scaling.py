@@ -14,20 +14,21 @@ THREAD_COUNTS = [1, 2, 4, 8, 12, 16, 24, 32]
 def run_experiment():
     throughputs = {}
     for threads in THREAD_COUNTS:
-        eng, pod, pipeline, pool = build_ring(seed=9)
-        injector = pod.server_at(pipeline.head_node)  # inject at FE's node
-        pipeline.meter.start_measurement()
+        ring = build_ring(seed=9)
+        deployment = ring.deployment
+        injector = ring.pod.server_at(deployment.head_node)  # inject at FE's node
+        deployment.meter.start_measurement()
         # Paper methodology: "inject scoring requests collected from
         # real-world traces" — pre-encoded, no SSD/prep in the loop.
-        done, _stats = pipeline.spawn_injector(
+        done, _stats = deployment.spawn_injector(
             injector,
             threads=threads,
-            pool=pool,
+            pool=ring.pool,
             requests_per_thread=24,
             include_prep=False,
         )
-        eng.run_until(done)
-        throughputs[threads] = pipeline.meter.per_second
+        ring.engine.run_until(done)
+        throughputs[threads] = deployment.meter.per_second
     return throughputs
 
 

@@ -13,17 +13,17 @@ THREAD_COUNTS = [1, 2, 4, 8, 12, 16, 24, 32]
 def run_experiment():
     latencies = {}
     for threads in THREAD_COUNTS:
-        eng, pod, pipeline, pool = build_ring(seed=10)
-        injector = pod.server_at(pipeline.head_node)
+        ring = build_ring(seed=10)
+        injector = ring.pod.server_at(ring.deployment.head_node)
         # Paper methodology: pre-collected requests, no prep in the loop.
-        done, stats = pipeline.spawn_injector(
+        done, stats = ring.deployment.spawn_injector(
             injector,
             threads=threads,
-            pool=pool,
+            pool=ring.pool,
             requests_per_thread=24,
             include_prep=False,
         )
-        eng.run_until(done)
+        ring.engine.run_until(done)
         latencies[threads] = sum(stats.latencies_ns) / len(stats.latencies_ns)
     return latencies
 

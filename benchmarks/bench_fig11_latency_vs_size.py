@@ -6,7 +6,7 @@ buffering/streaming of control and data tokens plus a variable
 computation time — reaching ~30x the minimum near 60 KB.
 """
 
-from bench_harness import build_ring
+from bench_harness import build_ring, warm_engine
 from repro.analysis import format_series
 from repro.workloads import TraceGenerator
 
@@ -14,23 +14,21 @@ SIZES = [512, 2_048, 6_500, 16_384, 32_768, 49_152, 65_536]
 
 
 def run_experiment():
-    eng, pod, pipeline, _pool = build_ring(seed=11)
+    ring = build_ring(seed=11)
     generator = TraceGenerator(seed=300)
     latencies = {}
-    injector = pod.server_at((1, 0))
+    injector = ring.pod.server_at((1, 0))
     for size in SIZES:
         requests = [generator.request(target_size=size) for _ in range(3)]
-        for request in requests:
-            model = pipeline.library[request.document.model_id]
-            pipeline.scoring_engine.score(request.document, model)
-        done, stats = pipeline.spawn_injector(
+        warm_engine(ring.scoring_engine, ring.library, requests)
+        done, stats = ring.deployment.spawn_injector(
             injector,
             threads=1,  # unloaded: one request in flight at a time
             pool=requests,
             requests_per_thread=3,
             include_prep=False,  # pure hardware pipeline latency
         )
-        eng.run_until(done)
+        ring.engine.run_until(done)
         latencies[size] = sum(stats.latencies_ns) / len(stats.latencies_ns)
     return latencies
 

@@ -7,6 +7,7 @@ node pipeline saturates at FE's processing rate.
 
 from bench_harness import build_ring
 from repro.analysis import format_series
+from repro.sim import AllOf
 
 NODE_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -14,19 +15,17 @@ NODE_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8]
 def run_experiment():
     throughputs = {}
     for nodes in NODE_COUNTS:
-        eng, pod, pipeline, pool = build_ring(seed=12)
-        ring_servers = pod.ring(0)
-        pipeline.meter.start_measurement()
+        ring = build_ring(seed=12)
+        deployment = ring.deployment
+        deployment.meter.start_measurement()
         injections = [
-            pipeline.spawn_injector(
-                server, threads=1, pool=pool, requests_per_thread=24
+            deployment.spawn_injector(
+                server, threads=1, pool=ring.pool, requests_per_thread=24
             )[0]
-            for server in ring_servers[:nodes]
+            for server in ring.pod.ring(0)[:nodes]
         ]
-        from repro.sim import AllOf
-
-        eng.run_until(AllOf(eng, injections))
-        throughputs[nodes] = pipeline.meter.per_second
+        ring.engine.run_until(AllOf(ring.engine, injections))
+        throughputs[nodes] = deployment.meter.per_second
     return throughputs
 
 

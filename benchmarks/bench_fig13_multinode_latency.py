@@ -8,6 +8,7 @@ responses.
 
 from bench_harness import build_ring
 from repro.analysis import format_series
+from repro.sim import AllOf
 
 NODE_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -16,8 +17,8 @@ def run_experiment():
     fe_latency = {}
     spare_latency = {}
     for nodes in NODE_COUNTS:
-        eng, pod, pipeline, pool = build_ring(seed=13)
-        ring_servers = pod.ring(0)
+        ring = build_ring(seed=13)
+        ring_servers = ring.pod.ring(0)
         # Measure from the two ends: FE's server and the spare's server.
         fe_server = ring_servers[0]
         spare_server = ring_servers[7]
@@ -28,14 +29,12 @@ def run_experiment():
         stats_by_server = {}
         done_events = []
         for server in injectors:
-            done, stats = pipeline.spawn_injector(
-                server, threads=1, pool=pool, requests_per_thread=24
+            done, stats = ring.deployment.spawn_injector(
+                server, threads=1, pool=ring.pool, requests_per_thread=24
             )
             done_events.append(done)
             stats_by_server[server.machine_id] = stats
-        from repro.sim import AllOf
-
-        eng.run_until(AllOf(eng, done_events))
+        ring.engine.run_until(AllOf(ring.engine, done_events))
 
         def mean(server):
             latencies = stats_by_server[server.machine_id].latencies_ns

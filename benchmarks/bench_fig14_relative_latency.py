@@ -21,19 +21,24 @@ def run_experiment():
     for rate in RATES:
         per_server = rate * RATE_ONE_PER_S
         # FPGA: all eight ring servers inject (production operation):
-        # submit() round-robins the ring's aggregate Poisson stream.
-        eng, pod, pipeline, pool = build_ring(seed=14)
+        # the ring's submit() round-robins the aggregate Poisson stream
+        # arriving at the service endpoint.
+        fpga = build_ring(seed=14)
         fpga_loop = OpenLoopInjector(
-            eng, pipeline, PoissonArrivals(8 * per_server), pool, seed_tag=f"f{rate}"
+            fpga.engine,
+            fpga.endpoint,
+            PoissonArrivals(8 * per_server),
+            fpga.pool,
+            seed_tag=f"f{rate}",
         )
-        eng.run_until(fpga_loop.run(SAMPLES_PER_POINT))
+        fpga.engine.run_until(fpga_loop.run(SAMPLES_PER_POINT))
         # Software: one server at the same per-server rate.
-        eng2, pod2, pipeline2, pool2 = build_ring(seed=15)
-        ranker = SoftwareRanker(pod2.server_at((1, 3)), pipeline2.scoring_engine)
+        sw = build_ring(seed=15)
+        ranker = SoftwareRanker(sw.pod.server_at((1, 3)), sw.scoring_engine)
         sw_loop = OpenLoopInjector(
-            eng2, ranker, PoissonArrivals(per_server), pool2, seed_tag=f"s{rate}"
+            sw.engine, ranker, PoissonArrivals(per_server), sw.pool, seed_tag=f"s{rate}"
         )
-        eng2.run_until(sw_loop.run(SAMPLES_PER_POINT))
+        sw.engine.run_until(sw_loop.run(SAMPLES_PER_POINT))
         fpga, software = fpga_loop.stats.stats(), sw_loop.stats.stats()
         ratios["avg"].append(fpga.mean / software.mean)
         ratios["p95"].append(fpga.p95 / software.p95)

@@ -25,11 +25,13 @@ TARGET_INFLATION = 2.0  # max tolerated p95 = 2x the nominal p95
 def sweep_software():
     curve = []
     for rate in SW_RATES:
-        eng, pod, pipeline, pool = build_ring(seed=16)
-        ranker = SoftwareRanker(pod.server_at((1, 3)), pipeline.scoring_engine)
+        ring = build_ring(seed=16)
+        ranker = SoftwareRanker(ring.pod.server_at((1, 3)), ring.scoring_engine)
         arrivals = PoissonArrivals(rate * RATE_ONE_PER_S)
-        injector = OpenLoopInjector(eng, ranker, arrivals, pool, seed_tag=f"sw{rate}")
-        eng.run_until(injector.run(SAMPLES_PER_POINT))
+        injector = OpenLoopInjector(
+            ring.engine, ranker, arrivals, ring.pool, seed_tag=f"sw{rate}"
+        )
+        ring.engine.run_until(injector.run(SAMPLES_PER_POINT))
         curve.append((rate, injector.stats.stats().p95))
     return curve
 
@@ -37,11 +39,14 @@ def sweep_software():
 def sweep_fpga():
     curve = []
     for rate in FPGA_RATES:
-        eng, pod, pipeline, pool = build_ring(seed=17)
-        # All eight ring servers inject: submit() round-robins them.
+        ring = build_ring(seed=17)
+        # All eight ring servers inject: the ring's submit() round-robins
+        # the endpoint's traffic over them.
         arrivals = PoissonArrivals(8 * rate * RATE_ONE_PER_S)
-        injector = OpenLoopInjector(eng, pipeline, arrivals, pool, seed_tag=f"fp{rate}")
-        eng.run_until(injector.run(SAMPLES_PER_POINT))
+        injector = OpenLoopInjector(
+            ring.engine, ring.endpoint, arrivals, ring.pool, seed_tag=f"fp{rate}"
+        )
+        ring.engine.run_until(injector.run(SAMPLES_PER_POINT))
         curve.append((rate, injector.stats.stats().p95))
     return curve
 

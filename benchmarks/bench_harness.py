@@ -1,18 +1,24 @@
 """Shared experiment machinery for the benchmark suite.
 
-Builds deployed, warmed ranking rings and holds the §5 rate anchors.
-The experiments drive a ring through ``Deployment.submit``: closed-loop
-threads with ``spawn_injector``, Poisson traffic with an
-``OpenLoopInjector`` over the ring (or over a ``SoftwareRanker`` for
-the software baseline).
+Places warmed ranking rings through the cluster control plane and holds
+the §5 rate anchors.  The experiments drive a ring through
+``Deployment.submit``: closed-loop threads with ``spawn_injector`` on
+the placed deployment, Poisson traffic with an ``OpenLoopInjector``
+over ``manager.endpoint("bing-ranking")`` (or over a ``SoftwareRanker``
+for the software baseline).
 """
 
 from __future__ import annotations
 
-from repro.fabric import Pod, TorusTopology
+import typing
+
+from repro.cluster import ClusterManager, Deployment, ServiceEndpoint
+from repro.fabric import Datacenter, Pod, TorusTopology
+from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
-from repro.ranking.pipeline import RankingPipeline
+from repro.ranking.pipeline import ranking_spec
 from repro.sim import Engine
+from repro.workloads import TraceGenerator
 
 # Empirical anchors from the calibration run (see EXPERIMENTS.md):
 # the 8-FPGA ring saturates at ~77 K docs/s (FE-bound at 1 cycle per
@@ -26,22 +32,47 @@ FPGA_PER_SERVER_SATURATION_PER_S = 9_600.0
 RATE_ONE_PER_S = 2_600.0
 
 
+class Ring(typing.NamedTuple):
+    """One placed ranking ring and what the experiments read off it."""
+
+    engine: Engine
+    pod: Pod
+    manager: ClusterManager
+    deployment: Deployment
+    endpoint: ServiceEndpoint
+    scoring_engine: ScoringEngine
+    library: ModelLibrary
+    pool: list
+
+
 def build_ring(
     seed: int = 1, model_scale: float = 1.0, qm_policy: str = "batch"
-) -> tuple[Engine, Pod, RankingPipeline, list]:
-    """A deployed 8-FPGA ranking ring on a 2x8 pod plus a request pool."""
-    eng = Engine(seed=seed)
-    pod = Pod(eng, topology=TorusTopology(width=2, height=8))
+) -> Ring:
+    """An 8-FPGA ranking ring placed on a one-pod 2x8 datacenter, plus
+    a warmed request pool."""
+    engine = Engine(seed=seed)
+    manager = ClusterManager(
+        Datacenter(engine, num_pods=1, topology=TorusTopology(width=2, height=8))
+    )
     library = ModelLibrary.default(scale=model_scale)
-    pipeline = RankingPipeline(eng, pod, library, ring_x=0, qm_policy=qm_policy)
-    pipeline.deploy()
-    pool = pipeline.make_request_pool(48, seed=seed + 100)
-    warm_engine(pipeline, pool)
-    return eng, pod, pipeline, pool
+    scoring_engine = ScoringEngine(library)
+    handle = manager.apply(ranking_spec(scoring_engine, qm_policy))
+    generator = TraceGenerator(seed=seed + 100)
+    pool = [generator.request() for _ in range(48)]
+    warm_engine(scoring_engine, library, pool)
+    return Ring(
+        engine,
+        manager.datacenter.pod(0),
+        manager,
+        handle.deployments[0],
+        manager.endpoint("bing-ranking"),
+        scoring_engine,
+        library,
+        pool,
+    )
 
 
-def warm_engine(pipeline: RankingPipeline, pool: list) -> None:
+def warm_engine(scoring_engine: ScoringEngine, library: ModelLibrary, pool: list) -> None:
     """Pre-compute functional results so timing runs are pure timing."""
     for request in pool:
-        model = pipeline.library[request.document.model_id]
-        pipeline.scoring_engine.score(request.document, model)
+        scoring_engine.score(request.document, library[request.document.model_id])

@@ -30,9 +30,18 @@ import argparse
 import json
 import pathlib
 
-from repro.cluster import apply_file, diff_cluster, echo_service, load_cluster
-from repro.core import CatapultFabric
-from repro.fabric import TorusTopology
+from repro.cluster import (
+    ClusterManager,
+    apply_file,
+    diff_cluster,
+    echo_service,
+    load_cluster,
+)
+from repro.fabric import Datacenter, TorusTopology
+from repro.ranking.engine import ScoringEngine
+from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import ranking_spec
+from repro.sim import Engine
 from repro.sim.units import US
 from repro.workloads import OpenLoopInjector, PoissonArrivals
 from repro.workloads.traces import TraceGenerator
@@ -40,14 +49,16 @@ from repro.workloads.traces import TraceGenerator
 CLUSTER_FILE = pathlib.Path(__file__).parent / "cluster.json"
 
 
-def build_catalog(fabric):
+def build_catalog():
     """Name -> code mappings the cluster file references.
 
     The ranking definition is synthesized once (bitstreams and scoring
     engine shared); the returned scoring engine and library warm the
     request pool exactly as in ``cluster_serving.py``.
     """
-    spec, scoring_engine, library = fabric.ranking_spec(model_scale=0.1)
+    library = ModelLibrary.default(scale=0.1)
+    scoring_engine = ScoringEngine(library)
+    spec = ranking_spec(scoring_engine)
     services = {
         spec.service.name: spec.service,
         "telemetry-echo": echo_service(name="telemetry-echo"),
@@ -79,11 +90,11 @@ def main() -> None:
     args = parser.parse_args()
 
     print("Building a 2-pod datacenter (2x8 torus per pod = 2 rings each)...")
-    fabric = CatapultFabric(
-        pods=2, topology=TorusTopology(width=2, height=8), seed=11
+    engine = Engine(seed=11)
+    manager = ClusterManager(
+        Datacenter(engine, num_pods=2, topology=TorusTopology(width=2, height=8))
     )
-    manager = fabric.manager()
-    services, adapters, scoring_engine, library = build_catalog(fabric)
+    services, adapters, scoring_engine, library = build_catalog()
 
     print(f"\nDry run of {CLUSTER_FILE.name} against the fresh fabric:")
     desired = load_cluster(CLUSTER_FILE, services, adapters)
@@ -113,7 +124,7 @@ def main() -> None:
         "endpoint('bing-ranking') front door..."
     )
     traffic = OpenLoopInjector(
-        fabric.engine,
+        engine,
         manager.endpoint("bing-ranking"),
         PoissonArrivals(60_000),
         pool,
@@ -133,7 +144,7 @@ def main() -> None:
     ]
     applied = False
     while not done.triggered:
-        fabric.engine.run(until=fabric.engine.now + 1_000 * US)
+        engine.run(until=engine.now + 1_000 * US)
         if not applied and traffic.stats.completed >= 300:
             applied = True
             print("\nApplying the edited copy (ranking 3 -> 4, echo removed):")

@@ -16,8 +16,12 @@ management plane operates.
 Run:  python examples/cluster_serving.py
 """
 
-from repro.core import CatapultFabric
-from repro.fabric import TorusTopology
+from repro.cluster import ClusterManager
+from repro.fabric import Datacenter, TorusTopology
+from repro.ranking.engine import ScoringEngine
+from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import ranking_spec
+from repro.sim import Engine
 from repro.sim.units import SEC, US
 from repro.workloads import BurstyArrivals, OpenLoopInjector, PoissonArrivals
 from repro.workloads.traces import TraceGenerator
@@ -40,41 +44,43 @@ def print_status(handle) -> None:
 
 def main() -> None:
     print("Building a 2-pod datacenter (2x8 torus per pod = 2 rings each)...")
-    fabric = CatapultFabric(
-        pods=2, topology=TorusTopology(width=2, height=8), seed=11
+    engine = Engine(seed=11)
+    manager = ClusterManager(
+        Datacenter(engine, num_pods=2, topology=TorusTopology(width=2, height=8))
     )
 
     print("Declaring: 3 ranking replicas, spread placement, "
           "least-outstanding front end...")
-    cluster = fabric.deploy_ranking_cluster(
-        rings=3,
-        placement_policy="spread",
-        balancing_policy="least_outstanding",
-        model_scale=0.1,
+    library = ModelLibrary.default(scale=0.1)
+    scoring_engine = ScoringEngine(library)
+    handle = manager.apply(
+        ranking_spec(
+            scoring_engine,
+            replicas=3,
+            placement="spread",
+            balancing="least_outstanding",
+        )
     )
-    handle = cluster.handle
-    endpoint = fabric.manager().endpoint("bing-ranking")
+    endpoint = manager.endpoint("bing-ranking")
     print_status(handle)
 
     generator = TraceGenerator(seed=42)
     pool = [generator.request() for _ in range(48)]
     for request in pool:  # pre-compute functional scores
-        cluster.scoring_engine.score(
-            request.document, cluster.library[request.document.model_id]
-        )
+        scoring_engine.score(request.document, library[request.document.model_id])
 
     print("\nPhase 1: steady Poisson load, 60 K docs/s offered...")
     steady = OpenLoopInjector(
-        fabric.engine,
+        engine,
         endpoint,
         PoissonArrivals(60_000),
         pool,
         max_queue_depth=256,
         seed_tag="steady",
     )
-    started = fabric.engine.now
-    stats = fabric.engine.run_until(steady.run(900))
-    window = fabric.engine.now - started
+    started = engine.now
+    stats = engine.run_until(steady.run(900))
+    window = engine.now - started
     print(
         f"  {stats.completed} scored at {stats.completed * SEC / window:,.0f}/s, "
         f"p50 {stats.stats().p50 / US:.0f} us, p99 {stats.stats().p99 / US:.0f} us, "
@@ -87,7 +93,7 @@ def main() -> None:
 
     print("\nPhase 2: bursty on/off load, 40 K base / 600 K burst docs/s...")
     bursty = OpenLoopInjector(
-        fabric.engine,
+        engine,
         endpoint,
         BurstyArrivals(
             base_rate_per_s=40_000,
@@ -98,7 +104,7 @@ def main() -> None:
         max_queue_depth=128,
         seed_tag="bursty",
     )
-    stats = fabric.engine.run_until(bursty.run(1_200))
+    stats = engine.run_until(bursty.run(1_200))
     print(
         f"  {stats.offered} offered, {stats.admitted} admitted "
         f"({stats.admission_fraction:.0%}), {stats.rejected} shed by "
@@ -110,8 +116,8 @@ def main() -> None:
     )
 
     print("\nDraining the service...")
-    freed = fabric.manager().drain(handle)
-    report = fabric.manager().scheduler.capacity_report()
+    freed = manager.drain(handle)
+    report = manager.scheduler.capacity_report()
     print(
         f"  {len(freed)} rings returned to the pool; "
         f"{report.occupied_rings}/{report.total_rings} occupied"

@@ -19,10 +19,15 @@ the spec declares, the watchdog closes the loop.
 Run:  python examples/failure_recovery.py
 """
 
-from repro.core import CatapultFabric
-from repro.fabric import TorusTopology
+from repro.cluster import ClusterFailureInjector, ClusterManager
+from repro.fabric import Datacenter, TorusTopology
+from repro.ranking.engine import ScoringEngine
+from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import ranking_spec
 from repro.services import FailureKind
+from repro.sim import Engine
 from repro.sim.units import SEC
+from repro.workloads.traces import TraceGenerator
 
 
 def show(handle) -> None:
@@ -33,29 +38,34 @@ def show(handle) -> None:
 
 
 def main() -> None:
-    fabric = CatapultFabric(
-        pods=2, topology=TorusTopology(width=2, height=8), seed=3
+    engine = Engine(seed=3)
+    datacenter = Datacenter(
+        engine, num_pods=2, topology=TorusTopology(width=2, height=8)
     )
+    manager = ClusterManager(datacenter)
     print("Declaring 2 ranking replicas, weighted-health front end,")
     print("2 s health watchdog...")
-    cluster = fabric.deploy_ranking_cluster(
-        rings=2,
-        balancing_policy="weighted_health",
-        model_scale=0.1,
-        health_period_ns=2 * SEC,
+    library = ModelLibrary.default(scale=0.1)
+    scoring_engine = ScoringEngine(library)
+    handle = manager.apply(
+        ranking_spec(
+            scoring_engine,
+            replicas=2,
+            balancing="weighted_health",
+            health_period_ns=2 * SEC,
+        )
     )
-    handle = cluster.handle
     show(handle)
 
     victim_ring = handle.deployments[0]
-    victim_slot = fabric.manager().scheduler.slot_of(victim_ring)
-    injector = fabric.failure_injector()
+    victim_slot = manager.scheduler.slot_of(victim_ring)
+    injector = ClusterFailureInjector(datacenter)
 
     print("\n1. FPGA hardware fault at the ffe1 node of replica 0...")
     victim = injector.inject_role(
         victim_ring, FailureKind.FPGA_HARDWARE_FAULT, role_name="ffe1"
     )
-    fabric.run(until_ns=fabric.engine.now + 6 * SEC)  # watchdog sweeps
+    engine.run(until=engine.now + 6 * SEC)  # watchdog sweeps
     print("  watchdog swept and the Mapping Manager relocated the role")
     assert victim in victim_ring.assignment.excluded, "ring must rotate"
     print(f"  {victim} mapped out; ring rotated onto its spare")
@@ -64,32 +74,29 @@ def main() -> None:
 
     print("\n2. Cable assembly failure kills the same ring outright...")
     injector.inject_role(victim_ring, FailureKind.CABLE_ASSEMBLY_FAILURE)
-    fabric.run(until_ns=fabric.engine.now + 8 * SEC)
+    engine.run(until=engine.now + 8 * SEC)
     status = handle.status()
     assert status.ready_replicas == 2, "reconciliation must restore replicas"
-    assert victim_slot in fabric.manager().scheduler.cordoned_slots
+    assert victim_slot in manager.scheduler.cordoned_slots
     print(f"  {victim_slot} released and cordoned for manual service;")
     print("  replacement replica placed on a fresh ring:")
     show(handle)
 
     print("\n3. Traffic still completes on the reconciled service:")
-    from repro.workloads.traces import TraceGenerator
-
     generator = TraceGenerator(seed=17)
     pool = [generator.request() for _ in range(6)]
     for request in pool:
-        cluster.scoring_engine.score(
-            request.document, cluster.library[request.document.model_id]
-        )
+        scoring_engine.score(request.document, library[request.document.model_id])
     completed = []
+    endpoint = manager.endpoint("bing-ranking")
 
     def driver():
         for request in pool:
-            response = yield from handle.submit(request)
+            response = yield from endpoint.submit(request)
             completed.append(response)
 
-    fabric.engine.process(driver())
-    fabric.engine.run()
+    engine.process(driver())
+    engine.run()
     scored = [r for r in completed if r is not None]
     print(f"  {len(scored)}/{len(pool)} requests scored after recovery")
     assert len(scored) == len(pool)

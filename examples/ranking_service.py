@@ -29,20 +29,24 @@ def main() -> None:
           f"{samples} samples per system...")
 
     print("\n[1/2] FPGA-accelerated ranking (8 servers sharing one ring)...")
-    eng, pod, pipeline, pool = build_ring(seed=101)
+    ring = build_ring(seed=101)
     injector = OpenLoopInjector(
-        eng, pipeline, PoissonArrivals(8 * per_server), pool, seed_tag="fpga"
+        ring.engine,
+        ring.endpoint,
+        PoissonArrivals(8 * per_server),
+        ring.pool,
+        seed_tag="fpga",
     )
-    eng.run_until(injector.run(samples))
+    ring.engine.run_until(injector.run(samples))
     fpga = injector.stats.stats()
 
     print("[2/2] software-only ranking (12-core server)...")
-    eng2, pod2, pipeline2, pool2 = build_ring(seed=102)
-    ranker = SoftwareRanker(pod2.server_at((1, 3)), pipeline2.scoring_engine)
+    sw = build_ring(seed=102)
+    ranker = SoftwareRanker(sw.pod.server_at((1, 3)), sw.scoring_engine)
     injector = OpenLoopInjector(
-        eng2, ranker, PoissonArrivals(per_server), pool2, seed_tag="software"
+        sw.engine, ranker, PoissonArrivals(per_server), sw.pool, seed_tag="software"
     )
-    eng2.run_until(injector.run(samples))
+    sw.engine.run_until(injector.run(samples))
     software = injector.stats.stats()
 
     rows = []

@@ -3,15 +3,16 @@
 The paper's production deployment maps one service instance onto one
 torus ring and scales by deploying many rings across many pods (§2.3:
 1,632 machines serving Bing ranking).  :class:`Deployment` is the
-reusable per-ring handle: it wraps a :class:`MappingManager` deploy of
-one :class:`ServiceDefinition` onto one region claim of a ring — every
-node of it, unless the service is a tenant — and owns its one dispatch
+reusable per-ring handle the scheduler builds for every placement: it
+wraps a :class:`MappingManager` deploy of one :class:`ServiceDefinition`
+onto one region claim of a ring — every node of it, unless the service
+is a tenant — started by :meth:`configure`, and owns its one dispatch
 body, :meth:`submit` — take a slot lease from the injection server's
 pool, do the host-side prep, inject to the head node, wait for the
 response.  Every request to the ring goes through it: the front-end
-load balancer, the open-loop traffic layer (Figures 14–15), and the
-§5 closed-loop injector threads (:meth:`spawn_injector`, Figures
-9–13), which loop over it.
+load balancer behind ``manager.endpoint(name)`` (the open-loop traffic
+of Figures 14–15), and the §5 closed-loop injector threads
+(:meth:`spawn_injector`, Figures 9–13), which loop over it.
 
 Service-specific concerns (what payload rides the fabric, what
 host-side software work precedes injection) are factored into a
@@ -121,10 +122,6 @@ class Deployment:
         self._injection_cycle: collections.abc.Iterator[Server] | None = None
 
     # -- deployment ------------------------------------------------------------
-
-    def deploy(self) -> RingAssignment:
-        """Configure the ring from top level; returns the assignment."""
-        return self.engine.drive(self.configure())
 
     def configure(self) -> collections.abc.Generator:
         """Start configuring now; returns the generator that waits it
@@ -256,7 +253,7 @@ class Deployment:
         request" path applied at admission.
         """
         if self.assignment is None:
-            raise RuntimeError(f"{self.name}: submit() before deploy()")
+            raise RuntimeError(f"{self.name}: submit() before configure() finished")
         if self.released:
             raise RuntimeError(f"{self.name}: submit() after release")
         server = server or self._next_injection_server()

@@ -1,16 +1,14 @@
-"""The high-level Catapult API: the paper's contribution as one object.
+"""The node-level methodology of §5.
 
-:class:`CatapultFabric` composes everything below it — pods of
-FPGA-equipped servers wired into 6x8 tori, the shell on every board,
-the Mapping Manager and Health Monitor — and exposes the operations a
-datacenter operator performs: deploy a service onto rings, inject
-work, watch health, survive failures.
-
-:class:`LoopbackHarness` is the node-level methodology of §5: a single
-stage role measured standalone in PCIe-only or SL3-loopback mode.
+:class:`LoopbackHarness` measures a single stage role standalone in
+PCIe-only or SL3-loopback mode.  Services on rings are stood up through
+the cluster control plane instead: a
+:class:`~repro.fabric.datacenter.Datacenter`, a
+:class:`~repro.cluster.manager.ClusterManager` that ``apply``-s a
+:class:`~repro.cluster.spec.ServiceSpec`, and ``manager.endpoint(name)``
+for traffic.
 """
 
-from repro.core.fabric import CatapultFabric, RankingCluster
 from repro.core.loopback import LoopbackHarness, LoopbackMode
 
-__all__ = ["CatapultFabric", "LoopbackHarness", "LoopbackMode", "RankingCluster"]
+__all__ = ["LoopbackHarness", "LoopbackMode"]

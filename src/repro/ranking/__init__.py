@@ -29,7 +29,7 @@ from repro.ranking.scoring import (
     TreeNode,
 )
 from repro.ranking.software_ranker import SoftwareRanker
-from repro.ranking.pipeline import RankingPipeline, ranking_service
+from repro.ranking.pipeline import ranking_service, ranking_spec
 
 __all__ = [
     "BoostedTreeScorer",
@@ -43,9 +43,9 @@ __all__ = [
     "NeuralScorer",
     "Query",
     "RankingModel",
-    "RankingPipeline",
     "SoftwareRanker",
     "StreamHits",
     "TreeNode",
     "ranking_service",
+    "ranking_spec",
 ]

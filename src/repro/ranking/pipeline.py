@@ -1,17 +1,16 @@
-"""Deploying and driving the ranking service on a pod (§4, §5).
+"""The ranking service as the control plane declares it (§4, §5).
 
 ``ranking_service`` builds the :class:`ServiceDefinition` mapping the
 eight ranking roles (Figure 5) onto a ring, with bitstreams synthesized
-from the Table-1-calibrated component library.  :class:`RankingPipeline`
-is a thin per-ring adapter over the generic cluster-layer
-:class:`~repro.cluster.deployment.Deployment`, whose one dispatch body
-(``submit``) serves every request: the §5 closed-loop injector threads
-(``spawn_injector``, Figures 9–13) loop over it, and the production
-comparison (Figures 14–15) drives it with an
-:class:`~repro.workloads.OpenLoopInjector`.
+from the Table-1-calibrated component library.
 :class:`RankingRequestAdapter` supplies the ranking-specific parts —
 the software portion of scoring (SSD lookup, hit-vector computation on
 a CPU core, §4) and the :class:`RankingPayload` that rides the ring.
+``ranking_spec`` pairs the two into the :class:`ServiceSpec` that
+``ClusterManager.apply`` places; every request then goes through
+``manager.endpoint("bing-ranking")`` or a placed
+:class:`~repro.cluster.deployment.Deployment`'s one dispatch body
+(``submit``).
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ from __future__ import annotations
 import collections.abc
 import typing
 
-from repro.cluster.deployment import Deployment, InjectorStats, RequestAdapter
-from repro.fabric.pod import Pod
+from repro.cluster.deployment import InjectorStats, RequestAdapter
+from repro.cluster.spec import ServiceSpec
 from repro.fabric.server import Server
 from repro.hardware.synthesis import synthesize
 from repro.ranking.engine import ScoringEngine
-from repro.ranking.models import ModelLibrary
 from repro.ranking.stages import (
     CompressionRole,
     FeatureExtractionRole,
@@ -38,7 +36,6 @@ from repro.services.mapping_manager import (
     RoleSpec,
     ServiceDefinition,
 )
-from repro.sim import Engine
 from repro.sim.units import US
 
 if typing.TYPE_CHECKING:  # pragma: no cover - avoids a package cycle
@@ -47,11 +44,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - avoids a package cycle
 __all__ = [
     "HOST_PREP_CPU_NS",
     "InjectorStats",
-    "RankingPipeline",
     "RankingRequestAdapter",
     "SSD_LOOKUP_NS",
     "ranking_bitstreams",
     "ranking_service",
+    "ranking_spec",
 ]
 
 # Host-side software portion per request (§4): SSD metastream fetch and
@@ -146,31 +143,18 @@ class RankingRequestAdapter(RequestAdapter):
         yield from server.run_on_core(HOST_PREP_CPU_NS)
 
 
-class RankingPipeline(Deployment):
-    """One deployed ranking ring plus its injection helpers."""
+def ranking_spec(
+    scoring_engine: ScoringEngine, qm_policy: str = "batch", **spec_fields
+) -> ServiceSpec:
+    """The :class:`ServiceSpec` declaring the ranking service.
 
-    def __init__(
-        self,
-        engine: Engine,
-        pod: Pod,
-        library: ModelLibrary,
-        ring_x: int = 0,
-        qm_policy: str = "batch",
-    ):
-        self.library = library
-        self.scoring_engine = ScoringEngine(library)
-        super().__init__(
-            engine,
-            pod,
-            ranking_service(self.scoring_engine, qm_policy),
-            ring_x=ring_x,
-            adapter=RankingRequestAdapter(),
-        )
-
-    def make_request_pool(
-        self, count: int, seed: int = 1, model_mix: dict | None = None
-    ) -> list:
-        from repro.workloads.traces import TraceGenerator
-
-        generator = TraceGenerator(seed=seed, model_mix=model_mix)
-        return [generator.request() for _ in range(count)]
+    Pairs :func:`ranking_service` with :class:`RankingRequestAdapter`;
+    ``spec_fields`` are the spec's own (``replicas``, ``placement``,
+    ``balancing``, ``health_period_ns``, ...).  The scoring engine is
+    shared by every replica, so callers warm their request pools on it.
+    """
+    return ServiceSpec(
+        service=ranking_service(scoring_engine, qm_policy),
+        adapter=RankingRequestAdapter(),
+        **spec_fields,
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import (
+    ClusterManager,
     ClusterScheduler,
     Deployment,
     InsufficientClusterCapacity,
@@ -11,16 +12,18 @@ from repro.cluster import (
     RequestAdapter,
     RingSlot,
 )
-from repro.core import CatapultFabric
 from repro.fabric import Datacenter, TorusTopology
 from repro.hardware import Bitstream, ResourceBudget
 from repro.host.slots import INTERRUPT_WAKE_NS, shared_slot_allocator
+from repro.ranking.engine import ScoringEngine
+from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import ranking_spec
 from repro.services.mapping_manager import RoleSpec, ServiceDefinition
 from repro.shell import PacketKind, Role
 from repro.shell.role import PassthroughRole
 from repro.sim import AllOf, Engine
 from repro.sim.units import SEC
-from repro.workloads import OpenLoopInjector, PoissonArrivals
+from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
 
 
 class ClusterEchoRole(Role):
@@ -646,30 +649,22 @@ def test_repair_times_vary_with_seed():
 
 
 def test_ranking_cluster_integration():
-    fabric = CatapultFabric(
-        pods=2, topology=TorusTopology(width=2, height=8), seed=17
+    eng = Engine(seed=17)
+    manager = ClusterManager(
+        Datacenter(eng, num_pods=2, topology=TorusTopology(width=2, height=8))
     )
-    cluster = fabric.deploy_ranking_cluster(
-        rings=2, placement_policy="spread", model_scale=0.1
-    )
-    assert [d.slot.pod_id for d in cluster.scheduler.decisions] == [0, 1]
-
-    from repro.ranking.pipeline import RankingPipeline
-
-    # RankingPipeline is now a thin adapter over the same Deployment.
-    assert issubclass(RankingPipeline, Deployment)
-
-    from repro.workloads.traces import TraceGenerator
+    library = ModelLibrary.default(scale=0.1)
+    scoring = ScoringEngine(library)
+    handle = manager.apply(ranking_spec(scoring, replicas=2, placement="spread"))
+    assert [d.slot.pod_id for d in manager.scheduler.decisions] == [0, 1]
 
     generator = TraceGenerator(seed=23)
     pool = [generator.request() for _ in range(12)]
     for request in pool:
-        cluster.scoring_engine.score(
-            request.document, cluster.library[request.document.model_id]
-        )
+        scoring.score(request.document, library[request.document.model_id])
     injector = OpenLoopInjector(
-        fabric.engine, cluster.balancer, PoissonArrivals(30_000.0), pool
+        eng, manager.endpoint("bing-ranking"), PoissonArrivals(30_000.0), pool
     )
-    stats = fabric.engine.run_until(injector.run(40))
+    stats = eng.run_until(injector.run(40))
     assert stats.completed == 40
-    assert all(d.completed > 0 for d in cluster.deployments)
+    assert all(d.completed > 0 for d in handle.deployments)

@@ -1,57 +1,74 @@
-"""Tests for the CatapultFabric facade and the loopback harness."""
+"""Tests for standing ranking up through the cluster control plane
+(``ClusterManager.apply`` of a ``ranking_spec``, with its shared Mapping
+Managers and Health Monitors) and for the loopback harness."""
 
 import pytest
 
-from repro.core import CatapultFabric, LoopbackHarness, LoopbackMode
-from repro.fabric import TorusTopology
+from repro.cluster import ClusterManager
+from repro.core import LoopbackHarness, LoopbackMode
+from repro.fabric import Datacenter, TorusTopology
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import ranking_spec
 from repro.services import FailureInjector, FailureKind
 from repro.sim import Engine
 from repro.workloads import TraceGenerator
 
 
-@pytest.fixture(scope="module")
-def fabric_with_ranking():
-    fabric = CatapultFabric(
-        pods=1, topology=TorusTopology(width=2, height=8), seed=31
+def ranking_on_one_pod(seed):
+    """A manager over one 2x8 pod, with ranking applied; returns the
+    manager and the placed ring."""
+    eng = Engine(seed=seed)
+    manager = ClusterManager(
+        Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=8))
     )
-    pipeline = fabric.deploy_ranking(ring=0, model_scale=0.03)
-    return fabric, pipeline
+    scoring = ScoringEngine(ModelLibrary.default(scale=0.03))
+    ring = manager.apply(ranking_spec(scoring)).deployments[0]
+    return manager, ring
 
 
-def test_facade_builds_and_deploys(fabric_with_ranking):
-    fabric, pipeline = fabric_with_ranking
-    assert pipeline.assignment is not None
-    assert pipeline.head_node == (0, 0)
-    assert fabric.pod(0).topology.node_count == 16
+def check_health(manager, nodes):
+    """Run a pod-0 Health Monitor investigation and return its report."""
+    return manager.engine.run_until(manager.health_monitor(0).investigate(nodes))
 
 
-def test_facade_reuses_managers(fabric_with_ranking):
-    fabric, _pipeline = fabric_with_ranking
-    assert fabric.mapping_manager(0) is fabric.mapping_manager(0)
-    assert fabric.health_monitor(0) is fabric.health_monitor(0)
-    assert fabric.health_monitor(0).mapping_manager is fabric.mapping_manager(0)
+@pytest.fixture(scope="module")
+def manager_with_ranking():
+    return ranking_on_one_pod(seed=31)
 
 
-def test_facade_health_check(fabric_with_ranking):
-    fabric, _pipeline = fabric_with_ranking
-    report = fabric.check_health([(0, 0), (0, 1)])
+def test_facade_builds_and_deploys(manager_with_ranking):
+    manager, ring = manager_with_ranking
+    assert ring.assignment is not None
+    assert ring.head_node == (0, 0)
+    assert manager.datacenter.pod(0).topology.node_count == 16
+
+
+def test_facade_reuses_managers(manager_with_ranking):
+    manager, _ring = manager_with_ranking
+    mapping_manager = manager.scheduler.mapping_manager
+    assert mapping_manager(0) is mapping_manager(0)
+    assert manager.health_monitor(0) is manager.health_monitor(0)
+    assert manager.health_monitor(0).mapping_manager is mapping_manager(0)
+
+
+def test_facade_health_check(manager_with_ranking):
+    manager, _ring = manager_with_ranking
+    report = check_health(manager, [(0, 0), (0, 1)])
     assert len(report.diagnoses) == 2
     assert not report.failed_machines
 
 
 def test_facade_end_to_end_failure_recovery():
-    fabric = CatapultFabric(
-        pods=1, topology=TorusTopology(width=2, height=8), seed=32
+    manager, ring = ranking_on_one_pod(seed=32)
+    victim = ring.assignment.node_of("compress")
+    FailureInjector(manager.datacenter.pod(0)).inject(
+        FailureKind.FPGA_HARDWARE_FAULT, victim
     )
-    pipeline = fabric.deploy_ranking(ring=0, model_scale=0.03)
-    victim = pipeline.assignment.node_of("compress")
-    FailureInjector(fabric.pod(0)).inject(FailureKind.FPGA_HARDWARE_FAULT, victim)
-    report = fabric.check_health([victim])
+    report = check_health(manager, [victim])
     assert report.failed_machines
-    assert victim in pipeline.assignment.excluded
-    assert fabric.mapping_manager(0).relocations == 1
+    assert victim in ring.assignment.excluded
+    assert manager.scheduler.mapping_manager(0).relocations == 1
 
 
 def test_loopback_harness_pcie_vs_sl3():

@@ -8,20 +8,31 @@ from servers across the pod, plus the FDR-based debugging workflow of
 
 import pytest
 
+from repro.cluster import Deployment
 from repro.fabric import Pod
+from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
-from repro.ranking.pipeline import RankingPipeline
+from repro.ranking.pipeline import RankingRequestAdapter, ranking_service
 from repro.sim import AllOf, Engine
+from repro.workloads import TraceGenerator
 
 
 @pytest.fixture(scope="module")
 def production_pod():
     eng = Engine(seed=2014)
     pod = Pod(eng)  # the real 6x8
-    library = ModelLibrary.default(scale=0.03)
-    pipeline = RankingPipeline(eng, pod, library, ring_x=2)
-    pipeline.deploy()
+    scoring = ScoringEngine(ModelLibrary.default(scale=0.03))
+    # Pinned to column ring 2 (the scheduler would pick ring 0).
+    pipeline = Deployment(
+        eng, pod, ranking_service(scoring), ring_x=2, adapter=RankingRequestAdapter()
+    )
+    eng.drive(pipeline.configure())
     return eng, pod, pipeline
+
+
+def request_pool(count, seed):
+    generator = TraceGenerator(seed=seed)
+    return [generator.request() for _ in range(count)]
 
 
 def test_pod_has_production_dimensions(production_pod):
@@ -47,7 +58,7 @@ def test_ring_on_column_two(production_pod):
 
 def test_far_corner_servers_can_inject(production_pod):
     eng, pod, pipeline = production_pod
-    pool = pipeline.make_request_pool(6, seed=8)
+    pool = request_pool(6, seed=8)
     injectors = [pod.server_at((0, 0)), pod.server_at((5, 7)), pod.server_at((4, 3))]
     events = []
     all_stats = []
@@ -67,7 +78,7 @@ def test_fdr_traces_a_document_through_the_fabric(production_pod):
     """§3.6: the FDR's head/tail flit records reconstruct a packet's
     path across FPGAs for replay debugging."""
     eng, pod, pipeline = production_pod
-    pool = pipeline.make_request_pool(1, seed=9)
+    pool = request_pool(1, seed=9)
     done, stats = pipeline.spawn_injector(
         pod.server_at((2, 4)), threads=1, pool=pool, requests_per_thread=1
     )

@@ -2,28 +2,43 @@
 
 import pytest
 
-from repro.fabric import Pod, TorusTopology
+from repro.cluster import ClusterManager
+from repro.fabric import Datacenter, Pod, TorusTopology
+from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
-from repro.ranking.pipeline import RankingPipeline, ranking_bitstreams
+from repro.ranking.pipeline import ranking_bitstreams, ranking_spec
 from repro.ranking.software_ranker import SoftwareRanker
 from repro.ranking.stages import FeatureExtractionRole
 from repro.sim import Engine
+from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
+
+
+def place_ranking(seed, qm_policy="batch"):
+    """Ranking (small models) applied to a one-pod 2x8 datacenter;
+    returns the engine, the manager, the pod, the placed ring and the
+    scoring engine its replicas share."""
+    eng = Engine(seed=seed)
+    manager = ClusterManager(
+        Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=8))
+    )
+    scoring = ScoringEngine(ModelLibrary.default(scale=0.03))
+    pipeline = manager.apply(ranking_spec(scoring, qm_policy)).deployments[0]
+    return eng, manager, manager.datacenter.pod(0), pipeline, scoring
+
+
+def request_pool(count, seed, model_mix=None):
+    generator = TraceGenerator(seed=seed, model_mix=model_mix)
+    return [generator.request() for _ in range(count)]
 
 
 @pytest.fixture(scope="module")
 def deployed():
-    """One deployed ranking ring (2x8 pod, small models) + request pool."""
-    eng = Engine(seed=21)
-    pod = Pod(eng, topology=TorusTopology(width=2, height=8))
-    library = ModelLibrary.default(scale=0.03)
-    pipeline = RankingPipeline(eng, pod, library, ring_x=0)
-    pipeline.deploy()
-    pool = pipeline.make_request_pool(12, seed=77)
-    return eng, pod, pipeline, pool
+    """One placed ranking ring (2x8 pod, small models) + request pool."""
+    return (*place_ranking(seed=21), request_pool(12, seed=77))
 
 
 def test_deployment_maps_all_eight_roles(deployed):
-    _eng, pod, pipeline, _pool = deployed
+    _eng, _manager, pod, pipeline, _scoring, _pool = deployed
     assignment = pipeline.assignment
     names = [spec.name for spec in pipeline.service.roles]
     assert names == ["fe", "ffe0", "ffe1", "compress", "score0", "score1", "score2"]
@@ -36,19 +51,18 @@ def test_deployment_maps_all_eight_roles(deployed):
 
 def test_scores_identical_to_software(deployed):
     """The paper's key functional claim: FPGA results == software."""
-    eng, pod, pipeline, pool = deployed
-    injector_server = pod.server_at((1, 3))
-    done, stats = pipeline.spawn_injector(
-        injector_server, threads=2, pool=pool[:4], requests_per_thread=2
+    eng, manager, pod, _pipeline, scoring, pool = deployed
+    injector = OpenLoopInjector(
+        eng, manager.endpoint("bing-ranking"), PoissonArrivals(10_000.0), pool[:4]
     )
-    eng.run_until(done)
+    stats = eng.run_until(injector.run(4))
     assert stats.completed == 4
     assert stats.timeouts == 0
 
-    software = SoftwareRanker(pod.server_at((1, 4)), pipeline.scoring_engine)
+    software = SoftwareRanker(pod.server_at((1, 4)), scoring)
     for request in pool[:4]:
-        model = pipeline.library[request.document.model_id]
-        expected = pipeline.scoring_engine.score(request.document, model)
+        model = scoring.library[request.document.model_id]
+        expected = scoring.score(request.document, model)
 
         def score_one(eng, request=request):
             result = yield from software.score_request(request)
@@ -61,7 +75,7 @@ def test_scores_identical_to_software(deployed):
 
 
 def test_pipeline_latency_reasonable(deployed):
-    eng, pod, pipeline, pool = deployed
+    eng, _manager, pod, pipeline, _scoring, pool = deployed
     done, stats = pipeline.spawn_injector(
         pod.server_at((1, 0)), threads=1, pool=pool[:1], requests_per_thread=3
     )
@@ -73,7 +87,7 @@ def test_pipeline_latency_reasonable(deployed):
 
 
 def test_stage_counters_advance(deployed):
-    _eng, _pod, pipeline, _pool = deployed
+    _eng, _manager, _pod, pipeline, _scoring, _pool = deployed
     fe = pipeline.stage_role("fe")
     scorer2 = pipeline.stage_role("score2")
     assert fe.docs_processed > 0
@@ -81,12 +95,8 @@ def test_stage_counters_advance(deployed):
 
 
 def test_model_mix_triggers_reloads():
-    eng = Engine(seed=22)
-    pod = Pod(eng, topology=TorusTopology(width=2, height=8))
-    library = ModelLibrary.default(scale=0.03)
-    pipeline = RankingPipeline(eng, pod, library, ring_x=0)
-    pipeline.deploy()
-    pool = pipeline.make_request_pool(16, seed=5, model_mix={0: 0.5, 2: 0.5})
+    eng, _manager, pod, pipeline, _scoring = place_ranking(seed=22)
+    pool = request_pool(16, seed=5, model_mix={0: 0.5, 2: 0.5})
     done, stats = pipeline.spawn_injector(
         pod.server_at((1, 1)), threads=2, pool=pool, requests_per_thread=4
     )
@@ -101,12 +111,10 @@ def test_model_mix_triggers_reloads():
 def test_fifo_policy_reloads_more_than_batch():
     results = {}
     for policy in ("batch", "fifo"):
-        eng = Engine(seed=23)
-        pod = Pod(eng, topology=TorusTopology(width=2, height=8))
-        library = ModelLibrary.default(scale=0.03)
-        pipeline = RankingPipeline(eng, pod, library, ring_x=0, qm_policy=policy)
-        pipeline.deploy()
-        pool = pipeline.make_request_pool(24, seed=9, model_mix={0: 0.5, 1: 0.5})
+        eng, _manager, pod, pipeline, _scoring = place_ranking(
+            seed=23, qm_policy=policy
+        )
+        pool = request_pool(24, seed=9, model_mix={0: 0.5, 1: 0.5})
         # Flood the queue manager (no host prep, many threads) so the
         # per-model queues actually build up and batching can pay off.
         done, stats = pipeline.spawn_injector(

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.analysis import replay_trace
-from repro.fabric import Pod, TorusTopology
+from repro.cluster import ClusterManager
+from repro.fabric import Datacenter, TorusTopology
+from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
-from repro.ranking.pipeline import RankingPipeline
+from repro.ranking.pipeline import ranking_spec
 from repro.shell.fdr import FdrEntry, FlightDataRecorder
 from repro.shell.messages import Packet, PacketKind
 from repro.shell.router import Port, Router, RoutingError
 from repro.sim import Engine
+from repro.workloads import TraceGenerator
 
 
 def packet(kind=PacketKind.REQUEST, src=(0, 0), dst=(1, 0), size=100):
@@ -126,9 +129,12 @@ def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
     must equal, entry for entry, the FdrEntry an eager recorder would
     have built at the hop (with eviction and DRAM spill in play)."""
     eng = Engine(seed=31)
-    pod = Pod(eng, topology=TorusTopology(width=2, height=8))
-    pipeline = RankingPipeline(eng, pod, ModelLibrary.default(scale=0.03), ring_x=0)
-    pipeline.deploy()
+    manager = ClusterManager(
+        Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=8))
+    )
+    scoring = ScoringEngine(ModelLibrary.default(scale=0.03))
+    pipeline = manager.apply(ranking_spec(scoring)).deployments[0]
+    pod = manager.datacenter.pod(0)
     for server in pod.servers.values():
         fdr = FlightDataRecorder(capacity=6, spill_to_dram=True, dram_budget_entries=10)
         server.shell.fdr = server.shell.router.fdr = fdr
@@ -157,7 +163,8 @@ def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
         return submit(router, packet, in_port)
 
     monkeypatch.setattr(Router, "submit", eager_submit)
-    pool = pipeline.make_request_pool(8, seed=5)
+    generator = TraceGenerator(seed=5)
+    pool = [generator.request() for _ in range(8)]
     done, stats = pipeline.spawn_injector(
         pod.server_at((1, 3)), threads=12, pool=pool, requests_per_thread=2
     )
