@@ -83,7 +83,7 @@ def run_one(config: str) -> dict:
     arrivals = int(RATE_PER_S * RUN_SECONDS)
     traffic = OpenLoopInjector(
         engine,
-        handle,
+        manager.endpoint(handle.name),
         PoissonArrivals(RATE_PER_S),
         pool,
         max_queue_depth=256,

@@ -72,14 +72,19 @@ def region_spec(name, fraction, priority="batch"):
     )
 
 
-def drive_all(eng, handles, arrivals=ARRIVALS, rate=RATE_PER_S):
-    """Open-loop traffic into every handle concurrently; aggregate stats."""
+def drive_all(eng, manager, handles, arrivals=ARRIVALS, rate=RATE_PER_S):
+    """Open-loop traffic into every service's endpoint concurrently;
+    aggregate stats."""
     pool = [object() for _ in range(32)]
     start = eng.now
     dones = []
     for index, handle in enumerate(handles):
         injector = OpenLoopInjector(
-            eng, handle, PoissonArrivals(rate), pool, seed_tag=f"tenant{index}"
+            eng,
+            manager.endpoint(handle.name),
+            PoissonArrivals(rate),
+            pool,
+            seed_tag=f"tenant{index}",
         )
         dones.append(injector.run(arrivals))
     for done in dones:
@@ -120,7 +125,7 @@ def run_packing() -> dict:
             placed_dedicated += 1
         except InsufficientClusterCapacity:
             pass
-    dedicated_run = drive_all(eng, dedicated)
+    dedicated_run = drive_all(eng, manager, dedicated)
 
     # Packed: the same four services as half-ring region tenants.
     eng, dc = make_dc(seed=42)
@@ -128,7 +133,7 @@ def run_packing() -> dict:
     packed = [manager.apply(region_spec(f"ten{i}", 0.5)) for i in range(4)]
     report = manager.scheduler.capacity_report()
     tenants_per_ring = report.tenant_regions / report.occupied_rings
-    packed_run = drive_all(eng, packed)
+    packed_run = drive_all(eng, manager, packed)
     return {
         "rings": dc.total_rings,
         "dedicated_placed": placed_dedicated,

@@ -69,7 +69,7 @@ def run_one(rate_per_s: float) -> dict:
     arrivals = int(rate_per_s * RUN_SECONDS)
     traffic = OpenLoopInjector(
         engine,
-        handle,
+        manager.endpoint(handle.name),
         PoissonArrivals(rate_per_s),
         pool,
         max_queue_depth=256,

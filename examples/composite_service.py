@@ -69,7 +69,7 @@ def main() -> None:
     pool = [object() for _ in range(16)]
     traffic = OpenLoopInjector(
         engine,
-        handle,
+        manager.endpoint(handle.name),
         PoissonArrivals(5_000.0),
         pool,
         max_queue_depth=256,

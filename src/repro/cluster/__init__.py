@@ -9,7 +9,9 @@ Control plane
     A frozen :class:`ServiceSpec` declares the desired state (service,
     replica count, policies, watchdog cadence); ``ClusterManager
     .apply(spec)`` converges the datacenter onto it and returns a
-    :class:`ServiceHandle` for dispatch, status, and rescaling.  The
+    :class:`ServiceHandle` for status, rescaling and upgrades; requests
+    enter through ``manager.endpoint(name)``, a
+    :class:`ServiceEndpoint` over the service's balancer.  The
     manager wires per-pod Health Monitors to the shared Mapping
     Managers and runs health-driven reconciliation: failed rings rotate
     onto spares, exhausted rings are released (slots cordoned) and

@@ -26,16 +26,12 @@ import collections.abc
 import dataclasses
 import itertools
 
-from repro.analysis import LatencyStats, ReservoirSample, ThroughputMeter
+from repro.analysis import ReservoirSample, ThroughputMeter
 from repro.cluster.tenancy import RegionClaim, RingTenancy
 from repro.fabric.datacenter import RingSlot
 from repro.fabric.pod import Pod
 from repro.fabric.server import Server
-from repro.host.slots import (
-    RequestTimeout,
-    SlotClient,
-    shared_slot_allocator,
-)
+from repro.host.slots import RequestTimeout, SlotLease, shared_slot_allocator
 from repro.services.mapping_manager import (
     MappingManager,
     RingAssignment,
@@ -74,9 +70,6 @@ class InjectorStats:
     latencies_ns: list
     timeouts: int
     completed: int
-
-    def stats(self) -> LatencyStats:
-        return LatencyStats.from_samples(self.latencies_ns)
 
 
 class Deployment:
@@ -186,7 +179,6 @@ class Deployment:
             # Draw the claim's slot quota from the server's shared
             # allocator, so slot ids never collide with a co-resident
             # tenant's or with a predecessor's unfinished request.
-            client = SlotClient(server)
             store = Store(self.engine, name=f"leases:{self.name}:{server.machine_id}")
             quota = min(self.region.slot_quota, server.buffers.slot_count)
             slot_ids = shared_slot_allocator(server).acquire(
@@ -194,7 +186,7 @@ class Deployment:
             )
             self._owned_slots.append((server, slot_ids))
             for slot_id in slot_ids:
-                store.try_put(client.lease_for(slot_id))
+                store.try_put(SlotLease(server, slot_id))
             self._lease_stores[server.machine_id] = store
         return store
 

@@ -1,17 +1,17 @@
 """Stable virtual endpoints: the cluster's VIP front door.
 
-Workloads used to hold the :class:`~repro.cluster.manager.ServiceHandle`
-(or worse, the raw :class:`~repro.cluster.load_balancer.LoadBalancer`)
-returned by ``apply()`` — which couples them to control-plane
-internals: drain + re-apply replaces the handle object, so every
-workload had to be re-threaded whenever the operator surface recreated
-a service.  A :class:`ServiceEndpoint` is the indirection that removes
-the coupling, the way a VIP in front of a load-balancer pool decouples
-clients from pool membership: it names a *service*, not an object, and
-resolves the live handle at each dispatch.  The endpoint therefore
-survives re-placement, preemption, rolling upgrades, repair — and even
-a full drain + re-declaration, including one driven from a cluster
-file (:mod:`repro.cluster.clusterfile`).
+Every service request enters here.  The
+:class:`~repro.cluster.manager.ServiceHandle` returned by ``apply()``
+is control plane only, and drain + re-apply replaces it, so a workload
+holding it would have to be re-threaded whenever the operator surface
+recreated a service.  A :class:`ServiceEndpoint` removes that coupling
+the way a VIP in front of a load-balancer pool decouples clients from
+pool membership: it names a *service*, not an object, and resolves the
+live handle's :class:`~repro.cluster.load_balancer.LoadBalancer` at
+each dispatch.  The endpoint therefore survives re-placement,
+preemption, rolling upgrades, repair — and even a full drain +
+re-declaration, including one driven from a cluster file
+(:mod:`repro.cluster.clusterfile`).
 
 While the named service is absent (drained and not yet re-applied),
 ``submit`` raises :class:`~repro.cluster.load_balancer
@@ -65,7 +65,7 @@ class ServiceEndpoint:
     @property
     def outstanding(self) -> int:
         handle = self.handle
-        return handle.outstanding if handle is not None else 0
+        return handle.balancer.outstanding if handle is not None else 0
 
     def submit(
         self, request: object, timeout_ns: float | None = None
@@ -76,13 +76,16 @@ class ServiceEndpoint:
         drain + re-apply lands on the new incarnation with no caller
         rewiring.  With nothing behind the VIP the request is refused
         with :class:`NoHealthyDeployment` (shed at the front door).
+        ``timeout_ns`` defaults to the live spec's request timeout.
         """
         handle = self.handle
         if handle is None:
             raise NoHealthyDeployment(
                 f"endpoint {self.name!r}: no service behind the front door"
             )
-        return (yield from handle.submit(request, timeout_ns=timeout_ns))
+        if timeout_ns is None:
+            timeout_ns = handle.spec.request_timeout_ns
+        return (yield from handle.balancer.submit(request, timeout_ns=timeout_ns))
 
     # -- fluid fast-forward (optional sink extension) --------------------------
 

@@ -36,12 +36,6 @@ class ClusterFailureInjector:
         """Inject ``kind`` at ``node`` of pod ``pod_id``."""
         self._injector_for(pod_id).inject(kind, node, port=port)
         self.injected.append((pod_id, kind, node))
-        fluid = self.datacenter.engine.fluid
-        if fluid is not None:
-            # A failure is the canonical transient: hold the simulation
-            # discrete through the dip so the rotation/reconcile/shed
-            # dynamics are computed exactly, never analytically.
-            fluid.note_transient(f"failure:{kind.name}")
 
     # -- service-level helpers -------------------------------------------------
 

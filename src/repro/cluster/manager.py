@@ -188,12 +188,13 @@ class ReconcileReport:
 
 
 class ServiceHandle:
-    """A declared service under management.
+    """A declared service under management: the control-plane handle.
 
-    The handle is the only object callers need: it dispatches requests
-    (it satisfies the open-loop injector's sink protocol), reports
-    status, and rescales — everything else (balancer, monitors, mapping
-    managers) stays inside the control plane.
+    It rescales, reconciles, upgrades and reports status; everything
+    else (monitors, mapping managers) stays inside the control plane.
+    Requests do not go through the handle: workloads send them to
+    ``manager.endpoint(name)``, which dispatches to the live handle's
+    balancer.
     """
 
     def __init__(
@@ -215,21 +216,6 @@ class ServiceHandle:
     @property
     def deployments(self) -> list[Deployment]:
         return self.balancer.deployments
-
-    # -- dispatch (open-loop sink protocol) ------------------------------------
-
-    @property
-    def outstanding(self) -> int:
-        return self.balancer.outstanding
-
-    def submit(
-        self, request: object, timeout_ns: float | None = None
-    ) -> collections.abc.Generator:
-        """Dispatch one request via the front end (a generator)."""
-        if not self.active:
-            raise RuntimeError(f"service {self.name!r} has been drained")
-        timeout = timeout_ns if timeout_ns is not None else self.spec.request_timeout_ns
-        return (yield from self.balancer.submit(request, timeout_ns=timeout))
 
     # -- lifecycle -------------------------------------------------------------
 

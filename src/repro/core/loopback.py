@@ -20,7 +20,7 @@ import itertools
 
 from repro.fabric.server import Server
 from repro.hardware.bitstream import Bitstream
-from repro.host.slots import SlotClient
+from repro.host.slots import SlotExhausted, SlotLease, shared_slot_allocator
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.pipeline import ranking_bitstreams
 from repro.ranking.stages import (
@@ -107,11 +107,18 @@ class LoopbackHarness:
         threads: int = 1,
         requests_per_thread: int = 20,
     ) -> float:
-        """Closed-loop injection rate (requests/second) for this stage."""
+        """Closed-loop injection rate (requests/second) for this stage.
+
+        Each thread owns one slot from the injecting server's shared
+        allocator for the life of the harness, as §3.1 assigns them.
+        """
         server = (
             self.stage_server if mode is LoopbackMode.PCIE else self.injector_server
         )
-        client = SlotClient(server)
+        allocator = shared_slot_allocator(server)
+        if threads > allocator.free_count:
+            raise SlotExhausted(f"{threads} threads, {allocator.free_count} free slots")
+        slot_ids = allocator.acquire(threads, owner=f"loopback:{self.stage}")
         pool_cycle = itertools.cycle(pool)
         started = self.engine.now
         completed = [0]
@@ -126,8 +133,8 @@ class LoopbackHarness:
                 completed[0] += 1
 
         procs = [
-            self.engine.process(thread_body(lease))
-            for lease in client.leases(threads)
+            self.engine.process(thread_body(SlotLease(server, slot_id)))
+            for slot_id in slot_ids
         ]
         done: Event = AllOf(self.engine, procs)
         self.engine.run_until(done)

@@ -1,11 +1,12 @@
 """Host-side software: the FPGA driver and the user-level slot API (§3.1).
 
-Applications never touch PCIe or DMA details directly; they link the
-user-level library (:class:`SlotClient`) and, for deployment, the
-driver's reconfiguration entry point (:class:`FpgaDriver`).
+Applications never touch PCIe or DMA details directly; they take slot
+ids from the server's shared allocator, send through a
+:class:`SlotLease` per thread, and, for deployment, use the driver's
+reconfiguration entry point (:class:`FpgaDriver`).
 """
 
 from repro.host.driver import FpgaDriver
-from repro.host.slots import SlotClient, SlotLease
+from repro.host.slots import SlotLease
 
-__all__ = ["FpgaDriver", "SlotClient", "SlotLease"]
+__all__ = ["FpgaDriver", "SlotLease"]

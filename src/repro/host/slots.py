@@ -6,8 +6,9 @@ A thread sends by filling its input slot and setting the full bit; it
 then sleeps until the FPGA's response interrupt fills the matching
 output slot.
 
-:class:`SlotClient` hands out :class:`SlotLease` objects (one per
-thread) and records per-request latency for the evaluation harness.
+Slot ids have one owner: the server's shared :class:`SlotAllocator`
+(:func:`shared_slot_allocator`).  A thread acquires its ids there and
+wraps each in a :class:`SlotLease`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 
-from repro.analysis import ReservoirSample
 from repro.fabric.server import Server
 from repro.shell.messages import Packet, PacketKind
 from repro.sim.units import US
@@ -32,12 +32,14 @@ class SlotExhausted(Exception):
 
 @dataclasses.dataclass
 class SlotLease:
-    """Exclusive use of one input/output slot pair by one thread."""
+    """Exclusive use of one input/output slot pair by one thread.
 
-    client: "SlotClient"
+    ``slot_id`` must come from the server's shared allocator, which
+    guarantees no other lease holds it.
+    """
+
+    server: Server
     slot_id: int
-    requests_sent: int = 0
-    responses_received: int = 0
     timeouts: int = 0
 
     def request(
@@ -51,7 +53,7 @@ class SlotLease:
         for dropped packets: "the host will time out and divert the
         request to a higher-level failure handling protocol".
         """
-        server = self.client.server
+        server = self.server
         engine = server.engine
         packet = Packet(
             kind=PacketKind.REQUEST,
@@ -61,7 +63,6 @@ class SlotLease:
             payload=payload,
             injected_at_ns=engine.now,
         )
-        self.requests_sent += 1
         buffers = server.buffers
         yield buffers.fill_input(self.slot_id, packet)
         consumer = buffers.consume_output(self.slot_id)
@@ -91,50 +92,11 @@ class SlotLease:
                 deadline.cancel()
         # The response interrupt must wake this sleeping thread (§3.1).
         yield engine.timeout(INTERRUPT_WAKE_NS)
-        self.responses_received += 1
-        latency = engine.now - packet.injected_at_ns
-        self.client.latencies_ns.append(latency)
         return response
 
 
 class RequestTimeout(Exception):
     """A request's response never arrived (packet dropped in fabric)."""
-
-
-class SlotClient:
-    """User-level interface to one server's Catapult board."""
-
-    def __init__(self, server: Server):
-        self.server = server
-        self.latencies_ns = ReservoirSample()
-        self._next_slot = 0
-
-    def lease(self) -> SlotLease:
-        """Allocate the next free slot to a new thread."""
-        if self._next_slot >= self.server.buffers.slot_count:
-            raise SlotExhausted(
-                f"all {self.server.buffers.slot_count} slots are leased"
-            )
-        lease = SlotLease(self, self._next_slot)
-        self._next_slot += 1
-        return lease
-
-    def leases(self, count: int) -> list[SlotLease]:
-        """Allocate ``count`` slots (one per injecting thread)."""
-        return [self.lease() for _ in range(count)]
-
-    def lease_for(self, slot_id: int) -> SlotLease:
-        """Lease a *specific* slot id (allocator-partitioned tenancy).
-
-        Unlike :meth:`lease`, ownership is not tracked here: the caller
-        (a :class:`SlotAllocator`) already guarantees exclusivity.
-        """
-        if not 0 <= slot_id < self.server.buffers.slot_count:
-            raise SlotExhausted(
-                f"slot {slot_id} out of range "
-                f"(server has {self.server.buffers.slot_count})"
-            )
-        return SlotLease(self, slot_id)
 
 
 class SlotAllocator:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import collections.abc
 import typing
 
-from repro.cluster.deployment import InjectorStats, RequestAdapter
+from repro.cluster.deployment import RequestAdapter
 from repro.cluster.spec import ServiceSpec
 from repro.fabric.server import Server
 from repro.hardware.synthesis import synthesize
@@ -43,7 +43,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - avoids a package cycle
 
 __all__ = [
     "HOST_PREP_CPU_NS",
-    "InjectorStats",
     "RankingRequestAdapter",
     "SSD_LOOKUP_NS",
     "ranking_bitstreams",

@@ -103,8 +103,6 @@ class RankingStageRole(Role):
         return self.shell.engine
 
     def downstream(self):
-        if getattr(self.assignment, "loopback", False):
-            return None  # node-level harness: no next stage
         return self.assignment.downstream_of(self.name)
 
     def forward(self, packet: Packet, payload_bytes: int):

@@ -66,6 +66,12 @@ class FailureInjector:
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown failure kind {kind}")
         self.injected.append((kind, node))
+        fluid = self.pod.engine.fluid
+        if fluid is not None:
+            # A failure is the canonical transient: hold the simulation
+            # discrete through the dip so the rotation/reconcile/shed
+            # dynamics are computed exactly, never analytically.
+            fluid.note_transient(f"failure:{kind.name}")
 
     def _assembly_for(self, node: NodeId):
         column = f"col{node[0]}"

@@ -125,8 +125,6 @@ class HealthMonitor:
         self.mapping_manager = mapping_manager
         self.failed_machine_list: dict[str, ErrorFlags] = {}
         self.invocations = 0
-        self.watchdog_reports: list[HealthReport] = []
-        self._watchdog = None
 
     # -- public API ----------------------------------------------------------
 
@@ -141,41 +139,6 @@ class HealthMonitor:
         done = self.engine.event(name="health-report")
         self.engine.process(self._investigate_body(nodes, done), name="health.investigate")
         return done
-
-    def start_watchdog(
-        self, nodes: list[NodeId], period_ns: float = 10e9
-    ) -> None:
-        """Continuous monitoring: investigate ``nodes`` every period.
-
-        In production the Health Monitor "is invoked when there is a
-        suspected failure" by a machine higher in the hierarchy; the
-        watchdog automates that trigger, scanning unprompted so hangs
-        are caught without waiting for an aggregator to complain.
-        """
-        if self._watchdog is not None and self._watchdog.is_alive:
-            raise RuntimeError("watchdog already running")
-
-        def body():
-            while True:
-                yield self.engine.timeout(period_ns)
-                unresponsive = [
-                    node
-                    for node in nodes
-                    if not self.pod.server_at(node).is_responsive
-                ]
-                if not unresponsive:
-                    continue
-                report = yield self.investigate(unresponsive)
-                self.watchdog_reports.append(report)
-
-        self._watchdog = self.engine.process(
-            body(), name="health.watchdog", daemon=True
-        )
-
-    def stop_watchdog(self) -> None:
-        if self._watchdog is not None and self._watchdog.is_alive:
-            self._watchdog.kill()
-        self._watchdog = None
 
     # -- internals -------------------------------------------------------------
 

@@ -6,14 +6,14 @@ open-loop: arrivals occur at the offered rate whether or not earlier
 requests have finished.  This module provides the arrival processes —
 memoryless Poisson, on/off bursts, and a sinusoidal diurnal curve — and
 an :class:`OpenLoopInjector` that feeds any sink exposing the
-``submit(request, timeout_ns=...)`` generator protocol.  The preferred
-sink is a :class:`~repro.cluster.endpoint.ServiceEndpoint` from
+``submit(request, timeout_ns=...)`` generator protocol.  A service's
+sink is its :class:`~repro.cluster.endpoint.ServiceEndpoint` from
 ``manager.endpoint(name)`` — a stable virtual front door that resolves
 the live service at each dispatch, so the workload survives
-re-placement, upgrades, and even drain + re-apply without rewiring —
-but a :class:`~repro.cluster.manager.ServiceHandle`, a raw
-:class:`~repro.cluster.load_balancer.LoadBalancer`, or a single
-:class:`~repro.cluster.deployment.Deployment` still work.
+re-placement, upgrades, and even drain + re-apply without rewiring.
+A bare :class:`~repro.cluster.load_balancer.LoadBalancer` or a single
+:class:`~repro.cluster.deployment.Deployment` is a sink too, for
+experiments below the service level.
 
 When a ``max_queue_depth`` is set, arrivals that would push the sink's
 in-flight count past the limit are rejected at admission instead of

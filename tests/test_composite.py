@@ -57,7 +57,12 @@ def composite_spec(rings=2, **overrides) -> ServiceSpec:
 def drive(eng, handle, arrivals, rate=50_000.0, seed_tag="t", **kwargs):
     pool = [object() for _ in range(8)]
     injector = OpenLoopInjector(
-        eng, handle, PoissonArrivals(rate), pool, seed_tag=seed_tag, **kwargs
+        eng,
+        handle.manager.endpoint(handle.name),
+        PoissonArrivals(rate),
+        pool,
+        seed_tag=seed_tag,
+        **kwargs,
     )
     return eng.run_until(injector.run(arrivals))
 
@@ -545,7 +550,7 @@ def test_openloop_sheds_instead_of_crashing_during_total_outage():
     pool = [object() for _ in range(8)]
     traffic = OpenLoopInjector(
         eng,
-        handle,
+        manager.endpoint(handle.name),
         PoissonArrivals(200_000.0),
         pool,
         timeout_ns=10 * MS,

@@ -16,6 +16,7 @@ from repro.cluster import (
     ClusterManager,
     ClusterScheduler,
     InsufficientClusterCapacity,
+    NoHealthyDeployment,
     PlacementFailed,
     RepairPolicy,
     RingSlot,
@@ -44,7 +45,11 @@ def echo_spec(**overrides) -> ServiceSpec:
 def drive(eng, handle, arrivals, rate=100_000.0, seed_tag="t"):
     pool = [object() for _ in range(8)]
     injector = OpenLoopInjector(
-        eng, handle, PoissonArrivals(rate), pool, seed_tag=seed_tag
+        eng,
+        handle.manager.endpoint(handle.name),
+        PoissonArrivals(rate),
+        pool,
+        seed_tag=seed_tag,
     )
     return eng.run_until(injector.run(arrivals))
 
@@ -94,14 +99,6 @@ def test_apply_places_replicas_and_wires_health_monitors():
     for pod_id in (0, 1):
         monitor = manager.health_monitor(pod_id)
         assert monitor.mapping_manager is manager.scheduler.mapping_manager(pod_id)
-
-
-def test_handle_is_an_open_loop_sink():
-    eng, _dc, manager = small_cluster()
-    handle = manager.apply(echo_spec())
-    stats = drive(eng, handle, arrivals=60)
-    assert stats.completed == 60
-    assert all(d.completed > 0 for d in handle.deployments)
 
 
 def test_reapply_is_declarative():
@@ -174,8 +171,8 @@ def test_drain_tears_the_service_down():
     assert not handle.active
     assert manager.scheduler.capacity_report().occupied_rings == 0
     assert "echo-service" not in manager.handles
-    with pytest.raises(RuntimeError):
-        next(handle.submit(object()))
+    with pytest.raises(NoHealthyDeployment):
+        next(manager.endpoint(handle.name).submit(object()))
 
 
 def test_apply_beyond_capacity_degrades_and_records_shortfall():

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import ClusterManager
 from repro.core import LoopbackHarness, LoopbackMode
 from repro.fabric import Datacenter, TorusTopology
+from repro.host.slots import SlotExhausted, shared_slot_allocator
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.pipeline import ranking_spec
@@ -109,3 +110,19 @@ def test_loopback_fe_stage_works():
     )
     assert rate > 0
     assert harness.role.queue_manager.dispatched == 8
+
+
+def test_loopback_threads_lease_from_the_shared_allocator():
+    library = ModelLibrary.default(scale=0.03)
+    pool = [TraceGenerator(seed=62).request() for _ in range(4)]
+    eng = Engine(seed=34)
+    scoring = ScoringEngine(library)
+    for request in pool:
+        scoring.score(request.document, library[request.document.model_id])
+    harness = LoopbackHarness(eng, "fe", scoring)
+    harness.measure_throughput(pool, LoopbackMode.PCIE, threads=3, requests_per_thread=2)
+    allocator = shared_slot_allocator(harness.stage_server)
+    assert allocator.free_count == harness.stage_server.buffers.slot_count - 3
+    assert set(allocator.owners.values()) == {"loopback:fe"}
+    with pytest.raises(SlotExhausted):  # never silently fewer threads
+        harness.measure_throughput(pool, LoopbackMode.PCIE, threads=allocator.free_count + 1)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster import ClusterManager, ClusterScheduler, ServiceSpec, echo_service
 from repro.fabric import Datacenter, TorusTopology
-from repro.host.slots import SlotClient
+from repro.host.slots import SlotLease, shared_slot_allocator
 from repro.shell import Packet, PacketKind, Port
 from repro.sim import Engine
 from repro.sim.units import MS, US
@@ -50,7 +50,8 @@ def test_one_lease_request_on_an_idle_ring_is_exact():
     )
     server = deployment.injection_servers()[1]
     assert server.node_id != deployment.head_node
-    lease = SlotClient(server).lease()
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
 
     def one_request():
         return (

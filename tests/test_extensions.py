@@ -110,10 +110,11 @@ def test_traffic_routes_through_node_during_partial_reconfig():
     pod.server_at((2, 0)).shell.attach_role(EchoRole())
     middle.shell.partial_reconfigure(bitstream("mid-swap"))
 
-    from repro.host import SlotClient
+    from repro.host.slots import SlotLease, shared_slot_allocator
 
-    client = SlotClient(pod.server_at((0, 0)))
-    lease = client.lease()
+    server = pod.server_at((0, 0))
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     results = []
 
     def thread():
@@ -139,10 +140,11 @@ def test_full_reconfig_by_contrast_blocks_through_traffic():
     middle.nmi_masked = True
     middle.shell.safe_reconfigure(bitstream("full-swap"))
 
-    from repro.host import SlotClient
+    from repro.host.slots import SlotLease, shared_slot_allocator
 
-    client = SlotClient(pod.server_at((0, 0)))
-    lease = client.lease()
+    server = pod.server_at((0, 0))
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     outcome = []
 
     def thread():

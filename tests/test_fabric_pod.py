@@ -12,7 +12,8 @@ from repro.fabric import (
     TorusTopology,
 )
 from repro.fabric.cables import WiringPlan
-from repro.host import FpgaDriver, SlotClient
+from repro.host import FpgaDriver, SlotLease
+from repro.host.slots import shared_slot_allocator
 from repro.hardware import Bitstream, ResourceBudget
 from repro.hardware.fpga import FpgaState
 from repro.shell import PacketKind, Port, Role
@@ -215,20 +216,23 @@ def test_pod_end_to_end_request_response():
     pod.release_all_rx_halts()
     dst_server = pod.server_at((2, 3))
     dst_server.shell.attach_role(EchoRole())
-    client = SlotClient(pod.server_at((0, 0)))
-    lease = client.lease()
+    server = pod.server_at((0, 0))
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     results = []
 
     def thread(eng):
+        started = eng.now
         response = yield from lease.request(dst=(2, 3), size_bytes=4096)
-        results.append(response)
+        results.append((response, eng.now - started))
 
     eng.process(thread(eng))
     eng.run()
     assert len(results) == 1
-    assert results[0].payload == "ok"
-    assert results[0].kind is PacketKind.RESPONSE
-    assert client.latencies_ns and client.latencies_ns[0] < 100 * US
+    response, latency_ns = results[0]
+    assert response.payload == "ok"
+    assert response.kind is PacketKind.RESPONSE
+    assert latency_ns < 100 * US
 
 
 def test_pod_rx_halt_blocks_until_release():
@@ -238,8 +242,9 @@ def test_pod_rx_halt_blocks_until_release():
     dst_server = pod.server_at((1, 0))
     role = EchoRole()
     dst_server.shell.attach_role(role)
-    client = SlotClient(pod.server_at((0, 0)))
-    lease = client.lease()
+    server = pod.server_at((0, 0))
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     outcome = []
 
     def thread(eng):

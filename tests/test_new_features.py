@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis import replay_trace
-from repro.fabric import CrashSeverity, Pod, TorusTopology
+from repro.cluster import ClusterManager, ServiceSpec, echo_service
+from repro.fabric import CrashSeverity, Datacenter, Pod, TorusTopology
 from repro.fabric.torus import yx_routes
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary, synthesize_model
 from repro.ranking.scoring import NeuralScorer
-from repro.services import HealthMonitor
 from repro.shell.router import Port
 from repro.sim import Engine, SEC
 from repro.workloads import TraceGenerator
@@ -101,7 +101,7 @@ def test_pod_with_yx_policy_delivers():
     eng = Engine(seed=51)
     pod = Pod(eng, topology=TorusTopology(width=3, height=4), routing_policy="yx")
     pod.release_all_rx_halts()
-    from repro.host import SlotClient
+    from repro.host.slots import SlotLease, shared_slot_allocator
     from repro.shell import Role
 
     class Echo(Role):
@@ -112,7 +112,9 @@ def test_pod_with_yx_policy_delivers():
             yield self.send(packet.response_to(16, "yx-ok"))
 
     pod.server_at((2, 3)).shell.attach_role(Echo())
-    lease = SlotClient(pod.server_at((0, 0))).lease()
+    server = pod.server_at((0, 0))
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     got = []
 
     def thread():
@@ -145,36 +147,31 @@ def test_pod_rejects_unknown_policy():
 # --- watchdog --------------------------------------------------------------------------
 
 
-def test_watchdog_recovers_crashed_server_automatically():
+def crashed_spare_after_two_minutes(stop_watchdog_first: bool):
+    """Transiently crash one ring spare of a managed echo service and
+    return the server after 120 s of simulated time."""
     eng = Engine(seed=53)
-    pod = Pod(eng, topology=TorusTopology(width=2, height=2))
-    monitor = HealthMonitor(eng, pod)
-    monitor.start_watchdog(list(pod.servers), period_ns=5 * SEC)
-    victim = pod.server_at((1, 1))
+    datacenter = Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=3))
+    manager = ClusterManager(datacenter)
+    handle = manager.apply(
+        ServiceSpec(service=echo_service(), replicas=1, health_period_ns=5 * SEC)
+    )
+    if stop_watchdog_first:
+        handle.stop_watchdog()
+    deployment = handle.deployments[0]
+    victim = deployment.pod.server_at(deployment.assignment.spare_nodes[0])
     victim.crash(CrashSeverity.TRANSIENT)
-    eng.run(until=120 * SEC)
-    assert victim.is_responsive  # soft-rebooted by the watchdog
-    assert monitor.watchdog_reports
-    assert monitor.watchdog_reports[0].diagnoses[0].reboots_performed == 1
+    eng.run(until=eng.now + 120 * SEC)
+    return victim
 
 
-def test_watchdog_does_not_block_engine_drain():
-    eng = Engine(seed=54)
-    pod = Pod(eng, topology=TorusTopology(width=2, height=2))
-    monitor = HealthMonitor(eng, pod)
-    monitor.start_watchdog(list(pod.servers), period_ns=1 * SEC)
-    eng.run()  # daemon: returns immediately with nothing else pending
-    assert eng.now == 0.0
-    monitor.stop_watchdog()
-
-
-def test_watchdog_double_start_rejected():
-    eng = Engine(seed=55)
-    pod = Pod(eng, topology=TorusTopology(width=2, height=2))
-    monitor = HealthMonitor(eng, pod)
-    monitor.start_watchdog([(0, 0)])
-    with pytest.raises(RuntimeError):
-        monitor.start_watchdog([(0, 0)])
+def test_watchdog_recovers_crashed_server_automatically():
+    victim = crashed_spare_after_two_minutes(stop_watchdog_first=False)
+    assert victim.is_responsive  # soft-rebooted by the service's watchdog
+    assert victim.reboot_count == 1
+    unwatched = crashed_spare_after_two_minutes(stop_watchdog_first=True)
+    assert not unwatched.is_responsive
+    assert unwatched.reboot_count == 0
 
 
 # --- trace replay -----------------------------------------------------------------------
@@ -184,7 +181,7 @@ def test_replay_reconstructs_packet_path():
     eng = Engine(seed=56)
     pod = Pod(eng, topology=TorusTopology(width=4, height=2))
     pod.release_all_rx_halts()
-    from repro.host import SlotClient
+    from repro.host.slots import SlotLease, shared_slot_allocator
     from repro.shell import Role
 
     class Echo(Role):
@@ -195,7 +192,9 @@ def test_replay_reconstructs_packet_path():
             yield self.send(packet.response_to(16, "done"))
 
     pod.server_at((2, 0)).shell.attach_role(Echo())
-    lease = SlotClient(pod.server_at((0, 0))).lease()
+    server = pod.server_at((0, 0))
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     trace_ids = []
 
     def thread():
@@ -218,7 +217,7 @@ def test_replay_exposes_stall_at_hung_stage():
     eng = Engine(seed=57)
     pod = Pod(eng, topology=TorusTopology(width=4, height=2))
     pod.release_all_rx_halts()
-    from repro.host import SlotClient
+    from repro.host.slots import SlotLease, shared_slot_allocator
     from repro.shell import Role
 
     class SlowRole(Role):
@@ -229,7 +228,9 @@ def test_replay_exposes_stall_at_hung_stage():
             yield self.send(packet.response_to(16, "late"))
 
     pod.server_at((2, 0)).shell.attach_role(SlowRole())
-    lease = SlotClient(pod.server_at((0, 0))).lease()
+    server = pod.server_at((0, 0))
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     trace_ids = []
 
     def thread():

@@ -31,10 +31,11 @@ def make_harness(stage, library, pool, seed=51):
 
 
 def roundtrip(eng, harness, request):
-    from repro.host.slots import SlotClient
+    from repro.host.slots import SlotLease, shared_slot_allocator
 
-    client = SlotClient(harness.stage_server)
-    lease = client.lease()
+    server = harness.stage_server
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     out = []
 
     def thread():

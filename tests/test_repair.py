@@ -259,7 +259,7 @@ def test_repaired_slot_redeploys_under_traffic():
     pool = [object() for _ in range(8)]
     traffic = OpenLoopInjector(
         eng,
-        handle,
+        manager.endpoint(handle.name),
         PoissonArrivals(1_500.0),
         pool,
         timeout_ns=0.04 * SEC,
@@ -366,7 +366,7 @@ def test_upgrade_keeps_serving_under_traffic():
     pool = [object() for _ in range(8)]
     traffic = OpenLoopInjector(
         eng,
-        handle,
+        manager.endpoint(handle.name),
         PoissonArrivals(1_500.0),
         pool,
         timeout_ns=0.04 * SEC,

@@ -84,10 +84,11 @@ def build_pod(seed=3):
 
 def send_through_pipeline(eng, pod, assignment, src_node=(0, 0)):
     """Inject one request at the pipeline head; return the response list."""
-    from repro.host import SlotClient
+    from repro.host.slots import SlotLease, shared_slot_allocator
 
-    client = SlotClient(pod.server_at(src_node))
-    lease = client.lease()
+    server = pod.server_at(src_node)
+    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
+    lease = SlotLease(server, slot_id)
     responses = []
 
     def thread(eng):

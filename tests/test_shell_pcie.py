@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import ClusterScheduler
 from repro.hardware.constants import PCIE_DMA_LATENCY_TARGET_NS
-from repro.host.slots import RequestTimeout, SlotClient
+from repro.host.slots import RequestTimeout, SlotLease
 from repro.shell.messages import Packet, PacketKind
 from repro.shell.pcie import HostDmaBuffers, PcieCore, SlotError
 from repro.shell.router import Port, Router
@@ -169,7 +169,7 @@ def response(slot_id, payload="late"):
 def lease_on(eng, buffers):
     """A slot lease on a bare host: requests go to an unattached role."""
     host = types.SimpleNamespace(engine=eng, buffers=buffers, node_id=(0, 0))
-    return SlotClient(host).lease()
+    return SlotLease(host, 0)
 
 
 def test_dropped_response_times_out_at_exactly_the_deadline():

@@ -29,7 +29,7 @@ from repro.cluster import (
 from repro.fabric import Datacenter, TorusTopology
 from repro.hardware import ResourceBudget
 from repro.hardware.constants import MODEL_RELOAD_WORST_NS
-from repro.host.slots import SlotAllocator, SlotClient, SlotExhausted
+from repro.host.slots import SlotAllocator, SlotExhausted
 from repro.sim import Engine
 from repro.workloads import OpenLoopInjector, PoissonArrivals
 
@@ -147,16 +147,6 @@ def test_slot_allocator_partitions_one_pool():
     allocator.acquire(allocator.free_count, owner="c")
     with pytest.raises(SlotExhausted):
         allocator.acquire(1, owner="d")
-
-
-def test_lease_for_is_range_checked():
-    _eng, dc = make_dc()
-    server = dc.ring_servers(slot_at(dc, 0, 0))[0]
-    client = SlotClient(server)
-    lease = client.lease_for(3)
-    assert lease.slot_id == 3
-    with pytest.raises(SlotExhausted):
-        client.lease_for(server.buffers.slot_count)
 
 
 # --- region placement ----------------------------------------------------------------
@@ -313,10 +303,10 @@ def test_co_resident_tenants_share_servers_under_quota():
 
     pool = [object() for _ in range(16)]
     done_lat = OpenLoopInjector(
-        eng, lat, PoissonArrivals(50_000.0), pool, seed_tag="lat"
+        eng, manager.endpoint("lat"), PoissonArrivals(50_000.0), pool, seed_tag="lat"
     ).run(40)
     done_bat = OpenLoopInjector(
-        eng, bat, PoissonArrivals(50_000.0), pool, seed_tag="bat"
+        eng, manager.endpoint("bat"), PoissonArrivals(50_000.0), pool, seed_tag="bat"
     ).run(40)
     eng.run_until(done_lat)
     if not done_bat.triggered:
