@@ -13,10 +13,14 @@ Recorder (head/tail flits, §3.6).
 from __future__ import annotations
 
 import enum
+import typing
 
 from repro.shell.fdr import FlightDataRecorder
 from repro.shell.messages import NodeId, Packet, PacketKind
 from repro.sim import Engine, Event, Store
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.shell.sl3 import Sl3Transmitter
 
 
 class RoutingError(Exception):
@@ -56,6 +60,11 @@ class Router:
             port: Store(engine, capacity=queue_capacity, name=f"rtq:{node_id}:{port.value}")
             for port in Port
         }
+        # Port -> (queue, transmitter fed from it or None): one lookup
+        # per submit.
+        self._outputs: dict[Port, tuple[Store, Sl3Transmitter | None]] = {
+            port: (store, None) for port, store in self.output_queues.items()
+        }
         self.dropped_no_route = 0
         self.forwarded = 0
         # The port set is static: build the queue-probe list once, not
@@ -78,6 +87,12 @@ class Router:
         for dst, port in table.items():
             self.set_route(dst, port)
 
+    def attach_transmitter(self, port: Port, transmitter: Sl3Transmitter) -> None:
+        """Have ``transmitter`` drain ``port``'s queue; each submit to the
+        port calls its ``feed()``."""
+        queue = transmitter.source = self.output_queues[port]
+        self._outputs[port] = (queue, transmitter)
+
     # -- data path ------------------------------------------------------------
 
     def submit(self, packet: Packet, in_port: Port) -> Event | None:
@@ -99,7 +114,11 @@ class Router:
                 tuple([(name, len(items)) for name, items in self._queue_probe if items]),
             )
         )
-        return self.output_queues[out_port].put(packet)
+        queue, transmitter = self._outputs[out_port]
+        put = queue.put(packet)
+        if transmitter is not None:
+            transmitter.feed()
+        return put
 
     def _select_output(self, packet: Packet) -> Port | None:
         if packet.kind is PacketKind.GARBAGE:

@@ -3,7 +3,9 @@
 Wires together the PCIe core + DMA engine, two DRAM controllers, four
 SL3 link endpoints, the crossbar router, the RSU reconfiguration path
 (config flash), the SEU scrubber and the Flight Data Recorder, and
-hosts the application role.
+hosts the application role.  Each network port's router queue feeds
+its endpoint's :class:`~repro.shell.sl3.Sl3Transmitter`: the router
+tells it of every put, so no process drains the queue.
 
 The shell also implements the §3.4 safe-reconfiguration sequence:
 
@@ -98,23 +100,10 @@ class Shell:
         endpoint.deliver = lambda packet: self.router.submit(packet, port)
         endpoint.advertised_id = self.machine_id  # exchanged at link training
         self.endpoints[port] = endpoint
-        # Expendable: a feeder blocks forever once traffic stops.
-        self.engine.process(
-            self._link_feeder(port, endpoint),
-            name=f"feed.{endpoint.name}",
-            expendable=True,
-        )
+        endpoint.transmitter.halted = lambda: self.tx_halt_asserted
+        self.router.attach_transmitter(port, endpoint.transmitter)
         self.fdr.record_power_on(f"sl3_{port.value}_lock", endpoint.locked)
         return endpoint
-
-    def _link_feeder(self, port: Port, endpoint: Sl3Endpoint) -> collections.abc.Generator:
-        """Drain the router output queue for ``port`` onto the link."""
-        queue = self.router.output_queues[port]
-        while True:
-            packet: Packet = yield queue.get()
-            if self.tx_halt_asserted:
-                continue  # we promised neighbours silence
-            yield endpoint.send(packet)
 
     # -- role hosting ---------------------------------------------------------------
 
@@ -125,18 +114,11 @@ class Shell:
         self.role = role
         role.attach(self)
 
-    def send_from_role(self, packet: Packet):
+    def send_from_role(self, packet: Packet) -> Event:
         """Role -> router entry point; returns an event to yield."""
         put = self.router.submit(packet, Port.ROLE)
         if put is None:
-            return self.engine.timeout(0.0)  # dropped: no route
-        return put
-
-    def send_from_host(self, packet: Packet):
-        """Direct host injection used by tests (bypasses DMA timing)."""
-        put = self.router.submit(packet, Port.PCIE)
-        if put is None:
-            return self.engine.timeout(0.0)
+            return self.engine.event()._complete()  # dropped: no route
         return put
 
     # -- neighbour identity (miswiring detection, §3.5) -------------------------------

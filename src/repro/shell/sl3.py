@@ -30,7 +30,7 @@ from repro.hardware.constants import (
     SL3_PEAK_GBPS,
 )
 from repro.shell.messages import Packet, PacketKind
-from repro.sim import Engine, Store
+from repro.sim import Engine, Event, Store
 from repro.sim.units import transfer_time_ns
 
 
@@ -88,6 +88,8 @@ class Sl3Endpoint:
         # Wired by the shell: invoked with each delivered packet.
         self.deliver: collections.abc.Callable[[Packet], object] | None = None
         self.link: "Sl3Link | None" = None
+        # The direction this endpoint sends on; the link connects it.
+        self.transmitter = Sl3Transmitter(self)
 
     @property
     def peer(self) -> "Sl3Endpoint":
@@ -98,7 +100,14 @@ class Sl3Endpoint:
     def send(self, packet: Packet):
         """Enqueue for transmission; returns the (possibly blocking) put."""
         self.stats.packets_sent += 1
-        return self.tx_queue.put(packet)
+        return self.enqueue(packet)
+
+    def enqueue(self, packet: Packet):
+        """Put ``packet`` on the transmit queue and start the wire if it
+        is idle; returns the put, which blocks while the queue is full."""
+        put = self.tx_queue.put(packet)
+        self.transmitter.wire_next()
+        return put
 
     def assert_tx_halt(self):
         """§3.4: tell the peer to ignore us until the link retrains."""
@@ -108,7 +117,7 @@ class Sl3Endpoint:
             dst=(-1, -1),
             size_bytes=SL3_FLIT_BYTES,
         )
-        return self.tx_queue.put(halt)
+        return self.enqueue(halt)
 
     def release_rx_halt(self) -> None:
         """Mapping Manager release after all pipeline FPGAs configured."""
@@ -118,13 +127,145 @@ class Sl3Endpoint:
         return f"<Sl3Endpoint {self.name} rx_halt={self.rx_halt}>"
 
 
+class Sl3Transmitter:
+    """One direction of a link, from ``src`` to its peer, as callbacks.
+
+    No process waits on a link queue.  Three stages move a packet:
+
+    * **feed** — the router calls :meth:`feed` after each put into the
+      output queue of ``src``'s port (``source``).  It moves packets on
+      to the transmit queue through :meth:`Sl3Endpoint.send`, or drops
+      them while ``halted()`` (the shell asserted TX Halt).  While the
+      transmit queue is full it holds one packet until there is room.
+    * **wire** — :meth:`wire_next` takes the next packet off the
+      transmit queue and arms one timeout for its serialization plus
+      the hop.  On arrival the packet faces the cable, the peer's halt
+      state and channel errors, then enters the peer's receive FIFO.  A
+      full FIFO is Xoff: the wire waits until delivery makes room.
+    * **delivery** — drains the receive FIFO into the peer's
+      ``deliver`` hook (its router) and stalls while the put that hook
+      returned is pending.
+
+    A hop with room in every queue costs one engine event, the wire
+    timeout.  A stall ends on the dispatch of the put that blocked it.
+    """
+
+    __slots__ = ("src", "link", "dst", "source", "halted", "_held", "_busy", "_stalled")
+
+    def __init__(self, src: Sl3Endpoint):
+        self.src = src
+        self.link: Sl3Link | None = None
+        self.dst: Sl3Endpoint | None = None
+        self.source: Store | None = None  # set by Router.attach_transmitter
+        self.halted: collections.abc.Callable[[], bool] | None = None  # set by the shell
+        self._held = None  # a send waiting for transmit-queue room
+        self._busy = False  # a packet is on the wire or held by Xoff
+        self._stalled = False  # delivery waits on the router's put
+
+    def connect(self, link: Sl3Link, dst: Sl3Endpoint) -> None:
+        self.link = link
+        self.dst = dst
+        self.wire_next()
+
+    def feed(self, room: Event | None = None) -> None:
+        """Move router-queue packets onto the transmit queue.
+
+        ``room`` is the held send, once the wire has made room for it.
+        """
+        if self._held is not room:
+            return  # still waiting for room
+        self._held = None
+        source = self.source
+        while source.items:
+            packet = source.try_get()
+            if self.halted():
+                continue  # we promised neighbours silence
+            put = self.src.send(packet)
+            if not put._dispatched:
+                self._held = put
+                put.add_callback(self.feed)
+                return
+
+    def wire_next(self) -> None:
+        """Serialize the next queued packet unless the wire is busy."""
+        if self._busy or self.link is None:
+            return
+        packet = self.src.tx_queue.try_get()
+        if packet is None:
+            return
+        self._busy = True
+        config = self.link.config
+        serialization = transfer_time_ns(packet.size_bytes, config.effective_gbps)
+        self.link.engine.timeout(serialization + config.hop_latency_ns, packet).add_callback(
+            self._arrive
+        )
+
+    def _wire_free(self, _event=None) -> None:
+        self._busy = False
+        self.wire_next()
+
+    def _arrive(self, event: Event) -> None:
+        packet: Packet = event._value
+        link, dst = self.link, self.dst
+        if link.broken:
+            self.src.stats.dropped_link_down += 1
+        elif packet.kind is PacketKind.TX_HALT:
+            # Link-level control: processed even under RX halt.
+            dst.ignore_peer = True
+        elif dst.ignore_peer:
+            dst.stats.dropped_ignore_peer += 1
+        elif dst.rx_halt:
+            dst.stats.dropped_rx_halt += 1
+        else:
+            survived, corrected = link._apply_channel_errors(packet)
+            dst.stats.corrected_flits += corrected
+            if not survived:
+                dst.stats.dropped_crc += 1
+            elif dst.rx_fifo.is_full:
+                dst.stats.xoff_events += 1
+                # Xoff: the wire holds the packet until delivery makes room.
+                dst.rx_fifo.put(packet).add_callback(self._wire_free)
+                return
+            else:
+                dst.rx_fifo.try_put(packet)
+                # Arm the next packet's wire timeout before delivering
+                # this one: it takes its place among same-instant events
+                # ahead of anything the delivery schedules.
+                self._wire_free()
+                if not self._stalled:
+                    self._drain()
+                return
+        self._wire_free()
+
+    def _drain(self, _event=None) -> None:
+        """Hand received packets to the peer until its router pushes back."""
+        self._stalled = False
+        endpoint = self.dst
+        fifo = endpoint.rx_fifo
+        stats = endpoint.stats
+        while fifo.items:
+            packet: Packet = fifo.try_get()
+            packet.hops += 1
+            stats.packets_delivered += 1
+            stats.bytes_delivered += packet.size_bytes
+            if packet.kind is PacketKind.GARBAGE:
+                stats.garbage_received += 1
+            if endpoint.deliver is None:
+                continue
+            result = endpoint.deliver(packet)
+            if result is not None and not result._dispatched:
+                self._stalled = True  # backpressure from the router
+                result.add_callback(self._drain)
+                return
+
+
 class Sl3Link:
     """A full-duplex link between two endpoints.
 
-    Each direction runs two processes: a *wire* process that serializes
-    packets (subject to error injection and the peer's halt state) into
-    the far receive FIFO — blocking there is exactly Xoff — and a
-    *delivery* process that drains the FIFO into the far shell.
+    Each direction is one :class:`Sl3Transmitter`, owned by the sending
+    endpoint: a packet's wire time is a timeout whose callback lands it
+    in the far receive FIFO (blocking there is exactly Xoff) and hands
+    it on to the far shell.
     """
 
     def __init__(
@@ -144,58 +285,8 @@ class Sl3Link:
         b.link = self
         self.broken = False  # cable failure
         self._rng = engine.rng.stream(f"sl3:{name}")
-        for src, dst in ((a, b), (b, a)):
-            # Expendable: link loops wait for the next flit forever.
-            engine.process(
-                self._wire(src, dst), name=f"sl3.wire.{src.name}", expendable=True
-            )
-            engine.process(
-                self._delivery(dst), name=f"sl3.rx.{dst.name}", expendable=True
-            )
-
-    # -- processes --------------------------------------------------------
-
-    def _wire(self, src: Sl3Endpoint, dst: Sl3Endpoint):
-        config = self.config
-        while True:
-            packet: Packet = yield src.tx_queue.get()
-            serialization = transfer_time_ns(packet.size_bytes, config.effective_gbps)
-            yield self.engine.timeout(serialization + config.hop_latency_ns)
-            if self.broken:
-                src.stats.dropped_link_down += 1
-                continue
-            if packet.kind is PacketKind.TX_HALT:
-                # Link-level control: processed even under RX halt.
-                dst.ignore_peer = True
-                continue
-            if dst.ignore_peer:
-                dst.stats.dropped_ignore_peer += 1
-                continue
-            if dst.rx_halt:
-                dst.stats.dropped_rx_halt += 1
-                continue
-            survived, corrected = self._apply_channel_errors(packet)
-            dst.stats.corrected_flits += corrected
-            if not survived:
-                dst.stats.dropped_crc += 1
-                continue
-            if dst.rx_fifo.is_full:
-                dst.stats.xoff_events += 1
-            yield dst.rx_fifo.put(packet)  # blocks while Xoff is asserted
-
-    def _delivery(self, endpoint: Sl3Endpoint):
-        while True:
-            packet: Packet = yield endpoint.rx_fifo.get()
-            packet.hops += 1
-            endpoint.stats.packets_delivered += 1
-            endpoint.stats.bytes_delivered += packet.size_bytes
-            if packet.kind is PacketKind.GARBAGE:
-                endpoint.stats.garbage_received += 1
-            if endpoint.deliver is None:
-                continue
-            result = endpoint.deliver(packet)
-            if result is not None:
-                yield result  # backpressure from the router
+        a.transmitter.connect(self, b)
+        b.transmitter.connect(self, a)
 
     # -- error channel -----------------------------------------------------
 
@@ -257,7 +348,7 @@ class Sl3Link:
                     dst=(-9, -9),
                     size_bytes=self._rng.randrange(SL3_FLIT_BYTES, 4096),
                 )
-                yield src.tx_queue.put(garbage)
+                yield src.enqueue(garbage)
                 yield self.engine.timeout(period_ns)
                 elapsed += period_ns
 

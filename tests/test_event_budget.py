@@ -5,7 +5,11 @@ not depend on the machine, so a change that adds an event per request,
 or moves one arrival instant, fails here on any host.
 
 * L1 components: one request through ``SlotLease.request`` on an idle
-  echo ring, and one ``Router.submit`` hop over an SL3 link.
+  echo ring, one ``Router.submit`` hop over an SL3 link, and one
+  ``bing-ranking`` request through ``manager.endpoint()`` on an idle
+  ring.  An SL3 hop with room in every queue costs one event, its wire
+  timeout: the link's feed, wire and delivery stages run as callbacks
+  (``Sl3Transmitter``), and no process waits on a link queue.
 * L2 end to end: a small fixed-seed open-loop run enters through
   ``manager.endpoint()`` and is served by two echo replicas.  The same
   run on a fluid engine whose sink publishes no fluid profile must give
@@ -18,14 +22,17 @@ import pytest
 from repro.cluster import ClusterManager, ClusterScheduler, ServiceSpec, echo_service
 from repro.fabric import Datacenter, TorusTopology
 from repro.host.slots import SlotLease, shared_slot_allocator
+from repro.ranking.engine import ScoringEngine
+from repro.ranking.models import ModelLibrary
+from repro.ranking.pipeline import ranking_spec
 from repro.shell import Packet, PacketKind, Port
 from repro.sim import Engine
 from repro.sim.units import MS, US
-from repro.workloads import OpenLoopInjector, PoissonArrivals
+from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
 from tests.test_shell_integration import build_pair
 
 ARRIVALS = 2_000
-EVENTS_DISPATCHED = 30_255
+EVENTS_DISPATCHED = 22_107
 FINAL_NOW_NS = 2035768639.9525208
 
 # One request from a ring server one hop from the echo head: process
@@ -34,12 +41,18 @@ FINAL_NOW_NS = 2035768639.9525208
 # the output DMA's queue wake and transfer, the hand-off to the waiting
 # thread, and the interrupt wake.  Its simulated time is echo_steady's
 # p50.
-LEASE_REQUEST_EVENTS = 17
+LEASE_REQUEST_EVENTS = 11
 LEASE_REQUEST_NS = 48_296.0
-# One hop: process start, then the feeder, wire and delivery processes
-# each wake once, and the wire serializes once; every put has room.
-ROUTER_HOP_EVENTS = 5
+# One hop: process start, then the wire timeout, whose callback lands
+# the packet in the far router; every put has room.
+ROUTER_HOP_EVENTS = 2
 ROUTER_HOP_NS = 656.0
+# One ranking request at model scale 0.1: 14 SL3 hops at one wire
+# timeout each; the other 39 events are the request's own process, the
+# queue manager, both DMAs, the stage roles' wakes and service time, and
+# the start of the service's watchdog.
+RANKING_REQUEST_EVENTS = 53
+RANKING_REQUEST_NS = 100182.1707303524
 
 
 def test_one_lease_request_on_an_idle_ring_is_exact():
@@ -81,6 +94,25 @@ def test_one_router_hop_is_exact():
     assert shell_b.router.queue_depth(Port.ROLE) == 1
     assert engine.events_dispatched - before == ROUTER_HOP_EVENTS
     assert engine.now - started == ROUTER_HOP_NS
+
+
+def test_one_ranking_request_on_an_idle_ring_is_exact():
+    engine = Engine(seed=7)
+    manager = ClusterManager(
+        Datacenter(engine, num_pods=1, topology=TorusTopology(width=2, height=8))
+    )
+    manager.apply(ranking_spec(ScoringEngine(ModelLibrary.default(scale=0.1))))
+    endpoint = manager.endpoint("bing-ranking")
+    (request,) = TraceGenerator(seed=99).requests(1)
+
+    def one_request():
+        return (yield from endpoint.submit(request))
+
+    before, started = engine.events_dispatched, engine.now
+    response = engine.run_until(engine.process(one_request()))
+    assert response.kind is PacketKind.RESPONSE
+    assert engine.events_dispatched - before == RANKING_REQUEST_EVENTS
+    assert engine.now - started == RANKING_REQUEST_NS
 
 
 class NoProfileSink:

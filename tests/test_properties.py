@@ -137,21 +137,47 @@ def test_tree_banks_partition_exactly(n_trees, values):
     )
 
 
-def assert_flat_walk_is_exact(scorer, packed):
+def _same(score, reference):
+    """Bit-for-bit equality, where a NaN equals only a NaN."""
+    if math.isnan(reference):
+        return math.isnan(score)
+    return not math.isnan(score) and score == reference
+
+
+def assert_scorer_is_exact(scorer, packed):
     """The scorer's banks and total equal the reference walk, bit for bit."""
     lr = scorer.learning_rate
     for i in range(3):
         reference = lr * sum(tree.evaluate(packed) for tree in scorer.bank(i))
-        assert scorer.evaluate_bank(i, packed) == reference
-    assert scorer.evaluate(packed) == lr * sum(tree.evaluate(packed) for tree in scorer.trees)
+        assert _same(scorer.evaluate_bank(i, packed), reference)
+    assert _same(scorer.evaluate(packed), lr * sum(tree.evaluate(packed) for tree in scorer.trees))
 
 
 # Thresholds and inputs share a grid half the time, so ``x == threshold``
 # (which goes left) comes up often.
 _GRID = (-1.0, 0.0, 0.5, 1.0)
+# IEEE edge values: a signed zero, both infinities and NaN (every
+# comparison with NaN is false, so a NaN input goes right).
+_SPECIAL = (-0.0, 0.0, math.inf, -math.inf, math.nan)
 
 
-@settings(max_examples=80, deadline=None)
+def _chain(rng, depth, spine, pick):
+    """A ``depth``-deep one-sided tree: every decision node has a leaf on
+    one side and the rest of the chain on the ``spine`` side."""
+    node = TreeNode(value=pick())
+    for _ in range(depth):
+        # Mostly a threshold that keeps to the spine, so walks go deep.
+        if rng.random() < 0.9:
+            threshold = math.inf if spine == "left" else -math.inf
+        else:
+            threshold = pick()
+        leaf = TreeNode(value=pick())
+        left, right = (node, leaf) if spine == "left" else (leaf, node)
+        node = TreeNode(feature=rng.randrange(4), threshold=threshold, left=left, right=right)
+    return DecisionTree(node)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_trees=st.integers(1, 40),
@@ -159,24 +185,30 @@ _GRID = (-1.0, 0.0, 0.5, 1.0)
     length=st.integers(0, 12),
     nan_every=st.integers(0, 4),
     int_leaves=st.booleans(),
+    special_frac=st.sampled_from([0.0, 0.1, 0.5]),
+    chain=st.sampled_from([None, "left", "right"]),
     learning_rate=st.sampled_from([0.1, 0.25, 1.0, 1 / 3]),
 )
-def test_flat_walk_matches_reference_exactly(
-    seed, n_trees, max_depth, length, nan_every, int_leaves, learning_rate
+def test_compiled_scorer_matches_reference_exactly(
+    seed, n_trees, max_depth, length, nan_every, int_leaves, special_frac, chain, learning_rate
 ):
     """Random trees up to depth 12 over features 0..15: vectors of length
     0..12 leave some features past the end, 1-2 trees leave banks empty,
-    and NaN inputs (``NaN <= t`` is false) go right."""
+    NaN inputs go right, a share ``special_frac`` of thresholds, leaves
+    and inputs are IEEE edge values, and ``chain`` adds a 500-deep
+    one-sided tree leaning that way."""
     rng = RngStreams(seed).stream("trees")
 
     def value(low, high):
+        if special_frac and rng.random() < special_frac:
+            return rng.choice(_SPECIAL)
         return rng.choice(_GRID) if rng.random() < 0.5 else rng.uniform(low, high)
 
     def node(depth):
         if depth == 0 or rng.random() < 0.25:
             if int_leaves and rng.random() < 0.5:
                 return TreeNode(value=rng.randint(-3, 3))
-            return TreeNode(value=rng.uniform(-1.0, 1.0))
+            return TreeNode(value=value(-1.0, 1.0))
         return TreeNode(
             feature=rng.randrange(16),
             threshold=value(-2.0, 2.0),
@@ -184,23 +216,26 @@ def test_flat_walk_matches_reference_exactly(
             right=node(depth - 1),
         )
 
-    scorer = BoostedTreeScorer(
-        [DecisionTree(node(max_depth)) for _ in range(n_trees)], learning_rate
-    )
+    trees = [DecisionTree(node(max_depth)) for _ in range(n_trees)]
+    if chain is not None:
+        trees.insert(
+            rng.randrange(n_trees + 1), _chain(rng, 500, chain, lambda: value(-2.0, 2.0))
+        )
+    scorer = BoostedTreeScorer(trees, learning_rate)
     packed = [
         math.nan if nan_every and i % nan_every == 0 else value(-2.0, 2.0)
         for i in range(length)
     ]
-    assert_flat_walk_is_exact(scorer, packed)
+    assert_scorer_is_exact(scorer, packed)
 
 
-def test_flat_walk_matches_reference_on_default_models():
+def test_compiled_scorer_matches_reference_on_default_models():
     library = ModelLibrary.default(scale=0.05)
     engine = ScoringEngine(library)
     generator = TraceGenerator(seed=12, model_mix={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
     for request in generator.requests(20):
         model = engine.model_for(request.document)
-        assert_flat_walk_is_exact(model.scorer, engine.packed(request.document, model))
+        assert_scorer_is_exact(model.scorer, engine.packed(request.document, model))
 
 
 # --- FFE assembler ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.stages import RankingPayload
 from repro.shell.messages import Packet, PacketKind
+from repro.shell.router import Port
 from repro.sim import Engine
 from repro.workloads import TraceGenerator
 
@@ -107,7 +108,7 @@ def test_stage_reload_updates_model(library, pool):
     )
 
     def inject():
-        yield harness.stage_server.shell.send_from_host(reload_packet)
+        yield harness.stage_server.shell.router.submit(reload_packet, Port.PCIE)
 
     eng.process(inject())
     eng.run()
