@@ -9,7 +9,7 @@ a strawman FIFO that reloads on every model change.
 
 from bench_harness import build_ring, warm_engine
 from repro.analysis import format_table
-from repro.workloads import TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
 REQUESTS = 96
 MODEL_MIX = {0: 0.4, 1: 0.3, 2: 0.3}
@@ -22,14 +22,10 @@ def run_policy(policy: str):
     pool = [generator.request() for _ in range(32)]
     warm_engine(ring.scoring_engine, ring.library, pool)
     deployment.meter.start_measurement()
-    done, stats = deployment.spawn_injector(
-        ring.pod.server_at((1, 2)),
-        threads=12,
-        pool=pool,
-        requests_per_thread=REQUESTS // 12,
-        include_prep=False,
+    population = ClosedLoop(ring.pod.server_at((1, 2)), threads=12, include_prep=False)
+    stats = ring.engine.run_until(
+        OpenLoopInjector(ring.engine, deployment, population, pool).run(REQUESTS)
     )
-    ring.engine.run_until(done)
     qm = deployment.stage_role("fe").queue_manager
     return {
         "throughput": deployment.meter.per_second,

@@ -12,6 +12,7 @@ from bench_harness import build_ring
 from repro.analysis import format_table
 from repro.services import FailureInjector, FailureKind
 from repro.sim.units import SEC
+from repro.workloads import ClosedLoop, OpenLoopInjector
 
 
 def run_experiment():
@@ -24,10 +25,10 @@ def run_experiment():
     eng.run_until(ring.manager.health_monitor(0).investigate([victim]))
     rotate_recovery_ns = eng.now - fault_time
     # Service works again end to end.
-    done, stats = deployment.spawn_injector(
-        ring.pod.server_at((1, 1)), threads=1, pool=ring.pool[:2], requests_per_thread=2
+    population = ClosedLoop(ring.pod.server_at((1, 1)), threads=1)
+    stats = eng.run_until(
+        OpenLoopInjector(eng, deployment, population, ring.pool[:2]).run(2)
     )
-    eng.run_until(done)
     rotated_ok = stats.completed == 2 and stats.timeouts == 0
 
     # --- without spare: full ring already consumed --------------------

@@ -7,11 +7,11 @@ limited by Feature Extraction's throughput.
 """
 
 from repro.analysis import format_table
-from repro.core import LoopbackHarness, LoopbackMode
+from repro.core import LoopbackMode, loopback_rig
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.sim import Engine
-from repro.workloads import TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
 STAGES = ["fe", "ffe0", "ffe1", "compress", "score0", "score1", "score2", "spare"]
 
@@ -28,11 +28,16 @@ def run_experiment():
                 scoring = ScoringEngine(library)
                 for request in pool:
                     scoring.score(request.document, library[request.document.model_id])
-                harness = LoopbackHarness(eng, stage, scoring)
-                rate = harness.measure_throughput(
-                    pool, mode, threads=threads, requests_per_thread=12
+                rig = loopback_rig(eng, stage, scoring)
+                # Pre-collected requests, no host prep in the loop.
+                population = ClosedLoop(
+                    mode.injection_server(rig), threads, include_prep=False
                 )
-                stage_results[(mode.value, threads)] = rate
+                rig.meter.start_measurement()
+                eng.run_until(
+                    OpenLoopInjector(eng, rig, population, pool).run(threads * 12)
+                )
+                stage_results[(mode.value, threads)] = rig.meter.per_second
         results[stage] = stage_results
     return results
 

@@ -7,6 +7,7 @@ stage (FE).
 
 from bench_harness import build_ring
 from repro.analysis import format_series
+from repro.workloads import ClosedLoop, OpenLoopInjector
 
 THREAD_COUNTS = [1, 2, 4, 8, 12, 16, 24, 32]
 
@@ -20,14 +21,9 @@ def run_experiment():
         deployment.meter.start_measurement()
         # Paper methodology: "inject scoring requests collected from
         # real-world traces" — pre-encoded, no SSD/prep in the loop.
-        done, _stats = deployment.spawn_injector(
-            injector,
-            threads=threads,
-            pool=ring.pool,
-            requests_per_thread=24,
-            include_prep=False,
-        )
-        ring.engine.run_until(done)
+        population = ClosedLoop(injector, threads, include_prep=False)
+        traffic = OpenLoopInjector(ring.engine, deployment, population, ring.pool)
+        ring.engine.run_until(traffic.run(threads * 24))
         throughputs[threads] = deployment.meter.per_second
     return throughputs
 

@@ -6,6 +6,7 @@ count because of queuing ahead of the saturated pipeline.
 
 from bench_harness import build_ring
 from repro.analysis import format_series
+from repro.workloads import ClosedLoop, OpenLoopInjector
 
 THREAD_COUNTS = [1, 2, 4, 8, 12, 16, 24, 32]
 
@@ -16,14 +17,9 @@ def run_experiment():
         ring = build_ring(seed=10)
         injector = ring.pod.server_at(ring.deployment.head_node)
         # Paper methodology: pre-collected requests, no prep in the loop.
-        done, stats = ring.deployment.spawn_injector(
-            injector,
-            threads=threads,
-            pool=ring.pool,
-            requests_per_thread=24,
-            include_prep=False,
-        )
-        ring.engine.run_until(done)
+        population = ClosedLoop(injector, threads, include_prep=False)
+        traffic = OpenLoopInjector(ring.engine, ring.deployment, population, ring.pool)
+        stats = ring.engine.run_until(traffic.run(threads * 24))
         latencies[threads] = sum(stats.latencies_ns) / len(stats.latencies_ns)
     return latencies
 

@@ -8,7 +8,7 @@ computation time — reaching ~30x the minimum near 60 KB.
 
 from bench_harness import build_ring, warm_engine
 from repro.analysis import format_series
-from repro.workloads import TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
 SIZES = [512, 2_048, 6_500, 16_384, 32_768, 49_152, 65_536]
 
@@ -17,18 +17,14 @@ def run_experiment():
     ring = build_ring(seed=11)
     generator = TraceGenerator(seed=300)
     latencies = {}
-    injector = ring.pod.server_at((1, 0))
+    # Unloaded: one thread, one request in flight at a time, and no
+    # host prep — pure hardware pipeline latency.
+    population = ClosedLoop(ring.pod.server_at((1, 0)), threads=1, include_prep=False)
     for size in SIZES:
         requests = [generator.request(target_size=size) for _ in range(3)]
         warm_engine(ring.scoring_engine, ring.library, requests)
-        done, stats = ring.deployment.spawn_injector(
-            injector,
-            threads=1,  # unloaded: one request in flight at a time
-            pool=requests,
-            requests_per_thread=3,
-            include_prep=False,  # pure hardware pipeline latency
-        )
-        ring.engine.run_until(done)
+        traffic = OpenLoopInjector(ring.engine, ring.deployment, population, requests)
+        stats = ring.engine.run_until(traffic.run(3))
         latencies[size] = sum(stats.latencies_ns) / len(stats.latencies_ns)
     return latencies
 

@@ -8,6 +8,7 @@ node pipeline saturates at FE's processing rate.
 from bench_harness import build_ring
 from repro.analysis import format_series
 from repro.sim import AllOf
+from repro.workloads import ClosedLoop, OpenLoopInjector
 
 NODE_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -19,9 +20,9 @@ def run_experiment():
         deployment = ring.deployment
         deployment.meter.start_measurement()
         injections = [
-            deployment.spawn_injector(
-                server, threads=1, pool=ring.pool, requests_per_thread=24
-            )[0]
+            OpenLoopInjector(
+                ring.engine, deployment, ClosedLoop(server, threads=1), ring.pool
+            ).run(24)
             for server in ring.pod.ring(0)[:nodes]
         ]
         ring.engine.run_until(AllOf(ring.engine, injections))

@@ -9,6 +9,7 @@ responses.
 from bench_harness import build_ring
 from repro.analysis import format_series
 from repro.sim import AllOf
+from repro.workloads import ClosedLoop, OpenLoopInjector
 
 NODE_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -29,11 +30,11 @@ def run_experiment():
         stats_by_server = {}
         done_events = []
         for server in injectors:
-            done, stats = ring.deployment.spawn_injector(
-                server, threads=1, pool=ring.pool, requests_per_thread=24
+            traffic = OpenLoopInjector(
+                ring.engine, ring.deployment, ClosedLoop(server, threads=1), ring.pool
             )
-            done_events.append(done)
-            stats_by_server[server.machine_id] = stats
+            done_events.append(traffic.run(24))
+            stats_by_server[server.machine_id] = traffic.stats
         ring.engine.run_until(AllOf(ring.engine, done_events))
 
         def mean(server):

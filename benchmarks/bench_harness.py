@@ -1,11 +1,12 @@
 """Shared experiment machinery for the benchmark suite.
 
 Places warmed ranking rings through the cluster control plane and holds
-the §5 rate anchors.  The experiments drive a ring through
-``Deployment.submit``: closed-loop threads with ``spawn_injector`` on
-the placed deployment, Poisson traffic with an ``OpenLoopInjector``
-over ``manager.endpoint("bing-ranking")`` (or over a ``SoftwareRanker``
-for the software baseline).
+the §5 rate anchors.  Every experiment drives its ring with one load
+generator, an ``OpenLoopInjector``: closed-loop threads from a
+``ClosedLoop`` population over the placed deployment (Figures 9-13,
+through ``Deployment.submit``), or Poisson traffic over
+``manager.endpoint("bing-ranking")`` (or over a ``SoftwareRanker`` for
+the software baseline).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.ranking.pipeline import ranking_spec
 from repro.ranking.software_ranker import SoftwareRanker
 from repro.sim import Engine
 from repro.sim.units import US
-from repro.workloads import TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
 
 def main() -> None:
@@ -41,11 +41,9 @@ def main() -> None:
     print("\nScoring 5 documents through the hardware pipeline...")
     generator = TraceGenerator(seed=99)
     pool = [generator.request() for _ in range(5)]
-    injector = pod.server_at((1, 2))
-    done, stats = ring.spawn_injector(
-        injector, threads=2, pool=pool, requests_per_thread=3
-    )
-    engine.run_until(done)
+    # Two closed-loop threads on a neighbouring server, three requests each.
+    threads = ClosedLoop(pod.server_at((1, 2)), threads=2)
+    stats = engine.run_until(OpenLoopInjector(engine, ring, threads, pool).run(6))
     mean_us = sum(stats.latencies_ns) / len(stats.latencies_ns) / US
     print(f"  {stats.completed} responses, mean latency {mean_us:.1f} us")
 

@@ -51,7 +51,7 @@ from repro.cluster.clusterfile import (
     load_cluster,
 )
 from repro.cluster.composite import CompositeDeployment
-from repro.cluster.deployment import Deployment, InjectorStats, RequestAdapter
+from repro.cluster.deployment import Deployment, RequestAdapter
 from repro.cluster.echo import EchoRole, echo_service
 from repro.cluster.endpoint import ServiceEndpoint
 from repro.cluster.failures import ClusterFailureInjector
@@ -110,7 +110,6 @@ __all__ = [
     "DiffEntry",
     "EchoRole",
     "echo_service",
-    "InjectorStats",
     "InsufficientClusterCapacity",
     "LoadBalancer",
     "MetricsRegistry",

@@ -99,7 +99,6 @@ class CompositeDeployment:
         request: object,
         timeout_ns: float = 5 * SEC,
         arrived_ns: float | None = None,
-        include_prep: bool = True,
     ) -> collections.abc.Generator:
         """Dispatch one request through the whole chain (a generator).
 
@@ -135,7 +134,7 @@ class CompositeDeployment:
                     payload,
                     timeout_ns=remaining,
                     arrived_ns=self.engine.now,
-                    include_prep=include_prep and index == 0,
+                    include_prep=index == 0,
                 )
                 if response is None:
                     self.timeouts += 1

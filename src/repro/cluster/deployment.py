@@ -11,8 +11,10 @@ body, :meth:`submit` — take a slot lease from the injection server's
 pool, do the host-side prep, inject to the head node, wait for the
 response.  Every request to the ring goes through it: the front-end
 load balancer behind ``manager.endpoint(name)`` (the open-loop traffic
-of Figures 14–15), and the §5 closed-loop injector threads
-(:meth:`spawn_injector`, Figures 9–13), which loop over it.
+of Figures 14–15), and the §5 closed-loop threads of Figures 8–13 — an
+:class:`~repro.workloads.openloop.OpenLoopInjector` over the deployment
+with a :class:`~repro.workloads.openloop.ClosedLoop` population, which
+pins ``server`` and ``include_prep``.
 
 Service-specific concerns (what payload rides the fabric, what
 host-side software work precedes injection) are factored into a
@@ -23,7 +25,6 @@ unchanged.
 from __future__ import annotations
 
 import collections.abc
-import dataclasses
 import itertools
 
 from repro.analysis import ReservoirSample, ThroughputMeter
@@ -37,7 +38,7 @@ from repro.services.mapping_manager import (
     RingAssignment,
     ServiceDefinition,
 )
-from repro.sim import AllOf, AnyOf, Engine, Event, Store
+from repro.sim import AnyOf, Engine, Store
 from repro.sim.units import SEC
 
 
@@ -61,15 +62,6 @@ class RequestAdapter:
         if False:  # pragma: no cover - makes the default a generator
             yield
         return
-
-
-@dataclasses.dataclass
-class InjectorStats:
-    """Results from one injector (a server's worth of threads)."""
-
-    latencies_ns: list
-    timeouts: int
-    completed: int
 
 
 class Deployment:
@@ -334,52 +326,6 @@ class Deployment:
             name=f"quarantine:{server.machine_id}:{lease.slot_id}",
             expendable=True,
         )
-
-    # -- closed-loop injection (§5 methodology) --------------------------------
-
-    def spawn_injector(
-        self,
-        server: Server,
-        threads: int,
-        pool: list,
-        requests_per_thread: int,
-        include_prep: bool = True,
-    ) -> tuple[Event, InjectorStats]:
-        """Closed-loop injection from ``server`` with ``threads`` threads.
-
-        Each thread sends one request through :meth:`submit` (lease from
-        the server's pool, the adapter's software portion when
-        ``include_prep``, inject, sleep until the response) and only
-        then sends the next; a ``None`` result counts as a timeout.
-        Returns a completion event plus the stats object (filled
-        in-place).
-        """
-        stats = InjectorStats(latencies_ns=[], timeouts=0, completed=0)
-        pool_cycle = itertools.cycle(pool)
-        done = self.engine.event(name=f"injector:{server.machine_id}")
-
-        def thread_body() -> collections.abc.Generator:
-            for _ in range(requests_per_thread):
-                started = self.engine.now
-                response = yield from self.submit(
-                    next(pool_cycle), server=server, include_prep=include_prep
-                )
-                if response is None:
-                    stats.timeouts += 1
-                else:
-                    stats.latencies_ns.append(self.engine.now - started)
-                    stats.completed += 1
-
-        def waiter(procs) -> collections.abc.Generator:
-            yield AllOf(self.engine, procs)
-            done.succeed(stats)
-
-        procs = [
-            self.engine.process(thread_body(), name=f"inj.{server.machine_id}")
-            for _ in range(threads)
-        ]
-        self.engine.process(waiter(procs))
-        return done, stats
 
     def __repr__(self) -> str:
         return (

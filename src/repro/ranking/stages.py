@@ -108,9 +108,9 @@ class RankingStageRole(Role):
     def forward(self, packet: Packet, payload_bytes: int):
         """Send ``packet`` (re-sized) to the next stage.
 
-        In the node-level loopback harness (§5's per-stage injection
-        experiments) there is no next stage: the result goes straight
-        back to the injecting host.
+        A stage deployed alone (the node-level loopback rig of §5's
+        per-stage injection experiments) has no next stage: the result
+        goes straight back to the injecting host.
         """
         downstream = self.downstream()
         if downstream is None:
@@ -201,7 +201,7 @@ class FeatureExtractionRole(RankingStageRole):
         self.current_model_id = model_id
         downstream = self.downstream()
         if downstream is None:
-            return  # loopback harness: nothing downstream to reload
+            return  # deployed alone: nothing downstream to reload
         reload_packet = Packet(
             kind=PacketKind.MODEL_RELOAD,
             src=self.shell.node_id,
@@ -304,11 +304,13 @@ class SpareRankingRole(RankingStageRole):
         return "spare"
 
     def handle(self, packet: Packet) -> collections.abc.Generator:
-        # The spare holds no model state; in the ring it only forwards
-        # router traffic.  In the loopback harness it echoes requests so
-        # its injection rate can be measured like the other stages.
+        # The spare holds no model state; as a ring's spare image it
+        # only forwards router traffic.  Deployed as an active role (the
+        # loopback rig) it echoes requests, so its injection rate can be
+        # measured like the other stages.
         yield self.sim.timeout(self.service_ns(SPARE_FORWARD_CYCLES))
-        if packet.kind is PacketKind.REQUEST and getattr(
-            self.assignment, "loopback", False
+        if (
+            packet.kind is PacketKind.REQUEST
+            and self.name in self.assignment.role_to_node
         ):
             yield self.send(packet.response_to(RESPONSE_BYTES, packet.payload))

@@ -7,15 +7,17 @@ to every statistic the paper reports: compressed sizes averaging
 truncation threshold (Figure 4), Zipfian query-term popularity, and a
 multi-model query mix for Queue Manager experiments.
 
-:mod:`repro.workloads.openloop` adds the open-loop traffic layer —
-Poisson, bursty, and diurnal arrival processes with admission control —
-that drives the cluster front end; the closed-loop injector threads of
-§5 live on :class:`repro.cluster.Deployment`.
+:mod:`repro.workloads.openloop` adds the one load generator,
+:class:`OpenLoopInjector`: Poisson, bursty, and diurnal arrival
+processes with admission control that drive the cluster front end, and
+the closed-loop injector threads of §5 (:class:`ClosedLoop`) that drive
+one deployment from a pinned server.
 """
 
 from repro.workloads.openloop import (
     ArrivalProcess,
     BurstyArrivals,
+    ClosedLoop,
     DiurnalArrivals,
     OpenLoopInjector,
     OpenLoopStats,
@@ -27,6 +29,7 @@ from repro.workloads.traces import ScoringRequest, TraceGenerator
 __all__ = [
     "ArrivalProcess",
     "BurstyArrivals",
+    "ClosedLoop",
     "DiurnalArrivals",
     "DocumentSizeDistribution",
     "OpenLoopInjector",

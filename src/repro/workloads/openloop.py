@@ -1,23 +1,34 @@
-"""Open-loop traffic: arrival processes, admission control, backpressure.
+"""One load generator for every traffic shape: open- and closed-loop.
 
-The closed-loop injector threads of §5 (send, sleep, repeat) measure
-pipeline capacity, but "heavy traffic from millions of users" is
-open-loop: arrivals occur at the offered rate whether or not earlier
-requests have finished.  This module provides the arrival processes —
-memoryless Poisson, on/off bursts, and a sinusoidal diurnal curve — and
-an :class:`OpenLoopInjector` that feeds any sink exposing the
-``submit(request, timeout_ns=...)`` generator protocol.  A service's
-sink is its :class:`~repro.cluster.endpoint.ServiceEndpoint` from
-``manager.endpoint(name)`` — a stable virtual front door that resolves
-the live service at each dispatch, so the workload survives
-re-placement, upgrades, and even drain + re-apply without rewiring.
-A bare :class:`~repro.cluster.load_balancer.LoadBalancer` or a single
-:class:`~repro.cluster.deployment.Deployment` is a sink too, for
-experiments below the service level.
+The paper drives its fabric two ways.  Figures 8-13 use closed-loop CPU
+threads (send, sleep until the response, repeat) to measure stage and
+pipeline capacity (§5); Figures 14-15 offer open-loop injection rates,
+the "heavy traffic from millions of users" whose arrivals occur at the
+offered rate whether or not earlier requests have finished.
+:class:`OpenLoopInjector` runs both populations over one dispatch
+body (``_handle``), one completion gate and one set of
+:class:`OpenLoopStats` counters:
 
-When a ``max_queue_depth`` is set, arrivals that would push the sink's
-in-flight count past the limit are rejected at admission instead of
-growing the backlog without bound — load shedding at the front door.
+* an :class:`ArrivalProcess` — memoryless Poisson, on/off bursts, or a
+  sinusoidal diurnal curve — offers open-loop arrivals to any sink
+  exposing the ``submit(request, timeout_ns=...)`` generator protocol.
+  A service's sink is its :class:`~repro.cluster.endpoint.ServiceEndpoint`
+  from ``manager.endpoint(name)`` — a stable virtual front door that
+  resolves the live service at each dispatch, so the workload survives
+  re-placement, upgrades, and even drain + re-apply without rewiring.
+  A bare :class:`~repro.cluster.load_balancer.LoadBalancer` or a single
+  :class:`~repro.cluster.deployment.Deployment` is a sink too, for
+  experiments below the service level.
+* a :class:`ClosedLoop` population runs N threads on one injection
+  server of a :class:`~repro.cluster.deployment.Deployment`, each
+  sending its next request once its last one resolves; ``server`` and
+  ``include_prep`` go through to ``Deployment.submit``.
+
+When a ``max_queue_depth`` is set, open-loop arrivals that would push
+the sink's in-flight count past the limit are rejected at admission
+instead of growing the backlog without bound — load shedding at the
+front door.  A closed population needs no such limit: its threads are
+the bound.
 
 Shed-on-outage semantics: a request that finds *no* servable ring at
 dispatch time (every replica momentarily unservable — e.g. mid
@@ -41,6 +52,9 @@ from repro.cluster.load_balancer import NoHealthyDeployment
 from repro.sim import Engine, Event
 from repro.sim.fluid import FluidModel, FluidProfile, FluidWindow
 from repro.sim.units import SEC
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.fabric.server import Server
 
 # Largest relative rate change a fluid window may span (see
 # ArrivalProcess.fluid_horizon_ns).
@@ -166,6 +180,28 @@ class DiurnalArrivals(ArrivalProcess):
         return FLUID_RATE_TOL * self.rate_at(now_ns) / max_slope
 
 
+@dataclasses.dataclass(frozen=True)
+class ClosedLoop:
+    """A closed-loop population (§5): ``threads`` CPU threads on one
+    injection ``server``, each sending its next request only once its
+    last one has resolved (response or timeout).
+
+    Pass it as an :class:`OpenLoopInjector`'s arrival source over a
+    :class:`~repro.cluster.deployment.Deployment`; ``server`` and
+    ``include_prep`` (the adapter's host-side software portion) go
+    through to ``Deployment.submit``.  ``run(count)`` splits ``count``
+    requests evenly over the threads.
+    """
+
+    server: "Server"
+    threads: int
+    include_prep: bool = True
+
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ValueError(f"need at least one thread, got {self.threads}")
+
+
 @dataclasses.dataclass
 class OpenLoopStats:
     """Counters and samples from one open-loop run.
@@ -192,11 +228,6 @@ class OpenLoopStats:
         window (an all-outage run must summarise, not raise)."""
         return self.admitted / self.offered if self.offered else 0.0
 
-    @property
-    def completion_fraction(self) -> float:
-        """Completed share of offered arrivals (0.0 when none offered)."""
-        return self.completed / self.offered if self.offered else 0.0
-
     def to_dict(self) -> dict:
         """Canonical JSON form of the admission counters (for the
         exported metrics series; samples stay in-process)."""
@@ -212,12 +243,7 @@ class OpenLoopStats:
         """Latency summary — empty-safe: a window during which every
         arrival was shed (total outage) reports the zero summary
         instead of raising on the empty sample set."""
-        latencies = self.latencies_ns
-        if isinstance(latencies, ReservoirSample):
-            return latencies.summary()
-        if not latencies:
-            return LatencyStats.empty()
-        return LatencyStats.from_samples(latencies)
+        return self.latencies_ns.summary()
 
 
 class _SinkProtocol(typing.Protocol):  # pragma: no cover - typing aid
@@ -240,14 +266,14 @@ class _RegimeEdges:
 
 
 class OpenLoopInjector:
-    """Drives a sink with open-loop arrivals plus admission control.
+    """Drives a sink with open-loop arrivals plus admission control, or
+    with a :class:`ClosedLoop` population of threads.
 
     Run completion is a *counter gate*: every in-flight handler holds
-    one count, the arrival source holds one until it has offered the
-    last arrival, and the done event fires when the count drains to
-    zero.  This replaces the old per-run children list + ``AllOf``
-    barrier — O(1) memory per run instead of one list slot plus one
-    condition callback per admitted arrival.
+    one count, the arrival source (or each closed-loop thread) holds
+    one until it has sent its last request, and the done event fires
+    when the count drains to zero — O(1) memory per run instead of one
+    list slot plus one condition callback per admitted arrival.
 
     On an engine built with ``Engine(fluid=True)`` the injector
     fast-forwards quiescent stretches analytically (see
@@ -291,13 +317,23 @@ class OpenLoopInjector:
 
     def run(self, count: int) -> Event:
         """Offer ``count`` arrivals; the event fires when all admitted
-        requests have resolved (response, timeout, or rejection)."""
+        requests have resolved (response, timeout, or rejection).  A
+        closed population splits ``count`` evenly over its threads."""
         if count < 1:
             raise ValueError(f"need at least one arrival, got {count}")
         if self._done is not None and not self._done.triggered:
             raise RuntimeError("injector already has a run in flight")
         done = self.engine.event(name="openloop:done")
         self._done = done
+        population = self.arrivals
+        if isinstance(population, ClosedLoop):
+            self._open = population.threads  # one count per thread
+            share, extra = divmod(count, population.threads)
+            name = f"closed:{population.server.machine_id}"
+            for index in range(population.threads):
+                requests = share + (index < extra)
+                self.engine.process(self._closed_body(requests), name=name)
+            return done
         self._open = 1  # the arrival source's own count
         if self.engine.fluid is not None:
             # This run's rate edges bound every fluid window on the
@@ -312,6 +348,27 @@ class OpenLoopInjector:
             if self.engine.fluid is not None:
                 self.engine.fluid.unregister(self._edges)
             self._done.succeed(self.stats)
+
+    def _closed_body(self, requests: int) -> collections.abc.Generator:
+        """One closed-loop thread: send a request from the population's
+        server, wait for it to resolve in :meth:`_handle`, repeat."""
+        population = self.arrivals
+        submit = self.sink.submit
+        stats = self.stats
+        for _ in range(requests):
+            stats.offered += 1
+            stats.admitted += 1
+            self._open += 1
+            yield from self._handle(
+                submit(
+                    self._next_request(),
+                    server=population.server,
+                    timeout_ns=self.timeout_ns,
+                    include_prep=population.include_prep,
+                ),
+                self.engine.now,
+            )
+        self._close_one()  # release the thread's own count
 
     def _arrivals_body(self, count: int) -> collections.abc.Generator:
         """The arrival source, for both modes.
@@ -430,7 +487,8 @@ class OpenLoopInjector:
                     else:
                         stats.admitted += 1
                         self._open += 1
-                        spawn(self._handle(self._next_request(), now))
+                        request = self._next_request()
+                        spawn(self._handle(sink.submit(request, timeout_ns=request_timeout), now))
                     continue
                 profile, window_end = window
                 start = now
@@ -495,11 +553,13 @@ class OpenLoopInjector:
                 return None  # the sink reshaped under a live tail
         return profile, window_end
 
-    def _handle(self, request, arrived_ns: float) -> collections.abc.Generator:
+    def _handle(
+        self, submission: collections.abc.Generator, arrived_ns: float
+    ) -> collections.abc.Generator:
+        """Wait out one admitted request's ``sink.submit`` generator and
+        count how it resolved; releases the request's gate count."""
         try:
-            response = yield from self.sink.submit(
-                request, timeout_ns=self.timeout_ns
-            )
+            response = yield from submission
         except NoHealthyDeployment:
             # Every ring is momentarily unservable (mid ring-rotation or
             # mid-reconcile).  Shed the request at the front door and

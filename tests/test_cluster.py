@@ -23,7 +23,7 @@ from repro.shell import PacketKind, Role
 from repro.shell.role import PassthroughRole
 from repro.sim import AllOf, Engine
 from repro.sim.units import SEC
-from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, PoissonArrivals, TraceGenerator
 
 
 class ClusterEchoRole(Role):
@@ -316,14 +316,15 @@ def test_closed_loop_never_counts_a_late_response():
     scheduler = ClusterScheduler(dc)
     (deployment,) = scheduler.deploy(echo_service(role=LateEchoRole), rings=1)
     server = deployment.injection_servers()[0]
-    done, stats = deployment.spawn_injector(
-        server, threads=1, pool=[object()], requests_per_thread=2
-    )
-    eng.run_until(done)
+    injector = OpenLoopInjector(eng, deployment, ClosedLoop(server, threads=1), [object()])
+    stats = eng.run_until(injector.run(2))
     # The first response lands after the second request was sent; it
     # must not complete the second request.
     assert stats.completed == 0 and stats.timeouts == 2
     eng.run()  # both late responses land and their slots drain
+    assert stats.completed == 0 and stats.timeouts == 2
+    assert stats.offered == stats.admitted + stats.rejected == 2
+    assert stats.admitted == stats.completed + stats.timeouts
     assert len(deployment._leases(server)) == 48
     assert not any(slot.full for slot in server.buffers.output_slots)
 
@@ -440,12 +441,12 @@ def test_closed_and_open_loops_share_one_lease_pool(monkeypatch, request_pool):
             return deployment.submit(request, server=server, timeout_ns=timeout_ns)
 
     closed = [
-        deployment.spawn_injector(server, threads=4, pool=request_pool, requests_per_thread=5)
+        OpenLoopInjector(eng, deployment, ClosedLoop(server, threads=4), request_pool)
         for _ in range(2)
     ]
     open_loop = OpenLoopInjector(eng, SameServer(), PoissonArrivals(200_000.0), request_pool)
-    eng.run_until(AllOf(eng, [done for done, _ in closed] + [open_loop.run(40)]))
-    assert [stats.completed for _, stats in closed] == [20, 20]
+    eng.run_until(AllOf(eng, [injector.run(20) for injector in closed] + [open_loop.run(40)]))
+    assert [injector.stats.completed for injector in closed] == [20, 20]
     assert open_loop.stats.completed == 40
     assert len(served) == 80
     assert all(response.payload is request for request, response in served)

@@ -1,19 +1,19 @@
 """Tests for standing ranking up through the cluster control plane
 (``ClusterManager.apply`` of a ``ranking_spec``, with its shared Mapping
-Managers and Health Monitors) and for the loopback harness."""
+Managers and Health Monitors) and for the loopback rig."""
 
 import pytest
 
 from repro.cluster import ClusterManager
-from repro.core import LoopbackHarness, LoopbackMode
+from repro.core import LoopbackMode, loopback_rig
 from repro.fabric import Datacenter, TorusTopology
-from repro.host.slots import SlotExhausted, shared_slot_allocator
+from repro.host.slots import shared_slot_allocator
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.pipeline import ranking_spec
 from repro.services import FailureInjector, FailureKind
 from repro.sim import Engine
-from repro.workloads import TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
 
 def ranking_on_one_pod(seed):
@@ -72,57 +72,60 @@ def test_facade_end_to_end_failure_recovery():
     assert manager.scheduler.mapping_manager(0).relocations == 1
 
 
-def test_loopback_harness_pcie_vs_sl3():
+def loopback_run(stage, mode, pool, threads, requests_per_thread, seed):
+    """Closed-loop threads (no host prep) against one stage on the
+    loopback rig; returns the rig and its measured injection rate."""
     library = ModelLibrary.default(scale=0.03)
-    pool = [TraceGenerator(seed=61).request() for _ in range(6)]
+    eng = Engine(seed=seed)
+    scoring = ScoringEngine(library)
+    for request in pool:
+        scoring.score(request.document, library[request.document.model_id])
+    rig = loopback_rig(eng, stage, scoring)
+    rig.meter.start_measurement()
+    population = ClosedLoop(mode.injection_server(rig), threads, include_prep=False)
+    injector = OpenLoopInjector(eng, rig, population, pool)
+    eng.run_until(injector.run(threads * requests_per_thread))
+    return rig, rig.meter.per_second
 
-    rates = {}
-    for mode in (LoopbackMode.PCIE, LoopbackMode.SL3):
-        eng = Engine(seed=33)
-        scoring = ScoringEngine(library)
-        for request in pool:
-            scoring.score(request.document, library[request.document.model_id])
-        harness = LoopbackHarness(eng, "compress", scoring)
-        rates[mode] = harness.measure_throughput(
-            pool, mode, threads=1, requests_per_thread=8
-        )
+
+def test_loopback_rig_pcie_vs_sl3():
+    pool = [TraceGenerator(seed=61).request() for _ in range(6)]
+    rates = {
+        mode: loopback_run("compress", mode, pool, 1, 8, seed=33)[1]
+        for mode in (LoopbackMode.PCIE, LoopbackMode.SL3)
+    }
     assert rates[LoopbackMode.PCIE] > 0
     # The SL3 path adds two link crossings: strictly slower.
     assert rates[LoopbackMode.SL3] < rates[LoopbackMode.PCIE]
 
 
-def test_loopback_harness_rejects_unknown_stage():
+def test_loopback_rig_rejects_unknown_stage():
     library = ModelLibrary.default(scale=0.03)
     with pytest.raises(ValueError):
-        LoopbackHarness(Engine(), "bogus", ScoringEngine(library))
+        loopback_rig(Engine(), "bogus", ScoringEngine(library))
+
+
+def test_loopback_rig_is_one_stage_on_a_whole_ring():
+    rig = loopback_rig(Engine(), "fe", ScoringEngine(ModelLibrary.default(scale=0.03)))
+    assert [spec.name for spec in rig.service.roles] == ["fe"]
+    assert rig.head_node == (0, 0) and rig.region.whole
+    assert rig.assignment.spare_nodes == [(0, 1)]
+    assert LoopbackMode.PCIE.injection_server(rig).node_id == (0, 0)
+    assert LoopbackMode.SL3.injection_server(rig).node_id == (0, 1)
 
 
 def test_loopback_fe_stage_works():
-    library = ModelLibrary.default(scale=0.03)
     pool = [TraceGenerator(seed=62).request() for _ in range(4)]
-    eng = Engine(seed=34)
-    scoring = ScoringEngine(library)
-    for request in pool:
-        scoring.score(request.document, library[request.document.model_id])
-    harness = LoopbackHarness(eng, "fe", scoring)
-    rate = harness.measure_throughput(
-        pool, LoopbackMode.PCIE, threads=2, requests_per_thread=4
-    )
+    rig, rate = loopback_run("fe", LoopbackMode.PCIE, pool, 2, 4, seed=34)
     assert rate > 0
-    assert harness.role.queue_manager.dispatched == 8
+    assert rig.stage_role("fe").queue_manager.dispatched == 8
 
 
 def test_loopback_threads_lease_from_the_shared_allocator():
-    library = ModelLibrary.default(scale=0.03)
     pool = [TraceGenerator(seed=62).request() for _ in range(4)]
-    eng = Engine(seed=34)
-    scoring = ScoringEngine(library)
-    for request in pool:
-        scoring.score(request.document, library[request.document.model_id])
-    harness = LoopbackHarness(eng, "fe", scoring)
-    harness.measure_throughput(pool, LoopbackMode.PCIE, threads=3, requests_per_thread=2)
-    allocator = shared_slot_allocator(harness.stage_server)
-    assert allocator.free_count == harness.stage_server.buffers.slot_count - 3
-    assert set(allocator.owners.values()) == {"loopback:fe"}
-    with pytest.raises(SlotExhausted):  # never silently fewer threads
-        harness.measure_throughput(pool, LoopbackMode.PCIE, threads=allocator.free_count + 1)
+    rig, _rate = loopback_run("fe", LoopbackMode.PCIE, pool, 3, 2, seed=34)
+    server = LoopbackMode.PCIE.injection_server(rig)
+    allocator = shared_slot_allocator(server)
+    assert allocator.free_count == server.buffers.slot_count - rig.region.slot_quota
+    assert set(allocator.owners.values()) == {rig.name}
+    assert len(rig._leases(server)) == rig.region.slot_quota  # every lease back

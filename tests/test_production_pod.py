@@ -14,7 +14,7 @@ from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.pipeline import RankingRequestAdapter, ranking_service
 from repro.sim import AllOf, Engine
-from repro.workloads import TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +60,14 @@ def test_far_corner_servers_can_inject(production_pod):
     eng, pod, pipeline = production_pod
     pool = request_pool(6, seed=8)
     injectors = [pod.server_at((0, 0)), pod.server_at((5, 7)), pod.server_at((4, 3))]
-    events = []
-    all_stats = []
-    for server in injectors:
-        done, stats = pipeline.spawn_injector(
-            server, threads=2, pool=pool, requests_per_thread=2
-        )
-        events.append(done)
-        all_stats.append(stats)
-    eng.run_until(AllOf(eng, events))
-    for stats in all_stats:
-        assert stats.completed == 4
-        assert stats.timeouts == 0
+    traffic = [
+        OpenLoopInjector(eng, pipeline, ClosedLoop(server, threads=2), pool)
+        for server in injectors
+    ]
+    eng.run_until(AllOf(eng, [injector.run(4) for injector in traffic]))
+    for injector in traffic:
+        assert injector.stats.completed == 4
+        assert injector.stats.timeouts == 0
 
 
 def test_fdr_traces_a_document_through_the_fabric(production_pod):
@@ -79,10 +75,8 @@ def test_fdr_traces_a_document_through_the_fabric(production_pod):
     path across FPGAs for replay debugging."""
     eng, pod, pipeline = production_pod
     pool = request_pool(1, seed=9)
-    done, stats = pipeline.spawn_injector(
-        pod.server_at((2, 4)), threads=1, pool=pool, requests_per_thread=1
-    )
-    eng.run_until(done)
+    threads = ClosedLoop(pod.server_at((2, 4)), threads=1)
+    stats = eng.run_until(OpenLoopInjector(eng, pipeline, threads, pool).run(1))
     assert stats.completed == 1
 
     # Find the trace at the FE head's router and follow it.

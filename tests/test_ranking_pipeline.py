@@ -10,7 +10,7 @@ from repro.ranking.pipeline import ranking_bitstreams, ranking_spec
 from repro.ranking.software_ranker import SoftwareRanker
 from repro.ranking.stages import FeatureExtractionRole
 from repro.sim import Engine
-from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, PoissonArrivals, TraceGenerator
 
 
 def place_ranking(seed, qm_policy="batch"):
@@ -76,10 +76,8 @@ def test_scores_identical_to_software(deployed):
 
 def test_pipeline_latency_reasonable(deployed):
     eng, _manager, pod, pipeline, _scoring, pool = deployed
-    done, stats = pipeline.spawn_injector(
-        pod.server_at((1, 0)), threads=1, pool=pool[:1], requests_per_thread=3
-    )
-    eng.run_until(done)
+    threads = ClosedLoop(pod.server_at((1, 0)), threads=1)
+    stats = eng.run_until(OpenLoopInjector(eng, pipeline, threads, pool[:1]).run(3))
     latencies = stats.latencies_ns
     assert len(latencies) == 3
     # Unloaded round trip: prep + DMA + ring traversal, well under 1 ms.
@@ -97,10 +95,8 @@ def test_stage_counters_advance(deployed):
 def test_model_mix_triggers_reloads():
     eng, _manager, pod, pipeline, _scoring = place_ranking(seed=22)
     pool = request_pool(16, seed=5, model_mix={0: 0.5, 2: 0.5})
-    done, stats = pipeline.spawn_injector(
-        pod.server_at((1, 1)), threads=2, pool=pool, requests_per_thread=4
-    )
-    eng.run_until(done)
+    threads = ClosedLoop(pod.server_at((1, 1)), threads=2)
+    stats = eng.run_until(OpenLoopInjector(eng, pipeline, threads, pool).run(8))
     assert stats.completed == 8
     fe = pipeline.stage_role("fe")
     assert fe.queue_manager.reload_count >= 2  # both models were loaded
@@ -117,14 +113,8 @@ def test_fifo_policy_reloads_more_than_batch():
         pool = request_pool(24, seed=9, model_mix={0: 0.5, 1: 0.5})
         # Flood the queue manager (no host prep, many threads) so the
         # per-model queues actually build up and batching can pay off.
-        done, stats = pipeline.spawn_injector(
-            pod.server_at((1, 2)),
-            threads=12,
-            pool=pool,
-            requests_per_thread=8,
-            include_prep=False,
-        )
-        eng.run_until(done)
+        threads = ClosedLoop(pod.server_at((1, 2)), threads=12, include_prep=False)
+        stats = eng.run_until(OpenLoopInjector(eng, pipeline, threads, pool).run(96))
         assert stats.completed == 96
         results[policy] = pipeline.stage_role("fe").queue_manager.reload_count
     assert results["fifo"] > results["batch"]

@@ -12,7 +12,7 @@ from repro.shell.fdr import FdrEntry, FlightDataRecorder
 from repro.shell.messages import Packet, PacketKind
 from repro.shell.router import Port, Router, RoutingError
 from repro.sim import Engine
-from repro.workloads import TraceGenerator
+from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
 
 def packet(kind=PacketKind.REQUEST, src=(0, 0), dst=(1, 0), size=100):
@@ -165,10 +165,8 @@ def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
     monkeypatch.setattr(Router, "submit", eager_submit)
     generator = TraceGenerator(seed=5)
     pool = [generator.request() for _ in range(8)]
-    done, stats = pipeline.spawn_injector(
-        pod.server_at((1, 3)), threads=12, pool=pool, requests_per_thread=2
-    )
-    eng.run_until(done)
+    threads = ClosedLoop(pod.server_at((1, 3)), threads=12)
+    stats = eng.run_until(OpenLoopInjector(eng, pipeline, threads, pool).run(24))
     assert stats.completed == 24
 
     assert sum(1 for entries in eager.values() if len(entries) > 16) >= 6

@@ -191,7 +191,6 @@ def test_open_loop_stats_survive_zero_arrival_window():
 
     empty = OpenLoopStats()
     assert empty.admission_fraction == 0.0
-    assert empty.completion_fraction == 0.0
     summary = empty.stats()
     assert summary.count == 0
     assert summary.p99 == 0.0
