@@ -10,7 +10,8 @@ for manual replacement).
 
 from bench_harness import build_ring
 from repro.analysis import format_table
-from repro.services import FailureInjector, FailureKind
+from repro.cluster import ClusterFailureInjector
+from repro.services import FailureKind
 from repro.sim.units import SEC
 from repro.workloads import ClosedLoop, OpenLoopInjector
 
@@ -21,7 +22,9 @@ def run_experiment():
     eng, deployment = ring.engine, ring.deployment
     victim = deployment.assignment.node_of("ffe1")
     fault_time = eng.now
-    FailureInjector(ring.pod).inject(FailureKind.FPGA_HARDWARE_FAULT, victim)
+    ClusterFailureInjector(ring.manager.datacenter).inject(
+        FailureKind.FPGA_HARDWARE_FAULT, ring.pod.pod_id, victim
+    )
     eng.run_until(ring.manager.health_monitor(0).investigate([victim]))
     rotate_recovery_ns = eng.now - fault_time
     # Service works again end to end.
@@ -37,7 +40,9 @@ def run_experiment():
     for node in list(assignment.spare_nodes):
         assignment.exclude(node)  # spare already burned
     victim2 = assignment.node_of("score1")
-    FailureInjector(ring2.pod).inject(FailureKind.FPGA_HARDWARE_FAULT, victim2)
+    ClusterFailureInjector(ring2.manager.datacenter).inject(
+        FailureKind.FPGA_HARDWARE_FAULT, ring2.pod.pod_id, victim2
+    )
     ring2.engine.run_until(ring2.manager.health_monitor(0).investigate([victim2]))
     # With no spare left the Mapping Manager cannot rotate: it marks
     # the assignment unservable and leaves it for reconciliation (the

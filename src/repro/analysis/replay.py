@@ -47,9 +47,6 @@ class TraceReplay:
             return 0.0
         return self.steps[-1].timestamp_ns - self.steps[0].timestamp_ns
 
-    def nodes_visited(self) -> list:
-        return [step.node_id for step in self.steps]
-
     def stalls(self, threshold_ns: float = 50_000.0) -> list:
         """Suspiciously long gaps between consecutive sightings —
         where a deadlocked or hung stage shows up."""

@@ -20,8 +20,9 @@ Control plane
     :class:`ServiceTicket` in the :class:`RepairQueue`, and on expiry
     the hardware is reset and the slot un-cordoned automatically;
     ``handle.upgrade(new_spec)`` rolls replicas onto a new service
-    definition one gang at a time.  :class:`ClusterFailureInjector`
-    targets failures at datacenter scope for resilience experiments.
+    definition one gang at a time.  :class:`ClusterFailureInjector`,
+    the one failure injector, fails hardware at any ``(pod, node)`` or
+    at a deployed service's ring for resilience experiments.
 
 Mechanism
     A :class:`ClusterScheduler` places :class:`ServiceDefinition`s onto

@@ -1,20 +1,20 @@
-"""Cluster-level failure injection — resilience experiments at
-datacenter scope.
+"""Failure injection for resilience experiments at datacenter scope
+(§3.5).
 
-The per-pod :class:`~repro.services.failures.FailureInjector` targets a
-node of one pod; cluster experiments think in terms of the datacenter
-(pods × rings) and in terms of deployed services ("kill this replica").
-:class:`ClusterFailureInjector` is that facade: it resolves a node to
-its owning pod and delegates, and adds service-level helpers that pick
-victims from a live :class:`~repro.cluster.deployment.Deployment`.
+Everything the Health Monitor's error vector can report is injectable
+(see :class:`~repro.services.failures.FailureKind`) at any node of any
+pod, addressed by ``(pod_id, node)``.  Service-level helpers pick
+victims from a live :class:`~repro.cluster.deployment.Deployment`:
+the node hosting a role, or enough of a ring to exhaust its spares.
 """
 
 from __future__ import annotations
 
 from repro.cluster.deployment import Deployment
 from repro.fabric.datacenter import Datacenter
+from repro.fabric.pod import Pod
 from repro.fabric.torus import NodeId
-from repro.services.failures import FailureInjector, FailureKind
+from repro.services.failures import FailureKind
 
 
 class ClusterFailureInjector:
@@ -22,20 +22,56 @@ class ClusterFailureInjector:
 
     def __init__(self, datacenter: Datacenter):
         self.datacenter = datacenter
-        self._injectors: dict[int, FailureInjector] = {}
-        self.injected: list[tuple[int, FailureKind, NodeId]] = []
-
-    def _injector_for(self, pod_id: int) -> FailureInjector:
-        if pod_id not in self._injectors:
-            self._injectors[pod_id] = FailureInjector(self.datacenter.pod(pod_id))
-        return self._injectors[pod_id]
 
     def inject(
         self, kind: FailureKind, pod_id: int, node: NodeId, port=None
     ) -> None:
-        """Inject ``kind`` at ``node`` of pod ``pod_id``."""
-        self._injector_for(pod_id).inject(kind, node, port=port)
-        self.injected.append((pod_id, kind, node))
+        """Inject ``kind`` at ``node`` of pod ``pod_id`` (``port`` for
+        link failures)."""
+        pod = self.datacenter.pod(pod_id)
+        server = pod.server_at(node)
+        if kind is FailureKind.SERVER_HANG:
+            server.crash()
+        elif kind is FailureKind.FPGA_HARDWARE_FAULT:
+            server.fpga.mark_failed()
+        elif kind is FailureKind.PLL_UNLOCK:
+            server.fpga.pll_locked = False
+        elif kind is FailureKind.LINK_FAILURE:
+            if port is None:
+                raise ValueError("LINK_FAILURE needs a port")
+            endpoint = server.shell.endpoints[port]
+            if endpoint.link is None:
+                raise ValueError(f"no link on {node} port {port}")
+            endpoint.link.break_cable()
+        elif kind is FailureKind.CABLE_ASSEMBLY_FAILURE:
+            self._assembly_for(pod, node).fail()
+        elif kind is FailureKind.DRAM_CALIBRATION:
+            server.shell.dram[0].fail_calibration()
+        elif kind is FailureKind.APP_HANG:
+            if server.shell.role is None:
+                raise ValueError(f"no role attached at {node}")
+            server.shell.role.app_error = True
+        elif kind is FailureKind.TEMP_SHUTDOWN:
+            server.fpga.temp_shutdown = True  # part shut itself down
+            server.fpga.mark_failed()
+        elif kind is FailureKind.SEU_UNCORRECTABLE:
+            server.fpga.inject_seu(correctable=False)
+        else:  # pragma: no cover - exhaustive enum
+            raise ValueError(f"unknown failure kind {kind}")
+        fluid = self.datacenter.engine.fluid
+        if fluid is not None:
+            # A failure is the canonical transient: hold the simulation
+            # discrete through the dip so the rotation/reconcile/shed
+            # dynamics are computed exactly, never analytically.
+            fluid.note_transient(f"failure:{kind.name}")
+
+    @staticmethod
+    def _assembly_for(pod: Pod, node: NodeId):
+        column = f"col{node[0]}"
+        for name, assembly in pod.assemblies.items():
+            if name.endswith(column):
+                return assembly
+        raise ValueError(f"no assembly for column of {node}")
 
     # -- service-level helpers -------------------------------------------------
 
@@ -54,18 +90,6 @@ class ClusterFailureInjector:
         if role_name is None:
             role_name = deployment.service.roles[0].name
         victim = assignment.node_of(role_name)
-        self.inject(kind, deployment.pod.pod_id, victim, port=port)
-        return victim
-
-    def inject_spare(
-        self, deployment: Deployment, kind: FailureKind, port=None
-    ) -> NodeId:
-        """Inject at one of the ring's spare nodes (degrades the ring's
-        health weight without interrupting the active pipeline)."""
-        assignment = deployment.assignment
-        if assignment is None or not assignment.spare_nodes:
-            raise ValueError(f"{deployment.name} has no spare to fail")
-        victim = assignment.spare_nodes[0]
         self.inject(kind, deployment.pod.pod_id, victim, port=port)
         return victim
 

@@ -310,15 +310,12 @@ class ClusterManager:
     def __init__(
         self,
         datacenter: Datacenter,
-        default_placement: str = "spread",
         repair_policy: RepairPolicy | None = None,
         bitstream_cache=None,  # opt-in BitstreamCache for re-placements
     ):
         self.datacenter = datacenter
         self.engine: Engine = datacenter.engine
-        self.scheduler = ClusterScheduler(
-            datacenter, policy=default_placement, bitstream_cache=bitstream_cache
-        )
+        self.scheduler = ClusterScheduler(datacenter, bitstream_cache=bitstream_cache)
         self.handles: dict[str, ServiceHandle] = {}
         self._endpoints: dict[str, ServiceEndpoint] = {}
         self.reconcile_reports: list[ReconcileReport] = []
@@ -880,9 +877,7 @@ class ClusterManager:
 
     # -- health watchdog -------------------------------------------------------
 
-    def start_watchdog(
-        self, handle: ServiceHandle, period_ns: float | None = None
-    ) -> None:
+    def start_watchdog(self, handle: ServiceHandle) -> None:
         """Periodic sweep-then-reconcile for one service.
 
         In production the Health Monitor "is invoked when there is a
@@ -900,11 +895,7 @@ class ClusterManager:
             while handle.active:
                 # Read the period from the live spec each cycle so a
                 # re-applied declaration changes the cadence in place.
-                yield self.engine.timeout(
-                    period_ns
-                    if period_ns is not None
-                    else handle.spec.health_period_ns
-                )
+                yield self.engine.timeout(handle.spec.health_period_ns)
                 if not handle.active:
                     return
                 yield from self._sweep_body(handle)
@@ -920,10 +911,7 @@ class ClusterManager:
             from repro.sim.fluid import PeriodicTransient
 
             handle._watchdog_ticks = PeriodicTransient(
-                period_ns
-                if period_ns is not None
-                else handle.spec.health_period_ns,
-                anchor_ns=self.engine.now,
+                handle.spec.health_period_ns, anchor_ns=self.engine.now
             )
             self.engine.fluid.register(handle._watchdog_ticks, guarded=False)
 

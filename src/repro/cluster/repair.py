@@ -43,7 +43,7 @@ import dataclasses
 import math
 import typing
 
-from repro.fabric.datacenter import Datacenter, ManufacturingReport, RingSlot
+from repro.fabric.datacenter import Datacenter, RingSlot
 from repro.sim import Engine
 from repro.sim.units import DAY, HOUR
 
@@ -117,7 +117,6 @@ class RepairQueue:
         datacenter: Datacenter,
         scheduler: "ClusterScheduler",
         policy: RepairPolicy | None = None,
-        stream: str = "repair",
     ):
         self.engine = engine
         self.datacenter = datacenter
@@ -126,7 +125,7 @@ class RepairQueue:
         self.tickets: list[ServiceTicket] = []
         self.on_repaired: list[collections.abc.Callable[[ServiceTicket], None]] = []
         self._open_by_slot: dict[RingSlot, ServiceTicket] = {}
-        self._rng = engine.rng.stream(stream)
+        self._rng = engine.rng.stream("repair")
         if engine.fluid is not None:
             # Ticket expiries mutate cluster state (hardware serviced,
             # slot uncordoned, replicas reconciled): guarded, so fluid
@@ -152,10 +151,6 @@ class RepairQueue:
         """When the earliest open ticket resolves (None when idle)."""
         pending = self.open_tickets
         return min(ticket.due_ns for ticket in pending) if pending else None
-
-    def ticket_for(self, slot: RingSlot) -> ServiceTicket | None:
-        """The open ticket covering ``slot``, if any."""
-        return self._open_by_slot.get(slot)
 
     def next_transient_ns(self, now_ns: float) -> float:
         """Fluid :class:`~repro.sim.fluid.TransientSource` protocol:
@@ -202,34 +197,6 @@ class RepairQueue:
             ticket.closed_ns = self.engine.now
             ticket.outcome = "cancelled"
         return ticket
-
-    def open_from_manufacturing(
-        self, report: ManufacturingReport, reason: str = "manufacturing test"
-    ) -> list[ServiceTicket]:
-        """Ticket every ring the deployment-time tests flagged (§2.3).
-
-        Each failed card site is marked failed on the physical FPGA (so
-        nothing can configure it meanwhile), its slot is cordoned, and
-        a ticket is opened for the swap.  A flagged slot that is
-        already *occupied* cannot be cordoned out from under its
-        deployment; it is left to the ordinary failure loop — the
-        health sweep will diagnose the failed card, map it out, and
-        cordon (thereby ticketing) the slot if the ring exhausts its
-        spares.
-        """
-        tickets = []
-        for slot, node in report.failed_card_sites:
-            server = self.datacenter.pod(slot.pod_id).server_at(node)
-            server.fpga.mark_failed()
-        for slot in report.failed_card_slots:
-            if self.scheduler.is_occupied(slot):
-                continue
-            if slot not in self.scheduler.cordoned_slots:
-                # cordon() notifies an attached queue; open_ticket()
-                # below is then a deduplicating no-op.
-                self.scheduler.cordon(slot, reason=reason)
-            tickets.append(self.open_ticket(slot, reason=reason))
-        return tickets
 
     # -- the technician --------------------------------------------------------
 

@@ -307,11 +307,6 @@ class ClusterScheduler:
             if not all(map(tenancy.narrower, tenancy.cordoned))
         )
 
-    def is_occupied(self, slot: RingSlot) -> bool:
-        """Whether any claim holds part of ``slot``."""
-        tenancy = self._rings.get(slot)
-        return tenancy is not None and bool(tenancy.claims)
-
     def slot_of(self, deployment: Deployment) -> RingSlot:
         """The ring slot ``deployment`` occupies."""
         region = deployment.region

@@ -140,10 +140,6 @@ class RingTenancy:
         return [node for node in self.ring_nodes if node not in busy]
 
     @property
-    def free_fraction(self) -> float:
-        return len(self.free_nodes()) / len(self.ring_nodes)
-
-    @property
     def empty(self) -> bool:
         return not self.claims and not self.cordoned
 

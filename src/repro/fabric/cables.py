@@ -61,10 +61,6 @@ class WiringPlan:
         self.wires[index_a] = (a[0], a[1], b[2], b[3])
         self.wires[index_b] = (b[0], b[1], a[2], a[3])
 
-    def expected_neighbor(self, node: NodeId, port: Port) -> NodeId:
-        """What the topology says should be at the far end."""
-        return self.topology.neighbor(node, port)
-
     def assemblies(self) -> dict[str, list[int]]:
         """Group wire indices into cable assemblies.
 

@@ -25,7 +25,6 @@ from repro.hardware.constants import (
     PODS_DEPLOYED,
 )
 from repro.hardware.fpga import FpgaState
-from repro.shell.shell import ShellConfig
 from repro.sim import Engine
 
 
@@ -63,10 +62,6 @@ class ManufacturingReport:
     def card_failure_rate(self) -> float:
         return self.failed_cards / self.total_cards if self.total_cards else 0.0
 
-    @property
-    def link_failure_rate(self) -> float:
-        return self.failed_links / self.total_links if self.total_links else 0.0
-
 
 class Datacenter:
     """A deployment of pods sharing one management network."""
@@ -76,14 +71,12 @@ class Datacenter:
         engine: Engine,
         num_pods: int = PODS_DEPLOYED,
         topology: TorusTopology | None = None,
-        shell_config: ShellConfig | None = None,
     ):
         if num_pods < 1:
             raise ValueError(f"need at least one pod, got {num_pods}")
         self.engine = engine
         self.num_pods = num_pods
         self.topology = topology or TorusTopology()
-        self.shell_config = shell_config or ShellConfig()
         self.ethernet = EthernetNetwork(engine)
         self._pods: dict[int, Pod] = {}
 
@@ -98,14 +91,9 @@ class Datacenter:
                 self.engine,
                 pod_id=pod_id,
                 topology=self.topology,
-                shell_config=self.shell_config,
                 ethernet=self.ethernet,
             )
         return self._pods[pod_id]
-
-    @property
-    def built_pods(self) -> list[Pod]:
-        return [self._pods[i] for i in sorted(self._pods)]
 
     @property
     def total_servers(self) -> int:
@@ -146,26 +134,12 @@ class Datacenter:
 
     # One inter-pod cable run: a rack-to-rack span, several times the
     # 400 ns intra-pod SL3 hop (§2.2 "sub-microsecond" applies inside
-    # the pod).  Composite request chains pay this per pod hop between
-    # consecutive member rings — what gang placement minimises.
+    # the pod).  The intra-pod torus stops at the pod boundary; pods
+    # are cabled to their neighbours (two pods per rack, racks in a
+    # loop), so the pods form a 1-D wraparound ring.  Composite request
+    # chains pay this per pod hop between consecutive member rings —
+    # what gang placement minimises.
     INTER_POD_HOP_NS = 2_000.0
-
-    def inter_pod_links(self) -> list[tuple[int, int]]:
-        """The pod-to-pod cable runs, each exactly once.
-
-        The intra-pod torus stops at the pod boundary (§2.2); traffic
-        between pods rides the longer cable runs between neighbouring
-        pods — two pods per rack, racks cabled in a loop — so the pods
-        themselves form a 1-D wraparound ring.  Composite services that
-        chain rings across pods pay one of these runs per consecutive
-        pod hop, which is why gang placement prefers adjacent pods.
-        """
-        if self.num_pods < 2:
-            return []
-        if self.num_pods == 2:
-            return [(0, 1)]  # a single run; no wraparound pair exists
-        return [(pod_id, (pod_id + 1) % self.num_pods)
-                for pod_id in range(self.num_pods)]
 
     def pod_distance(self, a: int, b: int) -> int:
         """Inter-pod hop count over the pod loop (0 for the same pod)."""
@@ -236,22 +210,20 @@ class Datacenter:
     def manufacturing_test(
         self,
         card_failure_rate: float = CARD_FAILURE_RATE,
-        link_failure_rate: float = LINK_FAILURE_RATE,
-        stream: str = "manufacturing",
     ) -> ManufacturingReport:
         """Monte Carlo over per-card and per-link defect probabilities.
 
         Deterministic given the engine seed; reproduces the scale of
         the paper's deployment findings (7 cards, 1 link).
         """
-        rng = self.engine.rng.stream(stream)
+        rng = self.engine.rng.stream("manufacturing")
         failed_sites = []
         for pod_id in range(self.num_pods):
             for node in self.topology.nodes():
                 if rng.random() < card_failure_rate:
                     failed_sites.append((RingSlot(pod_id, node[0]), node))
         failed_links = sum(
-            1 for _ in range(self.total_links) if rng.random() < link_failure_rate
+            1 for _ in range(self.total_links) if rng.random() < LINK_FAILURE_RATE
         )
         return ManufacturingReport(
             total_cards=self.total_servers,

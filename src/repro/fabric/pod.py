@@ -13,7 +13,6 @@ from repro.fabric.cables import CableAssembly, WiringPlan
 from repro.fabric.ethernet import EthernetNetwork
 from repro.fabric.server import Server
 from repro.fabric.torus import ROUTING_POLICIES, NodeId, TorusTopology
-from repro.shell.shell import ShellConfig
 from repro.shell.sl3 import Sl3Link
 from repro.sim import Engine
 
@@ -26,7 +25,6 @@ class Pod:
         engine: Engine,
         pod_id: int = 0,
         topology: TorusTopology | None = None,
-        shell_config: ShellConfig | None = None,
         ethernet: EthernetNetwork | None = None,
         wiring: WiringPlan | None = None,
         routing_policy: str = "xy",
@@ -36,14 +34,12 @@ class Pod:
         self.engine = engine
         self.pod_id = pod_id
         self.topology = topology or TorusTopology()
-        self.shell_config = shell_config or ShellConfig()
         self.ethernet = ethernet or EthernetNetwork(engine)
         self.wiring = wiring or WiringPlan(self.topology)
         self.routing_policy = routing_policy
         self.servers: dict[NodeId, Server] = {}
         self.links: list[Sl3Link] = []
         self.assemblies: dict[str, CableAssembly] = {}
-        self._link_index: dict[frozenset, Sl3Link] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -51,7 +47,7 @@ class Pod:
     def _build(self) -> None:
         for node in self.topology.nodes():
             machine_id = self.machine_id(node)
-            server = Server(self.engine, machine_id, node, self.shell_config)
+            server = Server(self.engine, machine_id, node)
             self.servers[node] = server
             self.ethernet.register(machine_id, server.health_rpc_handler)
         self._wire_links()
@@ -70,16 +66,9 @@ class Pod:
             a = self.servers[src].shell.create_endpoint(src_port)
             b = self.servers[dst].shell.create_endpoint(dst_port)
             link = Sl3Link(
-                self.engine,
-                a,
-                b,
-                config=self.shell_config.sl3,
-                name=f"pod{self.pod_id}:{src}:{src_port.value}",
+                self.engine, a, b, name=f"pod{self.pod_id}:{src}:{src_port.value}"
             )
             self.links.append(link)
-            # First link wired between a pair wins (a 2-wide torus wires
-            # two parallel links per east-west pair).
-            self._link_index.setdefault(frozenset((src, dst)), link)
             name = index_to_assembly[index]
             assembly = self.assemblies.setdefault(
                 name, CableAssembly(name=f"pod{self.pod_id}:{name}")
@@ -91,16 +80,6 @@ class Pod:
         for node, server in self.servers.items():
             server.shell.router.set_routes(compute(self.topology, node))
 
-    def reprogram_routes(self, routing_policy: str) -> None:
-        """Software route update across the pod (the tables are static
-        per configuration, but management software owns them, §3.2)."""
-        if routing_policy not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {routing_policy!r}")
-        self.routing_policy = routing_policy
-        for server in self.servers.values():
-            server.shell.router.routing_table.clear()
-        self._program_routes()
-
     # -- access ----------------------------------------------------------------
 
     def server_at(self, node: NodeId) -> Server:
@@ -110,19 +89,10 @@ class Pod:
         """The 8 servers of column ``x`` — one ranking pipeline (§4)."""
         return [self.servers[node] for node in self.topology.ring(x)]
 
-    def all_servers(self) -> list[Server]:
-        return [self.servers[node] for node in self.topology.nodes()]
-
     def release_all_rx_halts(self) -> None:
         """Fabric bring-up complete: accept inter-FPGA traffic."""
         for server in self.servers.values():
             server.shell.release_rx_halt()
-
-    def link_between(self, a: NodeId, b: NodeId) -> Sl3Link | None:
-        """The physical link wired between two nodes, if any (O(1))."""
-        if a not in self.servers or b not in self.servers:
-            raise KeyError(f"{a if a not in self.servers else b} is not a pod node")
-        return self._link_index.get(frozenset((a, b)))
 
     def __repr__(self) -> str:
         return f"<Pod {self.pod_id}: {len(self.servers)} servers, {len(self.links)} links>"

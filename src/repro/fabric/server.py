@@ -18,7 +18,7 @@ import enum
 
 from repro.hardware.fpga import Fpga, FpgaState
 from repro.shell.pcie import HostDmaBuffers
-from repro.shell.shell import Shell, ShellConfig
+from repro.shell.shell import Shell
 from repro.sim import Engine, Event, Resource
 from repro.sim.units import SEC
 
@@ -51,7 +51,6 @@ class Server:
         engine: Engine,
         machine_id: str,
         node_id: tuple,
-        shell_config: ShellConfig | None = None,
     ):
         self.engine = engine
         self.machine_id = machine_id
@@ -59,9 +58,7 @@ class Server:
         self.state = ServerState.UP
         self.fpga = Fpga(engine, f"{machine_id}.fpga")
         self.buffers = HostDmaBuffers(engine)
-        self.shell = Shell(
-            engine, self.fpga, node_id, machine_id, self.buffers, shell_config
-        )
+        self.shell = Shell(engine, self.fpga, node_id, machine_id, self.buffers)
         self.cpu = Resource(engine, self.CORE_COUNT, name=f"{machine_id}.cpu")
         self.nmi_masked = False
         self.crash_count = 0

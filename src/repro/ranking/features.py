@@ -389,7 +389,3 @@ class FeatureExtractor:
             if value != 0.0:
                 values[FeatureLayout.software_slot(feature_id)] = value
         return values
-
-    def extraction_tokens(self, document: CompressedDocument) -> int:
-        """Token count driving the FE stage's cycle model (§4.4)."""
-        return document.total_tuples

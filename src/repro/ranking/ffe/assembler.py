@@ -44,10 +44,6 @@ class FfeProgram:
         return self.threads[core * self.threads_per_core + slot]
 
     @property
-    def expression_count(self) -> int:
-        return sum(len(thread.expressions) for thread in self.threads)
-
-    @property
     def instruction_count(self) -> int:
         return sum(
             expr.instruction_count

@@ -281,9 +281,6 @@ class ModelLibrary:
     def __len__(self) -> int:
         return len(self.models)
 
-    def ids(self) -> list:
-        return sorted(self.models)
-
     @classmethod
     def default(cls, scale: float = 1.0, layout: FeatureLayout | None = None) -> "ModelLibrary":
         """Four production-flavoured models (three languages + one

@@ -82,13 +82,11 @@ class RankingPayload:
 class RankingStageRole(Role):
     """Common machinery: model tracking, reload handling, forwarding."""
 
-    stage_name = "stage"
     clock_mhz = 150.0
 
     def __init__(self, assignment: "RingAssignment", role_name: str):
         super().__init__()
         self.name = role_name
-        self.stage_name = role_name
         self.assignment = assignment
         self.engine_ref: ScoringEngine = assignment.scoring_engine
         self.current_model_id: int | None = None

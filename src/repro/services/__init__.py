@@ -8,7 +8,7 @@ hard-reboot / manual-service escalation ladder and collecting the
 error vector the paper describes.
 """
 
-from repro.services.failures import FailureInjector, FailureKind
+from repro.services.failures import FailureKind
 from repro.services.health_monitor import (
     ErrorFlags,
     HealthMonitor,
@@ -25,7 +25,6 @@ from repro.services.mapping_manager import (
 
 __all__ = [
     "ErrorFlags",
-    "FailureInjector",
     "FailureKind",
     "HealthMonitor",
     "HealthReport",

@@ -19,7 +19,7 @@ import collections.abc
 import dataclasses
 import typing
 
-from repro.fabric.ethernet import EthernetNetwork, RpcTimeout
+from repro.fabric.ethernet import RpcTimeout
 from repro.fabric.pod import Pod
 from repro.fabric.torus import NodeId
 from repro.sim import Engine, Event
@@ -116,12 +116,10 @@ class HealthMonitor:
         self,
         engine: Engine,
         pod: Pod,
-        ethernet: EthernetNetwork | None = None,
         mapping_manager: "MappingManager | None" = None,
     ):
         self.engine = engine
         self.pod = pod
-        self.ethernet = ethernet or pod.ethernet
         self.mapping_manager = mapping_manager
         self.failed_machine_list: dict[str, ErrorFlags] = {}
         self.invocations = 0
@@ -184,7 +182,7 @@ class HealthMonitor:
 
     def _query(self, machine_id: str) -> collections.abc.Generator:
         try:
-            health = yield self.ethernet.rpc(machine_id, "health", timeout_ns=5e6)
+            health = yield self.pod.ethernet.rpc(machine_id, "health", timeout_ns=5e6)
             return health
         except RpcTimeout:
             return None

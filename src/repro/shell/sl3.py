@@ -33,6 +33,10 @@ from repro.shell.messages import Packet, PacketKind
 from repro.sim import Engine, Event, Store
 from repro.sim.units import transfer_time_ns
 
+# Interval between garbage bursts an unprotected, reconfiguring FPGA
+# emits onto a link.
+_GARBAGE_PERIOD_NS = 50_000.0
+
 
 @dataclasses.dataclass(frozen=True)
 class Sl3Config:
@@ -336,7 +340,7 @@ class Sl3Link:
 
         self.engine.process(body(), name=f"sl3.retrain.{requester.name}")
 
-    def start_garbage(self, src: Sl3Endpoint, duration_ns: float, period_ns: float = 50_000.0):
+    def start_garbage(self, src: Sl3Endpoint, duration_ns: float):
         """Emit garbage from ``src`` (a reconfiguring, unprotected FPGA)."""
 
         def body():
@@ -349,8 +353,8 @@ class Sl3Link:
                     size_bytes=self._rng.randrange(SL3_FLIT_BYTES, 4096),
                 )
                 yield src.enqueue(garbage)
-                yield self.engine.timeout(period_ns)
-                elapsed += period_ns
+                yield self.engine.timeout(_GARBAGE_PERIOD_NS)
+                elapsed += _GARBAGE_PERIOD_NS
 
         return self.engine.process(body(), name=f"sl3.garbage.{src.name}")
 

@@ -297,10 +297,6 @@ class FluidCoordinator:
         if until > self._discrete_until:
             self._discrete_until = until
 
-    @property
-    def discrete_until_ns(self) -> float:
-        return self._discrete_until
-
     # -- the one question ------------------------------------------------
 
     def window_end(self, now_ns: float) -> float:

@@ -25,8 +25,3 @@ class RngStreams:
             digest = hashlib.sha256(f"{self.root_seed}:{name}".encode()).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RngStreams":
-        """Derive a child factory with an independent seed space."""
-        digest = hashlib.sha256(f"{self.root_seed}/{name}".encode()).digest()
-        return RngStreams(int.from_bytes(digest[:8], "big"))

@@ -29,6 +29,8 @@ from repro.workloads.sizes import DocumentSizeDistribution
 # plus stream/SW-feature overhead average out near this figure.
 _APPROX_BYTES_PER_TUPLE = 3.2
 _HEADER_OVERHEAD = 22
+# Distinct query/document terms; Zipf-distributed hits over them.
+_VOCABULARY = 5_000
 
 
 @dataclasses.dataclass
@@ -71,7 +73,6 @@ class TraceGenerator:
     def __init__(
         self,
         seed: int = 0,
-        vocabulary: int = 5_000,
         model_mix: dict[int, float] | None = None,
     ):
         if model_mix is None:
@@ -82,7 +83,7 @@ class TraceGenerator:
             raise ValueError(f"model_mix weights must be positive, got {model_mix}")
         self.rng = RngStreams(seed).stream("trace-generator")
         self.sizes = DocumentSizeDistribution(self.rng)
-        self.terms = ZipfSampler(vocabulary, self.rng)
+        self.terms = ZipfSampler(_VOCABULARY, self.rng)
         self.codec = DocumentCodec()
         self.model_mix = dict(model_mix)
         self._model_ids = list(self.model_mix)

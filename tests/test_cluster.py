@@ -223,7 +223,7 @@ def test_ring_slot_enumeration_is_lazy():
     _eng, dc = small_datacenter()
     assert len(dc.ring_slots()) == dc.total_rings == 4
     assert dc.rings_per_pod == 2
-    assert dc.built_pods == []  # enumeration must not build pods
+    assert dc._pods == {}  # enumeration must not build pods
 
 
 # --- deployment dispatch ------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.cluster import (
     echo_service,
 )
 from repro.fabric import Datacenter, TorusTopology
-from repro.services import FailureInjector, FailureKind
+from repro.services import FailureKind
 from repro.sim import Engine
 from repro.sim.units import MS, SEC
 from repro.workloads import OpenLoopInjector, PoissonArrivals
@@ -68,29 +68,23 @@ def drive(eng, handle, arrivals, rate=50_000.0, seed_tag="t", **kwargs):
 
 
 def wreck_ring(dc, pod_id, ring_x):
-    pod = dc.pod(pod_id)
-    injector = FailureInjector(pod)
-    for node in pod.topology.ring(ring_x):
-        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, node)
+    injector = ClusterFailureInjector(dc)
+    for node in dc.topology.ring(ring_x):
+        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, pod_id, node)
 
 
 # --- the inter-pod link model -------------------------------------------------------
 
 
-def test_pod_distance_and_inter_pod_links():
+def test_pod_distance_wraps_around_the_pod_loop():
     eng = Engine(seed=1)
     dc = Datacenter(eng, num_pods=4, topology=TorusTopology(width=2, height=3))
     assert dc.pod_distance(0, 0) == 0
     assert dc.pod_distance(0, 1) == 1
     assert dc.pod_distance(0, 2) == 2
     assert dc.pod_distance(0, 3) == 1  # wraparound: the pods form a loop
-    assert dc.inter_pod_links() == [(0, 1), (1, 2), (2, 3), (3, 0)]
     with pytest.raises(ValueError):
         dc.pod_distance(0, 4)
-    two = Datacenter(eng, num_pods=2, topology=TorusTopology(width=2, height=3))
-    assert two.inter_pod_links() == [(0, 1)]  # single run, no wrap pair
-    one = Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=3))
-    assert one.inter_pod_links() == []
 
 
 def test_spec_validates_rings_per_replica():
@@ -450,8 +444,12 @@ def test_composite_health_weight_is_min_over_members():
     handle = manager.apply(composite_spec(rings=2))
     (replica,) = handle.deployments
     assert replica.health_weight() == 1.0
-    injector = ClusterFailureInjector(dc)
-    injector.inject_spare(replica.members[1], FailureKind.FPGA_HARDWARE_FAULT)
+    member = replica.members[1]
+    ClusterFailureInjector(dc).inject(
+        FailureKind.FPGA_HARDWARE_FAULT,
+        member.pod.pod_id,
+        member.assignment.spare_nodes[0],
+    )
     eng.run_until(manager.sweep(handle))
     assert replica.members[0].health_weight() == 1.0
     assert replica.members[1].health_weight() == pytest.approx(2 / 3)

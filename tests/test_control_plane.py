@@ -24,7 +24,7 @@ from repro.cluster import (
     echo_service,
 )
 from repro.fabric import Datacenter, TorusTopology
-from repro.services import FailureInjector, FailureKind, HealthMonitor
+from repro.services import FailureKind, HealthMonitor
 from repro.shell.role import PassthroughRole
 from repro.sim import Engine
 from repro.workloads import OpenLoopInjector, PoissonArrivals
@@ -213,7 +213,8 @@ def test_acceptance_failure_loop_closes_without_touching_mechanism():
     # Degrade one ring: fault on a spare node (pipeline keeps serving).
     victim_ring = handle.deployments[0]
     victim_slot = manager.scheduler.slot_of(victim_ring)
-    victim = injector.inject_spare(victim_ring, FailureKind.FPGA_HARDWARE_FAULT)
+    victim = victim_ring.assignment.spare_nodes[0]
+    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, victim_slot.pod_id, victim)
 
     # The watchdog sweep (no direct HealthMonitor call) rotates the ring.
     eng.run(until=eng.now + 12e9)
@@ -259,7 +260,11 @@ def test_weighted_health_share_drops_in_proportion():
     injector = ClusterFailureInjector(dc)
 
     degraded = handle.deployments[0]
-    injector.inject_spare(degraded, FailureKind.FPGA_HARDWARE_FAULT)
+    injector.inject(
+        FailureKind.FPGA_HARDWARE_FAULT,
+        degraded.pod.pod_id,
+        degraded.assignment.spare_nodes[0],
+    )
     # One explicit sweep instead of waiting for the watchdog period.
     eng.run_until(manager.sweep(handle))
     assert degraded.health_weight() == pytest.approx(2 / 3)
@@ -296,9 +301,9 @@ def test_placement_failure_cordons_and_converges_after_repair():
     eng, dc, manager = small_cluster(pods=1)
     # Wreck every FPGA of the still-free ring (0, 1) before any deploy.
     pod = dc.pod(0)
-    injector = FailureInjector(pod)
+    injector = ClusterFailureInjector(dc)
     for node in pod.topology.ring(1):
-        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, node)
+        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, node)
     handle = manager.apply(echo_spec(replicas=2))
     # The wrecked slot was cordoned and the spec could not converge.
     assert RingSlot(0, 1) in manager.scheduler.cordoned_slots
@@ -355,7 +360,7 @@ def test_released_slot_redeployable_with_different_service():
     # Lose the active node; the health loop rotates the ring first.
     pod = dc.pod(0)
     victim = dep_a.assignment.node_of("echo")
-    FailureInjector(pod).inject(FailureKind.FPGA_HARDWARE_FAULT, victim)
+    ClusterFailureInjector(dc).inject(FailureKind.FPGA_HARDWARE_FAULT, 0, victim)
     monitor = HealthMonitor(eng, pod, mapping_manager=scheduler.mapping_manager(0))
     eng.run_until(monitor.investigate([victim]))
     assert victim in dep_a.assignment.excluded
@@ -411,9 +416,9 @@ def test_placement_failed_carries_slot():
     dc = Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=3))
     scheduler = ClusterScheduler(dc)
     pod = dc.pod(0)
-    injector = FailureInjector(pod)
+    injector = ClusterFailureInjector(dc)
     for node in pod.topology.ring(0):
-        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, node)
+        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, node)
     with pytest.raises(PlacementFailed) as info:
         scheduler.deploy(echo_service(), rings=1, policy="pack")
     assert info.value.slot == RingSlot(0, 0)

@@ -4,14 +4,14 @@ Managers and Health Monitors) and for the loopback rig."""
 
 import pytest
 
-from repro.cluster import ClusterManager
+from repro.cluster import ClusterFailureInjector, ClusterManager
 from repro.core import LoopbackMode, loopback_rig
 from repro.fabric import Datacenter, TorusTopology
 from repro.host.slots import shared_slot_allocator
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.pipeline import ranking_spec
-from repro.services import FailureInjector, FailureKind
+from repro.services import FailureKind
 from repro.sim import Engine
 from repro.workloads import ClosedLoop, OpenLoopInjector, TraceGenerator
 
@@ -63,8 +63,8 @@ def test_facade_health_check(manager_with_ranking):
 def test_facade_end_to_end_failure_recovery():
     manager, ring = ranking_on_one_pod(seed=32)
     victim = ring.assignment.node_of("compress")
-    FailureInjector(manager.datacenter.pod(0)).inject(
-        FailureKind.FPGA_HARDWARE_FAULT, victim
+    ClusterFailureInjector(manager.datacenter).inject(
+        FailureKind.FPGA_HARDWARE_FAULT, 0, victim
     )
     report = check_health(manager, [victim])
     assert report.failed_machines

@@ -43,7 +43,7 @@ def configure_all(eng, pod):
     from repro.host import FpgaDriver
 
     # The driver protocol (NMI masking) keeps hosts alive (§3.4).
-    events = [FpgaDriver(s).reconfigure(bitstream()) for s in pod.all_servers()]
+    events = [FpgaDriver(s).reconfigure(bitstream()) for s in pod.servers.values()]
     for event in events:
         eng.run_until(event)
     pod.release_all_rx_halts()

@@ -288,13 +288,6 @@ def test_cable_assembly_failure_breaks_column():
     assert server.shell.neighbor_id(Port.SOUTH) is not None
 
 
-def test_link_between_adjacent_nodes(small_pod_engine):
-    _eng, pod = small_pod_engine
-    link = pod.link_between((0, 0), (1, 0))
-    assert link is not None
-    assert pod.link_between((0, 0), (0, 1)) is not None
-
-
 # --- Datacenter ----------------------------------------------------------------------
 
 
@@ -310,11 +303,11 @@ def test_datacenter_dimensions():
 def test_datacenter_lazy_pod_build():
     eng = Engine()
     dc = Datacenter(eng, num_pods=4, topology=TorusTopology(width=2, height=2))
-    assert dc.built_pods == []
+    assert dc._pods == {}  # built on first use
     pod = dc.pod(2)
     assert pod.pod_id == 2
     assert dc.pod(2) is pod  # cached
-    assert len(dc.built_pods) == 1
+    assert list(dc._pods) == [2]
     with pytest.raises(ValueError):
         dc.pod(9)
 

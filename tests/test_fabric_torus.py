@@ -108,8 +108,3 @@ def test_wiring_swap_self_rejected():
     plan = WiringPlan(TOPO)
     with pytest.raises(ValueError):
         plan.swap(3, 3)
-
-
-def test_expected_neighbor_matches_topology():
-    plan = WiringPlan(TOPO)
-    assert plan.expected_neighbor((0, 0), Port.EAST) == (1, 0)

@@ -9,7 +9,8 @@ import pytest
 from repro.analysis import ReservoirSample
 from repro.cluster import ClusterFailureInjector
 from repro.fabric import Datacenter, TorusTopology
-from repro.services import FailureInjector, FailureKind
+from repro.services import FailureKind
+from repro.shell.router import Port
 from repro.sim import (
     AnyOf,
     Engine,
@@ -312,21 +313,21 @@ def test_note_transient_forces_discrete_warmup():
     fluid = engine.fluid
     fluid.note_transient("test")
     assert fluid.window_end(0.0) == 0.0  # no window during warm-up
-    after = fluid.discrete_until_ns
-    assert after == engine.now + fluid.warmup_ns
-    assert fluid.window_end(after + 1.0) > after
+    until = engine.now + fluid.warmup_ns
+    assert fluid.window_end(until - 1.0) == until - 1.0
+    assert fluid.window_end(until) > until
 
 
 def test_every_failure_injection_notes_one_transient():
     engine = Engine(seed=0, fluid=True)
     datacenter = Datacenter(engine, num_pods=1, topology=TorusTopology(width=2, height=2))
     fluid = engine.fluid
-    # Per pod: the dip after the failure is simulated discretely.
-    FailureInjector(datacenter.pod(0)).inject(FailureKind.FPGA_HARDWARE_FAULT, (0, 0))
+    injector = ClusterFailureInjector(datacenter)
+    # The dip after the failure is simulated discretely.
+    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, (0, 0))
     assert fluid.transients_noted == 1
     assert fluid.window_end(0.0) == 0.0
-    # The cluster injector delegates to the per-pod one: still one note.
-    ClusterFailureInjector(datacenter).inject(FailureKind.FPGA_HARDWARE_FAULT, 0, (1, 0))
+    injector.inject(FailureKind.LINK_FAILURE, 0, (1, 0), port=Port.EAST)
     assert fluid.transients_noted == 2
 
 

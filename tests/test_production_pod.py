@@ -44,7 +44,7 @@ def test_pod_has_production_dimensions(production_pod):
 
 def test_every_fpga_configured_after_deploy(production_pod):
     _eng, pod, _pipeline = production_pod
-    for server in pod.all_servers():
+    for server in pod.servers.values():
         assert server.fpga.configured_role is not None
         assert server.state.value == "up"
 

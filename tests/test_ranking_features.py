@@ -119,11 +119,6 @@ def test_extractor_deterministic_on_trace():
     assert len(a) > 50  # realistic docs light up many features
 
 
-def test_extraction_tokens_counts_tuples():
-    extractor = FeatureExtractor()
-    assert extractor.extraction_tokens(simple_doc()) == 4
-
-
 def test_machines_tolerate_empty_streams():
     doc = CompressedDocument(
         doc_id=2,

@@ -190,7 +190,7 @@ def test_assembler_longest_to_slot0():
 def test_assembler_remainder_appends_round_robin():
     exprs = [compiled_with_latency(10 - n, slot=n) for n in range(6)]
     program = assemble(exprs, core_count=2, threads_per_core=2)
-    assert program.expression_count == 6
+    assert sum(len(thread.expressions) for thread in program.threads) == 6
     # 4 slots filled first, then 2 appended starting at slot 0.
     assert len(program.thread(0, 0).expressions) == 2
     assert len(program.thread(1, 0).expressions) == 2

@@ -149,7 +149,7 @@ def test_model_footprint_positive():
 def test_model_library_default_scaled():
     library = ModelLibrary.default(scale=0.02)
     assert len(library) == 4
-    assert library.ids() == [0, 1, 2, 3]
+    assert sorted(library.models) == [0, 1, 2, 3]
     assert 0 in library
 
 

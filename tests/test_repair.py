@@ -24,7 +24,7 @@ from repro.cluster import (
 from repro.fabric import Datacenter, TorusTopology
 from repro.fabric.server import ServerState
 from repro.hardware.fpga import FpgaState
-from repro.services import FailureInjector, FailureKind
+from repro.services import FailureKind
 from repro.sim import Engine
 from repro.sim.rng import RngStreams
 from repro.sim.units import DAY, HOUR, SEC
@@ -115,11 +115,11 @@ def test_cordon_opens_ticket_and_capacity_report_sees_it():
 def test_repair_resets_hardware_and_uncordons():
     eng, dc, manager = managed_cluster(repair_policy=FAST_REPAIR)
     pod = dc.pod(0)
-    injector = FailureInjector(pod)
+    injector = ClusterFailureInjector(dc)
     victims = pod.topology.ring(1)[:2]
     for node in victims:
-        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, node)
-    injector.inject(FailureKind.CABLE_ASSEMBLY_FAILURE, victims[0])
+        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, node)
+    injector.inject(FailureKind.CABLE_ASSEMBLY_FAILURE, 0, victims[0])
     manager.scheduler.cordon(RingSlot(0, 1), reason="faulted")
     # Keep the clock moving past the due time (daemon repair needs a
     # bounded run; nothing else is scheduled).
@@ -163,52 +163,6 @@ def test_attach_queue_tickets_preexisting_cordons():
         manager.scheduler.attach_repair_queue(
             RepairQueue(eng, dc, manager.scheduler, policy=FAST_REPAIR)
         )
-
-
-def test_manufacturing_report_skips_occupied_slots():
-    """Regression: a failed card on an already-serving ring must not
-    crash ticketing (the slot cannot be cordoned out from under its
-    deployment) — the card is flagged and left to the failure loop."""
-    from repro.fabric.datacenter import ManufacturingReport
-
-    eng, dc, manager = managed_cluster(repair_policy=FAST_REPAIR)
-    handle = manager.apply(echo_spec(replicas=1))
-    occupied = manager.scheduler.slot_of(handle.deployments[0])
-    spare_node = handle.deployments[0].assignment.spare_nodes[0]
-    free = RingSlot(1, 1)
-    report = ManufacturingReport(
-        total_cards=dc.total_servers,
-        failed_cards=2,
-        total_links=dc.total_links,
-        failed_links=0,
-        failed_card_sites=((occupied, spare_node), (free, (free.ring_x, 0))),
-    )
-    tickets = manager.repairs.open_from_manufacturing(report)
-    # Only the free slot was cordoned + ticketed; the occupied one was
-    # flagged (FPGA failed) for the health loop to handle.
-    assert [t.slot for t in tickets] == [free]
-    assert manager.scheduler.cordoned_slots == [free]
-    assert dc.pod(occupied.pod_id).server_at(spare_node).fpga.state is FpgaState.FAILED
-
-
-def test_manufacturing_report_opens_tickets():
-    eng, dc, manager = managed_cluster(pods=4, repair_policy=FAST_REPAIR)
-    report = dc.manufacturing_test(card_failure_rate=0.08)
-    assert report.failed_cards > 0
-    tickets = manager.repairs.open_from_manufacturing(report)
-    assert {t.slot for t in tickets} == set(report.failed_card_slots)
-    # Defective cards are physically failed until the swap...
-    slot, node = report.failed_card_sites[0]
-    assert dc.pod(slot.pod_id).server_at(node).fpga.state is FpgaState.FAILED
-    assert set(manager.scheduler.cordoned_slots) == set(report.failed_card_slots)
-    # ...and the swap returns every ring to the pool, cards reset.
-    eng.run(until=eng.now + FAST_REPAIR.mean_ns + 1.0)
-    assert manager.scheduler.cordoned_slots == []
-    assert dc.pod(slot.pod_id).server_at(node).fpga.state is FpgaState.UNCONFIGURED
-    assert all(t.outcome == "repaired" for t in manager.repairs.tickets)
-
-
-# --- the closed loop ------------------------------------------------------------------
 
 
 def test_killed_ring_heals_without_operator():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.fabric import CrashSeverity, Pod, ServerState, TorusTopology
+from repro.cluster import ClusterFailureInjector
+from repro.fabric import CrashSeverity, Datacenter, Pod, ServerState, TorusTopology
 from repro.hardware import Bitstream, ResourceBudget
 from repro.services import (
-    FailureInjector,
     FailureKind,
     HealthMonitor,
     InsufficientRingCapacity,
@@ -77,9 +77,10 @@ def relay_service(num_stages=3):
 
 
 def build_pod(seed=3):
+    """A one-pod 3x4 datacenter's pod, and an injector over it."""
     eng = Engine(seed=seed)
-    pod = Pod(eng, topology=TorusTopology(width=3, height=4))
-    return eng, pod
+    datacenter = Datacenter(eng, num_pods=1, topology=TorusTopology(width=3, height=4))
+    return eng, datacenter.pod(0), ClusterFailureInjector(datacenter)
 
 
 def send_through_pipeline(eng, pod, assignment, src_node=(0, 0)):
@@ -109,7 +110,7 @@ def send_through_pipeline(eng, pod, assignment, src_node=(0, 0)):
 
 
 def test_deploy_assigns_roles_in_ring_order():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     manager = MappingManager(eng, pod)
     done = manager.deploy(relay_service(), ring_x=1)
     assignment = eng.run_until(done)
@@ -124,7 +125,7 @@ def test_deploy_assigns_roles_in_ring_order():
 
 
 def test_deploy_releases_rx_halt_only_after_all_configured():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     manager = MappingManager(eng, pod)
     done = manager.deploy(relay_service(), ring_x=0)
     # Mid-deployment: still reconfiguring, halts must be on.
@@ -145,7 +146,7 @@ def test_deploy_releases_rx_halt_only_after_all_configured():
 
 
 def test_pipeline_processes_request_end_to_end():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     manager = MappingManager(eng, pod)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
     responses = send_through_pipeline(eng, pod, assignment)
@@ -160,7 +161,7 @@ def test_service_definition_rejects_duplicate_names():
 
 
 def test_ring_too_small_rejected():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     manager = MappingManager(eng, pod)
     with pytest.raises(InsufficientRingCapacity):
         manager.deploy(relay_service(num_stages=5), ring_x=0)  # ring of 4
@@ -170,7 +171,7 @@ def test_ring_too_small_rejected():
 
 
 def test_healthy_pod_reports_clean():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     monitor = HealthMonitor(eng, pod)
     report = eng.run_until(monitor.investigate([(0, 0), (1, 0)]))
     assert report.failed_machines == []
@@ -178,7 +179,7 @@ def test_healthy_pod_reports_clean():
 
 
 def test_crashed_server_recovered_by_soft_reboot():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     monitor = HealthMonitor(eng, pod)
     server = pod.server_at((0, 1))
     server.crash()
@@ -191,7 +192,7 @@ def test_crashed_server_recovered_by_soft_reboot():
 
 
 def test_stubborn_crash_needs_hard_reboot():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     monitor = HealthMonitor(eng, pod)
     server = pod.server_at((0, 1))
     server.crash(CrashSeverity.NEEDS_HARD_REBOOT)
@@ -201,7 +202,7 @@ def test_stubborn_crash_needs_hard_reboot():
 
 
 def test_permanent_failure_marked_dead():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     monitor = HealthMonitor(eng, pod)
     server = pod.server_at((0, 1))
     server.crash(CrashSeverity.PERMANENT)
@@ -212,12 +213,11 @@ def test_permanent_failure_marked_dead():
 
 
 def test_error_vector_flags_injected_failures():
-    eng, pod = build_pod()
-    injector = FailureInjector(pod)
+    eng, pod, injector = build_pod()
     monitor = HealthMonitor(eng, pod)
 
-    injector.inject(FailureKind.DRAM_CALIBRATION, (1, 1))
-    injector.inject(FailureKind.LINK_FAILURE, (2, 2), port=Port.EAST)
+    injector.inject(FailureKind.DRAM_CALIBRATION, 0, (1, 1))
+    injector.inject(FailureKind.LINK_FAILURE, 0, (2, 2), port=Port.EAST)
     report = eng.run_until(monitor.investigate([(1, 1), (2, 2)]))
     flags_a, flags_b = report.diagnoses[0].flags, report.diagnoses[1].flags
     assert flags_a.dram_calibration_failed and flags_a.needs_relocation
@@ -225,8 +225,8 @@ def test_error_vector_flags_injected_failures():
 
 
 def test_fpga_fault_flags_relocation_and_pll():
-    eng, pod = build_pod()
-    FailureInjector(pod).inject(FailureKind.FPGA_HARDWARE_FAULT, (0, 2))
+    eng, pod, injector = build_pod()
+    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, (0, 2))
     monitor = HealthMonitor(eng, pod)
     report = eng.run_until(monitor.investigate([(0, 2)]))
     flags = report.diagnoses[0].flags
@@ -237,8 +237,8 @@ def test_fpga_fault_flags_relocation_and_pll():
 def test_temp_shutdown_reported_in_error_vector():
     # Regression: temperature shutdowns used to be dropped by _analyze,
     # silently excluding them from relocation decisions (§3.5).
-    eng, pod = build_pod()
-    FailureInjector(pod).inject(FailureKind.TEMP_SHUTDOWN, (1, 2))
+    eng, pod, injector = build_pod()
+    injector.inject(FailureKind.TEMP_SHUTDOWN, 0, (1, 2))
     monitor = HealthMonitor(eng, pod)
     report = eng.run_until(monitor.investigate([(1, 2)]))
     flags = report.diagnoses[0].flags
@@ -250,7 +250,7 @@ def test_temp_shutdown_reported_in_error_vector():
 def test_map_out_exhaustion_marks_unservable():
     # Unlike exclude(), map_out() tolerates running out of spares: the
     # assignment goes unservable for the control plane to reconcile.
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     manager = MappingManager(eng, pod)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
     assert assignment.map_out((1, 3)) is True
@@ -263,13 +263,12 @@ def test_map_out_exhaustion_marks_unservable():
 def test_watchdog_exhaustion_is_graceful():
     # A health report that exhausts a ring's spares must not crash the
     # monitor's process chain; the assignment is left unservable.
-    eng, pod = build_pod()
+    eng, pod, injector = build_pod()
     manager = MappingManager(eng, pod)
     monitor = HealthMonitor(eng, pod, mapping_manager=manager)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
-    injector = FailureInjector(pod)
     for node in [(1, 2), (1, 3)]:
-        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, node)
+        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, node)
     report = eng.run_until(monitor.investigate([(1, 2), (1, 3)]))
     assert len(report.failed_machines) == 2
     assert not assignment.servable
@@ -279,8 +278,8 @@ def test_watchdog_exhaustion_is_graceful():
 def test_deploy_pre_excludes_failed_hardware():
     # Deploying onto a ring with a known-dead FPGA maps the node out up
     # front instead of failing the configuration.
-    eng, pod = build_pod()
-    FailureInjector(pod).inject(FailureKind.FPGA_HARDWARE_FAULT, (1, 0))
+    eng, pod, injector = build_pod()
+    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, (1, 0))
     manager = MappingManager(eng, pod)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
     assert (1, 0) in assignment.excluded
@@ -306,13 +305,13 @@ def test_miswiring_reported_as_neighbor_mismatch():
 
 
 def test_ring_rotation_after_fpga_failure():
-    eng, pod = build_pod()
+    eng, pod, injector = build_pod()
     manager = MappingManager(eng, pod)
     monitor = HealthMonitor(eng, pod, mapping_manager=manager)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
     victim = assignment.node_of("stage1")
 
-    FailureInjector(pod).inject(FailureKind.FPGA_HARDWARE_FAULT, victim)
+    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, victim)
     eng.run_until(monitor.investigate([victim]))
 
     assert manager.relocations == 1
@@ -325,7 +324,7 @@ def test_ring_rotation_after_fpga_failure():
 
 
 def test_app_hang_reconfigures_in_place():
-    eng, pod = build_pod()
+    eng, pod, injector = build_pod()
     manager = MappingManager(eng, pod)
     monitor = HealthMonitor(eng, pod, mapping_manager=manager)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
@@ -333,7 +332,7 @@ def test_app_hang_reconfigures_in_place():
     server = pod.server_at(victim)
     reconfigs_before = server.fpga.reconfig_count
 
-    FailureInjector(pod).inject(FailureKind.APP_HANG, victim)
+    injector.inject(FailureKind.APP_HANG, 0, victim)
     eng.run_until(monitor.investigate([victim]))
 
     assert manager.in_place_reconfigs == 1
@@ -344,7 +343,7 @@ def test_app_hang_reconfigures_in_place():
 
 
 def test_too_many_failures_exhausts_ring():
-    eng, pod = build_pod()
+    eng, pod, _ = build_pod()
     manager = MappingManager(eng, pod)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
     assignment.exclude((1, 3))
@@ -353,14 +352,14 @@ def test_too_many_failures_exhausts_ring():
 
 
 def test_spare_failure_needs_no_role_move():
-    eng, pod = build_pod()
+    eng, pod, injector = build_pod()
     manager = MappingManager(eng, pod)
     monitor = HealthMonitor(eng, pod, mapping_manager=manager)
     assignment = eng.run_until(manager.deploy(relay_service(), ring_x=1))
     spare_node = assignment.spare_nodes[0]
     active_before = dict(assignment.role_to_node)
 
-    FailureInjector(pod).inject(FailureKind.FPGA_HARDWARE_FAULT, spare_node)
+    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, spare_node)
     eng.run_until(monitor.investigate([spare_node]))
 
     # Active roles stay put; only the spare is mapped out.

@@ -42,14 +42,6 @@ def test_adding_stream_does_not_perturb_existing():
     assert first == second
 
 
-def test_fork_derives_independent_space():
-    root = RngStreams(5)
-    child = root.fork("pod0")
-    assert child.root_seed != root.root_seed
-    # Deterministic fork
-    assert RngStreams(5).fork("pod0").root_seed == child.root_seed
-
-
 def test_cycles_to_ns():
     assert cycles_to_ns(150, 150.0) == pytest.approx(1000.0)
     assert cycles_to_ns(1, 200.0) == pytest.approx(5.0)
