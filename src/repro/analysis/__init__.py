@@ -1,6 +1,6 @@
 """Measurement, reporting, and trace-replay utilities."""
 
-from repro.analysis.stats import LatencyStats, ReservoirSample, cdf_points, percentile
+from repro.analysis.stats import LatencyStats, ReservoirSample, percentile
 from repro.analysis.meters import ThroughputMeter
 from repro.analysis.replay import PathStep, TraceReplay, replay_trace
 from repro.analysis.tables import format_series, format_table
@@ -11,7 +11,6 @@ __all__ = [
     "ReservoirSample",
     "ThroughputMeter",
     "TraceReplay",
-    "cdf_points",
     "format_series",
     "format_table",
     "percentile",

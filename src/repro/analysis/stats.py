@@ -1,4 +1,4 @@
-"""Latency statistics: percentiles, CDFs, and bounded-memory samples."""
+"""Latency statistics: percentiles and bounded-memory samples."""
 
 from __future__ import annotations
 
@@ -10,11 +10,15 @@ import random
 
 def percentile(samples: collections.abc.Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile; ``pct`` in [0, 100]."""
-    if not samples:
+    return _interpolate(sorted(samples), pct)
+
+
+def _interpolate(ordered: list[float], pct: float) -> float:
+    """:func:`percentile` of an already sorted list."""
+    if not ordered:
         raise ValueError("no samples")
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0,100], got {pct}")
-    ordered = sorted(samples)
     if len(ordered) == 1:
         return ordered[0]
     rank = (pct / 100.0) * (len(ordered) - 1)
@@ -24,21 +28,6 @@ def percentile(samples: collections.abc.Sequence[float], pct: float) -> float:
         return ordered[low]
     frac = rank - low
     return ordered[low] * (1 - frac) + ordered[high] * frac
-
-
-def cdf_points(
-    samples: collections.abc.Sequence[float], points: int = 100
-) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) pairs for plotting a CDF."""
-    if not samples:
-        raise ValueError("no samples")
-    ordered = sorted(samples)
-    result = []
-    for i in range(1, points + 1):
-        frac = i / points
-        index = min(int(frac * len(ordered)) - 1, len(ordered) - 1)
-        result.append((ordered[max(index, 0)], frac))
-    return result
 
 
 @dataclasses.dataclass
@@ -119,9 +108,27 @@ class ReservoirSample:
     where an unbounded ``latencies_ns`` list used to live.  ``len()``
     returns the *exact observation count* — callers that need the
     sample size should use ``sample_size``.
+
+    Percentiles read a sorted copy of the sample that is brought up to
+    date only when read, so a read costs what was added since the last
+    one.  Below capacity the sample only grows at its end: a read
+    extends the copy with the new tail and re-sorts it, which Timsort
+    does as a merge of two sorted runs.  A read with nothing new does no
+    work.  A replacement at capacity marks the copy stale, and the next
+    read sorts the whole sample once.
     """
 
-    __slots__ = ("capacity", "count", "total", "_max", "_sample", "_seed", "_rng")
+    __slots__ = (
+        "capacity",
+        "count",
+        "total",
+        "_max",
+        "_sample",
+        "_seed",
+        "_rng",
+        "_ordered",
+        "_ordered_len",
+    )
 
     def __init__(self, capacity: int = 100_000, seed: int = 0):
         if capacity < 1:
@@ -131,6 +138,10 @@ class ReservoirSample:
         self.total = 0.0
         self._max = 0.0
         self._sample: list[float] = []
+        # The sorted copy holds ``_sample[:_ordered_len]``; a length of
+        # -1 marks it stale after a replacement at capacity.
+        self._ordered: list[float] = []
+        self._ordered_len = 0
         self._seed = seed
         # simlint: allow-rng -- the construction-time seed IS the API:
         # the reservoir is engine-free and clear() must restore the
@@ -151,6 +162,7 @@ class ReservoirSample:
             slot = self._rng.randrange(self.count)
             if slot < self.capacity:
                 sample[slot] = value
+                self._ordered_len = -1
 
     def extend(self, values: collections.abc.Iterable[float]) -> None:
         for value in values:
@@ -205,6 +217,8 @@ class ReservoirSample:
             replacements = int(expected)
             if rng.random() < expected - replacements:
                 replacements += 1
+            if replacements:
+                self._ordered_len = -1
             for _ in range(replacements):
                 value = draw(rng) if draw is not None else mean_value
                 if value > self._max:
@@ -219,6 +233,8 @@ class ReservoirSample:
         self.total = 0.0
         self._max = 0.0
         self._sample.clear()
+        self._ordered.clear()
+        self._ordered_len = 0
         # simlint: allow-rng -- restores the constructor's stream exactly.
         self._rng = random.Random(self._seed)
 
@@ -264,9 +280,23 @@ class ReservoirSample:
         """Exact maximum over all observations (0.0 when empty)."""
         return self._max
 
+    def _sorted_view(self) -> list[float]:
+        """The retained sample in ascending order, updated in place."""
+        ordered = self._ordered
+        sample = self._sample
+        seen = self._ordered_len
+        if seen < 0:
+            ordered[:] = sample
+            ordered.sort()
+        elif seen < len(sample):
+            ordered.extend(sample[seen:])
+            ordered.sort()
+        self._ordered_len = len(sample)
+        return ordered
+
     def percentile(self, pct: float) -> float:
         """Percentile from the retained sample (exact below capacity)."""
-        return percentile(self._sample, pct)
+        return _interpolate(self._sorted_view(), pct)
 
     def summary(self) -> LatencyStats:
         """Exact count/mean/max with sampled percentiles.
@@ -277,14 +307,14 @@ class ReservoirSample:
         """
         if self.count == 0:
             return LatencyStats.empty()
-        ordered = sorted(self._sample)
+        ordered = self._sorted_view()
         return LatencyStats(
             count=self.count,
             mean=self.mean,
-            p50=percentile(ordered, 50),
-            p95=percentile(ordered, 95),
-            p99=percentile(ordered, 99),
-            p999=percentile(ordered, 99.9),
+            p50=_interpolate(ordered, 50),
+            p95=_interpolate(ordered, 95),
+            p99=_interpolate(ordered, 99),
+            p999=_interpolate(ordered, 99.9),
             max=self._max,
         )
 

@@ -116,16 +116,21 @@ __all__ = [
     "MetricsRegistry",
     "NoHealthyDeployment",
     "PLACEMENT_POLICIES",
+    "PRIORITIES",
+    "PRIORITY_WEIGHT",
     "PlacementDecision",
     "PlacementFailed",
+    "PodCapacity",
     "ReconcileAction",
     "ReconcileReport",
+    "RegionClaim",
     "REPAIR_DISTRIBUTIONS",
     "RepairPolicy",
     "RepairQueue",
     "RequestAdapter",
     "RingSlot",
     "RingStatus",
+    "RingTenancy",
     "ServiceEndpoint",
     "ServiceHandle",
     "ServiceSpec",
@@ -137,4 +142,6 @@ __all__ = [
     "dump_cluster",
     "load_cluster",
     "read_series",
+    "region_node_count",
+    "slot_quota",
 ]

@@ -37,7 +37,7 @@ import math
 import typing
 from collections import deque
 
-from repro.analysis import LatencyStats, percentile
+from repro.analysis import LatencyStats
 from repro.cluster.composite import CompositeDeployment
 from repro.cluster.deployment import Deployment
 from repro.cluster.endpoint import ServiceEndpoint
@@ -960,6 +960,9 @@ class ClusterManager:
     # -- observation -----------------------------------------------------------
 
     def status_of(self, handle: ServiceHandle) -> ServiceStatus:
+        return self._status_of(handle, self.scheduler.capacity_report())
+
+    def _status_of(self, handle: ServiceHandle, capacity: CapacityReport) -> ServiceStatus:
         rings = []
         for replica in handle.balancer.deployments:
             slots = tuple(
@@ -976,7 +979,7 @@ class ClusterManager:
                     timeouts=replica.timeouts,
                     throughput_per_s=replica.meter.per_second,
                     p99_us=(
-                        percentile(replica.latencies_ns, 99) / US
+                        replica.latencies_ns.percentile(99) / US
                         if replica.latencies_ns
                         else None
                     ),
@@ -989,7 +992,7 @@ class ClusterManager:
             desired_replicas=handle.spec.replicas,
             ready_replicas=sum(1 for ring in rings if ring.health > 0.0),
             degraded_replicas=sum(1 for ring in rings if 0.0 < ring.health < 1.0),
-            capacity=self.scheduler.capacity_report(),
+            capacity=capacity,
             rings=tuple(rings),
             outstanding=balancer.outstanding,
             dispatched=balancer.dispatched,
@@ -1007,9 +1010,14 @@ class ClusterManager:
         """Every managed service's status, in canonical (sorted) order.
 
         Sorted so serialized cluster state is independent of the order
-        in which services happened to be applied.
+        in which services happened to be applied.  Every status shares
+        one capacity report.
         """
-        return {name: self.status_of(self.handles[name]) for name in sorted(self.handles)}
+        capacity = self.scheduler.capacity_report()
+        return {
+            name: self._status_of(self.handles[name], capacity)
+            for name in sorted(self.handles)
+        }
 
     def __repr__(self) -> str:
         return (

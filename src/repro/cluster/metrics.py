@@ -88,7 +88,8 @@ class MetricsRegistry:
     def sample(self) -> dict:
         """Take one snapshot now; returns it (already recorded/appended)."""
         services: dict[str, dict] = {}
-        for name, status in self.manager.status().items():
+        statuses = self.manager.status()
+        for name, status in statuses.items():
             document = status.to_dict()
             # The capacity report is datacenter-wide; keep the single
             # copy at the top level instead of one per service.
@@ -97,10 +98,17 @@ class MetricsRegistry:
             if stats is not None:
                 document["workload"] = stats.to_dict()
             services[name] = document
+        # Every status shares one report; build one only when no
+        # service is managed.
+        capacity = (
+            next(iter(statuses.values())).capacity
+            if statuses
+            else self.manager.scheduler.capacity_report()
+        )
         snapshot = {
             "t_ns": self.engine.now,
             "services": services,
-            "capacity": self.manager.scheduler.capacity_report().to_dict(),
+            "capacity": capacity.to_dict(),
         }
         self.snapshots.append(snapshot)
         if self.path is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.fabric.cables import CableAssembly, WiringPlan
 from repro.fabric.ethernet import EthernetNetwork
 from repro.fabric.server import Server
-from repro.fabric.torus import ROUTING_POLICIES, NodeId, TorusTopology
+from repro.fabric.torus import NodeId, TorusTopology, dor_routes
 from repro.shell.sl3 import Sl3Link
 from repro.sim import Engine
 
@@ -27,16 +27,12 @@ class Pod:
         topology: TorusTopology | None = None,
         ethernet: EthernetNetwork | None = None,
         wiring: WiringPlan | None = None,
-        routing_policy: str = "xy",
     ):
-        if routing_policy not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {routing_policy!r}")
         self.engine = engine
         self.pod_id = pod_id
         self.topology = topology or TorusTopology()
         self.ethernet = ethernet or EthernetNetwork(engine)
         self.wiring = wiring or WiringPlan(self.topology)
-        self.routing_policy = routing_policy
         self.servers: dict[NodeId, Server] = {}
         self.links: list[Sl3Link] = []
         self.assemblies: dict[str, CableAssembly] = {}
@@ -76,9 +72,8 @@ class Pod:
             assembly.links.append(link)
 
     def _program_routes(self) -> None:
-        compute = ROUTING_POLICIES[self.routing_policy]
         for node, server in self.servers.items():
-            server.shell.router.set_routes(compute(self.topology, node))
+            server.shell.router.set_routes(dor_routes(self.topology, node))
 
     # -- access ----------------------------------------------------------------
 

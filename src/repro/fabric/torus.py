@@ -104,27 +104,3 @@ def dor_routes(topology: TorusTopology, src: NodeId) -> dict[NodeId, Port]:
         dy = (dst[1] - src[1]) % topology.height
         routes[dst] = Port.SOUTH if dy <= topology.height // 2 else Port.NORTH
     return routes
-
-
-def yx_routes(topology: TorusTopology, src: NodeId) -> dict[NodeId, Port]:
-    """Y-then-X dimension-order routes.
-
-    The router's "static software-configured routing table supports
-    different routing policies" (§3.2); YX is the standard alternative
-    to XY — useful to steer traffic off a damaged row, and its
-    pairing with XY is the classic deadlock consideration.
-    """
-    routes: dict[NodeId, Port] = {}
-    for dst in topology.nodes():
-        if dst == src:
-            continue
-        dy = (dst[1] - src[1]) % topology.height
-        if dy != 0:
-            routes[dst] = Port.SOUTH if dy <= topology.height // 2 else Port.NORTH
-            continue
-        dx = (dst[0] - src[0]) % topology.width
-        routes[dst] = Port.EAST if dx <= topology.width // 2 else Port.WEST
-    return routes
-
-
-ROUTING_POLICIES = {"xy": dor_routes, "yx": yx_routes}

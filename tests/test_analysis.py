@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     LatencyStats,
     ThroughputMeter,
-    cdf_points,
     format_series,
     format_table,
     percentile,
@@ -56,16 +55,6 @@ def test_latency_stats_scaled():
     stats = LatencyStats.from_samples([2.0, 4.0]).scaled(0.5)
     assert stats.mean == pytest.approx(1.5)
     assert stats.max == 2.0
-
-
-def test_cdf_points_monotone():
-    points = cdf_points([5.0, 1.0, 3.0], points=10)
-    values = [v for v, _ in points]
-    fracs = [f for _, f in points]
-    assert values == sorted(values)
-    assert fracs[-1] == 1.0
-    with pytest.raises(ValueError):
-        cdf_points([])
 
 
 def test_throughput_meter_basic():
@@ -191,3 +180,35 @@ def test_reservoir_empty_summary_and_validation():
     empty = ReservoirSample()
     assert empty.summary().count == 0
     assert empty.summary().p99 == 0.0
+
+
+class _CountingFloat(float):
+    """A float whose ``<`` comparisons are counted (``list.sort`` uses
+    only ``<``)."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        _CountingFloat.comparisons += 1
+        return float.__lt__(self, other)
+
+
+def test_reservoir_read_costs_what_was_added_since_the_last_read():
+    from repro.analysis import ReservoirSample
+
+    # A scrambled order: k * 7919 mod a prime visits every residue once.
+    values = [_CountingFloat(k * 7919 % 10_007) for k in range(10_010)]
+    rs = ReservoirSample()
+    for value in values[:10_000]:
+        rs.append(value)
+    first = rs.summary()
+    _CountingFloat.comparisons = 0
+    again = rs.summary()
+    assert _CountingFloat.comparisons == 0  # nothing new, no work
+    assert again == first
+    for value in values[10_000:]:
+        rs.append(value)
+    rs.summary()
+    # One pass over the sorted prefix plus a merge; a full sort of
+    # 10,010 values costs over 100,000 comparisons.
+    assert _CountingFloat.comparisons < 20_000

@@ -1,19 +1,15 @@
-"""Tests for the neural scorer, YX routing, watchdog, and trace replay."""
+"""Tests for the neural scorer, watchdog, and trace replay."""
 
 import pytest
 
 from repro.analysis import replay_trace
 from repro.cluster import ClusterManager, ServiceSpec, echo_service
 from repro.fabric import CrashSeverity, Datacenter, Pod, TorusTopology
-from repro.fabric.torus import yx_routes
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary, synthesize_model
 from repro.ranking.scoring import NeuralScorer
-from repro.shell.router import Port
 from repro.sim import Engine, SEC
 from repro.workloads import TraceGenerator
-
-TOPO = TorusTopology()
 
 
 # --- neural scorer ---------------------------------------------------------------
@@ -73,62 +69,6 @@ def test_mlp_model_scores_end_to_end():
 def test_unknown_scorer_kind_rejected():
     with pytest.raises(ValueError):
         synthesize_model(6, "bad", scorer_kind="svm")
-
-
-# --- YX routing -----------------------------------------------------------------------
-
-
-def test_yx_routes_first_dimension_y():
-    routes = yx_routes(TOPO, (0, 0))
-    assert routes[(3, 3)] is Port.SOUTH  # Y resolved before X
-    assert routes[(3, 0)] is Port.EAST  # same row: X only
-    assert routes[(0, 5)] is Port.NORTH  # dy=5 of 8: shorter northward
-
-
-def test_yx_walk_reaches_destination():
-    src, dst = (1, 2), (4, 6)
-    node = src
-    hops = 0
-    while node != dst:
-        port = yx_routes(TOPO, node)[dst]
-        node = TOPO.neighbor(node, port)
-        hops += 1
-        assert hops <= 16
-    assert hops == TOPO.hop_distance(src, dst)
-
-
-def test_pod_with_yx_policy_delivers():
-    eng = Engine(seed=51)
-    pod = Pod(eng, topology=TorusTopology(width=3, height=4), routing_policy="yx")
-    pod.release_all_rx_halts()
-    from repro.host.slots import SlotLease, shared_slot_allocator
-    from repro.shell import Role
-
-    class Echo(Role):
-        name = "echo"
-
-        def handle(self, packet):
-            yield self.shell.engine.timeout(100.0)
-            yield self.send(packet.response_to(16, "yx-ok"))
-
-    pod.server_at((2, 3)).shell.attach_role(Echo())
-    server = pod.server_at((0, 0))
-    (slot_id,) = shared_slot_allocator(server).acquire(1, owner="test")
-    lease = SlotLease(server, slot_id)
-    got = []
-
-    def thread():
-        response = yield from lease.request(dst=(2, 3), size_bytes=512)
-        got.append(response.payload)
-
-    eng.process(thread())
-    eng.run()
-    assert got == ["yx-ok"]
-
-
-def test_pod_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        Pod(Engine(), topology=TorusTopology(width=2, height=2), routing_policy="na")
 
 
 # --- watchdog --------------------------------------------------------------------------

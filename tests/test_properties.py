@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import ReservoirSample, percentile
 from repro.cluster import ClusterScheduler, InsufficientClusterCapacity, echo_service
 from repro.fabric import Datacenter
-from repro.fabric.torus import TorusTopology, dor_routes, yx_routes
+from repro.fabric.torus import TorusTopology, dor_routes
 from repro.ranking.compression import CompressionMap
 from repro.ranking.documents import HitTuple
 from repro.ranking.engine import ScoringEngine
@@ -72,14 +73,64 @@ def test_both_routing_policies_realize_shortest_paths(topo, data):
     )
     if src == dst:
         return
-    for policy in (dor_routes, yx_routes):
-        node = src
-        hops = 0
-        while node != dst:
-            node = topo.neighbor(node, policy(topo, node)[dst])
-            hops += 1
-            assert hops <= topo.width + topo.height
-        assert hops == topo.hop_distance(src, dst)
+    node = src
+    hops = 0
+    while node != dst:
+        node = topo.neighbor(node, dor_routes(topo, node)[dst])
+        hops += 1
+        assert hops <= topo.width + topo.height
+    assert hops == topo.hop_distance(src, dst)
+
+
+# --- reservoir sorted view ----------------------------------------------------------
+
+_latency = st.one_of(st.floats(0.0, 1e9, allow_nan=False), st.integers(0, 4).map(float))
+_reservoir_steps = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("append"), st.lists(_latency, min_size=1, max_size=80)),
+            st.tuples(st.just("merge"), st.integers(0, 200), _latency, st.booleans()),
+            st.tuples(st.just("clear")),
+        ),
+        st.one_of(st.none(), st.floats(0.0, 100.0)),  # then read at this rank
+    ),
+    max_size=30,
+)
+
+
+def _draw_latency(rng):
+    return rng.uniform(0.0, 1e6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 64), steps=_reservoir_steps)
+def test_reservoir_reads_match_a_fresh_sort(capacity, steps):
+    """Whatever mix of appends, merges (replacements included) and
+    clears came before, a read equals the percentile of a fresh sort."""
+    rs = ReservoirSample(capacity=capacity, seed=capacity)
+    for op, read_pct in steps:
+        if op[0] == "append":
+            for value in op[1]:
+                rs.append(value)
+        elif op[0] == "merge":
+            rs.merge_analytic(op[1], op[2], _draw_latency if op[3] else None)
+        else:
+            rs.clear()
+        if read_pct is None:
+            continue
+        summary = rs.summary()
+        if not rs:
+            assert summary.count == 0
+            continue
+        ordered = sorted(list(rs))
+        assert (summary.p50, summary.p95, summary.p99, summary.p999) == tuple(
+            percentile(ordered, pct) for pct in (50, 95, 99, 99.9)
+        )
+        assert (summary.count, summary.mean, summary.max) == (rs.count, rs.mean, rs.max)
+        # The drawn rank, then the rank of every retained value.
+        last = max(len(ordered) - 1, 1)
+        for pct in (read_pct, *(100.0 * k / last for k in range(last + 1))):
+            assert rs.percentile(pct) == percentile(ordered, pct)
 
 
 # --- wire codec size selection ------------------------------------------------------

@@ -10,6 +10,10 @@ name (perfbench's tracer wraps methods by name).  Imports and
 count.  The names that only tests reach on purpose are in ``KEEP``,
 each with its reason; an entry that gains a caller or loses its
 definition must leave the list.
+
+A package's ``__init__.py`` re-exports what it imports: every public
+name it imports must also be in its ``__all__`` (ruff's F401 rule, which
+the lint job enforces, checked here without ruff).
 """
 
 import ast
@@ -41,7 +45,6 @@ KEEP = {
     "DocumentSizeDistribution.theoretical_mean": "reference for sampled sizes (Figure 4)",
     "DocumentSizeDistribution.theoretical_p99": "reference for sampled sizes (Figure 4)",
     "LatencyStats.from_samples": "exact summary of a sample list, the reference for sampled ones",
-    "cdf_points": "analysis API: empirical CDF of a sample list, next to percentile",
     # Invariant readers that tests need.
     "ClusterScheduler.tenancy_of": "invariant reader: a ring's claims and cordons",
     "SlotAllocator.free_count": "invariant reader: slots left in the shared pool",
@@ -153,3 +156,40 @@ def test_scan_flags_an_unreferenced_function(tmp_path):
         "orphan": "src/mod.py:4",
         "Box.read": "src/mod.py:7",
     }
+
+
+def unexported_imports(root: pathlib.Path = ROOT) -> dict[str, list[str]]:
+    """``__init__.py`` path -> the public names it imports but leaves
+    out of its ``__all__`` (all of them when it has no ``__all__``)."""
+    missing = {}
+    for path in sorted((root / "src").rglob("__init__.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, exported = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if not name.startswith("_"):
+                        imported.add(name)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        if imported - exported:
+            missing[str(path.relative_to(root))] = sorted(imported - exported)
+    return missing
+
+
+def test_package_inits_export_every_public_import(tmp_path):
+    assert unexported_imports() == {}
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from __future__ import annotations\n"
+        "from pkg.mod import Kept, Dropped, _private\n"
+        "__all__ = ['Kept']\n"
+    )
+    assert unexported_imports(tmp_path) == {"src/pkg/__init__.py": ["Dropped"]}
