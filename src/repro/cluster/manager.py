@@ -134,6 +134,12 @@ class ServiceStatus:
         every mapping is emitted in sorted key order so the document is
         byte-stable for same-seed runs.
         """
+        document = self._document()
+        document["capacity"] = self.capacity.to_dict()
+        return document
+
+    def _document(self) -> dict:
+        """:meth:`to_dict` without the datacenter-wide capacity block."""
         return {
             "service": self.service,
             "desired_replicas": self.desired_replicas,
@@ -155,7 +161,6 @@ class ServiceStatus:
                 name: self.per_ring_throughput[name]
                 for name in sorted(self.per_ring_throughput)
             },
-            "capacity": self.capacity.to_dict(),
         }
 
 

@@ -90,10 +90,9 @@ class MetricsRegistry:
         services: dict[str, dict] = {}
         statuses = self.manager.status()
         for name, status in statuses.items():
-            document = status.to_dict()
             # The capacity report is datacenter-wide; keep the single
             # copy at the top level instead of one per service.
-            del document["capacity"]
+            document = status._document()
             stats = self._workloads.get(name)
             if stats is not None:
                 document["workload"] = stats.to_dict()

@@ -51,7 +51,9 @@ class SlotLease:
         Yields the response packet's payload, or raises
         :class:`RequestTimeout` after ``timeout_ns`` — the §3.2 path
         for dropped packets: "the host will time out and divert the
-        request to a higher-level failure handling protocol".
+        request to a higher-level failure handling protocol".  The
+        guard is one deadline in ``engine.deadlines``, armed once the
+        request is in its slot and disarmed when the request resolves.
         """
         server = self.server
         engine = server.engine
@@ -68,13 +70,9 @@ class SlotLease:
         consumer = buffers.consume_output(self.slot_id)
         deadline = None
         if timeout_ns is not None:
-            deadline = engine.timeout(timeout_ns)
-
-            def expire(_deadline) -> None:
-                if buffers.withdraw(self.slot_id, consumer):
-                    consumer.fail(RequestTimeout(packet.trace_id))
-
-            deadline.add_callback(expire)
+            deadline = engine.deadlines.arm(
+                timeout_ns, _expire, (buffers, self.slot_id, consumer, packet.trace_id)
+            )
         try:
             response = yield consumer
         except RequestTimeout:
@@ -89,7 +87,7 @@ class SlotLease:
             # Disarm the guard so it does not keep a bare run() alive
             # for the full timeout after the request resolved.
             if deadline is not None:
-                deadline.cancel()
+                engine.deadlines.disarm(deadline)
         # The response interrupt must wake this sleeping thread (§3.1).
         yield engine.timeout(INTERRUPT_WAKE_NS)
         return response
@@ -97,6 +95,14 @@ class SlotLease:
 
 class RequestTimeout(Exception):
     """A request's response never arrived (packet dropped in fabric)."""
+
+
+def _expire(guard: tuple) -> None:
+    """A request's guard deadline fired: withdraw the waiting consumer,
+    unless the response already reached it, and fail it."""
+    buffers, slot_id, consumer, trace_id = guard
+    if buffers.withdraw(slot_id, consumer):
+        consumer.fail(RequestTimeout(trace_id))
 
 
 class SlotAllocator:

@@ -28,7 +28,7 @@ from repro.hardware.constants import (
 )
 from repro.shell.messages import Packet
 from repro.shell.router import Port, Router
-from repro.sim import Engine, Event
+from repro.sim import Engine, Event, Store
 from repro.sim.units import transfer_time_ns
 
 
@@ -67,6 +67,7 @@ class HostDmaBuffers:
         self.slot_bytes = slot_bytes
         self.input_slots = [Slot(i) for i in range(slot_count)]
         self.output_slots = [Slot(i) for i in range(slot_count)]
+        self._full_inputs: set[int] = set()  # a snapshot reads these, not every slot
         self._dma_wake: Event | None = None
 
     # -- host-thread side ----------------------------------------------------
@@ -83,21 +84,26 @@ class HostDmaBuffers:
             raise SlotError(
                 f"payload {packet.size_bytes} B exceeds slot size {self.slot_bytes} B"
             )
-        done = self.engine.event(name=f"fill:{slot_id}")
         packet.slot_id = slot_id
-
-        def do_fill(_event=None) -> Event:
-            slot.full = True
-            slot.packet = packet
-            self._wake_dma()
-            return done
-
+        done = Event(self.engine, f"fill:{slot_id}")
         if not slot.full:
-            return do_fill()._complete()
+            self._fill(slot, packet)
+            return done._complete()
         if slot.freed is None:
             slot.freed = self.engine.event(name=f"freed:{slot_id}")
-        slot.freed.add_callback(lambda event: do_fill(event).succeed())
+
+        def refill(_freed: Event) -> None:
+            self._fill(slot, packet)
+            done.succeed()
+
+        slot.freed.add_callback(refill)
         return done
+
+    def _fill(self, slot: Slot, packet: Packet) -> None:
+        slot.full = True
+        slot.packet = packet
+        self._full_inputs.add(slot.index)
+        self._wake_dma()
 
     def consume_output(self, slot_id: int) -> Event:
         """Wait for the output slot's response; returns the packet, clears it.
@@ -108,7 +114,7 @@ class HostDmaBuffers:
         slot = self._output_slot(slot_id)
         if slot.consumer is not None:
             raise SlotError(f"output slot {slot_id} already has a waiting consumer")
-        done = self.engine.event(name=f"consume:{slot_id}")
+        done = Event(self.engine, f"consume:{slot_id}")
         if slot.full:
             done.succeed(self.clear(slot))
         else:
@@ -152,12 +158,18 @@ class HostDmaBuffers:
     # -- device side helpers -----------------------------------------------------
 
     def snapshot_full_input(self) -> list[int]:
-        """The §3.1 fairness primitive: indices of currently full slots."""
-        return [slot.index for slot in self.input_slots if slot.full]
+        """The §3.1 fairness primitive: indices of currently full slots,
+        in slot order."""
+        return sorted(self._full_inputs)
+
+    def clear_input(self, slot: Slot) -> Packet | None:
+        """The input DMA moved ``slot``'s packet: :meth:`clear` it."""
+        self._full_inputs.discard(slot.index)
+        return self.clear(slot)
 
     def wait_any_input(self) -> Event:
         if self._dma_wake is None or self._dma_wake.triggered:
-            self._dma_wake = self.engine.event(name="dma-wake")
+            self._dma_wake = Event(self.engine, "dma-wake")
         return self._dma_wake
 
     def _wake_dma(self) -> None:
@@ -185,7 +197,24 @@ class PcieStats:
 
 
 class PcieCore:
-    """Device-side PCIe + DMA engine living in the shell."""
+    """Device-side PCIe + DMA engine living in the shell.
+
+    No process runs the DMAs; each is one timeout whose callback moves
+    the packet on.
+
+    * **Input** — a fill wakes :meth:`_scan`, which snapshots the full
+      bits and DMAs every slot in the snapshot, one transfer timeout at
+      a time, before it snapshots again (§3.1 fairness).  A transfer's
+      callback clears the slot and submits the packet to the router; a
+      put the router blocks resumes the DMA when it is dispatched.
+    * **Output** — :meth:`Router.submit` calls :meth:`feed` after each
+      put into the PCIe port's queue (``source``), as it does for an SL3
+      link.  The DMA takes one response at a time, waits while its
+      output slot is still full, and its transfer's callback hands the
+      response to the slot's waiting consumer.
+
+    A device that is down pauses both directions until it is restored.
+    """
 
     def __init__(
         self,
@@ -204,9 +233,14 @@ class PcieCore:
         self.device_up = True
         self.on_nmi: collections.abc.Callable[[], None] | None = None
         self._device_up_event: Event | None = None
-        # Expendable: both DMA loops idle forever once traffic stops.
-        engine.process(self._input_scan_loop(), name="pcie.scan", expendable=True)
-        engine.process(self._output_loop(), name="pcie.out", expendable=True)
+        # Input: the slot indices of the current snapshot not yet served.
+        self._snapshot: collections.abc.Iterator[int] = iter(())
+        # Output: the router queue feeding the DMA (set by
+        # Router.attach_transmitter), and the response the DMA holds.
+        self.source: Store | None = None
+        self._response: Packet | None = None
+        router.attach_transmitter(Port.PCIE, self)
+        self._scan()
 
     # -- reconfiguration visibility ----------------------------------------------
 
@@ -227,55 +261,83 @@ class PcieCore:
             self._device_up_event = self.engine.event(name="pcie-up")
         return self._device_up_event
 
-    # -- DMA processes -----------------------------------------------------------------
+    # -- DMA engine ---------------------------------------------------------------------
 
     def dma_time_ns(self, size_bytes: int) -> float:
         return self.setup_ns + transfer_time_ns(size_bytes, self.gbps)
 
-    def _input_scan_loop(self) -> collections.abc.Generator:
+    def _scan(self, _event=None) -> None:
+        """Snapshot the full input bits and start DMAing the snapshot."""
+        if not self.device_up:
+            self._wait_device_up().add_callback(self._scan)
+            return
         buffers = self.buffers
-        while True:
-            if not self.device_up:
-                yield self._wait_device_up()
-                continue
-            snapshot = buffers.snapshot_full_input()
-            self.stats.snapshots += 1
-            if not snapshot:
-                yield buffers.wait_any_input()
-                continue
-            # Fairness: DMA every slot in this snapshot before rescanning.
-            for index in snapshot:
-                slot = buffers.input_slots[index]
-                packet = slot.packet
-                if packet is None:
-                    continue
-                yield self.engine.timeout(self.dma_time_ns(packet.size_bytes))
-                # Transfer complete: clear the full bit so the thread
-                # can refill while the packet traverses the fabric.
-                buffers.clear(slot)
-                self.stats.requests_dma_in += 1
-                packet.injected_at_ns = (
-                    packet.injected_at_ns or self.engine.now
-                )
-                put = self.router.submit(packet, Port.PCIE)
-                if put is not None:
-                    yield put
+        snapshot = buffers.snapshot_full_input()
+        self.stats.snapshots += 1
+        if not snapshot:
+            buffers.wait_any_input().add_callback(self._scan)
+            return
+        self._snapshot = iter(snapshot)
+        self._dma_in_next()
 
-    def _output_loop(self) -> collections.abc.Generator:
-        queue = self.router.output_queues[Port.PCIE]
-        while True:
-            packet: Packet = yield queue.get()
-            if not self.device_up:
-                yield self._wait_device_up()
-            if packet.slot_id is None:
-                continue  # nowhere to deliver (e.g. probe responses)
-            slot = self.buffers.output_slots[packet.slot_id]
-            while slot.full:
-                # Output slot still occupied: wait for consumer drain.
-                if slot.freed is None:
-                    slot.freed = self.engine.event(name=f"ofreed:{slot.index}")
-                yield slot.freed
-            yield self.engine.timeout(self.dma_time_ns(packet.size_bytes))
-            self.stats.responses_dma_out += 1
-            self.stats.interrupts_raised += 1  # wake the consumer thread
-            self.buffers.deliver_output(slot, packet)
+    def _dma_in_next(self, _event=None) -> None:
+        """Start the transfer of the snapshot's next full slot, or
+        snapshot again once every slot in it has been served."""
+        input_slots = self.buffers.input_slots
+        for index in self._snapshot:
+            slot = input_slots[index]
+            packet = slot.packet
+            if packet is not None:
+                self.engine.timeout(self.dma_time_ns(packet.size_bytes), slot).add_callback(
+                    self._dma_in_done
+                )
+                return
+        self._scan()
+
+    def _dma_in_done(self, transfer: Event) -> None:
+        # Transfer complete: clear the full bit so the thread can
+        # refill while the packet traverses the fabric.
+        packet = self.buffers.clear_input(transfer._value)
+        self.stats.requests_dma_in += 1
+        packet.injected_at_ns = packet.injected_at_ns or self.engine.now
+        put = self.router.submit(packet, Port.PCIE)
+        if put is not None and not put._dispatched:
+            put.add_callback(self._dma_in_next)  # the router pushes back
+        else:
+            self._dma_in_next()
+
+    def feed(self) -> None:
+        """Take the next routed response for the output DMA unless the
+        DMA already holds one."""
+        if self._response is not None or not self.source.items:
+            return
+        self._response = self.source.try_get()
+        if self.device_up:
+            self._dma_out()
+        else:
+            self._wait_device_up().add_callback(self._dma_out)
+
+    def _dma_out(self, _event=None) -> None:
+        """Transfer the held response once its output slot is empty."""
+        packet = self._response
+        if packet.slot_id is None:
+            self._response = None  # nowhere to deliver (e.g. probe responses)
+            self.feed()
+            return
+        slot = self.buffers.output_slots[packet.slot_id]
+        if slot.full:
+            # Output slot still occupied: wait for the consumer to drain it.
+            if slot.freed is None:
+                slot.freed = self.engine.event(name=f"ofreed:{slot.index}")
+            slot.freed.add_callback(self._dma_out)
+            return
+        self.engine.timeout(self.dma_time_ns(packet.size_bytes), slot).add_callback(
+            self._dma_out_done
+        )
+
+    def _dma_out_done(self, transfer: Event) -> None:
+        packet, self._response = self._response, None
+        self.stats.responses_dma_out += 1
+        self.stats.interrupts_raised += 1  # wake the consumer thread
+        self.buffers.deliver_output(transfer._value, packet)
+        self.feed()

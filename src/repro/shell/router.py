@@ -20,6 +20,7 @@ from repro.shell.messages import NodeId, Packet, PacketKind
 from repro.sim import Engine, Event, Store
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.shell.pcie import PcieCore
     from repro.shell.sl3 import Sl3Transmitter
 
 
@@ -62,7 +63,7 @@ class Router:
         }
         # Port -> (queue, transmitter fed from it or None): one lookup
         # per submit.
-        self._outputs: dict[Port, tuple[Store, Sl3Transmitter | None]] = {
+        self._outputs: dict[Port, tuple[Store, Sl3Transmitter | PcieCore | None]] = {
             port: (store, None) for port, store in self.output_queues.items()
         }
         self.dropped_no_route = 0
@@ -87,9 +88,10 @@ class Router:
         for dst, port in table.items():
             self.set_route(dst, port)
 
-    def attach_transmitter(self, port: Port, transmitter: Sl3Transmitter) -> None:
-        """Have ``transmitter`` drain ``port``'s queue; each submit to the
-        port calls its ``feed()``."""
+    def attach_transmitter(self, port: Port, transmitter: Sl3Transmitter | PcieCore) -> None:
+        """Have ``transmitter`` (an SL3 link direction, or the PCIe
+        output DMA) drain ``port``'s queue; each submit to the port
+        calls its ``feed()``."""
         queue = transmitter.source = self.output_queues[port]
         self._outputs[port] = (queue, transmitter)
 

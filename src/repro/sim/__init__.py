@@ -10,6 +10,7 @@ software model in the repository shares one notion of time, ordering,
 and randomness.
 """
 
+from repro.sim.deadlines import DeadlineQueue
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import (
     AllOf,
@@ -44,6 +45,7 @@ from repro.sim.units import MS, NS, SEC, US, cycles_to_ns
 __all__ = [
     "AllOf",
     "AnyOf",
+    "DeadlineQueue",
     "DualRunReport",
     "Engine",
     "Event",

@@ -18,14 +18,18 @@ same resume.  Everything else queues, three-tiered for per-event cost
 * a banded **timer wheel** for far deadlines (coarse time bands, one
   list per band, flushed into the heap when the clock approaches the
   band).  Cancelled timeouts parked in a band are dropped at flush time
-  without ever touching the heap — the request-timeout churn of the
-  cluster layer (one guard deadline per request, cancelled microseconds
-  later) costs O(1) per request instead of bloating the heap for the
-  full timeout horizon.
+  without ever touching the heap.
 
 All three tiers dispatch in strict global ``(time, seq)`` order, so the
 event order is bit-identical to a single-heap engine
 (``timer_wheel=False`` keeps the heap-only arrangement for A/B tests).
+
+Deadlines that usually never fire — a request's guard, armed for
+milliseconds and disarmed microseconds later — do not enter the queue
+at all: they wait in ``engine.deadlines``, a
+:class:`~repro.sim.deadlines.DeadlineQueue`, which keeps one timer in
+the queue and dispatches each expiry under the key a ``Timeout`` would
+have had.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import os
 import typing
 from collections import deque
 
+from repro.sim.deadlines import DeadlineQueue
 from repro.sim.events import Event, Timeout
 from repro.sim.rng import RngStreams
 
@@ -145,19 +150,19 @@ class Engine:
         # memory instead of accumulating every dead deadline until its
         # band comes due.
         self._cancelled_pending = 0
+        # Request guards and other deadlines that usually never fire.
+        self.deadlines = DeadlineQueue(self)
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_at(self, when: float, event: Event) -> None:
+    def _schedule_at(self, when: float, event: Event, seq: int | None = None) -> None:
+        """Schedule ``event`` at ``when`` under the next tie-break key, or
+        under ``seq``, a key taken earlier with :meth:`_reserve_key`."""
         if when < self.now:
             raise SimulationError(f"cannot schedule at {when} < now {self.now}")
-        self._seq += 1
-        seq = self._seq
-        if self._tie_salt:
-            # XOR with the salt is a bijection on the key space:
-            # uniqueness (hence a total order) is preserved while the
-            # relative order of same-timestamp entries is permuted.
-            seq ^= self._tie_salt
+        if seq is None:
+            self._seq += 1
+            seq = self._seq ^ self._tie_salt  # as _reserve_key, inlined
         event._scheduled = True
         if not event._daemon:
             self._nondaemon_pending += 1
@@ -180,6 +185,20 @@ class Engine:
                     bucket.append((when, seq, event))
                 return
         heapq.heappush(self._queue, (when, seq, event))
+
+    def _reserve_key(self) -> int:
+        """Take the next tie-break key without scheduling anything.
+
+        :class:`~repro.sim.deadlines.DeadlineQueue` reserves a key per
+        deadline and later schedules its timer under it, so an expiry
+        takes the place in the ``(time, key)`` order that a ``Timeout``
+        armed at the same moment would have had.
+        """
+        self._seq += 1
+        # XOR with the salt is a bijection on the key space: uniqueness
+        # (hence a total order) is preserved while the relative order of
+        # same-timestamp entries is permuted.  An unsalted engine XORs 0.
+        return self._seq ^ self._tie_salt
 
     def _schedule_trigger(self, event: Event) -> None:
         """Schedule dispatch of an already-triggered event at ``now``.
@@ -250,6 +269,14 @@ class Engine:
             event._daemon = True
             if event._scheduled:
                 self._nondaemon_pending -= 1
+
+    def _unmark_daemon(self, event: Event) -> None:
+        """Undo :meth:`mark_daemon` on a pending event: it keeps a bare
+        :meth:`run` alive again."""
+        if event._daemon:
+            event._daemon = False
+            if event._scheduled:
+                self._nondaemon_pending += 1
 
     # -- factories -------------------------------------------------------
 

@@ -31,27 +31,32 @@ from repro.sim.units import MS, US
 from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
 from tests.test_shell_integration import build_pair
 
+# 20,089 since the PCIe DMAs became callbacks: per request, the output
+# DMA no longer wakes a process through a queue getter (2,000 events),
+# and no shell starts DMA processes (2 start events for each of 9).
 ARRIVALS = 2_000
-EVENTS_DISPATCHED = 22_107
+EVENTS_DISPATCHED = 20_089
 FINAL_NOW_NS = 2035768639.9525208
 
 # One request from a ring server one hop from the echo head: process
 # start, the input DMA's wake and transfer, the hop there and back (see
 # below, less the start), the role's queue wake and 20 us of service,
-# the output DMA's queue wake and transfer, the hand-off to the waiting
-# thread, and the interrupt wake.  Its simulated time is echo_steady's
-# p50.
-LEASE_REQUEST_EVENTS = 11
+# the output DMA's transfer (Router.submit feeds it directly), the
+# hand-off to the waiting thread, and the interrupt wake.  The guard
+# deadline sits in the engine's DeadlineQueue and dispatches nothing.
+# Its simulated time is echo_steady's p50.
+LEASE_REQUEST_EVENTS = 10
 LEASE_REQUEST_NS = 48_296.0
 # One hop: process start, then the wire timeout, whose callback lands
 # the packet in the far router; every put has room.
 ROUTER_HOP_EVENTS = 2
 ROUTER_HOP_NS = 656.0
 # One ranking request at model scale 0.1: 14 SL3 hops at one wire
-# timeout each; the other 39 events are the request's own process, the
-# queue manager, both DMAs, the stage roles' wakes and service time, and
-# the start of the service's watchdog.
-RANKING_REQUEST_EVENTS = 53
+# timeout each; the other 38 events are the request's own process, the
+# queue manager, both DMAs (the output one fed by Router.submit, with no
+# queue wake), the stage roles' wakes and service time, and the start of
+# the service's watchdog.
+RANKING_REQUEST_EVENTS = 52
 RANKING_REQUEST_NS = 100182.1707303524
 
 

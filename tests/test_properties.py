@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ReservoirSample, percentile
@@ -18,6 +18,7 @@ from repro.ranking.models import ModelLibrary
 from repro.ranking.scoring import BoostedTreeScorer, DecisionTree, TreeNode
 from repro.shell.router import Port
 from repro.sim import Engine, RngStreams, Store
+from repro.sim.sanitizer import DEFAULT_TIE_SALT
 from repro.workloads import TraceGenerator
 
 
@@ -62,7 +63,7 @@ def test_hop_distance_symmetric_and_triangle(topo, data):
 
 @settings(max_examples=40, deadline=None)
 @given(topo=torus_strategy, data=st.data())
-def test_both_routing_policies_realize_shortest_paths(topo, data):
+def test_dor_routes_realize_shortest_paths(topo, data):
     src = (
         data.draw(st.integers(0, topo.width - 1)),
         data.draw(st.integers(0, topo.height - 1)),
@@ -377,6 +378,123 @@ def test_store_multi_producer_conservation(batches):
     for tag, batch in enumerate(batches):
         mine = [item for t, item in received if t == tag]
         assert mine == batch  # per-producer order held
+
+
+# --- deadline queue against one Timeout per deadline ---------------------------------
+
+# Small whole delays make deadlines, steps and ticks share instants.
+_delay = st.one_of(st.sampled_from((0.0, 1.0, 2.0, 5.0)), st.floats(0.0, 20.0))
+_deadline_actions = st.lists(
+    st.one_of(
+        # Arm a deadline; when it expires, optionally arm another.
+        st.tuples(st.just("arm"), _delay, st.one_of(st.none(), _delay)),
+        # Disarm an earlier deadline now (drawn twice as often).
+        st.tuples(st.just("disarm"), st.integers(0, 50)),
+        st.tuples(st.just("disarm"), st.integers(0, 50)),
+        # An ordinary timeout that disarms an earlier deadline just
+        # before, at or just after its expiry instant.
+        st.tuples(st.just("disarm_at"), st.integers(0, 50), st.sampled_from((-1.0, 0.0, 1.0))),
+        # An ordinary timeout that only records itself.
+        st.tuples(st.just("tick"), _delay),
+    ),
+    min_size=1,
+    max_size=5,
+)
+_deadline_scripts = st.lists(st.tuples(_delay, _deadline_actions), min_size=1, max_size=8)
+# Two deadlines due with a tick at one instant: the timer moves from the
+# first to the second under the second's own key, ahead of the tick.
+_equal_deadlines_and_a_tick = [(0.0, [("arm", 5.0, None), ("arm", 5.0, None), ("tick", 5.0)])]
+# A deadline armed ahead of the head takes over the timer; the one it
+# displaced is disarmed, and must not keep run() alive to its instant.
+_displaced_and_disarmed = [(0.0, [("arm", 5.0, None), ("arm", 1.0, None), ("disarm", 0)])]
+
+
+class _TimeoutDeadlines:
+    """The reference: one ``Timeout`` per deadline, cancelled on disarm."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def arm(self, delay, expire, arg):
+        timeout = self.engine.timeout(delay)
+        timeout.add_callback(lambda _timeout: expire(arg))
+        return timeout
+
+    def disarm(self, timeout):
+        timeout.cancel()
+
+
+def _run_deadline_script(script, engine, deadlines):
+    """The ``(time, label)`` trace of every callback, and the end of a
+    bare ``run()``."""
+    trace = []
+    handles = []  # (handle, expiry instant) by arm order
+
+    def arm(delay, chain):
+        number = len(handles)
+
+        def expire(_arg):
+            trace.append((engine.now, f"expire {number}"))
+            if chain is not None:
+                arm(chain, None)
+
+        handles.append((deadlines.arm(delay, expire, None), engine.now + delay))
+
+    def disarm(index, label):
+        trace.append((engine.now, label))
+        if handles:
+            deadlines.disarm(handles[index % len(handles)][0])
+
+    def later(delay, label, action=None):
+        def fire(_timeout):
+            trace.append((engine.now, label))
+            if action is not None:
+                action()
+
+        engine.timeout(delay).add_callback(fire)
+
+    def step(number, actions):
+        trace.append((engine.now, f"step {number}"))
+        for position, action in enumerate(actions):
+            label = f"{number}.{position}"
+            if action[0] == "arm":
+                arm(action[1], action[2])
+            elif action[0] == "disarm":
+                disarm(action[1], f"disarm {label}")
+            elif action[0] == "disarm_at" and handles:
+                index = action[1] % len(handles)
+                delay = max(0.0, handles[index][1] - engine.now + action[2])
+                later(delay, f"disarm_at {label}", lambda index=index: disarm(index, ""))
+            elif action[0] == "tick":
+                later(action[1], f"tick {label}")
+
+    for number, (at, actions) in enumerate(script):
+        later(at, f"at {number}", lambda number=number, actions=actions: step(number, actions))
+    end = engine.run()
+    return trace, end
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=_deadline_scripts, salted=st.booleans())
+@example(script=_equal_deadlines_and_a_tick, salted=False)
+@example(script=_displaced_and_disarmed, salted=False)
+@example(script=_displaced_and_disarmed, salted=True)
+def test_deadline_queue_matches_one_timeout_per_deadline(script, salted):
+    """Every expiry of a ``DeadlineQueue`` deadline, and every other
+    callback, happens at the same instant and in the same same-instant
+    order as with one ``Timeout`` per deadline; a bare ``run()`` ends at
+    the same time.  On a plain engine (with narrow timer-wheel bands)
+    and on a salted one."""
+
+    def engine():
+        if salted:
+            return Engine(tie_break_salt=DEFAULT_TIE_SALT)
+        return Engine(timer_band_ns=4.0)
+
+    reference = engine()
+    expected = _run_deadline_script(script, reference, _TimeoutDeadlines(reference))
+    queued = engine()
+    assert _run_deadline_script(script, queued, queued.deadlines) == expected
 
 
 # --- scheduler capacity accounting ---------------------------------------------------

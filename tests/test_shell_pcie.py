@@ -119,7 +119,7 @@ def test_output_slot_roundtrip_with_interrupt():
             payload=0.75,
             slot_id=3,
         )
-        yield router.output_queues[Port.PCIE].put(response)
+        yield router.submit(response, Port.ROLE)
 
     eng.process(consumer(eng, buffers))
     eng.process(responder(eng, router))
@@ -206,7 +206,7 @@ def test_late_response_lands_in_the_slot_for_the_next_consumer():
 
     def late_responder():
         yield eng.timeout(5_000.0)
-        yield router.output_queues[Port.PCIE].put(response(lease.slot_id))
+        yield router.submit(response(lease.slot_id), Port.ROLE)
 
     eng.process(thread())
     eng.process(late_responder())
@@ -217,6 +217,36 @@ def test_late_response_lands_in_the_slot_for_the_next_consumer():
     assert taken == ["late"]
     assert not slot.full
     assert pcie.stats.responses_dma_out == 1
+
+
+def test_full_output_slot_holds_the_output_dma_until_drained():
+    eng = Engine()
+    router, buffers, pcie = setup_pcie(eng)
+    slot = buffers.output_slots[3]
+    taken = []
+
+    def responder():
+        yield router.submit(response(3, payload="first"), Port.ROLE)
+        yield router.submit(response(3, payload="second"), Port.ROLE)
+
+    def consumer():
+        yield eng.timeout(10_000.0)
+        for _ in range(2):
+            packet = yield buffers.consume_output(3)
+            taken.append((eng.now, packet.payload))
+
+    eng.process(responder())
+    eng.process(consumer())
+    eng.run(until=9_000.0)
+    # The first response parked in the slot; the DMA holds the second.
+    assert slot.full and slot.packet.payload == "first"
+    assert pcie.stats.responses_dma_out == 1
+    assert router.queue_depth(Port.PCIE) == 0
+    eng.run()
+    dma_ns = pcie.dma_time_ns(16)
+    assert taken == [(10_000.0, "first"), (10_000.0 + dma_ns, "second")]
+    assert pcie.stats.responses_dma_out == 2
+    assert not slot.full
 
 
 def test_timed_out_deployment_lease_returns_after_the_late_response():
@@ -280,7 +310,7 @@ def test_response_at_the_deadline_instant_resolves_once():
     def responder():
         late = response(lease.slot_id)
         yield eng.timeout(timeout_ns - pcie.dma_time_ns(late.size_bytes))
-        yield router.output_queues[Port.PCIE].put(late)
+        yield router.submit(late, Port.ROLE)
 
     eng.process(thread())
     eng.process(responder())
