@@ -61,7 +61,7 @@ class QueueManager:
     # -- producer side ----------------------------------------------------------
 
     def enqueue(self, model_id: int, packet) -> None:
-        """Called by the FE role's receive loop for each request."""
+        """Called by the FE role's handler for each request."""
         self.enqueued += 1
         if self.policy == "fifo":
             self.fifo.append((model_id, packet))

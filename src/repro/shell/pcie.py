@@ -28,7 +28,7 @@ from repro.hardware.constants import (
 )
 from repro.shell.messages import Packet
 from repro.shell.router import Port, Router
-from repro.sim import Engine, Event, Store
+from repro.sim import Engine, Event, Fifo
 from repro.sim.units import transfer_time_ns
 
 
@@ -237,7 +237,7 @@ class PcieCore:
         self._snapshot: collections.abc.Iterator[int] = iter(())
         # Output: the router queue feeding the DMA (set by
         # Router.attach_transmitter), and the response the DMA holds.
-        self.source: Store | None = None
+        self.source: Fifo | None = None
         self._response: Packet | None = None
         router.attach_transmitter(Port.PCIE, self)
         self._scan()

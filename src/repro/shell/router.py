@@ -8,6 +8,14 @@ adds a small fixed latency which we fold into the per-hop link latency.
 
 Every packet entering or exiting is recorded in the Flight Data
 Recorder (head/tail flits, §3.6).
+
+Each output port is a bounded :class:`~repro.sim.Fifo` drained by
+callbacks, not by processes: :meth:`Router.attach_transmitter` names
+the port's consumer (an SL3 link direction, the PCIe output DMA, or the
+role's :class:`~repro.shell.role.RolePort`), and every submit to the
+port calls its ``feed()``.  A put with room is done at once; a put into
+a full queue is the event the sender waits on until the consumer's
+``try_get`` makes room.
 """
 
 from __future__ import annotations
@@ -17,10 +25,11 @@ import typing
 
 from repro.shell.fdr import FlightDataRecorder
 from repro.shell.messages import NodeId, Packet, PacketKind
-from repro.sim import Engine, Event, Store
+from repro.sim import Engine, Event, Fifo
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.shell.pcie import PcieCore
+    from repro.shell.role import RolePort
     from repro.shell.sl3 import Sl3Transmitter
 
 
@@ -57,21 +66,21 @@ class Router:
         # NOTE: an empty recorder is falsy (len == 0); test identity.
         self.fdr = fdr if fdr is not None else FlightDataRecorder()
         self.routing_table: dict[NodeId, Port] = {}
-        self.output_queues: dict[Port, Store] = {
-            port: Store(engine, capacity=queue_capacity, name=f"rtq:{node_id}:{port.value}")
+        self.output_queues: dict[Port, Fifo] = {
+            port: Fifo(engine, capacity=queue_capacity, name=f"rtq:{node_id}:{port.value}")
             for port in Port
         }
-        # Port -> (queue, transmitter fed from it or None): one lookup
-        # per submit.
-        self._outputs: dict[Port, tuple[Store, Sl3Transmitter | PcieCore | None]] = {
-            port: (store, None) for port, store in self.output_queues.items()
+        # Port -> (queue, consumer fed from it or None): one lookup per
+        # submit.
+        self._outputs: dict[Port, tuple[Fifo, Sl3Transmitter | PcieCore | RolePort | None]] = {
+            port: (queue, None) for port, queue in self.output_queues.items()
         }
         self.dropped_no_route = 0
         self.forwarded = 0
         # The port set is static: build the queue-probe list once, not
         # per recorded hop.
         self._queue_probe = [
-            (port.value, store.items) for port, store in self.output_queues.items()
+            (port.value, queue.items) for port, queue in self.output_queues.items()
         ]
 
     # -- configuration ------------------------------------------------------
@@ -88,10 +97,12 @@ class Router:
         for dst, port in table.items():
             self.set_route(dst, port)
 
-    def attach_transmitter(self, port: Port, transmitter: Sl3Transmitter | PcieCore) -> None:
-        """Have ``transmitter`` (an SL3 link direction, or the PCIe
-        output DMA) drain ``port``'s queue; each submit to the port
-        calls its ``feed()``."""
+    def attach_transmitter(
+        self, port: Port, transmitter: Sl3Transmitter | PcieCore | RolePort
+    ) -> None:
+        """Have ``transmitter`` (an SL3 link direction, the PCIe output
+        DMA, or the role's port) drain ``port``'s queue; each submit to
+        the port calls its ``feed()``."""
         queue = transmitter.source = self.output_queues[port]
         self._outputs[port] = (queue, transmitter)
 

@@ -3,9 +3,13 @@
 Wires together the PCIe core + DMA engine, two DRAM controllers, four
 SL3 link endpoints, the crossbar router, the RSU reconfiguration path
 (config flash), the SEU scrubber and the Flight Data Recorder, and
-hosts the application role.  Each network port's router queue feeds
-its endpoint's :class:`~repro.shell.sl3.Sl3Transmitter`: the router
-tells it of every put, so no process drains the queue.
+hosts the application role.  The shell moves all the data: each
+network port's router queue feeds its endpoint's
+:class:`~repro.shell.sl3.Sl3Transmitter`, the PCIe port's queue the
+output DMA, and the ROLE port's queue the hosted role's
+:class:`~repro.shell.role.RolePort`, which drives the role's
+``handle``.  The router tells each consumer of every put, so no process
+drains a queue and none runs per role.
 
 The shell also implements the §3.4 safe-reconfiguration sequence:
 
@@ -118,7 +122,7 @@ class Shell:
         """Role -> router entry point; returns an event to yield."""
         put = self.router.submit(packet, Port.ROLE)
         if put is None:
-            return self.engine.event()._complete()  # dropped: no route
+            return self.engine.finished  # dropped: no route
         return put
 
     # -- neighbour identity (miswiring detection, §3.5) -------------------------------

@@ -30,7 +30,7 @@ from repro.hardware.constants import (
     SL3_PEAK_GBPS,
 )
 from repro.shell.messages import Packet, PacketKind
-from repro.sim import Engine, Event, Store
+from repro.sim import Engine, Event, Fifo
 from repro.sim.units import transfer_time_ns
 
 # Interval between garbage bursts an unprotected, reconfiguring FPGA
@@ -81,10 +81,8 @@ class Sl3Endpoint:
         self.engine = engine
         self.name = name
         self.config = config
-        self.tx_queue: Store = Store(engine, capacity=64, name=f"sl3tx:{name}")
-        self.rx_fifo: Store = Store(
-            engine, capacity=config.rx_fifo_packets, name=f"sl3rx:{name}"
-        )
+        self.tx_queue = Fifo(engine, capacity=64, name=f"sl3tx:{name}")
+        self.rx_fifo = Fifo(engine, capacity=config.rx_fifo_packets, name=f"sl3rx:{name}")
         self.stats = LinkStats()
         self.rx_halt = True  # §3.4: every FPGA comes up with RX Halt enabled
         self.ignore_peer = False  # set by the peer's TX Halt
@@ -160,7 +158,7 @@ class Sl3Transmitter:
         self.src = src
         self.link: Sl3Link | None = None
         self.dst: Sl3Endpoint | None = None
-        self.source: Store | None = None  # set by Router.attach_transmitter
+        self.source: Fifo | None = None  # set by Router.attach_transmitter
         self.halted: collections.abc.Callable[[], bool] | None = None  # set by the shell
         self._held = None  # a send waiting for transmit-queue room
         self._busy = False  # a packet is on the wire or held by Xoff

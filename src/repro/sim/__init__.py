@@ -38,7 +38,7 @@ from repro.sim.sanitizer import (
     dual_run,
     state_digest,
 )
-from repro.sim.stores import PriorityStore, Store, StoreFull
+from repro.sim.stores import Fifo, PriorityStore, Store, StoreFull
 from repro.sim.resources import Resource
 from repro.sim.units import MS, NS, SEC, US, cycles_to_ns
 
@@ -49,6 +49,7 @@ __all__ = [
     "DualRunReport",
     "Engine",
     "Event",
+    "Fifo",
     "FluidCoordinator",
     "FluidModel",
     "FluidProfile",

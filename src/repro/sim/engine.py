@@ -4,12 +4,13 @@ Time is a float in nanoseconds.  Determinism is guaranteed by a
 monotonic tie-break sequence number on every scheduled entry, so two
 runs with the same seed produce identical traces.
 
-Operations that finish when they are called — a ``Store`` put with
-room, a get with an item waiting, a free ``Resource`` unit, the end of
-a process that nobody joins — never enter the queue: their event comes
-back already dispatched, and a process that yields it continues in the
-same resume.  Everything else queues, three-tiered for per-event cost
-(the ceiling on million-arrival experiments):
+Operations that finish when they are called — a ``Store`` or ``Fifo``
+put with room, a get with an item waiting, a free ``Resource`` unit,
+the end of a process that nobody joins — never enter the queue: their
+event comes back already dispatched (for a ``Fifo`` put, the engine's
+one shared ``finished`` event), and a process that yields it continues
+in the same resume.  Everything else queues, three-tiered for
+per-event cost (the ceiling on million-arrival experiments):
 
 * a FIFO **ready deque** for events triggered by ``succeed()`` /
   ``fail()``, dispatching at the current instant after everything
@@ -152,6 +153,10 @@ class Engine:
         self._cancelled_pending = 0
         # Request guards and other deadlines that usually never fire.
         self.deadlines = DeadlineQueue(self)
+        # The one already-dispatched event that an operation finished
+        # when it is called may return instead of allocating its own (a
+        # put into a ``Fifo`` with room): a waiter continues at once.
+        self.finished = Event(self, "finished")._complete()
 
     # -- scheduling ------------------------------------------------------
 

@@ -31,32 +31,35 @@ from repro.sim.units import MS, US
 from repro.workloads import OpenLoopInjector, PoissonArrivals, TraceGenerator
 from tests.test_shell_integration import build_pair
 
-# 20,089 since the PCIe DMAs became callbacks: per request, the output
-# DMA no longer wakes a process through a queue getter (2,000 events),
-# and no shell starts DMA processes (2 start events for each of 9).
+# 19,114 since the role port became a callback: a request that finds
+# its role idle no longer wakes it through a getter on its router queue
+# (972 events), and the 3 roles replaced while the service is placed
+# are no longer killed processes (one event each).  The simulated
+# figures did not move.
 ARRIVALS = 2_000
-EVENTS_DISPATCHED = 20_089
+EVENTS_DISPATCHED = 19_114
 FINAL_NOW_NS = 2035768639.9525208
 
 # One request from a ring server one hop from the echo head: process
 # start, the input DMA's wake and transfer, the hop there and back (see
-# below, less the start), the role's queue wake and 20 us of service,
-# the output DMA's transfer (Router.submit feeds it directly), the
-# hand-off to the waiting thread, and the interrupt wake.  The guard
+# below, less the start), 20 us of role service (Router.submit hands
+# the packet to the idle role), the output DMA's transfer (fed the same
+# way), the hand-off to the waiting thread, and the interrupt wake.  The guard
 # deadline sits in the engine's DeadlineQueue and dispatches nothing.
 # Its simulated time is echo_steady's p50.
-LEASE_REQUEST_EVENTS = 10
+LEASE_REQUEST_EVENTS = 9
 LEASE_REQUEST_NS = 48_296.0
 # One hop: process start, then the wire timeout, whose callback lands
 # the packet in the far router; every put has room.
 ROUTER_HOP_EVENTS = 2
 ROUTER_HOP_NS = 656.0
 # One ranking request at model scale 0.1: 14 SL3 hops at one wire
-# timeout each; the other 38 events are the request's own process, the
-# queue manager, both DMAs (the output one fed by Router.submit, with no
-# queue wake), the stage roles' wakes and service time, and the start of
-# the service's watchdog.
-RANKING_REQUEST_EVENTS = 52
+# timeout each; the other 25 events are the request's own process, the
+# queue manager, both DMAs and the stage roles' service times, and the
+# start of the service's watchdog.  Router.submit hands each packet to
+# its consumer directly, so the 13 role hand-offs (the request through
+# 7 stages, the model reload through 6) wake nothing.
+RANKING_REQUEST_EVENTS = 39
 RANKING_REQUEST_NS = 100182.1707303524
 
 

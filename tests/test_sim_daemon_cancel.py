@@ -2,8 +2,9 @@
 
 These semantics exist for the Catapult models: periodic background
 services (SEU scrubber) must not keep ``run()`` alive, and killing a
-role's receive loop must not let its pending ``get()`` swallow the
-next packet (the ring-rotation bug this guards against).
+process must not let its pending ``get()`` swallow the next item (a
+replaced role's receive process once lost packets this way in ring
+rotation; the slot-lease pool is a ``Store`` with getters today).
 """
 
 from repro.sim import Engine, Interrupt, Resource, Store
