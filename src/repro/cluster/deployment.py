@@ -38,7 +38,7 @@ from repro.services.mapping_manager import (
     RingAssignment,
     ServiceDefinition,
 )
-from repro.sim import AnyOf, Engine, Store
+from repro.sim import Engine, Event, Store
 from repro.sim.units import SEC
 
 
@@ -62,6 +62,13 @@ class RequestAdapter:
         if False:  # pragma: no cover - makes the default a generator
             yield
         return
+
+
+def _expire_lease_wait(get: Event) -> None:
+    """A contended lease wait reached its deadline: abandon the claim, so
+    the store hands a late lease to the next waiter, and fail it."""
+    get.cancelled = True
+    get.fail(RequestTimeout("no slot lease in time"))
 
 
 class Deployment:
@@ -230,11 +237,12 @@ class Deployment:
         fabric timeout.  Latency is recorded from ``arrived_ns`` (the
         open-loop arrival instant) so queueing delay is included.
 
-        The lease wait itself is bounded by ``timeout_ns`` too: on a
-        ring whose leases were all quarantined by earlier timeouts (a
-        dead ring), later submissions resolve as timeouts instead of
-        blocking forever — the §3.2 "host will time out and divert the
-        request" path applied at admission.
+        The lease wait itself is bounded by ``timeout_ns`` too, by a
+        deadline in ``engine.deadlines``: on a ring whose leases were
+        all quarantined by earlier timeouts (a dead ring), later
+        submissions resolve as timeouts instead of blocking forever —
+        the §3.2 "host will time out and divert the request" path
+        applied at admission.
         """
         if self.assignment is None:
             raise RuntimeError(f"{self.name}: submit() before configure() finished")
@@ -248,22 +256,21 @@ class Deployment:
         try:
             get = store.get()
             if not get.triggered:
-                # Contended: bound the wait, abandoning the claim on
-                # timeout (or kill) so a late lease is not handed to a
+                # Contended: bound the wait.  A kill cancels the claim
+                # as the expiry does, so no late lease is handed to a
                 # departed waiter (and thereby lost).
-                deadline = self.engine.timeout(timeout_ns)
+                deadlines = self.engine.deadlines
+                deadline = deadlines.arm(timeout_ns, _expire_lease_wait, get)
                 try:
-                    yield AnyOf(self.engine, [get, deadline])
+                    yield get
+                except RequestTimeout:
+                    self.timeouts += 1
+                    return None
                 finally:
                     # Disarm the deadline so it does not keep a bare
                     # run() alive for the full timeout after the wait
                     # resolved.
-                    deadline.cancel()
-                    if not get.triggered:
-                        get.cancelled = True
-                if not get.triggered:
-                    self.timeouts += 1
-                    return None
+                    deadlines.disarm(deadline)
             lease = get.value
             try:
                 if include_prep:

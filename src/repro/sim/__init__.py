@@ -12,13 +12,7 @@ and randomness.
 
 from repro.sim.deadlines import DeadlineQueue
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.sim.events import AllOf, Event, Interrupt, Timeout
 from repro.sim.fluid import (
     FluidCoordinator,
     FluidModel,
@@ -44,7 +38,6 @@ from repro.sim.units import MS, NS, SEC, US, cycles_to_ns
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "DeadlineQueue",
     "DualRunReport",
     "Engine",

@@ -1,11 +1,12 @@
 """Deadlines that usually never fire, kept off the event queue.
 
 A request's guard deadline is armed for tens of milliseconds and, on a
-healthy path, disarmed microseconds later when the response arrives.
-As a ``Timeout`` each one would wait in the engine's queue until its
-band came due, only to be dropped there.  A :class:`DeadlineQueue`
-keeps deadlines in a heap of its own and holds one engine timer at the
-head entry.
+healthy path, disarmed microseconds later when the response arrives; a
+contended slot-lease wait is bounded the same way.  A ``Timeout``
+cannot be disarmed: each one would wait in the engine's heap until its
+instant.  A :class:`DeadlineQueue` keeps deadlines in a heap of its own
+and holds one engine timer at the head entry.  It is the kernel's one
+structure for deadlines that their waiter may abandon.
 
 The expiries are exact.  :meth:`DeadlineQueue.arm` reserves the
 engine's next tie-break key, the one a ``Timeout`` armed at that moment
@@ -19,8 +20,8 @@ dispatched event per timeout period.
 
 While any deadline is armed the timer keeps a bare ``Engine.run()``
 alive, as an armed ``Timeout`` does; once none is, the timer is demoted
-to daemon work, as ``Timeout.cancel`` demotes, so a bare run ends at
-the same instant as with one ``Timeout`` per deadline.
+to daemon work, so a bare run ends where it would if each disarmed
+deadline were a ``Timeout`` marked cancelled and daemon.
 """
 
 from __future__ import annotations

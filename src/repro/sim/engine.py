@@ -9,28 +9,26 @@ put with room, a get with an item waiting, a free ``Resource`` unit,
 the end of a process that nobody joins — never enter the queue: their
 event comes back already dispatched (for a ``Fifo`` put, the engine's
 one shared ``finished`` event), and a process that yields it continues
-in the same resume.  Everything else queues, three-tiered for
-per-event cost (the ceiling on million-arrival experiments):
+in the same resume.  Everything else queues, in two tiers that
+dispatch in strict global ``(time, seq)`` order:
 
 * a FIFO **ready deque** for events triggered by ``succeed()`` /
   ``fail()``, dispatching at the current instant after everything
   already pending there — O(1) instead of a heap push;
-* a binary **heap** for near deadlines;
-* a banded **timer wheel** for far deadlines (coarse time bands, one
-  list per band, flushed into the heap when the clock approaches the
-  band).  Cancelled timeouts parked in a band are dropped at flush time
-  without ever touching the heap.
+* a binary **heap** for everything due later: timeouts and the
+  deadline timer.
 
-All three tiers dispatch in strict global ``(time, seq)`` order, so the
-event order is bit-identical to a single-heap engine
-(``timer_wheel=False`` keeps the heap-only arrangement for A/B tests).
+A timeout whose waiter departed (``Event.cancelled``, set by
+``Process.kill``/``interrupt`` and ``RolePort.close``) is dropped when
+it reaches the head, never dispatched.
 
-Deadlines that usually never fire — a request's guard, armed for
-milliseconds and disarmed microseconds later — do not enter the queue
-at all: they wait in ``engine.deadlines``, a
+Deadlines that usually never fire — a request's guard or a bounded
+lease wait, armed for milliseconds and disarmed microseconds later — do
+not enter the queue at all: they wait in ``engine.deadlines``, a
 :class:`~repro.sim.deadlines.DeadlineQueue`, which keeps one timer in
 the queue and dispatches each expiry under the key a ``Timeout`` would
-have had.
+have had.  It is the kernel's one structure for a deadline its waiter
+may abandon: a ``Timeout`` cannot be disarmed.
 """
 
 from __future__ import annotations
@@ -53,13 +51,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
     from repro.sim.sanitizer import SimSanitizer
 
-# One timer-wheel band covers this much simulated time.  Coarse enough
-# that band bookkeeping is negligible, fine enough that a cancelled
-# request deadline (armed ~ms-to-s ahead, cancelled ~µs later) almost
-# always dies in its band, never reaching the heap.
-DEFAULT_BAND_NS = 1_000_000.0  # 1 ms
-
-
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. scheduling in the past)."""
 
@@ -81,21 +72,17 @@ class Engine:
 
     Diagnostics: :attr:`events_dispatched` counts dispatched events,
     :attr:`events_dropped` counts cancelled entries that were dropped
-    without dispatch (lazy deletion), and :attr:`peak_queue_length`
-    tracks the high-water mark of pending entries across all tiers.
+    without dispatch, and :attr:`peak_queue_length` tracks the
+    high-water mark of pending entries across both tiers.
     """
 
     def __init__(
         self,
         seed: int = 0,
-        timer_wheel: bool = True,
-        timer_band_ns: float = DEFAULT_BAND_NS,
         sanitize: bool | None = None,
         tie_break_salt: int = 0,
         fluid: bool = False,
     ):
-        if timer_band_ns <= 0:
-            raise ValueError(f"band width must be positive, got {timer_band_ns}")
         self.now: float = 0.0
         self.rng = RngStreams(seed)
         # -- fluid fast-forward (opt-in hybrid analytic mode) --
@@ -121,36 +108,18 @@ class Engine:
         # A nonzero salt permutes the tie-break keys of same-timestamp
         # events — a *legal alternative schedule* the dual-run race
         # detector compares against the FIFO baseline.  Salted engines
-        # route every entry through the heap (the ready-deque/wheel
-        # fast paths assume monotonic keys).
+        # route every entry through the heap (the ready deque assumes
+        # monotonic keys).
         self._tie_salt = tie_break_salt
-        if tie_break_salt:
-            timer_wheel = False
-        self._queue: list[tuple[float, int, Event]] = []  # near-deadline heap
+        self._queue: list[tuple[float, int, Event]] = []  # due later: a heap
         self._ready: deque[tuple[float, int, Event]] = deque()  # triggered, due now
         self._seq = 0
         self._running = False
         self._nondaemon_pending = 0
-        self._pending = 0  # entries across all tiers
+        self._pending = 0  # entries across both tiers
         self.events_dispatched = 0
         self.events_dropped = 0
         self.peak_queue_length = 0
-        # -- timer wheel (far deadlines, banded) --
-        self._wheel = timer_wheel
-        self._band_ns = timer_band_ns
-        self._bands: dict[int, list[tuple[float, int, Event]]] = {}
-        self._band_heap: list[int] = []  # pending band indices, min first
-        self._band_floor = 0  # bands <= floor flush straight to the heap
-        # Start time of the earliest pending band (inf when none): the
-        # run loops compare against this plain float instead of calling
-        # into the flush machinery on every pop.
-        self._band_start = math.inf
-        # Cancelled-but-still-queued entries.  Once they outnumber the
-        # live entries the queue is compacted, so a workload that arms
-        # and disarms one guard deadline per request runs in flat
-        # memory instead of accumulating every dead deadline until its
-        # band comes due.
-        self._cancelled_pending = 0
         # Request guards and other deadlines that usually never fire.
         self.deadlines = DeadlineQueue(self)
         # The one already-dispatched event that an operation finished
@@ -174,21 +143,6 @@ class Engine:
         pending = self._pending = self._pending + 1
         if pending > self.peak_queue_length:
             self.peak_queue_length = pending
-        if self._wheel:
-            band = int(when // self._band_ns)
-            if band * self._band_ns > when:  # float floor-division guard
-                band -= 1
-            if band > self._band_floor:
-                bucket = self._bands.get(band)
-                if bucket is None:
-                    self._bands[band] = [(when, seq, event)]
-                    heapq.heappush(self._band_heap, band)
-                    start = self._band_heap[0] * self._band_ns
-                    if start < self._band_start:
-                        self._band_start = start
-                else:
-                    bucket.append((when, seq, event))
-                return
         heapq.heappush(self._queue, (when, seq, event))
 
     def _reserve_key(self) -> int:
@@ -225,39 +179,6 @@ class Engine:
             heapq.heappush(self._queue, (self.now, self._seq ^ self._tie_salt, event))
         else:
             self._ready.append((self.now, self._seq, event))
-
-    def _note_cancel(self) -> None:
-        """Record a cancellation; compact the queue when dead weight wins.
-
-        Dropping entries eagerly would be O(n) per cancel; instead the
-        sweep runs only when cancelled entries outnumber live ones (and
-        at least a thousand have piled up), making it amortised O(1)
-        per cancellation while bounding the queue at ~2x the live size.
-        """
-        self._cancelled_pending += 1
-        if self._cancelled_pending > 1024 and self._cancelled_pending * 2 > self._pending:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled, untriggered entry from all queue tiers."""
-        dropped = 0
-        queue = self._queue
-        live = [e for e in queue if not (e[2].cancelled and not e[2].triggered)]
-        if len(live) != len(queue):
-            dropped += len(queue) - len(live)
-            heapq.heapify(live)
-            self._queue = live
-        bands = self._bands
-        for band, bucket in bands.items():
-            kept = [e for e in bucket if not (e[2].cancelled and not e[2].triggered)]
-            if len(kept) != len(bucket):
-                dropped += len(bucket) - len(kept)
-                # Emptied buckets stay in place: their index is still on
-                # the band heap and is popped (harmlessly) at flush time.
-                bands[band] = kept
-        self._pending -= dropped
-        self.events_dropped += dropped
-        self._cancelled_pending = 0
 
     def mark_daemon(self, event: Event) -> None:
         """Tag a pending event as daemon work.
@@ -322,77 +243,34 @@ class Engine:
 
     # -- queue internals -------------------------------------------------
 
-    def _flush_due_bands(self) -> None:
-        """Move every band that could hold the next event into the heap.
-
-        Cancelled, still-untriggered entries (disarmed deadlines) are
-        dropped here — they never reach the heap at all.
-        """
-        band_heap = self._band_heap
-        queue = self._queue
-        ready = self._ready
-        band_ns = self._band_ns
-        while band_heap:
-            start = band_heap[0] * band_ns
-            if ready and ready[0][0] < start:
-                break
-            if queue and queue[0][0] < start:
-                break
-            band = heapq.heappop(band_heap)
-            self._band_floor = band
-            for entry in self._bands.pop(band):
-                event = entry[2]
-                if event.cancelled and not event.triggered:
-                    self._pending -= 1
-                    self._cancelled_pending -= 1
-                    self.events_dropped += 1
-                    if not event._daemon:
-                        self._nondaemon_pending -= 1
-                    continue
-                heapq.heappush(queue, entry)
-        self._band_start = band_heap[0] * band_ns if band_heap else math.inf
-
     def _pop_next(self) -> tuple[float, int, Event] | None:
         """Remove and return the globally next entry, or None if empty.
 
-        Cancelled, untriggered entries (lazily-deleted timeouts) are
+        Cancelled, untriggered entries (abandoned by their waiter) are
         dropped — never dispatched — on the way.
         """
         queue = self._queue
         ready = self._ready
-        inf = math.inf
         while True:
             if ready:
-                # ready entries were appended at (then-) current time, so
-                # the ready head is never later than the queue head; it is
-                # the flush candidate.
-                if self._band_start <= ready[0][0]:
-                    self._flush_due_bands()
-                head = ready[0]
-                if queue and queue[0] < head:
+                # Ready entries were appended at the (then-) current
+                # time, so the ready head is never later than the heap
+                # head; only a key decides between them.
+                if queue and queue[0] < ready[0]:
                     entry = heapq.heappop(queue)
                 else:
                     entry = ready.popleft()
             elif queue:
-                if self._band_start <= queue[0][0]:
-                    self._flush_due_bands()
                 entry = heapq.heappop(queue)
             else:
-                if self._band_start < inf:
-                    # Only banded entries remain (e.g. far-future
-                    # timeouts, or parked cancelled deadlines to drop).
-                    self._flush_due_bands()
-                    continue
                 return None
             event = entry[2]
+            self._pending -= 1
             if event.cancelled and not event.triggered:
-                self._pending -= 1
-                self._cancelled_pending -= 1
                 self.events_dropped += 1
                 if not event._daemon:
                     self._nondaemon_pending -= 1
                 continue
-            self._pending -= 1
             return entry
 
     def _unpop(self, entry: tuple[float, int, Event]) -> None:
@@ -527,11 +405,9 @@ class Engine:
                 value, failure = None, exc
 
     def _pending_entries(self) -> "Iterator[tuple[float, int, Event]]":
-        """Every queued entry across all tiers (diagnostic/sanitizer)."""
+        """Every queued entry across both tiers (diagnostic/sanitizer)."""
         yield from self._ready
         yield from self._queue
-        for bucket in self._bands.values():
-            yield from bucket
 
     @property
     def queue_length(self) -> int:

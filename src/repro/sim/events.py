@@ -63,7 +63,7 @@ class Event:
         self.engine = engine
         self.name = name
         self.callbacks: list | None = None  # allocated on first waiter
-        self.cancelled = False  # abandoned by its waiter (kill/interrupt)
+        self.cancelled = False  # abandoned by its waiter (kill/interrupt/expiry)
         self.triggered = False  # set by succeed()/fail()/lazy deadline
         self._value: object = _PENDING
         self._exception: BaseException | None = None
@@ -148,9 +148,11 @@ class Timeout(Event):
     """An event that succeeds after a fixed simulated delay.
 
     Timeouts trigger *lazily*: the entry sits untriggered in the engine's
-    timer queue and receives its value only when the deadline pops.
-    :meth:`cancel` therefore makes the entry vanish for free — the engine
-    drops cancelled, still-untriggered entries without dispatching them.
+    heap and receives its value only when the deadline pops.  A timeout
+    cannot be disarmed; one whose waiter departed (``cancelled``, set by
+    ``Process.kill``/``interrupt``) is dropped at the head without
+    dispatching.  A deadline the waiter itself may abandon belongs in
+    ``engine.deadlines``.
     """
 
     __slots__ = ("delay", "_timeout_value")
@@ -163,21 +165,6 @@ class Timeout(Event):
         self._timeout_value = value
         engine._schedule_at(engine.now + delay, self)
 
-    def cancel(self) -> None:
-        """Disarm a pending timeout its waiter no longer needs.
-
-        The entry is dropped — not dispatched — when the engine reaches
-        it (true lazy deletion; removal from the timer queue itself
-        would be O(n)).  It is also demoted to daemon work immediately,
-        so an abandoned deadline no longer keeps a bare ``run()`` alive
-        until it fires.
-        """
-        if self.triggered or self.cancelled:
-            return
-        self.cancelled = True
-        self.engine.mark_daemon(self)
-        self.engine._note_cancel()
-
     def rearm(self, delay: float, value: object = None) -> "Timeout":
         """Re-schedule a *dispatched* timeout ``delay`` ns from now.
 
@@ -185,10 +172,10 @@ class Timeout(Event):
         that sleeps a million times can reuse one ``Timeout`` instead
         of allocating a million.  Only a dispatched timeout may be
         rearmed — an undispatched one still has a queue entry (pending,
-        or lazily cancelled and not yet dropped), and resetting its
-        flags would resurrect that stale entry as a spurious second
-        firing.  Rearming a live timeout raises ``RuntimeError``; under
-        the sanitizer it is additionally recorded as a
+        or cancelled and not yet dropped), and resetting its flags would
+        resurrect that stale entry as a spurious second firing.
+        Rearming a live timeout raises ``RuntimeError``; under the
+        sanitizer it is additionally recorded as a
         ``rearm-resurrection`` finding.
         """
         if delay < 0:
@@ -201,7 +188,7 @@ class Timeout(Event):
                 )
             raise RuntimeError(
                 f"cannot rearm {self!r}: not dispatched yet (the previous "
-                "arming still has a live or lazily-cancelled queue entry)"
+                "arming still has a live or cancelled queue entry)"
             )
         self.delay = delay
         self._timeout_value = value
@@ -226,16 +213,17 @@ class Timeout(Event):
 
 
 class ConditionValue(dict):
-    """Mapping of event -> value for AllOf/AnyOf results."""
+    """Mapping of event -> value for AllOf results."""
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Succeeds when every child event has succeeded; fails with the
+    first child that fails."""
 
     __slots__ = ("events", "_ok_count")
 
     def __init__(self, engine: "Engine", events: collections.abc.Sequence[Event]):
-        super().__init__(engine, name=self.__class__.__name__)
+        super().__init__(engine, name="AllOf")
         self.events = list(events)
         # Count satisfied children instead of rescanning the whole list
         # on every child trigger: a condition over N events is O(N)
@@ -261,33 +249,5 @@ class _Condition(Event):
             self.fail(event.exception)  # type: ignore[arg-type]
             return
         self._ok_count += 1
-        if self._is_satisfied():
-            self.succeed(self._collect())
-
-    def _is_satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> ConditionValue:
-        values = ConditionValue()
-        for event in self.events:
-            if event.ok:
-                values[event] = event._value
-        return values
-
-
-class AllOf(_Condition):
-    """Succeeds when every child event has succeeded."""
-
-    __slots__ = ()
-
-    def _is_satisfied(self) -> bool:
-        return self._ok_count >= len(self.events)
-
-
-class AnyOf(_Condition):
-    """Succeeds when at least one child event has succeeded."""
-
-    __slots__ = ()
-
-    def _is_satisfied(self) -> bool:
-        return self._ok_count >= 1
+        if self._ok_count >= len(self.events):
+            self.succeed(ConditionValue((child, child._value) for child in self.events))

@@ -2,10 +2,10 @@
 
 Discrete-event simulation pays a per-request price: the reference
 million-arrival scenario schedules ~9 engine events per arrival, so a
-5-second simulated run costs ~40 wall seconds even after the timer-wheel
-overhaul.  Most of that work is *steady state* — the cluster is neither
-failing, repairing, upgrading, nor crossing an arrival-regime edge, and
-every request resolves the same way the last ten thousand did.  The
+5-second simulated run costs ~40 wall seconds even with a lean kernel.
+Most of that work is *steady state* — the cluster is neither failing,
+repairing, upgrading, nor crossing an arrival-regime edge, and every
+request resolves the same way the last ten thousand did.  The
 standard hybrid fluid-flow technique skips it: while the system is
 quiescent the traffic source advances simulated time in one analytic
 step, updating queue levels, completion counters, and latency

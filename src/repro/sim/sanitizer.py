@@ -4,10 +4,11 @@ Opt-in via ``Engine(sanitize=True)`` or ``REPRO_SANITIZE=1``.  The
 sanitizer watches four contract violations that static analysis cannot
 prove:
 
-* **Timeout leaks** — a deadline that stays armed after every waiter
-  has moved on (the classic forgotten ``cancel()`` after an ``AnyOf``
-  race) keeps a bare ``run()`` alive and bloats the queue.  Reported
-  with the creation site.
+* **Timeout leaks** — a ``Timeout`` that stays armed after every
+  waiter has moved on (say, a guard beside an ``AllOf`` that failed
+  early) keeps a bare ``run()`` alive and bloats the queue.  A deadline
+  its waiter may abandon belongs in ``engine.deadlines``, which
+  disarms.  Reported with the creation site.
 * **Orphaned processes** — a non-daemon process still alive when a
   bare ``run()`` drains is waiting on an event nothing will ever
   trigger: a silent deadlock.
@@ -162,7 +163,8 @@ class SimSanitizer:
                     message=(
                         f"{event!r} fired at t={when} with no live waiter; "
                         "it was kept armed (and kept run() alive) after every "
-                        "waiter moved on — cancel() it when the race resolves"
+                        "waiter moved on — arm a deadline its waiter may "
+                        "abandon in engine.deadlines and disarm it"
                     ),
                     site=self._timeout_sites.get(event, ""),
                 )
@@ -213,7 +215,8 @@ class SimSanitizer:
                         kind="timeout-leak",
                         message=(
                             f"{event!r} still armed at run() return with no "
-                            "live waiter — cancel() abandoned deadlines"
+                            "live waiter — arm abandonable deadlines in "
+                            "engine.deadlines and disarm them"
                         ),
                         site=self._timeout_sites.get(event, ""),
                     )
@@ -369,12 +372,7 @@ def dual_run(
     from repro.sim.engine import Engine
 
     def run_once(tie_salt: int) -> tuple[str, str]:
-        engine = Engine(
-            seed=seed,
-            timer_wheel=False,
-            sanitize=True,
-            tie_break_salt=tie_salt,
-        )
+        engine = Engine(seed=seed, sanitize=True, tie_break_salt=tie_salt)
         engine.sanitizer.strict = strict_leaks
         state = scenario(engine)
         return state_digest(state), engine.sanitizer.trace_digest()

@@ -54,16 +54,12 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     # -- blocking API ------------------------------------------------------
 
     def put(self, item: object) -> Event:
         """Return an event that succeeds once ``item`` is enqueued."""
         event = Event(self.engine, self._put_label)
-        if not self.is_full and not self._putters:
+        if len(self.items) < self.capacity and not self._putters:
             self._enqueue(item)
             event._complete(item)
         else:
@@ -84,17 +80,9 @@ class Store:
 
     def try_put(self, item: object) -> None:
         """Enqueue immediately or raise :class:`StoreFull`."""
-        if self.is_full:
+        if len(self.items) >= self.capacity:
             raise StoreFull(self.name)
         self._enqueue(item)
-
-    def try_get(self) -> object | None:
-        """Dequeue immediately, or return None if empty."""
-        if not self.items:
-            return None
-        item = self.items.popleft()
-        self._admit_waiting_putters()
-        return item
 
     # -- internals -----------------------------------------------------------
 
@@ -114,7 +102,7 @@ class Store:
             self.items.append(item)
 
     def _admit_waiting_putters(self) -> None:
-        while self._putters and not self.is_full:
+        while self._putters and len(self.items) < self.capacity:
             event, item = self._putters.popleft()
             if event.cancelled:
                 continue  # putter departed; drop its item
@@ -205,9 +193,6 @@ class PriorityStore(Store):
         super().__init__(engine, capacity, name)
         self.items: list = []
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def _enqueue(self, item: object) -> None:
         getter = self._pop_live_getter()
         if getter is not None:
@@ -223,10 +208,3 @@ class PriorityStore(Store):
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> object | None:
-        if not self.items:
-            return None
-        item = heapq.heappop(self.items)
-        self._admit_waiting_putters()
-        return item

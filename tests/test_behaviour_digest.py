@@ -12,7 +12,13 @@ is exact and the same on every Python version.
 * ``echo_poisson``: two 20 us echo replicas (about 100k req/s) under
   60k req/s Poisson arrivals.
 * ``echo_bursty``: bursts at 150k req/s outlive a 2 ms timeout, so
-  requests time out and the quarantine drain runs.
+  requests time out and the quarantine drain runs.  Requests wait for
+  slot leases, but every wait ends before its deadline.
+* ``echo_dead_ring``: ``echo_poisson`` with four slots per server and
+  a 2 ms timeout; 5 ms in, with the watchdog stopped, one ring's cable
+  assembly fails.  Its requests time out and their leases stay in
+  quarantine (no response ever drains them), so later requests to
+  that ring wait for a lease until their deadline.
 * ``ranking``: ``ranking_spec`` at model scale 0.1 on one 2x8 ring.
 
 A change that moves behaviour on purpose re-pins these with its cause.
@@ -22,12 +28,19 @@ import hashlib
 
 import pytest
 
-from repro.cluster import ClusterManager, ServiceSpec, echo_service
+from repro.cluster import (
+    ClusterFailureInjector,
+    ClusterManager,
+    ServiceSpec,
+    echo_service,
+)
+from repro.cluster.deployment import RequestAdapter
 from repro.cluster.load_balancer import NoHealthyDeployment
 from repro.fabric import Datacenter, TorusTopology
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.pipeline import ranking_spec
+from repro.services import FailureKind
 from repro.sim import Engine
 from repro.sim.units import MS, US
 from repro.workloads import (
@@ -46,6 +59,10 @@ DIGESTS = {
         "4d99d33ca179ab6c5ef329a49230010bac6c830b49ee3be2458f7e96105d0c32",
     ("echo_bursty", 90210):
         "959f239d8bd38b999d957a85a2d70f01e2382f832cd1e85d6d4dbb6872fe0dbd",
+    ("echo_dead_ring", 1):
+        "0a5b51758f3f6361d6e8e877c78a650f7b3c152f2a1ccbe16707730831dfaefa",
+    ("echo_dead_ring", 90210):
+        "833bf53a5f0e539f9f9431b66026938edca7a788309dbb3b6e1df77bd6fcb3b4",
     ("ranking", 1):
         "e30b2dac715fca21c94acdf6837272c366f04f4fdfeca4c8421fffc623c6aab9",
     ("ranking", 90210):
@@ -77,18 +94,42 @@ class RecordingSink:
         return response
 
 
-def _echo_run(seed, arrivals, timeout_ns, max_queue_depth, count):
+class LeaseCount(RequestAdapter):
+    """The default adapter, counting the requests that got a slot lease:
+    a deployment preps a request only once its lease is granted."""
+
+    def __init__(self):
+        self.leased = 0
+
+    def prep(self, server):
+        self.leased += 1
+        return super().prep(server)
+
+
+def _echo_run(seed, arrivals, timeout_ns, max_queue_depth, count, slots=48, kill_at_ns=None):
     engine = Engine(seed=seed)
-    manager = ClusterManager(
-        Datacenter(engine, num_pods=1, topology=TorusTopology(width=3, height=3))
-    )
-    manager.apply(
+    datacenter = Datacenter(engine, num_pods=1, topology=TorusTopology(width=3, height=3))
+    manager = ClusterManager(datacenter)
+    adapter = LeaseCount()
+    handle = manager.apply(
         ServiceSpec(
             service=echo_service(delay_ns=20 * US),
             replicas=2,
             request_timeout_ns=timeout_ns,
+            slots_per_server=slots,
+            adapter=adapter,
         )
     )
+    if kill_at_ns is not None:
+        handle.stop_watchdog()  # keep the ring dead: no reconciliation
+
+        def kill():
+            yield engine.timeout(kill_at_ns)
+            ClusterFailureInjector(datacenter).kill_ring(
+                handle.deployments[0], FailureKind.CABLE_ASSEMBLY_FAILURE
+            )
+
+        engine.process(kill())
     sink = RecordingSink(engine, manager.endpoint("echo-service"))
     injector = OpenLoopInjector(
         engine,
@@ -98,7 +139,7 @@ def _echo_run(seed, arrivals, timeout_ns, max_queue_depth, count):
         max_queue_depth=max_queue_depth,
         timeout_ns=timeout_ns,
     )
-    return engine, sink, engine.run_until(injector.run(count))
+    return engine, sink, engine.run_until(injector.run(count)), adapter.leased
 
 
 def echo_poisson(seed):
@@ -108,6 +149,12 @@ def echo_poisson(seed):
 def echo_bursty(seed):
     arrivals = BurstyArrivals(30_000.0, 150_000.0, period_s=0.02, duty=0.5)
     return _echo_run(seed, arrivals, 2 * MS, None, 2_500)
+
+
+def echo_dead_ring(seed):
+    return _echo_run(
+        seed, PoissonArrivals(60_000.0), 2 * MS, 256, 1_500, slots=4, kill_at_ns=5 * MS
+    )
 
 
 def ranking(seed):
@@ -125,10 +172,15 @@ def ranking(seed):
         max_queue_depth=64,
         timeout_ns=40 * MS,
     )
-    return engine, sink, engine.run_until(injector.run(150))
+    return engine, sink, engine.run_until(injector.run(150)), None
 
 
-SCENARIOS = {"echo_poisson": echo_poisson, "echo_bursty": echo_bursty, "ranking": ranking}
+SCENARIOS = {
+    "echo_poisson": echo_poisson,
+    "echo_bursty": echo_bursty,
+    "echo_dead_ring": echo_dead_ring,
+    "ranking": ranking,
+}
 
 
 def behaviour_digest(engine, records, stats) -> str:
@@ -143,11 +195,16 @@ def behaviour_digest(engine, records, stats) -> str:
 
 @pytest.mark.parametrize("name, seed", sorted(DIGESTS))
 def test_behaviour_digest_is_unchanged(name, seed):
-    engine, sink, stats = SCENARIOS[name](seed)
+    engine, sink, stats, leased = SCENARIOS[name](seed)
     assert len(sink.records) == stats.admitted
-    if name == "echo_bursty":
+    if name in ("echo_poisson", "ranking"):
+        assert stats.completed == stats.offered
+    else:
         # The scenario exists to drive timeouts and quarantine drains.
         assert stats.timeouts > 0 and stats.completed > 0
-    else:
-        assert stats.completed == stats.offered
+    if leased is not None:
+        # Every request that reached a deployment either got a lease or
+        # timed out waiting for one.
+        expiries = sum(outcome != "rejected" for _, outcome, _ in sink.records) - leased
+        assert (expiries > 0) == (name == "echo_dead_ring")
     assert behaviour_digest(engine, sink.records, stats) == DIGESTS[name, seed]

@@ -11,12 +11,7 @@ from repro.cluster import ClusterFailureInjector
 from repro.fabric import Datacenter, TorusTopology
 from repro.services import FailureKind
 from repro.shell.router import Port
-from repro.sim import (
-    AnyOf,
-    Engine,
-    SEC,
-    Store,
-)
+from repro.sim import Engine, SEC, Store
 from repro.sim.fluid import (
     FluidModel,
     FluidProfile,
@@ -45,7 +40,8 @@ class EchoServer:
         while True:
             payload, done = yield self.queue.get()
             yield engine.timeout(service_ns)
-            done.succeed(payload)
+            if not done.triggered:  # else its request timed out
+                done.succeed(payload)
 
 
 class EchoCluster:
@@ -67,12 +63,12 @@ class EchoCluster:
             self._next = (self._next + 1) % len(self.servers)
             done = engine.event(name="echo-done")
             yield server.queue.put((request, done))
-            deadline = engine.timeout(timeout_ns)
-            yield AnyOf(engine, [done, deadline])
-            if not done.triggered:
-                return None
-            deadline.cancel()
-            return done.value
+            # On expiry the request resolves as a timeout (None).
+            deadline = engine.deadlines.arm(timeout_ns, done.succeed, None)
+            try:
+                return (yield done)
+            finally:
+                engine.deadlines.disarm(deadline)
         finally:
             self.outstanding -= 1
 

@@ -410,7 +410,10 @@ _displaced_and_disarmed = [(0.0, [("arm", 5.0, None), ("arm", 1.0, None), ("disa
 
 
 class _TimeoutDeadlines:
-    """The reference: one ``Timeout`` per deadline, cancelled on disarm."""
+    """The reference: one ``Timeout`` per deadline.  Disarming marks it
+    cancelled, so it is dropped at the head like a killed waiter's
+    timeout, and demotes it to daemon work, so it keeps no bare
+    ``run()`` alive."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -421,7 +424,9 @@ class _TimeoutDeadlines:
         return timeout
 
     def disarm(self, timeout):
-        timeout.cancel()
+        if not timeout.triggered:
+            timeout.cancelled = True
+            self.engine.mark_daemon(timeout)
 
 
 def _run_deadline_script(script, engine, deadlines):
@@ -483,13 +488,10 @@ def test_deadline_queue_matches_one_timeout_per_deadline(script, salted):
     """Every expiry of a ``DeadlineQueue`` deadline, and every other
     callback, happens at the same instant and in the same same-instant
     order as with one ``Timeout`` per deadline; a bare ``run()`` ends at
-    the same time.  On a plain engine (with narrow timer-wheel bands)
-    and on a salted one."""
+    the same time.  On a plain engine and on a salted one."""
 
     def engine():
-        if salted:
-            return Engine(tie_break_salt=DEFAULT_TIE_SALT)
-        return Engine(timer_band_ns=4.0)
+        return Engine(tie_break_salt=DEFAULT_TIE_SALT if salted else 0)
 
     reference = engine()
     expected = _run_deadline_script(script, reference, _TimeoutDeadlines(reference))

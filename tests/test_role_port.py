@@ -211,6 +211,14 @@ def test_garbage_corrupts_a_role_exactly(busy, expected):
 FIFOS = [Store, Fifo]
 
 
+def _take(fifo):
+    """Dequeue at once, or None if empty: ``Fifo.try_get``, or a
+    ``Store.get`` with an item waiting, which is done when called."""
+    if isinstance(fifo, Fifo):
+        return fifo.try_get()
+    return fifo.get().value if fifo.items else None
+
+
 @pytest.mark.parametrize("fifo_class", FIFOS)
 def test_a_put_with_room_is_done_at_once(fifo_class):
     engine = Engine()
@@ -218,8 +226,8 @@ def test_a_put_with_room_is_done_at_once(fifo_class):
     put = fifo.put("a")
     assert put._dispatched
     assert len(fifo) == 1 and list(fifo.items) == ["a"]
-    assert fifo.try_get() == "a"
-    assert fifo.try_get() is None
+    assert _take(fifo) == "a"
+    assert _take(fifo) is None
     assert engine.queue_length == 0
 
 
@@ -230,11 +238,11 @@ def test_blocked_puts_succeed_on_the_try_get_that_makes_room_in_putter_order(fif
     fifo.put("a")
     second, third = fifo.put("b"), fifo.put("c")
     assert not second.triggered and not third.triggered
-    assert fifo.is_full and list(fifo.items) == ["a"]
+    assert len(fifo) == fifo.capacity and list(fifo.items) == ["a"]
     woken = []
     second.add_callback(lambda _event: woken.append(("b", engine.now)))
     third.add_callback(lambda _event: woken.append(("c", engine.now)))
-    assert fifo.try_get() == "a"
+    assert _take(fifo) == "a"
     # Room for one: the first putter's item goes in and its event
     # succeeds now, to dispatch at this instant; the second still waits.
     assert second.triggered and not second._dispatched
@@ -242,7 +250,7 @@ def test_blocked_puts_succeed_on_the_try_get_that_makes_room_in_putter_order(fif
     assert list(fifo.items) == ["b"]
     engine.run()
     assert woken == [("b", 0.0)]
-    assert fifo.try_get() == "b"
+    assert _take(fifo) == "b"
     assert third.triggered and list(fifo.items) == ["c"]
     engine.run()
     assert woken == [("b", 0.0), ("c", 0.0)]
@@ -255,7 +263,7 @@ def test_a_cancelled_putter_s_item_is_dropped(fifo_class):
     fifo.put("a")
     departed, waiting = fifo.put("b"), fifo.put("c")
     departed.cancelled = True  # its process was killed or interrupted
-    assert fifo.try_get() == "a"
+    assert _take(fifo) == "a"
     assert not departed.triggered
     assert waiting.triggered
     assert list(fifo.items) == ["c"]

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import ClusterScheduler
 from repro.fabric import Datacenter, TorusTopology
 from repro.host.slots import SlotAllocator
-from repro.sim import Engine, SanitizerError, dual_run, state_digest
+from repro.sim import AllOf, Engine, SanitizerError, dual_run, state_digest
 from repro.sim.sanitizer import SimSanitizer
 from tests.test_cluster import echo_service
 
@@ -15,54 +15,70 @@ from tests.test_cluster import echo_service
 # --- timeout-leak detector ----------------------------------------------------------
 
 
-def test_abandoned_anyof_loser_timeout_is_detected():
-    from repro.sim import AnyOf
+def _refused_racer(eng, guard):
+    """Wait for a reply under ``guard``; a refusal fails the wait at
+    t=10 and the racer moves on.  Returns the instants it moved on."""
+    laps = []
+    refusal = eng.event()
 
-    eng = Engine(sanitize=True)
+    def refuse():
+        yield eng.timeout(10.0)
+        refusal.fail(ValueError("refused"))
 
     def racer():
-        fast = eng.timeout(10.0)
-        slow = eng.timeout(1_000.0)
-        yield AnyOf(eng, [fast, slow])
-        # BUG (deliberate): the loser is never cancelled, so it stays
-        # armed and keeps the bare run() alive for the full 1000 ns.
+        try:
+            yield from guard(refusal)
+        except ValueError:
+            laps.append(eng.now)
 
+    eng.process(refuse())
     eng.process(racer())
+    return laps
+
+
+def _timeout_guard(eng):
+    def guard(reply):
+        slow = eng.timeout(1_000.0)
+        # BUG (deliberate): the refusal fails the AllOf and the racer
+        # moves on, but the timeout stays armed and keeps the bare
+        # run() alive for the full 1000 ns.
+        yield AllOf(eng, [reply, slow])
+
+    return guard
+
+
+def test_timeout_abandoned_by_a_failed_allof_is_detected():
+    eng = Engine(sanitize=True)
+    _refused_racer(eng, _timeout_guard(eng))
     with pytest.raises(SanitizerError, match="timeout-leak"):
         eng.run()
 
 
 def test_leak_report_carries_the_creation_site():
-    from repro.sim import AnyOf
-
     eng = Engine(sanitize=True)
-
-    def racer():
-        fast = eng.timeout(10.0)
-        slow = eng.timeout(1_000.0)
-        yield AnyOf(eng, [fast, slow])
-
-    eng.process(racer())
+    _refused_racer(eng, _timeout_guard(eng))
     with pytest.raises(SanitizerError, match="test_sanitizer.py"):
         eng.run()
 
 
 def test_cancelled_loser_is_clean():
-    from repro.sim import AnyOf
-
+    """A guard that loses the race and is disarmed leaves no finding."""
     eng = Engine(sanitize=True)
-    laps = []
+    expired = []
 
-    def racer():
-        fast = eng.timeout(10.0)
-        slow = eng.timeout(1_000.0)
-        yield AnyOf(eng, [fast, slow])
-        slow.cancel()  # the recommended idiom
-        laps.append(eng.now)
+    def guard(reply):
+        # The recommended idiom: a deadline its waiter may abandon sits
+        # in engine.deadlines and is disarmed when the wait resolves.
+        deadline = eng.deadlines.arm(1_000.0, expired.append, "guard")
+        try:
+            yield reply
+        finally:
+            eng.deadlines.disarm(deadline)
 
-    eng.process(racer())
-    eng.run()
+    laps = _refused_racer(eng, guard)
+    assert eng.run() == 10.0
     assert laps == [10.0]
+    assert expired == []
     assert eng.sanitizer.findings == []
 
 

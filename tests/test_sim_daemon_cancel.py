@@ -107,7 +107,7 @@ def test_interrupted_getter_does_not_swallow_item():
     eng.process(scenario(eng))
     eng.run()
     assert outcome == [("interrupted", 5.0)]
-    assert store.try_get() == "x"
+    assert list(store.items) == ["x"]
 
 
 def test_killed_resource_waiter_releases_cleanly():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Engine,
     Interrupt,
     PriorityStore,
@@ -283,21 +282,6 @@ def test_allof_waits_for_all():
     assert proc.value == (7.0, ["a", "b"])
 
 
-def test_anyof_returns_on_first():
-    eng = Engine()
-
-    def body(eng):
-        t1 = eng.timeout(3.0, value="fast")
-        t2 = eng.timeout(7.0, value="slow")
-        got = yield AnyOf(eng, [t1, t2])
-        t2.cancel()  # disarm the loser so the run ends at the winner
-        return (eng.now, list(got.values()))
-
-    proc = eng.process(body(eng))
-    eng.run()
-    assert proc.value == (3.0, ["fast"])
-
-
 def test_allof_empty_succeeds_immediately():
     eng = Engine()
 
@@ -337,17 +321,91 @@ def test_timeout_isinstance_event():
     eng = Engine()
     assert isinstance(eng.timeout(1.0), Timeout)
 
-# --- lazy timeout cancellation (timer-queue overhaul) ---------------------------
+# --- the L0 kernel, pinned -------------------------------------------------------
+
+
+def _sleep(eng, delay):
+    yield eng.timeout(delay)
+
+
+def test_kernel_counters_are_pinned():
+    """Timeouts, a kill, an interrupt, a rearmed gate and deadlines that
+    are armed, disarmed and expired, with the exact counters they leave.
+
+    A killed or interrupted waiter's timeout is dropped when the engine
+    reaches it: its callbacks never run, it is not counted as
+    dispatched, and, with no daemon work pending, it does not move the
+    end of a bare ``run()``."""
+    eng = Engine()
+    log = []
+    abandoned = []
+
+    def victim():
+        timeout = eng.timeout(50.0)
+        timeout.add_callback(lambda _event: log.append("victim timeout dispatched"))
+        abandoned.append(timeout)
+        yield timeout
+        log.append("victim woke")
+
+    def napper():
+        try:
+            yield eng.timeout(60.0)
+        except Interrupt:
+            log.append(("interrupted", eng.now))
+
+    def ticker():
+        gate = eng.timeout(1.0)
+        yield gate
+        for _ in range(2):
+            log.append(("tick", eng.now))
+            yield gate.rearm(2.0)
+        log.append(("tick", eng.now))
+
+    def controller(victim, napper):
+        deadlines = eng.deadlines
+        deadlines.arm(8.0, log.append, "expired")
+        disarmed = deadlines.arm(3.0, log.append, "disarmed")
+        far = deadlines.arm(100.0, log.append, "far")
+        yield eng.timeout(2.0)
+        deadlines.disarm(disarmed)  # its timer, the head's, fires for nothing
+        deadlines.disarm(far)  # never the head: it leaves no timer
+        napper.interrupt()
+        victim.kill()
+        yield eng.timeout(8.0)
+
+    eng.process(controller(eng.process(victim()), eng.process(napper())))
+    eng.process(ticker())
+    eng.process(_sleep(eng, 4.0))
+    assert eng.run() == 10.0
+    assert log == [
+        ("tick", 1.0),
+        ("interrupted", 2.0),
+        ("tick", 3.0),
+        ("tick", 5.0),
+        "expired",
+    ]
+    assert not abandoned[0].triggered
+    assert (eng.events_dispatched, eng.events_dropped, eng.peak_queue_length) == (15, 2, 9)
+    assert eng.queue_length == 0
+
+
+def _kill_at(eng, delay, victim):
+    yield eng.timeout(delay)
+    victim.kill()
 
 
 def test_cancelled_timeout_never_dispatches_callbacks():
-    """Regression: a cancelled timeout used to be demoted to daemon work
-    but still *dispatched* — its callbacks ran at the stale deadline."""
+    """A timeout whose waiter was killed is dropped at the head: no
+    callback of it runs, not even one another party added."""
     eng = Engine()
     fired = []
     timeout = eng.timeout(10.0)
-    timeout.add_callback(lambda event: fired.append(event))
-    timeout.cancel()
+    timeout.add_callback(fired.append)
+
+    def waiter():
+        yield timeout
+
+    eng.process(_kill_at(eng, 1.0, eng.process(waiter())))
     eng.process(_sleep(eng, 50.0))
     eng.run()
     assert eng.now == 50.0  # ran past the stale deadline
@@ -356,38 +414,25 @@ def test_cancelled_timeout_never_dispatches_callbacks():
     assert not timeout.triggered
 
 
-def _sleep(eng, delay):
-    yield eng.timeout(delay)
-
-
 def test_cancelled_timeout_does_not_hold_run_open():
     eng = Engine()
-    timeout = eng.timeout(1_000_000.0)
-    timeout.cancel()
-    eng.run()  # must return immediately, not at t=1e6
-    assert eng.now == 0.0
+    eng.process(_kill_at(eng, 1.0, eng.process(_sleep(eng, 1_000_000.0))))
+    eng.run()  # must end at the kill, not at t=1e6
+    assert eng.now == 1.0
 
 
 def test_cancel_after_trigger_is_noop():
-    # sanitize=False: the bare, never-awaited timeout is the point here.
-    eng = Engine(sanitize=False)
-    timeout = eng.timeout(5.0)
-    eng.run()
-    assert timeout.triggered
-    timeout.cancel()
-    assert not timeout.cancelled
-
-
-def test_cancelled_timeout_dropped_in_heap_only_mode():
-    eng = Engine(timer_wheel=False)
+    """Disarming a deadline after it fired changes nothing."""
+    eng = Engine()
     fired = []
-    timeout = eng.timeout(10.0)
-    timeout.add_callback(fired.append)
-    timeout.cancel()
-    eng.process(_sleep(eng, 50.0))
+    deadline = eng.deadlines.arm(5.0, fired.append, "fired")
     eng.run()
-    assert fired == []
-    assert eng.events_dropped == 1
+    assert fired == ["fired"]
+    eng.deadlines.disarm(deadline)
+    eng.deadlines.arm(1.0, fired.append, "again")
+    eng.run()
+    assert fired == ["fired", "again"]
+    assert eng.now == 6.0
 
 
 # --- dispatched-flag bookkeeping (slots refactor) -------------------------------
@@ -422,72 +467,16 @@ def test_callback_registered_during_dispatch_is_not_lost():
 
 def test_kernel_classes_have_no_instance_dict():
     from repro.sim import Event
-    from repro.sim.events import _Condition
 
     eng = Engine()
     for obj in (
         Event(eng),
         eng.timeout(1.0),
         AllOf(eng, [eng.event()]),
-        AnyOf(eng, [eng.event()]),
         eng.process(_sleep(eng, 1.0)),
     ):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
-    assert _Condition.__slots__  # guards against accidental slot removal
-
-
-# --- timer wheel vs heap equivalence -------------------------------------------
-
-
-def _mixed_trace(timer_wheel):
-    """A stew of near/far timeouts, cancels, and bands: returns the
-    dispatch trace (time, value) plus final counters."""
-    eng = Engine(seed=7, timer_wheel=timer_wheel, timer_band_ns=1_000.0)
-    trace = []
-
-    def body(eng):
-        rng = eng.rng.stream("mix")
-        pending = []
-        for i in range(300):
-            delay = rng.expovariate(1.0) * 1_500.0  # straddles band width
-            timeout = eng.timeout(delay, value=i)
-            timeout.add_callback(lambda e: trace.append((eng.now, e.value)))
-            pending.append(timeout)
-            if i % 3 == 0 and pending:
-                pending.pop(rng.randrange(len(pending))).cancel()
-            yield eng.timeout(rng.expovariate(1.0) * 200.0)
-
-    eng.process(body(eng))
-    eng.run()
-    return trace, eng.now, eng.events_dispatched, eng.events_dropped
-
-
-def test_timer_wheel_matches_heap_only_dispatch_order():
-    wheel = _mixed_trace(timer_wheel=True)
-    heap = _mixed_trace(timer_wheel=False)
-    assert wheel == heap
-
-
-def test_far_future_timeout_lands_in_band_and_fires():
-    eng = Engine(timer_band_ns=100.0)
-    fired = []
-    timeout = eng.timeout(12_345.6, value="far")
-    timeout.add_callback(lambda e: fired.append((eng.now, e.value)))
-    eng.run()
-    assert fired == [(12_345.6, "far")]
-    assert eng.now == 12_345.6
-
-
-def test_band_boundary_timeout_is_not_late():
-    """A deadline exactly on (or within float noise of) a band boundary
-    must never land in a later band — time would run backwards."""
-    eng = Engine(timer_band_ns=1_000.0)
-    times = []
-    for delay in (999.9999999999999, 1_000.0, 1_000.0000000000001, 2_000.0):
-        eng.timeout(delay).add_callback(lambda e: times.append(eng.now))
-    eng.run()
-    assert times == sorted(times)
-    assert eng.now == 2_000.0
+    assert AllOf.__slots__  # guards against accidental slot removal
 
 
 def test_engine_diagnostics_counters():
@@ -495,8 +484,11 @@ def test_engine_diagnostics_counters():
     eng = Engine(sanitize=False)
     eng.timeout(1.0)
     eng.timeout(2.0)
-    cancelled = eng.timeout(3.0)
-    cancelled.cancel()
+    parked = eng.timeout(3.0)
+    # Its waiter departed and it is daemon work: a killed daemon process
+    # leaves the timeout it waited on so.
+    parked.cancelled = True
+    eng.mark_daemon(parked)
     assert eng.queue_length == 3
     assert eng.peak_queue_length >= 3
     eng.run()
@@ -510,44 +502,28 @@ def test_engine_diagnostics_counters():
     assert eng.events_dropped == 1
 
 
-def test_compaction_keeps_queue_flat_under_cancel_churn():
-    """Arming and immediately disarming a guard deadline per step must
-    not accumulate dead entries: the queue compacts once cancelled
-    entries outnumber live ones."""
+def test_deadline_churn_keeps_the_queue_flat():
+    """Arming a guard deadline per step and disarming it a step later
+    leaves no dead entries in the event queue: the deadline queue keeps
+    one timer there, demoted while nothing is armed."""
     eng = Engine(seed=1)
+    fired = []
 
     def churn(eng, steps):
         for _ in range(steps):
-            deadline = eng.timeout(5_000_000.0)  # far future, banded
+            deadline = eng.deadlines.arm(5_000_000.0, fired.append, "fired")
             yield eng.timeout(10.0)
-            deadline.cancel()
+            eng.deadlines.disarm(deadline)
 
     eng.process(churn(eng, 6_000))
     eng.run()
-    # Without compaction 6k dead deadlines would sit parked until their
-    # band came due; with it the queue never exceeds a few thousand.
-    assert eng.peak_queue_length < 4_000
-    # The tail below the compaction threshold stays lazily parked until
-    # a timed run sweeps past it.
+    assert eng.now == 60_000.0
+    assert eng.peak_queue_length == 2  # the step's timeout and the timer
+    assert eng.queue_length == 1  # the demoted timer
     eng.run(until=10_000_000.0)
+    assert fired == []
     assert eng.queue_length == 0
-    assert eng.events_dropped == 6_000
-
-
-def test_compaction_applies_in_heap_only_mode():
-    eng = Engine(seed=1, timer_wheel=False)
-
-    def churn(eng, steps):
-        for _ in range(steps):
-            deadline = eng.timeout(5_000_000.0)
-            yield eng.timeout(10.0)
-            deadline.cancel()
-
-    eng.process(churn(eng, 6_000))
-    eng.run()
-    assert eng.peak_queue_length < 4_000
-    eng.run(until=10_000_000.0)
-    assert eng.events_dropped == 6_000
+    assert eng.events_dropped == 0
 
 
 # --- top-level only: no nested engine runs --------------------------------------
@@ -690,7 +666,7 @@ def test_blocked_put_is_woken_by_exactly_one_dispatched_event():
 
     def consumer():
         yield eng.timeout(5.0)
-        assert store.try_get() == "full"
+        assert (yield store.get()) == "full"  # an item waits: done at once
         marks["got"] = eng.events_dispatched
 
     eng.process(putter())
@@ -758,10 +734,8 @@ def test_conditions_over_completed_children():
         first, second = store.get(), store.get()
         both = yield AllOf(eng, [first, second, finished])
         results.append(sorted(str(value) for value in both.values()))
-        guard = eng.timeout(10.0)
-        either = yield AnyOf(eng, [store.put("c"), guard])
-        guard.cancel()
-        results.append((eng.now, list(either.values())))
+        put = yield AllOf(eng, [store.put("c")])
+        results.append((eng.now, list(put.values())))
 
     eng.run_until(eng.process(body()))
     assert results == [["a", "b", "done"], (1.0, ["c"])]

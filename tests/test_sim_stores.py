@@ -91,14 +91,6 @@ def test_try_put_full_raises():
         store.try_put("b")
 
 
-def test_try_get_empty_returns_none():
-    eng = Engine()
-    store = Store(eng)
-    assert store.try_get() is None
-    store.try_put("x")
-    assert store.try_get() == "x"
-
-
 def test_multiple_getters_served_in_order():
     eng = Engine()
     store = Store(eng)

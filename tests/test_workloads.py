@@ -216,32 +216,36 @@ def test_open_loop_validates_inputs():
 
 
 class EchoService:
-    """Generator sink with real service time plus a per-request guard
-    deadline that is disarmed on completion — the cluster submit shape,
-    concentrated on the timer queue."""
+    """Generator sink with real service time plus, unless ``guard`` is
+    off, a per-request guard deadline that is disarmed on completion —
+    the cluster submit shape, concentrated on the deadline queue."""
 
-    def __init__(self, engine, service_ns=1_500.0):
+    def __init__(self, engine, service_ns=1_500.0, guard=True):
         self.engine = engine
         self.service_ns = service_ns
+        self.guard = guard
         self.outstanding = 0
+        self.expired = []
 
     def submit(self, request, timeout_ns):
         engine = self.engine
         self.outstanding += 1
         try:
-            deadline = engine.timeout(timeout_ns)
+            if self.guard:
+                deadline = engine.deadlines.arm(timeout_ns, self.expired.append, request)
             yield engine.timeout(self.service_ns)
-            deadline.cancel()
+            if self.guard:
+                engine.deadlines.disarm(deadline)
             return request
         finally:
             self.outstanding -= 1
 
 
-def _mixed_openloop_run(timer_wheel):
+def _mixed_openloop_run(guard):
     """Poisson phase then bursty phase on one engine, echo service with
-    guard-deadline churn throughout."""
-    eng = Engine(seed=123, timer_wheel=timer_wheel)
-    sink = EchoService(eng)
+    guard-deadline churn throughout, or none."""
+    eng = Engine(seed=123)
+    sink = EchoService(eng, guard=guard)
     poisson = OpenLoopInjector(
         eng, sink, PoissonArrivals(2_000_000.0), pool=list(range(8))
     )
@@ -254,31 +258,32 @@ def _mixed_openloop_run(timer_wheel):
         seed_tag="bursty",
     )
     stats_b = eng.run_until(bursty.run(300))
+    assert sink.expired == []
     return eng, stats_a, stats_b
 
 
-def test_timer_wheel_same_seed_matches_heap_only():
-    """The banded timer queue must be invisible to results: same seed,
+def test_disarmed_guard_deadlines_do_not_change_results():
+    """Guards that never fire must be invisible to results: same seed,
     same arrivals, identical completion counts, latency samples, event
-    order (via dispatch count), and final clock."""
-    wheel, wa, wb = _mixed_openloop_run(timer_wheel=True)
-    heap, ha, hb = _mixed_openloop_run(timer_wheel=False)
-    assert (wa.offered, wa.completed, wa.rejected) == (
-        ha.offered,
-        ha.completed,
-        ha.rejected,
+    count and final clock with and without them."""
+    guarded, ga, gb = _mixed_openloop_run(guard=True)
+    bare, ba, bb = _mixed_openloop_run(guard=False)
+    assert (ga.offered, ga.completed, ga.rejected) == (
+        ba.offered,
+        ba.completed,
+        ba.rejected,
     )
-    assert (wb.offered, wb.completed, wb.rejected) == (
-        hb.offered,
-        hb.completed,
-        hb.rejected,
+    assert (gb.offered, gb.completed, gb.rejected) == (
+        bb.offered,
+        bb.completed,
+        bb.rejected,
     )
     # Sub-capacity reservoirs hold every observation: bit-identical.
-    assert list(wa.latencies_ns) == list(ha.latencies_ns)
-    assert list(wb.latencies_ns) == list(hb.latencies_ns)
-    assert wa.stats().p99 == ha.stats().p99
-    assert wheel.now == heap.now
-    assert wheel.events_dispatched == heap.events_dispatched
+    assert list(ga.latencies_ns) == list(ba.latencies_ns)
+    assert list(gb.latencies_ns) == list(bb.latencies_ns)
+    assert ga.stats().p99 == ba.stats().p99
+    assert guarded.now == bare.now
+    assert guarded.events_dispatched == bare.events_dispatched
 
 
 def test_counter_gate_fires_after_last_inflight_resolves():
