@@ -66,7 +66,11 @@ class RequestAdapter:
 
 def _expire_lease_wait(get: Event) -> None:
     """A contended lease wait reached its deadline: abandon the claim, so
-    the store hands a late lease to the next waiter, and fail it."""
+    the store hands a late lease to the next waiter, and fail it.  A
+    lease granted earlier at the deadline's own instant stands: the
+    request goes on with it."""
+    if get.triggered:
+        return
     get.cancelled = True
     get.fail(RequestTimeout("no slot lease in time"))
 

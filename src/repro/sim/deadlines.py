@@ -16,7 +16,9 @@ time and in the same same-instant position as the ``Timeout`` it
 replaces, and every other event keeps its key.  A timer that finds its
 deadline disarmed moves to the next live one, again under that
 deadline's own key: when requests resolve in time, that is at most one
-dispatched event per timeout period.
+dispatched event per timeout period.  Disarmed deadlines are dropped
+from the heap in one pass once they outnumber the live ones, so its
+memory follows the armed deadlines, not arm rate times timeout.
 
 While any deadline is armed the timer keeps a bare ``Engine.run()``
 alive, as an armed ``Timeout`` does; once none is, the timer is demoted
@@ -34,6 +36,8 @@ from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
+
+_SLACK = 64  # disarmed deadlines a queue may hold beyond its live ones
 
 
 class DeadlineQueue:
@@ -88,6 +92,19 @@ class DeadlineQueue:
         self._live -= 1
         if self._live == 0 and self._timer is not None:
             self.engine.mark_daemon(self._timer)
+        if len(self._heap) > 2 * self._live + _SLACK:
+            self._drop_disarmed()
+
+    def _drop_disarmed(self) -> None:
+        """Drop every disarmed deadline once they outnumber the live ones,
+        keeping the head while its timer is scheduled on it: heap memory
+        stays proportional to the armed deadlines, not to arm rate times
+        timeout.  Keys are unique, so the order of expiries is the
+        same."""
+        heap = self._heap
+        head = heap[0] if self._timer is not None else None
+        heap[:] = [deadline for deadline in heap if deadline[2] is not None or deadline is head]
+        heapq.heapify(heap)
 
     def _schedule_head(self) -> None:
         """Drop disarmed entries off the head, then make the head's timer

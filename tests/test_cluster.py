@@ -311,6 +311,30 @@ def test_killing_a_request_waiting_for_a_lease_loses_no_lease():
     assert deployment.timeouts == 0
 
 
+def test_lease_released_at_the_wait_deadline_is_granted():
+    """A lease handed back at the lease-wait deadline's own instant, by
+    an event armed before the wait, dispatches first: the waiter gets
+    the lease and its request is served, not timed out."""
+    eng, dc = small_datacenter()
+    scheduler = ClusterScheduler(dc)
+    (deployment,) = scheduler.deploy(echo_service(), rings=1, slots_per_server=1)
+    server = deployment.injection_servers()[0]
+    store = deployment._leases(server)
+    lease = store.get().value  # the only lease: the wait is contended
+    wait_ns = 1_000_000.0  # well past the echo round trip
+
+    def releaser():
+        yield eng.timeout(wait_ns)
+        store.try_put(lease)
+
+    eng.process(releaser())
+    waiter = eng.process(deployment.submit(object(), server=server, timeout_ns=wait_ns))
+    eng.run()
+    assert waiter.value.payload == "scored"
+    assert deployment.completed == 1 and deployment.timeouts == 0
+    assert len(store) == 1 and deployment.outstanding == 0
+
+
 def test_closed_loop_never_counts_a_late_response():
     eng, dc = small_datacenter()
     scheduler = ClusterScheduler(dc)

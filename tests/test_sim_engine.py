@@ -509,21 +509,44 @@ def test_deadline_churn_keeps_the_queue_flat():
     eng = Engine(seed=1)
     fired = []
 
+    heap_sizes = []
+
     def churn(eng, steps):
         for _ in range(steps):
             deadline = eng.deadlines.arm(5_000_000.0, fired.append, "fired")
             yield eng.timeout(10.0)
             eng.deadlines.disarm(deadline)
+            heap_sizes.append(len(eng.deadlines._heap))
 
     eng.process(churn(eng, 6_000))
     eng.run()
     assert eng.now == 60_000.0
     assert eng.peak_queue_length == 2  # the step's timeout and the timer
     assert eng.queue_length == 1  # the demoted timer
+    # The disarmed deadlines are compacted away, not kept until their
+    # instant: the deadline heap stays within its slack, not 6,000 long.
+    assert max(heap_sizes) <= 65
     eng.run(until=10_000_000.0)
     assert fired == []
     assert eng.queue_length == 0
     assert eng.events_dropped == 0
+
+
+def test_compaction_keeps_the_expiry_order():
+    """Disarming two thirds of 300 deadlines compacts the heap, the
+    disarmed head with its scheduled timer kept; the live third fires
+    in (instant, arm order), as without compaction."""
+    eng = Engine(seed=1)
+    fired = []
+    handles = [eng.deadlines.arm(float(i % 7), fired.append, i) for i in range(300)]
+    for i, handle in enumerate(handles):
+        if i % 3 != 1:
+            eng.deadlines.disarm(handle)
+    assert len(eng.deadlines._heap) < 2 * 100 + 64
+    eng.run()
+    assert fired == sorted(range(1, 300, 3), key=lambda i: i % 7)
+    assert eng.now == 6.0
+    assert eng.deadlines._heap == []
 
 
 # --- top-level only: no nested engine runs --------------------------------------
