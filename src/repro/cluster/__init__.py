@@ -81,7 +81,6 @@ from repro.cluster.scheduler import (
     ClusterScheduler,
     InsufficientClusterCapacity,
     PLACEMENT_POLICIES,
-    PlacementDecision,
     PlacementFailed,
     PodCapacity,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "PLACEMENT_POLICIES",
     "PRIORITIES",
     "PRIORITY_WEIGHT",
-    "PlacementDecision",
     "PlacementFailed",
     "PodCapacity",
     "ReconcileAction",

@@ -69,15 +69,6 @@ class PlacementFailed(Exception):
 
 
 @dataclasses.dataclass(frozen=True)
-class PlacementDecision:
-    """One scheduler decision: which service landed on which ring."""
-
-    service: str
-    slot: RingSlot
-    spares: int
-
-
-@dataclasses.dataclass(frozen=True)
 class PodCapacity:
     """One pod's ring/region accounting inside a :class:`CapacityReport`."""
 
@@ -182,20 +173,10 @@ class ClusterScheduler:
     """Places service instances as region claims on rings across pods."""
 
     def __init__(
-        self,
-        datacenter: Datacenter,
-        policy: str = "spread",
-        bitstream_cache: "BitstreamCache | None" = None,
+        self, datacenter: Datacenter, bitstream_cache: "BitstreamCache | None" = None
     ):
-        if policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {policy!r}; "
-                f"choose from {PLACEMENT_POLICIES}"
-            )
         self.datacenter = datacenter
         self.engine = datacenter.engine
-        self.policy = policy
-        self.decisions: list[PlacementDecision] = []
         # The one ledger: every ring that holds a claim or a cordon.
         self._rings: dict[RingSlot, RingTenancy] = {}
         self._mapping_managers: dict[int, MappingManager] = {}
@@ -367,7 +348,7 @@ class ClusterScheduler:
     # -- placement -------------------------------------------------------------
 
     def _choose_gang(
-        self, count: int, policy: str | None = None, chained: bool = True
+        self, count: int, policy: str, chained: bool = True
     ) -> list[RingSlot]:
         """Choose ``count`` free rings under ``policy``.
 
@@ -394,7 +375,6 @@ class ClusterScheduler:
         Raises :class:`InsufficientClusterCapacity` if fewer than
         ``count`` rings are free datacenter-wide.
         """
-        policy = policy or self.policy
         if policy not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"unknown placement policy {policy!r}; "
@@ -462,7 +442,7 @@ class ClusterScheduler:
         rings: int = 1,
         adapter: RequestAdapter | None = None,
         slots_per_server: int = 48,
-        policy: str | None = None,
+        policy: str = "spread",
         chained: bool = False,
         fraction: float | None = None,
         priority: str = "batch",
@@ -476,11 +456,10 @@ class ClusterScheduler:
         used rings, in slot order, take claims first — one per service
         per ring, so a service's replicas land on different rings; a
         whole ring never fits one.  The rest open fresh rings: whole
-        rings under ``policy`` (the scheduler-wide one by default),
-        ``chained`` when they compose one replica (a gang, see
-        :meth:`_choose_gang`); tenants the first free rings in slot
-        order.  Every deployment shares its pod's mapping manager, so
-        failure handling sees every assignment.
+        rings under ``policy``, ``chained`` when they compose one
+        replica (a gang, see :meth:`_choose_gang`); tenants the first
+        free rings in slot order.  Every deployment shares its pod's
+        mapping manager, so failure handling sees every assignment.
 
         Raises :class:`InsufficientClusterCapacity` when the claims do
         not fit, and :class:`PlacementFailed` (carrying the failed
@@ -586,16 +565,6 @@ class ClusterScheduler:
             for deployment in placed.values():
                 self.release(deployment)
             raise failure
-        # Logged in chain order, and only for placements that stuck — a
-        # rolled-back ring was never really placed.
-        self.decisions.extend(
-            PlacementDecision(
-                service=service.name,
-                slot=slot,
-                spares=placed[slot].spare_count,
-            )
-            for slot in chosen
-        )
         return [placed[slot] for slot in chosen]
 
     def preemption_victim(
@@ -669,6 +638,5 @@ class ClusterScheduler:
     def __repr__(self) -> str:
         report = self.capacity_report()
         return (
-            f"<ClusterScheduler {self.policy} "
-            f"{report.occupied_rings}/{report.total_rings} rings>"
+            f"<ClusterScheduler {report.occupied_rings}/{report.total_rings} rings>"
         )

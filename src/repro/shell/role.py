@@ -110,11 +110,15 @@ class RolePort:
 
     def close(self) -> None:
         """Stop serving (the role is being replaced): close the handler
-        and cancel the event it waits on, so no FIFO or timer hands it
-        more work; a stale wake-up finds the port closed."""
+        and cancel the event it waits on, as ``Process.kill`` does, so no
+        FIFO or timer hands it more work and a queued timeout no longer
+        holds a bare ``run()`` open; a stale wake-up finds the port
+        closed."""
         waiting_on = self._waiting_on
         if waiting_on is not None and not waiting_on.triggered:
             waiting_on.cancelled = True
+            if waiting_on._scheduled:
+                waiting_on.engine.mark_daemon(waiting_on)
         self._waiting_on = None
         if self._handler is not None:
             self._handler.close()

@@ -12,7 +12,7 @@ and randomness.
 
 from repro.sim.deadlines import DeadlineQueue
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.events import AllOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.fluid import (
     FluidCoordinator,
     FluidModel,
@@ -47,7 +47,6 @@ __all__ = [
     "FluidModel",
     "FluidProfile",
     "FluidWindow",
-    "Interrupt",
     "MS",
     "NS",
     "PeriodicTransient",

@@ -4,8 +4,8 @@ Time is a float in nanoseconds.  Determinism is guaranteed by a
 monotonic tie-break sequence number on every scheduled entry, so two
 runs with the same seed produce identical traces.
 
-Operations that finish when they are called — a ``Store`` or ``Fifo``
-put with room, a get with an item waiting, a free ``Resource`` unit,
+Operations that finish when they are called — a ``Fifo`` put with
+room, a ``Store`` get with an item waiting, a free ``Resource`` unit,
 the end of a process that nobody joins — never enter the queue: their
 event comes back already dispatched (for a ``Fifo`` put, the engine's
 one shared ``finished`` event), and a process that yields it continues
@@ -19,8 +19,8 @@ dispatch in strict global ``(time, seq)`` order:
   deadline timer.
 
 A timeout whose waiter departed (``Event.cancelled``, set by
-``Process.kill``/``interrupt`` and ``RolePort.close``) is dropped when
-it reaches the head, never dispatched.
+``Process.kill`` and ``RolePort.close``) is daemon work from then on
+and is dropped when it reaches the head, never dispatched.
 
 Deadlines that usually never fire — a request's guard or a bounded
 lease wait, armed for milliseconds and disarmed microseconds later — do

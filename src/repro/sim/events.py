@@ -24,14 +24,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PENDING = object()
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot waitable occurrence.
 
@@ -63,7 +55,7 @@ class Event:
         self.engine = engine
         self.name = name
         self.callbacks: list | None = None  # allocated on first waiter
-        self.cancelled = False  # abandoned by its waiter (kill/interrupt/expiry)
+        self.cancelled = False  # abandoned by its waiter (kill/close/expiry)
         self.triggered = False  # set by succeed()/fail()/lazy deadline
         self._value: object = _PENDING
         self._exception: BaseException | None = None
@@ -149,10 +141,11 @@ class Timeout(Event):
 
     Timeouts trigger *lazily*: the entry sits untriggered in the engine's
     heap and receives its value only when the deadline pops.  A timeout
-    cannot be disarmed; one whose waiter departed (``cancelled``, set by
-    ``Process.kill``/``interrupt``) is dropped at the head without
-    dispatching.  A deadline the waiter itself may abandon belongs in
-    ``engine.deadlines``.
+    cannot be disarmed; one whose waiter departed (``Process.kill``,
+    ``RolePort.close``) is cancelled and demoted to daemon work, so it
+    no longer holds a bare ``run()`` open, and is dropped at the head
+    without dispatching.  A deadline the waiter itself may abandon
+    belongs in ``engine.deadlines``.
     """
 
     __slots__ = ("delay", "_timeout_value")
@@ -165,46 +158,6 @@ class Timeout(Event):
         self._timeout_value = value
         engine._schedule_at(engine.now + delay, self)
 
-    def rearm(self, delay: float, value: object = None) -> "Timeout":
-        """Re-schedule a *dispatched* timeout ``delay`` ns from now.
-
-        Object recycling for tight per-arrival loops: an arrival source
-        that sleeps a million times can reuse one ``Timeout`` instead
-        of allocating a million.  Only a dispatched timeout may be
-        rearmed — an undispatched one still has a queue entry (pending,
-        or cancelled and not yet dropped), and resetting its flags would
-        resurrect that stale entry as a spurious second firing.
-        Rearming a live timeout raises ``RuntimeError``; under the
-        sanitizer it is additionally recorded as a
-        ``rearm-resurrection`` finding.
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        engine = self.engine
-        if not self._dispatched:
-            if engine.sanitizer is not None:
-                engine.sanitizer.note_resurrection(
-                    f"rearm of {self!r}: the previous arming is still queued"
-                )
-            raise RuntimeError(
-                f"cannot rearm {self!r}: not dispatched yet (the previous "
-                "arming still has a live or cancelled queue entry)"
-            )
-        self.delay = delay
-        self._timeout_value = value
-        self.callbacks = None
-        self.cancelled = False
-        self.triggered = False
-        self._value = _PENDING
-        self._exception = None
-        self._dispatched = False
-        self._daemon = False
-        self._scheduled = False
-        if engine.sanitizer is not None:
-            engine.sanitizer.note_rearm(self)
-        engine._schedule_at(engine.now + delay, self)
-        return self
-
     def __repr__(self) -> str:
         state = "ok" if self.ok else ("failed" if self.triggered else "pending")
         if self.cancelled and not self.triggered:
@@ -212,29 +165,22 @@ class Timeout(Event):
         return f"<Timeout({self.delay}) {state}>"
 
 
-class ConditionValue(dict):
-    """Mapping of event -> value for AllOf results."""
-
-
 class AllOf(Event):
-    """Succeeds when every child event has succeeded; fails with the
-    first child that fails."""
+    """Succeeds (with None) when every child event has succeeded; fails
+    with the first child that fails."""
 
-    __slots__ = ("events", "_ok_count")
+    __slots__ = ("_waiting",)
 
     def __init__(self, engine: "Engine", events: collections.abc.Sequence[Event]):
         super().__init__(engine, name="AllOf")
-        self.events = list(events)
-        # Count satisfied children instead of rescanning the whole list
-        # on every child trigger: a condition over N events is O(N)
-        # total, not O(N^2) — an open-loop run awaits an AllOf over one
-        # child per admitted arrival, where the rescan dominated long-
-        # horizon experiments.
-        self._ok_count = 0
-        if not self.events:
-            self.succeed(ConditionValue())
+        # Count the children still to succeed instead of rescanning the
+        # whole list on every child trigger: a condition over N events is
+        # O(N) total, not O(N^2).
+        self._waiting = len(events)
+        if not events:
+            self.succeed()
             return
-        for event in self.events:
+        for event in events:
             if event.triggered:
                 self._on_child(event)
                 if self.triggered:
@@ -248,6 +194,6 @@ class AllOf(Event):
         if not event.ok:
             self.fail(event.exception)  # type: ignore[arg-type]
             return
-        self._ok_count += 1
-        if self._ok_count >= len(self.events):
-            self.succeed(ConditionValue((child, child._value) for child in self.events))
+        self._waiting -= 1
+        if not self._waiting:
+            self.succeed()

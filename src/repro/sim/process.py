@@ -12,7 +12,7 @@ from __future__ import annotations
 import collections.abc
 import typing
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -65,8 +65,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if self.triggered:
             return  # process already finished; stale wakeup
-        if self._waiting_on is not None and event is not self._waiting_on:
-            return  # superseded by an interrupt; ignore the old event
         self._waiting_on = None
         generator = self.generator
         # An already-dispatched event (a put with room, a get with an
@@ -104,33 +102,13 @@ class Process(Event):
 
     # -- control ---------------------------------------------------------
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point.
-
-        If the awaited event has already triggered, the process is about
-        to wake anyway and the interrupt is dropped (benign race).
-        """
-        if self.triggered:
-            return
-        waiting_on = self._waiting_on
-        if waiting_on is not None:
-            if waiting_on.triggered:
-                return  # normal wakeup already in flight
-            # Detach from (and cancel) the event we were waiting on so
-            # stores/resources do not hand work to a departed waiter.
-            if waiting_on.callbacks is not None:
-                try:
-                    waiting_on.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            waiting_on.cancelled = True
-        poke = Event(self.engine, name=f"interrupt:{self.name}")
-        self._waiting_on = poke
-        poke.callbacks = [self._resume]
-        poke.fail(Interrupt(cause))
-
     def kill(self) -> None:
-        """Terminate the process unconditionally."""
+        """Terminate the process unconditionally.
+
+        The event it waits on is cancelled, so no store or resource hands
+        it work; a queued timeout is also demoted to daemon work, so it no
+        longer holds a bare ``run()`` open until its instant.
+        """
         if self.triggered:
             return
         waiting_on = self._waiting_on
@@ -141,6 +119,8 @@ class Process(Event):
                 except ValueError:
                     pass
             waiting_on.cancelled = True
+            if waiting_on._scheduled:
+                self.engine.mark_daemon(waiting_on)
         self._waiting_on = None
         self.generator.close()
         self.fail(ProcessKilled(self.name))

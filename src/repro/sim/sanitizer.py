@@ -66,7 +66,7 @@ class SanitizerError(RuntimeError):
 class SanitizerFinding:
     """One detected violation."""
 
-    kind: str  # timeout-leak | orphan-process | lease-leak | clock-regression | rearm-resurrection
+    kind: str  # timeout-leak | orphan-process | lease-leak | clock-regression
     message: str
     site: str  # creation site "file:line in func", or "" when unknown
 
@@ -123,20 +123,6 @@ class SimSanitizer:
 
     def note_timeout(self, timeout: Timeout) -> None:
         self._timeout_sites[timeout] = _creation_site()
-
-    def note_rearm(self, timeout: Timeout) -> None:
-        """A recycled timeout was re-armed: track the new arming's site
-        so leak findings point at the rearm, not the original birth."""
-        self._timeout_sites[timeout] = _creation_site()
-
-    def note_resurrection(self, message: str) -> None:
-        """A recycled timeout was rearmed while its previous arming was
-        still queued."""
-        self.findings.append(
-            SanitizerFinding(
-                kind="rearm-resurrection", message=message, site=_creation_site()
-            )
-        )
 
     def note_process(self, process: "Process") -> None:
         self._processes.append(process)

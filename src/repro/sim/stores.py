@@ -1,21 +1,21 @@
-"""FIFO and priority stores (bounded queues) for producer/consumer flows.
+"""Stores and FIFOs for producer/consumer flows.
 
-``Store.put`` and ``Store.get`` return events; processes yield them.
-Bounded stores apply backpressure: a ``put`` into a full store blocks
-until a consumer makes room — this is how Xon/Xoff flow control is
-modelled.  A put with room or a get with an item waiting finishes when
-it is called: its event is already dispatched and never queued, so the
-yielding process continues in the same resume.
+A :class:`Store` is an unbounded queue whose consumers are processes:
+``get`` returns an event that a process yields, and ``try_put`` hands
+an item to the first waiting getter or queues it.  A get with an item
+waiting finishes when it is called: its event is already dispatched and
+never queued, so the yielding process continues in the same resume.
 
 A :class:`Fifo` is the bounded queue of a data path whose consumer is a
 callback, not a process: it has no getters.  The consumer takes items
-with ``try_get`` when it is told of a put.
+with ``try_get`` when it is told of a put.  A ``Fifo`` applies
+backpressure: a ``put`` into a full FIFO blocks until ``try_get`` makes
+room — this is how Xon/Xoff flow control is modelled.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import typing
 from collections import deque
 
@@ -26,93 +26,56 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 
 class StoreFull(Exception):
-    """Raised by non-blocking ``try_put`` on a full store."""
+    """Raised by non-blocking ``try_put`` on a full FIFO."""
 
 
 class Store:
-    """A FIFO queue with optional capacity.
+    """An unbounded FIFO queue with waiting getters.
 
     Items are delivered to getters in arrival order; waiting getters are
-    served in request order (fairness matters for the DMA fairness
-    modelling).
+    served in request order.  A getter whose waiter departed (its event
+    is cancelled) is skipped.
     """
 
-    def __init__(self, engine: "Engine", capacity: float = math.inf, name: str = ""):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
-        self.capacity = capacity
         self.name = name
         self.items: deque = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, object]] = deque()
-        # Event labels are precomputed: put/get run once per item moved,
-        # and per-event f-string formatting shows up in long experiments.
-        self._put_label = f"put:{name}"
+        # The event label is precomputed: get runs once per item moved.
         self._get_label = f"get:{name}"
 
     def __len__(self) -> int:
         return len(self.items)
 
-    # -- blocking API ------------------------------------------------------
-
-    def put(self, item: object) -> Event:
-        """Return an event that succeeds once ``item`` is enqueued."""
-        event = Event(self.engine, self._put_label)
-        if len(self.items) < self.capacity and not self._putters:
-            self._enqueue(item)
-            event._complete(item)
-        else:
-            self._putters.append((event, item))
-        return event
-
     def get(self) -> Event:
         """Return an event that succeeds with the next item."""
         event = Event(self.engine, self._get_label)
         if self.items:
-            event._complete(self.items.popleft())
-            self._admit_waiting_putters()
+            event._complete(self._take())
         else:
             self._getters.append(event)
         return event
 
-    # -- non-blocking API ---------------------------------------------------
-
     def try_put(self, item: object) -> None:
-        """Enqueue immediately or raise :class:`StoreFull`."""
-        if len(self.items) >= self.capacity:
-            raise StoreFull(self.name)
-        self._enqueue(item)
-
-    # -- internals -----------------------------------------------------------
-
-    def _pop_live_getter(self):
-        """Next getter whose process has not been killed/interrupted."""
+        """Hand ``item`` to the first live waiting getter, or queue it."""
         while self._getters:
-            event = self._getters.popleft()
-            if not event.cancelled:
-                return event
-        return None
+            getter = self._getters.popleft()
+            if not getter.cancelled:
+                getter.succeed(item)
+                return
+        self._add(item)
 
-    def _enqueue(self, item: object) -> None:
-        getter = self._pop_live_getter()
-        if getter is not None:
-            getter.succeed(item)
-        else:
-            self.items.append(item)
+    def _add(self, item: object) -> None:
+        self.items.append(item)
 
-    def _admit_waiting_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            event, item = self._putters.popleft()
-            if event.cancelled:
-                continue  # putter departed; drop its item
-            self._enqueue(item)
-            event.succeed(item)
+    def _take(self) -> object:
+        return self.items.popleft()
 
     def __repr__(self) -> str:
         return (
-            f"<{self.__class__.__name__} {self.name} {len(self.items)}/"
-            f"{self.capacity} getters={len(self._getters)}>"
+            f"<{self.__class__.__name__} {self.name} {len(self.items)} "
+            f"getters={len(self._getters)}>"
         )
 
 
@@ -124,7 +87,7 @@ class Fifo:
     a put into a full FIFO allocates an event; the :meth:`try_get` that
     makes room appends its item and succeeds it, in putter order.  A
     putter whose waiter departed (its event is cancelled) is skipped and
-    its item dropped, as :class:`Store` does.
+    its item dropped.
     """
 
     __slots__ = ("engine", "capacity", "name", "items", "_putters", "_put_label")
@@ -189,22 +152,12 @@ class PriorityStore(Store):
     guarantee a total order.
     """
 
-    def __init__(self, engine: "Engine", capacity: float = math.inf, name: str = ""):
-        super().__init__(engine, capacity, name)
+    def __init__(self, engine: "Engine", name: str = ""):
+        super().__init__(engine, name)
         self.items: list = []
 
-    def _enqueue(self, item: object) -> None:
-        getter = self._pop_live_getter()
-        if getter is not None:
-            getter.succeed(item)
-        else:
-            heapq.heappush(self.items, item)
+    def _add(self, item: object) -> None:
+        heapq.heappush(self.items, item)
 
-    def get(self) -> Event:
-        event = Event(self.engine, self._get_label)
-        if self.items:
-            event._complete(heapq.heappop(self.items))
-            self._admit_waiting_putters()
-        else:
-            self._getters.append(event)
-        return event
+    def _take(self) -> object:
+        return heapq.heappop(self.items)

@@ -420,10 +420,6 @@ class OpenLoopInjector:
         start = None  # start of the open analytic window (None: none open)
         window_end = -math.inf
         tail_ns = 0.0  # latest analytically credited completion
-        # One recycled Timeout serves every sleep: rearm() re-schedules
-        # the dispatched object in place, so a million sleeps cost zero
-        # allocations (identical schedule entries and RNG draws).
-        gate = None
         while True:
             if remaining:
                 if scale is not None:
@@ -463,22 +459,14 @@ class OpenLoopInjector:
                         target = tail_ns if tail_ns > t else t
                     start = None
                     window_end = -math.inf
-                    if gate is None:
-                        gate = timeout(target - engine.now)
-                    else:
-                        gate.rearm(target - engine.now)
-                    yield gate
+                    yield timeout(target - engine.now)
                 if not remaining:
                     break
                 now = engine.now
                 window = self._fluid_window(now, arrive_at) if fluid else None
                 if window is None:
                     # -- zero-width window: dispatch to the real sink -----
-                    if gate is None:
-                        gate = timeout(arrive_at - now)
-                    else:
-                        gate.rearm(arrive_at - now)
-                    yield gate
+                    yield timeout(arrive_at - now)
                     remaining -= 1
                     t = now = engine.now
                     stats.offered += 1

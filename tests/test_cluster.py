@@ -92,33 +92,33 @@ def request_pool():
 
 def test_spread_policy_alternates_pods():
     _eng, dc = small_datacenter()
-    scheduler = ClusterScheduler(dc, policy="spread")
-    scheduler.deploy(echo_service(), rings=4)
-    pods = [decision.slot.pod_id for decision in scheduler.decisions]
+    scheduler = ClusterScheduler(dc)
+    deployments = scheduler.deploy(echo_service(), rings=4, policy="spread")
+    pods = [scheduler.slot_of(d).pod_id for d in deployments]
     assert pods == [0, 1, 0, 1]
 
 
 def test_pack_policy_fills_first_pod():
     _eng, dc = small_datacenter()
-    scheduler = ClusterScheduler(dc, policy="pack")
-    scheduler.deploy(echo_service(), rings=3)
-    slots = [(d.slot.pod_id, d.slot.ring_x) for d in scheduler.decisions]
-    assert slots == [(0, 0), (0, 1), (1, 0)]
+    scheduler = ClusterScheduler(dc)
+    deployments = scheduler.deploy(echo_service(), rings=3, policy="pack")
+    slots = [scheduler.slot_of(d) for d in deployments]
+    assert [(s.pod_id, s.ring_x) for s in slots] == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_spread_cursor_persists_across_deploy_calls():
     _eng, dc = small_datacenter()
-    scheduler = ClusterScheduler(dc, policy="spread")
-    scheduler.deploy(echo_service("a"), rings=1)
-    scheduler.deploy(echo_service("b"), rings=1)
+    scheduler = ClusterScheduler(dc)
+    (a,) = scheduler.deploy(echo_service("a"), rings=1, policy="spread")
+    (b,) = scheduler.deploy(echo_service("b"), rings=1, policy="spread")
     # Incremental scale-up must keep rotating pods, not restart at pod 0.
-    assert [d.slot.pod_id for d in scheduler.decisions] == [0, 1]
+    assert [scheduler.slot_of(d).pod_id for d in (a, b)] == [0, 1]
 
 
 def test_unknown_policy_rejected():
     _eng, dc = small_datacenter()
     with pytest.raises(ValueError):
-        ClusterScheduler(dc, policy="random")
+        ClusterScheduler(dc).deploy(echo_service(), policy="random")
 
 
 def test_capacity_exhaustion_raises():
@@ -358,13 +358,15 @@ def test_next_service_on_a_released_ring_skips_a_draining_slot():
     servers, so the next service on the ring collided with a
     predecessor's quarantine drain that still waited on slot 0."""
     eng, dc = small_datacenter(pods=1)
-    scheduler = ClusterScheduler(dc, policy="pack")
-    (first,) = scheduler.deploy(echo_service("first", role=LateEchoRole), rings=1)
+    scheduler = ClusterScheduler(dc)
+    (first,) = scheduler.deploy(
+        echo_service("first", role=LateEchoRole), rings=1, policy="pack"
+    )
     server = first.injection_servers()[0]
     timed_out = eng.process(first.submit(object(), server=server, timeout_ns=1 * SEC))
     assert eng.run_until(timed_out) is None and first.timeouts == 1
     slot = scheduler.release(first)
-    (second,) = scheduler.deploy(echo_service("second"), rings=1)
+    (second,) = scheduler.deploy(echo_service("second"), rings=1, policy="pack")
     assert scheduler.slot_of(second) == slot
     response = eng.run_until(eng.process(second.submit(object(), server=server)))
     assert response.payload == "scored"
@@ -582,15 +584,18 @@ def test_balancer_spreads_load_end_to_end(request_pool):
 
 def full_cluster_run(seed):
     eng, dc = small_datacenter(seed=seed)
-    scheduler = ClusterScheduler(dc, policy="spread")
-    deployments = scheduler.deploy(echo_service(), rings=4)
+    scheduler = ClusterScheduler(dc)
+    deployments = scheduler.deploy(echo_service(), rings=4, policy="spread")
     balancer = LoadBalancer(eng, deployments, policy="least_outstanding")
     pool = [object() for _ in range(8)]
     injector = OpenLoopInjector(
         eng, balancer, PoissonArrivals(150_000.0), pool, max_queue_depth=32
     )
     stats = eng.run_until(injector.run(120))
-    placements = [(d.service, d.slot.pod_id, d.slot.ring_x) for d in scheduler.decisions]
+    slots = [scheduler.slot_of(d) for d in deployments]
+    placements = [
+        (d.service.name, s.pod_id, s.ring_x) for d, s in zip(deployments, slots, strict=True)
+    ]
     return placements, stats
 
 
@@ -645,9 +650,9 @@ def repair_loop_run(seed):
         (t.slot, t.opened_ns, t.due_ns, t.closed_ns, t.outcome)
         for t in manager.repairs.tickets
     ]
+    slots = [manager.scheduler.slot_of(d) for d in handle.deployments]
     placements = [
-        (d.service, d.slot.pod_id, d.slot.ring_x)
-        for d in manager.scheduler.decisions
+        (d.service.name, s.pod_id, s.ring_x) for d, s in zip(handle.deployments, slots, strict=True)
     ]
     return tickets, placements
 
@@ -681,7 +686,7 @@ def test_ranking_cluster_integration():
     library = ModelLibrary.default(scale=0.1)
     scoring = ScoringEngine(library)
     handle = manager.apply(ranking_spec(scoring, replicas=2, placement="spread"))
-    assert [d.slot.pod_id for d in manager.scheduler.decisions] == [0, 1]
+    assert [manager.scheduler.slot_of(d).pod_id for d in handle.deployments] == [0, 1]
 
     generator = TraceGenerator(seed=23)
     pool = [generator.request() for _ in range(12)]

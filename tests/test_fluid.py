@@ -1,6 +1,6 @@
 """Fluid fast-forward: equivalence with the discrete path, transient
-handling, and the primitives that ride along (Timeout.rearm,
-ReservoirSample.merge_analytic)."""
+handling, and the primitive that rides along
+(ReservoirSample.merge_analytic)."""
 
 import math
 
@@ -62,7 +62,7 @@ class EchoCluster:
             server = self.servers[self._next]
             self._next = (self._next + 1) % len(self.servers)
             done = engine.event(name="echo-done")
-            yield server.queue.put((request, done))
+            server.queue.try_put((request, done))
             # On expiry the request resolves as a timeout (None).
             deadline = engine.deadlines.arm(timeout_ns, done.succeed, None)
             try:
@@ -415,58 +415,6 @@ def test_fluid_profile_validation():
         FluidProfile(servers=1)
     with pytest.raises(ValueError):
         FluidProfile(servers=1, service_ns=-1.0)
-
-
-# --- Timeout.rearm --------------------------------------------------------
-
-
-def test_rearm_reuses_one_timeout_across_sleeps():
-    engine = Engine(seed=0)
-    instants = []
-
-    def sleeper():
-        gate = engine.timeout(5.0)
-        yield gate
-        instants.append(engine.now)
-        for _ in range(3):
-            gate.rearm(7.0)
-            yield gate
-            instants.append(engine.now)
-
-    engine.process(sleeper())
-    engine.run()
-    assert instants == [5.0, 12.0, 19.0, 26.0]
-
-
-def test_rearm_of_pending_timeout_raises():
-    engine = Engine(seed=0)
-    gate = engine.timeout(5.0)
-    with pytest.raises(RuntimeError):
-        gate.rearm(1.0)  # still queued: rearming would resurrect it
-
-
-def test_rearm_of_pending_timeout_is_a_sanitizer_finding():
-    engine = Engine(seed=0, sanitize=True)
-    gate = engine.timeout(5.0)
-    with pytest.raises(RuntimeError):
-        gate.rearm(1.0)
-    assert any(
-        finding.kind == "rearm-resurrection"
-        for finding in engine.sanitizer.findings
-    )
-
-
-def test_rearm_rejects_negative_delay():
-    engine = Engine(seed=0)
-
-    def sleeper():
-        gate = engine.timeout(1.0)
-        yield gate
-        with pytest.raises(ValueError):
-            gate.rearm(-1.0)
-
-    engine.process(sleeper())
-    engine.run()
 
 
 # --- ReservoirSample.merge_analytic ---------------------------------------

@@ -17,7 +17,7 @@ from repro.ranking.ffe import BinOp, Const, Feature, FfeCompiler, assemble
 from repro.ranking.models import ModelLibrary
 from repro.ranking.scoring import BoostedTreeScorer, DecisionTree, TreeNode
 from repro.shell.router import Port
-from repro.sim import Engine, RngStreams, Store
+from repro.sim import Engine, Fifo, RngStreams
 from repro.sim.sanitizer import DEFAULT_TIE_SALT
 from repro.workloads import TraceGenerator
 
@@ -354,9 +354,10 @@ def test_compression_pack_preserves_values(slots, data):
     )
 )
 def test_store_multi_producer_conservation(batches):
-    """No loss, no duplication, per-producer FIFO order preserved."""
+    """No loss, no duplication, per-producer FIFO order preserved, with
+    producers blocked on a full FIFO."""
     eng = Engine()
-    store = Store(eng, capacity=3)
+    store = Fifo(eng, capacity=3)
     received = []
     total = sum(len(batch) for batch in batches)
 
@@ -366,9 +367,10 @@ def test_store_multi_producer_conservation(batches):
             yield eng.timeout(1.0)
 
     def consumer(eng, store):
-        for _ in range(total):
-            value = yield store.get()
-            received.append(value)
+        while len(received) < total:
+            yield eng.timeout(1.5)
+            while store.items:
+                received.append(store.try_get())
 
     for tag, batch in enumerate(batches):
         eng.process(producer(eng, store, tag, batch))

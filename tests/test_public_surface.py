@@ -53,8 +53,7 @@ KEEP = {
     "Router.queue_depth": "invariant reader: packets queued on a router port",
     "Resource.available": "invariant reader: free units of a resource",
     "Resource.queue_length": "invariant reader: requests waiting for a unit",
-    # Simulation kernel and operator API.
-    "Process.interrupt": "simulation kernel: throws Interrupt into a waiting process",
+    # Operator API.
     "Pod.release_all_rx_halts": "brings up a bare pod that no Mapping Manager configured",
     "ClusterManager.sweep": "operator call: one health sweep and reconcile (README)",
     "dump_cluster": "operator surface: the inverse of load_cluster",

@@ -11,7 +11,7 @@ move them.
 import pytest
 
 from repro.shell import Packet, PacketKind, Port, Role, ShellConfig
-from repro.sim import Engine, Fifo, Store, StoreFull
+from repro.sim import Engine, Fifo, StoreFull
 from tests.test_shell_integration import build_pair
 
 # A 1 KB packet reaches B's role 912 ns after it enters A's router
@@ -118,6 +118,27 @@ def test_a_replaced_role_sends_nothing_and_its_successor_serves_the_queue():
     assert shell_b.role.packets_handled == 2
 
 
+def test_a_replaced_role_s_timeout_does_not_hold_run_open():
+    """Replacing a role cancels the timeout its handler waits on and
+    demotes it to daemon work: a bare run() ends with the live work, not
+    at that timeout's instant with the shell's SEU scrubber ticking all
+    the way there."""
+    engine = Engine()
+    shell_a, shell_b = build_pair(engine)
+    log = []
+    shell_b.attach_role(LoggingRole("old", log, delay_ns=1e9))
+    start = engine.now
+
+    def scenario():
+        shell_a.router.submit(_request(0), Port.PCIE)
+        yield engine.timeout(5_912.0)
+        shell_b.attach_role(LoggingRole("new", log))
+
+    engine.process(scenario())
+    assert engine.run() - start == 5_912.0
+    assert log == [("start", "old", 0, start + 912.0)]
+
+
 class BurstRole(Role):
     """Answers one request with four responses to its own host, each
     ``send`` yielded in turn; logs the instant each put completes."""
@@ -208,15 +229,7 @@ def test_garbage_corrupts_a_role_exactly(busy, expected):
 
 # -- the bounded FIFO under the router and SL3 queues ------------------------------------
 
-FIFOS = [Store, Fifo]
-
-
-def _take(fifo):
-    """Dequeue at once, or None if empty: ``Fifo.try_get``, or a
-    ``Store.get`` with an item waiting, which is done when called."""
-    if isinstance(fifo, Fifo):
-        return fifo.try_get()
-    return fifo.get().value if fifo.items else None
+FIFOS = [Fifo]
 
 
 @pytest.mark.parametrize("fifo_class", FIFOS)
@@ -226,8 +239,8 @@ def test_a_put_with_room_is_done_at_once(fifo_class):
     put = fifo.put("a")
     assert put._dispatched
     assert len(fifo) == 1 and list(fifo.items) == ["a"]
-    assert _take(fifo) == "a"
-    assert _take(fifo) is None
+    assert fifo.try_get() == "a"
+    assert fifo.try_get() is None
     assert engine.queue_length == 0
 
 
@@ -242,7 +255,7 @@ def test_blocked_puts_succeed_on_the_try_get_that_makes_room_in_putter_order(fif
     woken = []
     second.add_callback(lambda _event: woken.append(("b", engine.now)))
     third.add_callback(lambda _event: woken.append(("c", engine.now)))
-    assert _take(fifo) == "a"
+    assert fifo.try_get() == "a"
     # Room for one: the first putter's item goes in and its event
     # succeeds now, to dispatch at this instant; the second still waits.
     assert second.triggered and not second._dispatched
@@ -250,7 +263,7 @@ def test_blocked_puts_succeed_on_the_try_get_that_makes_room_in_putter_order(fif
     assert list(fifo.items) == ["b"]
     engine.run()
     assert woken == [("b", 0.0)]
-    assert _take(fifo) == "b"
+    assert fifo.try_get() == "b"
     assert third.triggered and list(fifo.items) == ["c"]
     engine.run()
     assert woken == [("b", 0.0), ("c", 0.0)]
@@ -262,8 +275,8 @@ def test_a_cancelled_putter_s_item_is_dropped(fifo_class):
     fifo = fifo_class(engine, capacity=1, name="q")
     fifo.put("a")
     departed, waiting = fifo.put("b"), fifo.put("c")
-    departed.cancelled = True  # its process was killed or interrupted
-    assert _take(fifo) == "a"
+    departed.cancelled = True  # its process was killed
+    assert fifo.try_get() == "a"
     assert not departed.triggered
     assert waiting.triggered
     assert list(fifo.items) == ["c"]

@@ -7,7 +7,7 @@ replaced role's receive process once lost packets this way in ring
 rotation; the slot-lease pool is a ``Store`` with getters today).
 """
 
-from repro.sim import Engine, Interrupt, Resource, Store
+from repro.sim import Engine, Resource, Store
 
 
 def test_daemon_timeout_does_not_keep_run_alive():
@@ -75,39 +75,12 @@ def test_killed_getter_does_not_swallow_item():
         yield eng.timeout(1.0)
         survivor = eng.process(consumer(eng, store, "survivor"))
         yield eng.timeout(1.0)
-        yield store.put("payload")
+        store.try_put("payload")
         yield survivor
 
     eng.process(scenario(eng))
     eng.run()
     assert received == [("survivor", "payload")]
-
-
-def test_interrupted_getter_does_not_swallow_item():
-    eng = Engine()
-    store = Store(eng)
-    outcome = []
-
-    def consumer(eng, store):
-        try:
-            item = yield store.get()
-            outcome.append(("got", item))
-        except Interrupt:
-            outcome.append(("interrupted", eng.now))
-
-    victim = eng.process(consumer(eng, store))
-
-    def scenario(eng):
-        yield eng.timeout(5.0)
-        victim.interrupt()
-        yield eng.timeout(1.0)
-        yield store.put("x")  # must stay in the store
-        yield eng.timeout(1.0)
-
-    eng.process(scenario(eng))
-    eng.run()
-    assert outcome == [("interrupted", 5.0)]
-    assert list(store.items) == ["x"]
 
 
 def test_killed_resource_waiter_releases_cleanly():
@@ -138,26 +111,45 @@ def test_killed_resource_waiter_releases_cleanly():
     assert resource.available == 1  # unit returned despite dead waiter
 
 
-def test_interrupt_lost_when_wakeup_already_in_flight():
+def _sleep(eng, delay):
+    yield eng.timeout(delay)
+
+
+def _kill_at(eng, delay, victim):
+    yield eng.timeout(delay)
+    victim.kill()
+
+
+def test_a_killed_waiter_s_timeout_lets_run_end_amid_daemon_work():
+    """The abandoned timeout is demoted to daemon work when its waiter is
+    killed, so a bare run() ends at the kill, not at the timeout's
+    instant with the daemon ticking all the way there."""
     eng = Engine()
-    store = Store(eng)
-    outcome = []
 
-    def consumer(eng, store):
-        try:
-            item = yield store.get()
-            outcome.append(("got", item))
-        except Interrupt:  # pragma: no cover - should not happen
-            outcome.append(("interrupted", eng.now))
+    def ticker():
+        while True:
+            yield eng.timeout(1.0)
 
-    victim = eng.process(consumer(eng, store))
+    eng.process(ticker(), daemon=True)
+    eng.process(_kill_at(eng, 2.5, eng.process(_sleep(eng, 50.0))))
+    assert eng.run() == 2.5
+    # 3 starts, the ticks at 1.0 and 2.0, the killer's timeout, the kill.
+    assert eng.events_dispatched == 7
 
-    def scenario(eng):
-        yield eng.timeout(1.0)
-        store.try_put("x")  # triggers the get at t=1
-        victim.interrupt()  # same instant: wakeup already in flight
-        yield eng.timeout(1.0)
 
-    eng.process(scenario(eng))
-    eng.run()
-    assert outcome == [("got", "x")]
+def test_a_killed_waiter_s_timeout_does_not_run_a_disarmed_deadline():
+    """A disarmed deadline's timer is daemon work; a killed waiter's
+    timeout must not keep the run going until that timer's instant."""
+    eng = Engine()
+    victim = eng.process(_sleep(eng, 1000.0))
+    deadline = eng.deadlines.arm(100.0, lambda _arg: None, None)
+
+    def controller():
+        yield eng.timeout(10.0)
+        eng.deadlines.disarm(deadline)
+        victim.kill()
+
+    eng.process(controller())
+    assert eng.run() == 10.0
+    # 2 starts, the controller's timeout, the kill.
+    assert eng.events_dispatched == 4

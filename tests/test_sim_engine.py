@@ -5,7 +5,7 @@ import pytest
 from repro.sim import (
     AllOf,
     Engine,
-    Interrupt,
+    Fifo,
     PriorityStore,
     ProcessKilled,
     Resource,
@@ -215,39 +215,6 @@ def test_joined_process_exception_delivered_to_joiner():
     assert proc.value == "child crash"
 
 
-def test_interrupt_wakes_sleeping_process():
-    eng = Engine()
-
-    def sleeper(eng):
-        try:
-            yield eng.timeout(1000.0)
-            return "overslept"
-        except Interrupt as intr:
-            return ("interrupted", eng.now, intr.cause)
-
-    proc = eng.process(sleeper(eng))
-
-    def interrupter(eng, victim):
-        yield eng.timeout(5.0)
-        victim.interrupt(cause="wake up")
-
-    eng.process(interrupter(eng, proc))
-    eng.run()
-    assert proc.value == ("interrupted", 5.0, "wake up")
-
-
-def test_interrupt_on_finished_process_is_noop():
-    eng = Engine()
-
-    def body(eng):
-        yield eng.timeout(1.0)
-
-    proc = eng.process(body(eng))
-    eng.run()
-    proc.interrupt()  # must not raise
-    assert proc.triggered
-
-
 def test_kill_terminates_process():
     eng = Engine()
     progressed = []
@@ -275,11 +242,11 @@ def test_allof_waits_for_all():
         t1 = eng.timeout(3.0, value="a")
         t2 = eng.timeout(7.0, value="b")
         got = yield AllOf(eng, [t1, t2])
-        return (eng.now, sorted(got.values()))
+        return (eng.now, got, t1.value, t2.value)
 
     proc = eng.process(body(eng))
     eng.run()
-    assert proc.value == (7.0, ["a", "b"])
+    assert proc.value == (7.0, None, "a", "b")
 
 
 def test_allof_empty_succeeds_immediately():
@@ -287,11 +254,11 @@ def test_allof_empty_succeeds_immediately():
 
     def body(eng):
         got = yield AllOf(eng, [])
-        return dict(got)
+        return (eng.now, got)
 
     proc = eng.process(body(eng))
     eng.run()
-    assert proc.value == {}
+    assert proc.value == (0.0, None)
 
 
 def test_yield_non_event_is_error():
@@ -329,13 +296,14 @@ def _sleep(eng, delay):
 
 
 def test_kernel_counters_are_pinned():
-    """Timeouts, a kill, an interrupt, a rearmed gate and deadlines that
-    are armed, disarmed and expired, with the exact counters they leave.
+    """Timeouts, two kills, a daemon ticker and deadlines that are armed,
+    disarmed and expired, with the exact counters they leave.
 
-    A killed or interrupted waiter's timeout is dropped when the engine
-    reaches it: its callbacks never run, it is not counted as
-    dispatched, and, with no daemon work pending, it does not move the
-    end of a bare ``run()``."""
+    A killed waiter's timeout is cancelled and demoted to daemon work: it
+    is dropped when the engine reaches it, its callbacks never run, it is
+    not counted as dispatched, and it does not hold a bare ``run()``
+    open, so the daemon ticker stops with the last live work at 10.0
+    instead of ticking on to the napper's abandoned instant, 60.0."""
     eng = Engine()
     log = []
     abandoned = []
@@ -348,18 +316,20 @@ def test_kernel_counters_are_pinned():
         log.append("victim woke")
 
     def napper():
-        try:
-            yield eng.timeout(60.0)
-        except Interrupt:
-            log.append(("interrupted", eng.now))
+        yield eng.timeout(60.0)
+        log.append("napper woke")
 
     def ticker():
-        gate = eng.timeout(1.0)
-        yield gate
+        yield eng.timeout(1.0)
         for _ in range(2):
             log.append(("tick", eng.now))
-            yield gate.rearm(2.0)
+            yield eng.timeout(2.0)
         log.append(("tick", eng.now))
+
+    def daemon_ticker():
+        while True:
+            yield eng.timeout(3.0)
+            log.append(("daemon", eng.now))
 
     def controller(victim, napper):
         deadlines = eng.deadlines
@@ -369,24 +339,32 @@ def test_kernel_counters_are_pinned():
         yield eng.timeout(2.0)
         deadlines.disarm(disarmed)  # its timer, the head's, fires for nothing
         deadlines.disarm(far)  # never the head: it leaves no timer
-        napper.interrupt()
+        napper.kill()
         victim.kill()
         yield eng.timeout(8.0)
 
     eng.process(controller(eng.process(victim()), eng.process(napper())))
     eng.process(ticker())
     eng.process(_sleep(eng, 4.0))
+    eng.process(daemon_ticker(), daemon=True)
     assert eng.run() == 10.0
     assert log == [
         ("tick", 1.0),
-        ("interrupted", 2.0),
+        ("daemon", 3.0),  # armed at 0.0, before the tick's at 1.0
         ("tick", 3.0),
         ("tick", 5.0),
+        ("daemon", 6.0),
         "expired",
+        ("daemon", 9.0),
     ]
     assert not abandoned[0].triggered
-    assert (eng.events_dispatched, eng.events_dropped, eng.peak_queue_length) == (15, 2, 9)
-    assert eng.queue_length == 0
+    # Dispatched: 6 process starts; the controller's 2 timeouts, the
+    # ticker's 3 and the sleeper's 1; 3 daemon ticks; the 2 kills; the
+    # deadline timer at 3.0 (for the disarmed head) and at 8.0 (expiry).
+    # Dropped: none; the two abandoned timeouts (50.0, 60.0) and the
+    # daemon's tick at 12.0 are still queued when run() returns.
+    assert (eng.events_dispatched, eng.events_dropped, eng.peak_queue_length) == (19, 0, 10)
+    assert eng.queue_length == 3
 
 
 def _kill_at(eng, delay, victim):
@@ -618,7 +596,9 @@ def test_control_plane_calls_inside_a_running_engine_raise():
 
 def test_immediate_put_get_and_request_continue_in_the_same_resume():
     eng = Engine()
+    fifo = Fifo(eng, capacity=1)
     store = Store(eng)
+    store.try_put("a")
     heap = PriorityStore(eng)
     heap.try_put((2, "late"))
     heap.try_put((1, "early"))
@@ -629,8 +609,8 @@ def test_immediate_put_get_and_request_continue_in_the_same_resume():
     def body():
         yield eng.timeout(1.0)
         before = eng.events_dispatched
-        value = yield store.put("a")
-        order.append(("put", value))
+        yield fifo.put("a")
+        order.append(("put", fifo.try_get()))
         order.append(("get", (yield store.get())))
         order.append(("heap", (yield heap.get())))
         yield cpu.request()
@@ -679,17 +659,17 @@ def test_blocked_get_is_woken_by_exactly_one_dispatched_event():
 
 def test_blocked_put_is_woken_by_exactly_one_dispatched_event():
     eng = Engine()
-    store = Store(eng, capacity=1)
-    store.try_put("full")
+    fifo = Fifo(eng, capacity=1)
+    fifo.try_put("full")
     marks = {}
 
     def putter():
-        yield store.put("y")  # full: waits for room
+        yield fifo.put("y")  # full: waits for room
         marks["woken"] = (eng.now, eng.events_dispatched)
 
     def consumer():
         yield eng.timeout(5.0)
-        assert (yield store.get()) == "full"  # an item waits: done at once
+        assert fifo.try_get() == "full"  # makes room: succeeds the putter
         marks["got"] = eng.events_dispatched
 
     eng.process(putter())
@@ -698,7 +678,7 @@ def test_blocked_put_is_woken_by_exactly_one_dispatched_event():
     now, dispatched = marks["woken"]
     assert now == 5.0
     assert dispatched - marks["got"] == 1
-    assert list(store.items) == ["y"]
+    assert list(fifo.items) == ["y"]
 
 
 def test_long_run_of_immediate_gets_does_not_recurse():
@@ -744,6 +724,7 @@ def test_conditions_over_completed_children():
     store = Store(eng)
     store.try_put("a")
     store.try_put("b")
+    fifo = Fifo(eng, capacity=1)
     results = []
 
     def quick():
@@ -755,13 +736,14 @@ def test_conditions_over_completed_children():
     def body():
         yield eng.timeout(1.0)
         first, second = store.get(), store.get()
-        both = yield AllOf(eng, [first, second, finished])
-        results.append(sorted(str(value) for value in both.values()))
-        put = yield AllOf(eng, [store.put("c")])
-        results.append((eng.now, list(put.values())))
+        children = [first, second, finished]
+        both = yield AllOf(eng, children)
+        results.append((both, [child.value for child in children]))
+        put = yield AllOf(eng, [fifo.put("c")])
+        results.append((eng.now, put, list(fifo.items)))
 
     eng.run_until(eng.process(body()))
-    assert results == [["a", "b", "done"], (1.0, ["c"])]
+    assert results == [(None, ["a", "b", "done"]), (1.0, None, ["c"])]
 
 
 def test_immediate_handoffs_are_tie_break_stable():
@@ -775,7 +757,7 @@ def test_immediate_handoffs_are_tie_break_stable():
                 yield cpu.request()
                 yield eng.timeout(10.0)
                 cpu.release()
-                yield store.put((tag, index))
+                store.try_put((tag, index))
 
         def sink():
             for _ in range(10):

