@@ -47,7 +47,6 @@ def run_one(rings: int) -> dict:
         ranking_spec(
             scoring_engine,
             replicas=rings,
-            placement="spread",
             balancing="least_outstanding",
         )
     )

@@ -57,7 +57,6 @@ def main() -> None:
         ranking_spec(
             scoring_engine,
             replicas=3,
-            placement="spread",
             balancing="least_outstanding",
         )
     )

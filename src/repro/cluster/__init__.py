@@ -31,7 +31,7 @@ Mechanism
     :class:`Deployment`; a front-end :class:`LoadBalancer` dispatches
     requests across the deployed rings under pluggable policies.
     Replicas spanning several rings (``rings_per_replica``) are placed
-    as all-or-nothing gangs and chained into one request path by a
+    as all-or-nothing gangs and linked into one request path by a
     :class:`CompositeDeployment` (§2.3: services compose groups of
     FPGAs over the torus).  Open-loop traffic sources that drive the
     front end live in :mod:`repro.workloads.openloop`.
@@ -80,7 +80,6 @@ from repro.cluster.scheduler import (
     CapacityReport,
     ClusterScheduler,
     InsufficientClusterCapacity,
-    PLACEMENT_POLICIES,
     PlacementFailed,
     PodCapacity,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "LoadBalancer",
     "MetricsRegistry",
     "NoHealthyDeployment",
-    "PLACEMENT_POLICIES",
     "PRIORITIES",
     "PRIORITY_WEIGHT",
     "PlacementFailed",

@@ -7,10 +7,9 @@ cluster, ``kubectl apply``-style: a JSON document declares *every*
 service, :func:`diff_cluster` classifies it against a live
 :class:`~repro.cluster.manager.ClusterManager` (add / change / remove /
 no-op, with the changed fields named), and :func:`apply_cluster`
-converges the fabric — new services placed, changed declarations routed
-through the existing reconcile / upgrade / scale paths, removed
-services drained.  A dry run returns the diff without touching
-anything.
+converges the fabric — new services placed, changed declarations
+re-applied, removed services drained.  A dry run returns the diff
+without touching anything.
 
 Document format (version 1)::
 
@@ -171,8 +170,7 @@ def _fingerprint(spec: ServiceSpec) -> dict:
     equal directly (their role factories are distinct closures), so the
     diff compares canonical dictionaries instead — which also makes
     "the catalog shipped a new image for the same service name" visible
-    as a ``service_definition`` change, routed through the rolling
-    upgrade path.
+    as a ``service_definition`` change, which re-applying rolls out.
     """
     document = spec.to_dict()
     document["service_definition"] = spec.service.to_dict()
@@ -260,12 +258,10 @@ def apply_cluster(
 
     Apply order is removes, then changes, then adds (each sorted by
     name): draining first returns rings to the pool so grown or new
-    services can use them in the same pass.  Changed declarations keep
-    their existing convergence semantics — a new service *definition*
-    rolls through :meth:`ServiceHandle.upgrade` one replica at a time;
-    any other field change re-applies the spec, which routes replica
-    count through scale, ``rings_per_replica`` through reshape, and
-    policies through the balancer, exactly as the Python API would.
+    services can use them in the same pass.  A changed declaration is
+    re-applied (:meth:`ClusterManager.apply`), exactly as the Python
+    API would: one convergence pass scales, and rolls one replica at a
+    time onto a new shape or service *definition*.
     """
     diff = diff_cluster(manager, desired)
     result = ClusterApply(diff=diff, dry_run=dry_run)
@@ -273,14 +269,7 @@ def apply_cluster(
         return result
     for entry in diff.removes:
         manager.drain(manager.handles[entry.service])
-    for entry in diff.changes:
-        spec = desired[entry.service]
-        handle = manager.handles[entry.service]
-        if "service_definition" in entry.changed:
-            result.reports[entry.service] = handle.upgrade(spec)
-        else:
-            result.reports[entry.service] = manager.apply(spec).last_reconcile
-    for entry in diff.adds:
+    for entry in diff.changes + diff.adds:
         result.reports[entry.service] = manager.apply(
             desired[entry.service]
         ).last_reconcile

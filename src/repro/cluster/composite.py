@@ -4,7 +4,7 @@ The paper's ranking accelerator spans 8 FPGAs — exactly one torus ring —
 but §2.3 is explicit that the fabric composes *groups* of FPGAs into
 services, and larger accelerators would span multiple rings reached
 over the torus.  :class:`CompositeDeployment` is that shape: a gang of
-member :class:`~repro.cluster.deployment.Deployment` rings chained into
+member :class:`~repro.cluster.deployment.Deployment` rings linked into
 one request path.  A request enters member ring 0; each stage's
 response is forwarded as the request to the next member ring's head
 node; latency is measured end to end across the whole chain.
@@ -33,7 +33,7 @@ from repro.sim.units import SEC
 
 
 class CompositeDeployment:
-    """One service replica composed of several chained member rings.
+    """One service replica composed of several member rings in a chain.
 
     When the owning ``datacenter`` is supplied, each stage-to-stage
     handoff is charged the inter-pod cable-run latency for the pod

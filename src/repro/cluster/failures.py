@@ -63,7 +63,7 @@ class ClusterFailureInjector:
             # A failure is the canonical transient: hold the simulation
             # discrete through the dip so the rotation/reconcile/shed
             # dynamics are computed exactly, never analytically.
-            fluid.note_transient(f"failure:{kind.name}")
+            fluid.note_transient()
 
     @staticmethod
     def _assembly_for(pod: Pod, node: NodeId):

@@ -3,13 +3,10 @@
 In production, requests from the search front door fan out across many
 deployed ranking rings; the fabric itself only accelerates one ring's
 worth of work (§4).  :class:`LoadBalancer` models that front end: it
-picks a ring per request under a pluggable policy and aggregates
+picks a ring per request under a policy and aggregates
 throughput/latency across the whole service.
 
 Policies:
-
-``round_robin``
-    Cycle through healthy rings in placement order.
 
 ``least_outstanding``
     Send to the ring with the fewest in-flight requests — the classic
@@ -31,7 +28,7 @@ from repro.cluster.deployment import Deployment
 from repro.sim import Engine
 from repro.sim.units import SEC
 
-BALANCING_POLICIES = ("round_robin", "least_outstanding", "weighted_health")
+BALANCING_POLICIES = ("least_outstanding", "weighted_health")
 
 
 class NoHealthyDeployment(Exception):
@@ -39,7 +36,12 @@ class NoHealthyDeployment(Exception):
 
 
 class LoadBalancer:
-    """Dispatches single requests across a set of ring deployments."""
+    """Dispatches single requests across a set of ring deployments.
+
+    The set may be empty — a service before its first placement, or
+    after every ring died or drained; :meth:`pick` then raises
+    :class:`NoHealthyDeployment`.
+    """
 
     def __init__(
         self,
@@ -53,8 +55,6 @@ class LoadBalancer:
                 f"unknown balancing policy {policy!r}; "
                 f"choose from {BALANCING_POLICIES}"
             )
-        if not deployments:
-            raise ValueError("load balancer needs at least one deployment")
         self.engine = engine
         self.deployments = list(deployments)
         self.policy = policy
@@ -64,7 +64,6 @@ class LoadBalancer:
         self.dispatched = 0
         self.completed = 0
         self.timeouts = 0
-        self._rr_index = 0
         self._rng = engine.rng.stream(f"loadbalancer:{name}")
 
     # -- policy ----------------------------------------------------------------
@@ -79,19 +78,6 @@ class LoadBalancer:
         healthy = [d for d in self.deployments if d.health_weight() > 0.0]
         if not healthy:
             raise NoHealthyDeployment(f"{self.name}: no servable ring")
-        if self.policy == "round_robin":
-            for _ in range(len(self.deployments)):
-                candidate = self.deployments[self._rr_index % len(self.deployments)]
-                self._rr_index += 1
-                if candidate.health_weight() > 0.0:
-                    return candidate
-            # `healthy` is non-empty, so the full scan must have found a
-            # ring; falling through to weighted-random would let a policy
-            # bug masquerade as load balancing.
-            raise AssertionError(
-                f"{self.name}: round_robin scanned {len(self.deployments)} "
-                "rings without finding the healthy one"
-            )
         if self.policy == "least_outstanding":
             return min(healthy, key=lambda d: d.outstanding)
         weights = [d.health_weight() for d in healthy]

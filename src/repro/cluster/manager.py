@@ -25,8 +25,11 @@ manager also closes the *repair* half of the §3.5 loop: every cordon
 opens a :class:`~repro.cluster.repair.ServiceTicket`, the ticket's
 timer models the technician, and on expiry the slot's hardware is
 reset, the slot un-cordoned, and shortfall replicas re-placed — no
-operator call anywhere.  ``handle.upgrade(new_spec)`` rides the same
-machinery for rolling in-place upgrades.
+operator call anywhere.
+
+Every change to a service's replicas goes through one convergence pass
+(``_reconcile_one``): shed dead replicas, scale down, roll every stale
+replica (wrong shape or definition) one at a time, scale up.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import typing
 from collections import deque
 
-from repro.analysis import LatencyStats
+from repro.analysis import LatencyStats, ThroughputMeter
 from repro.cluster.composite import CompositeDeployment
 from repro.cluster.deployment import Deployment
 from repro.cluster.endpoint import ServiceEndpoint
@@ -169,9 +172,9 @@ class ReconcileAction:
     """One convergence step: what the manager did and where."""
 
     service: str
-    # release_unservable | release_gang_member | reshape | place |
-    # replace | scale_down | cordon | shortfall | upgrade_release |
-    # upgrade_place
+    # release_unservable | release_gang_member | scale_down | reshape |
+    # replace | upgrade_release | upgrade_place | place | cordon |
+    # preempt | shortfall
     kind: str
     slot: RingSlot | None = None
     detail: str = ""
@@ -209,10 +212,12 @@ class ServiceHandle:
         self.spec = spec
         self.balancer = balancer
         self.retired: list[Deployment] = []  # released replicas (post-mortem)
+        self._drain_ns = spec.request_timeout_ns  # a rolled replica's drain
         self.active = True
         self._watchdog = None
         self._watchdog_ticks = None  # fluid window bound while sweeping
-        self._last_report: ReconcileReport | None = None
+        # The most recent convergence pass covering THIS service.
+        self.last_reconcile: ReconcileReport | None = None
 
     @property
     def name(self) -> str:
@@ -228,8 +233,7 @@ class ServiceHandle:
         """Declare a new replica count and converge onto it."""
         if not self.active:
             raise RuntimeError(f"service {self.name!r} has been drained")
-        self.manager.apply(self.spec.with_replicas(replicas))
-        return self.last_reconcile
+        return self.manager.apply(self.spec.with_replicas(replicas)).last_reconcile
 
     def reconcile(self) -> ReconcileReport:
         if not self.active:
@@ -242,13 +246,6 @@ class ServiceHandle:
 
     def status(self) -> ServiceStatus:
         return self.manager.status_of(self)
-
-    @property
-    def last_reconcile(self) -> ReconcileReport:
-        """The most recent reconciliation pass covering THIS service."""
-        if self._last_report is not None:
-            return self._last_report
-        return ReconcileReport(at_ns=self.manager.engine.now, actions=())
 
     # -- health watchdog -------------------------------------------------------
 
@@ -376,60 +373,73 @@ class ClusterManager:
     def apply(self, spec: "ServiceSpec") -> ServiceHandle:
         """Converge the cluster onto ``spec``; returns the handle.
 
-        First apply places ``spec.replicas`` rings and builds the front
-        end.  Re-applying a spec for the same service updates the
-        declaration in place — replica count and balancing policy take
-        effect immediately via reconciliation; the placement policy
-        governs future placements.  Top-level only.
+        The one verb for every declaration change.  First apply places
+        ``spec.replicas`` replicas and opens the front end.  Re-applying
+        a spec for the same service updates the declaration in place
+        and runs one convergence pass: replica count, shape, balancing
+        policy and definition all take effect, a new definition by
+        rolling every replica onto it (:meth:`upgrade`).  A definition
+        canonically equal to the live one (``to_dict()``; the
+        cluster-file path rebuilds its catalog on every load) is the
+        live one and rolls nothing.  Top-level only.
         """
         return self.engine.drive(self._apply(spec))
 
-    def _apply(self, spec: "ServiceSpec") -> collections.abc.Generator:
+    def _apply(
+        self, spec: "ServiceSpec", upgrading: ServiceHandle | None = None
+    ) -> collections.abc.Generator:
+        """:meth:`apply` as a generator; with ``upgrading``, the checks
+        of :meth:`upgrade` first, and the definition taken as given."""
         yield from self._lock.acquire()
         try:
-            existing = self.handles.get(spec.name)
-            if existing is not None and existing.active:
-                if (
-                    existing.spec.service is not spec.service
-                    # Independently built but identical definitions (the
-                    # declarative path rebuilds catalogs) are the same
-                    # declaration; compare by canonical form, since role
-                    # factories are distinct closures on every build.
-                    and existing.spec.service.to_dict() != spec.service.to_dict()
-                ):
+            if upgrading is not None:
+                if not upgrading.active:
+                    raise RuntimeError(f"service {upgrading.name!r} has been drained")
+                if self.handles.get(upgrading.name) is not upgrading:
+                    raise ValueError(f"{upgrading.name!r} is not managed by this manager")
+                if spec.name != upgrading.name:
                     raise ValueError(
-                        f"service {spec.name!r} is already applied with a "
-                        "different ServiceDefinition; use "
-                        "handle.upgrade(new_spec) for a rolling in-place "
-                        "upgrade, or drain the old handle first"
+                        f"an upgrade keeps the service name: handle is "
+                        f"{upgrading.name!r}, new spec is {spec.name!r} "
+                        "(declare a differently named spec with apply())"
                     )
-                existing.spec = spec
-                existing.balancer.policy = spec.balancing
-                actions = yield from self._converge([existing])
-                self._record("reconcile", actions, [existing])
-                return existing
-            deployments: list[Deployment] = []
-            actions = []
-            while len(deployments) < spec.replicas:
-                placed, place_actions = yield from self._place_one(spec, kind="place")
-                actions.extend(place_actions)
-                if placed is None:
-                    break
-                deployments.append(placed)
-            actions.extend((yield from self._drain_preempted()))
-            if not deployments:
-                raise InsufficientClusterCapacity(
-                    f"no servable ring for service {spec.name!r}"
-                )
-            balancer = LoadBalancer(
-                self.engine, deployments, policy=spec.balancing, name=spec.name
-            )
-            handle = ServiceHandle(self, spec, balancer)
-            self.handles[spec.name] = handle
-            self._record(f"apply:{spec.name}", actions, [handle])
+            handle = self.handles.get(spec.name)
+            first = handle is None
+            if first:
+                balancer = LoadBalancer(self.engine, [], policy=spec.balancing, name=spec.name)
+                handle = ServiceHandle(self, spec, balancer)
+            else:
+                # A canonically equal rebuild is the live definition:
+                # keep the live object, so no replica reads as stale.
+                live = handle.spec.service
+                if (
+                    upgrading is None
+                    and spec.service is not live
+                    and spec.service.to_dict() == live.to_dict()
+                ):
+                    spec = dataclasses.replace(spec, service=live)
+                # Requests dispatched before the change carry the old
+                # timeout, later ones the new: a roll's drain honours
+                # the longer, or legitimately slow requests divert.
+                handle._drain_ns = max(handle.spec.request_timeout_ns, spec.request_timeout_ns)
+                handle.spec = spec
+                handle.balancer.policy = spec.balancing
+            actions = yield from self._converge([handle])
+            if first:
+                # Registered only once placed, so the endpoint never
+                # sees a half-placed service.
+                if not handle.deployments:
+                    raise InsufficientClusterCapacity(
+                        f"no servable ring for service {spec.name!r}"
+                    )
+                # The service's rates count from the instant it is live.
+                handle.balancer.meter = ThroughputMeter(self.engine)
+                self.handles[spec.name] = handle
+            self._record(actions, [handle])
         finally:
             self._lock.release()
-        self.start_watchdog(handle)
+        if first:
+            self._start_watchdog(handle)
         return handle
 
     def drain(self, handle: ServiceHandle) -> list[RingSlot]:
@@ -471,16 +481,16 @@ class ClusterManager:
     # -- reconciliation --------------------------------------------------------
 
     def reconcile(self, handle: ServiceHandle | None = None) -> ReconcileReport:
-        """One convergence pass: shed dead rings, restore replica count.
+        """One convergence pass (:meth:`_reconcile_one`) over ``handle``,
+        or over every service.
 
         A ring is dead when its health weight is zero — failures
         exhausted its spares (the Mapping Manager marked the assignment
         unservable).  Dead rings are released and their slots cordoned
         (the hardware needs manual service); replacements are placed on
-        free slots under the spec's placement policy.  When the
-        datacenter runs out of free rings the shortfall is recorded and
-        the service keeps running degraded.  Top-level only; waits for
-        an in-flight pass first.
+        free slots.  When the datacenter runs out of free rings the
+        shortfall is recorded and the service keeps running degraded.
+        Top-level only; waits for an in-flight pass first.
         """
         return self.engine.drive(self._reconcile(handle))
 
@@ -494,7 +504,7 @@ class ClusterManager:
         try:
             handles = [handle] if handle is not None else list(self.handles.values())
             actions = yield from self._converge(handles)
-            return self._record("reconcile", actions, handles)
+            return self._record(actions, handles)
         finally:
             self._reacting = False
             self._lock.release()
@@ -509,17 +519,15 @@ class ClusterManager:
         actions.extend((yield from self._drain_preempted()))
         return actions
 
-    def _record(
-        self, label: str, actions: list, handles: list[ServiceHandle]
-    ) -> ReconcileReport:
+    def _record(self, actions: list, handles: list[ServiceHandle]) -> ReconcileReport:
         """Log one pass's report; tell the fluid coordinator if the pass
         changed state (a healthy watchdog tick must not hold fluid off)."""
         if actions and self.engine.fluid is not None:
-            self.engine.fluid.note_transient(label)
+            self.engine.fluid.note_transient()
         report = ReconcileReport(at_ns=self.engine.now, actions=tuple(actions))
         self.reconcile_reports.append(report)
         for one in handles:
-            one._last_report = report
+            one.last_reconcile = report
         return report
 
     def _on_repaired(self, ticket: ServiceTicket) -> None:
@@ -538,7 +546,14 @@ class ClusterManager:
             )
 
     def _reconcile_one(self, handle: ServiceHandle) -> collections.abc.Generator:
-        """Converge one service (a generator); returns the actions."""
+        """Converge one service (a generator); returns the actions.
+
+        The only code that changes a service's replicas: first apply,
+        re-apply, upgrade, watchdog, sweep and repair passes all run it.
+        It sheds dead replicas, scales down, rolls stale ones and scales
+        up, in that order; a first apply (a handle not yet registered)
+        has nothing to shed or roll and places with kind ``place``.
+        """
         actions: list[ReconcileAction] = []
         spec = handle.spec
         balancer = handle.balancer
@@ -577,29 +592,26 @@ class ClusterManager:
                 actions.append(ReconcileAction(spec.name, "scale_down", slot))
             balancer.deployments.remove(victim)
             handle.retired.append(victim)
-        # 3. Reshape replicas whose member count no longer matches the
-        # declaration (``rings_per_replica`` changed on re-apply) — one
-        # at a time via the shared roll step (drain, release,
-        # re-place), with a capacity pre-flight so a new shape that
+        # 3. Roll every stale replica onto the declaration: one whose
+        # member count differs from ``rings_per_replica`` (a reshape) or
+        # whose definition is not the live one (an upgrade).  One at a
+        # time, each with a capacity pre-flight, so a declaration that
         # cannot be placed degrades the service by at most one replica
-        # instead of taking every healthy old-shape replica dark.
+        # instead of taking every healthy replica dark.  A roll cut
+        # short by capacity resumes in the next pass.
         for replica in list(balancer.deployments):
-            if len(self._member_rings(replica)) == spec.rings_per_replica:
+            if (
+                replica.service is spec.service
+                and len(self._member_rings(replica)) == spec.rings_per_replica
+            ):
                 continue
-            outcome = yield from self._roll_one(
-                handle,
-                replica,
-                verb="reshape",
-                kind_release="reshape",
-                kind_place="replace",
-                bound_ns=spec.request_timeout_ns,
-                actions=actions,
-            )
+            outcome = yield from self._roll_one(handle, replica, actions)
             if outcome == "capacity":
                 break  # capacity raced away; step 4 records the rest
         # 4. Scale up / replace until the declared count is restored.
+        kind = "replace" if self.handles.get(spec.name) is handle else "place"
         while len(balancer.deployments) < spec.replicas:
-            placed, place_actions = yield from self._place_one(spec, kind="replace")
+            placed, place_actions = yield from self._place_one(spec, kind=kind)
             actions.extend(place_actions)
             if placed is None:
                 break
@@ -607,28 +619,26 @@ class ClusterManager:
         return actions
 
     def _roll_one(
-        self,
-        handle: ServiceHandle,
-        replica,
-        verb: str,
-        kind_release: str,
-        kind_place: str,
-        bound_ns: float,
-        actions: list,
+        self, handle: ServiceHandle, replica, actions: list
     ) -> collections.abc.Generator:
-        """One rolling step shared by reshape and upgrade (a generator):
-        drain a replica out of rotation, release its rings, re-place at
-        the live spec's shape.
+        """One rolling step (a generator): drain a replica out of
+        rotation, release its rings, re-place it under the live spec —
+        ``upgrade_release``/``upgrade_place`` when its definition
+        changed, ``reshape``/``replace`` when only its shape did.
 
         Returns ``"kept"`` when the capacity pre-flight shows the new
         shape cannot possibly fit even reusing this replica's own slots
         (the old replica stays serving, a shortfall is recorded),
         ``"rolled"`` on success, and ``"capacity"`` when placement
         failed *after* the release (the caller should stop rolling
-        further healthy replicas; the scale-up pass records the delta).
+        further healthy replicas; the scale-up step records the delta).
         """
         spec = handle.spec
         balancer = handle.balancer
+        if replica.service is spec.service:
+            verb, kind_release, kind_place = "reshape", "reshape", "replace"
+        else:
+            verb, kind_release, kind_place = "upgrade", "upgrade_release", "upgrade_place"
         members = self._member_rings(replica)
         free = len(self.scheduler.free_slots())
         if free + len(members) < spec.rings_per_replica:
@@ -650,12 +660,10 @@ class ClusterManager:
         # are released (bounded — a dead ring's stragglers resolve as
         # timeouts and divert on release, the §3.2 behavior).
         balancer.deployments.remove(replica)
-        yield from self._quiesce(replica, bound_ns=bound_ns)
+        yield from self._quiesce(replica, bound_ns=handle._drain_ns)
         for slot in self._release_replica(replica):
             actions.append(ReconcileAction(spec.name, kind_release, slot))
         handle.retired.append(replica)
-        if len(balancer.deployments) >= spec.replicas:
-            return "rolled"  # rolling past a scale-down: nothing to place
         placed, place_actions = yield from self._place_one(spec, kind=kind_place)
         actions.extend(place_actions)
         if placed is None:
@@ -681,8 +689,6 @@ class ClusterManager:
                     spec.rings_per_replica,
                     adapter=spec.adapter,
                     slots_per_server=spec.slots_per_server,
-                    policy=spec.placement,
-                    chained=True,
                     fraction=spec.regions,
                     priority=spec.priority,
                 )
@@ -797,76 +803,15 @@ class ClusterManager:
         a time — the paper's headline reconfigurability scenario: the
         same machines, a new accelerator, no service-wide downtime.
 
-        Each rolling step takes one replica (a single ring or a whole
-        gang) out of the front-end rotation, waits for its in-flight
-        requests to drain (bounded by the old request timeout — a dead
-        ring's stragglers resolve as timeouts), releases its rings, and
-        re-places a replacement under the new declaration — new
-        :class:`~repro.services.mapping_manager.ServiceDefinition`,
-        placement policy, shape, and slot count all honoured, since
-        re-placement is the ordinary placement path.  The remaining
-        replicas keep serving throughout, so offered traffic sees a
-        capacity dip of one replica, never an outage (provided the
-        service declares more than one replica).
-
-        Unlike ``apply()``, which refuses a changed
-        ``ServiceDefinition``, this is the intended way to ship a new
-        image fleet-wide.  Returns the reconcile report covering the
-        whole roll.  If capacity runs out mid-roll (``shortfall``
-        actions in the report), the replicas not yet rolled keep
-        serving the *old* definition — re-run ``upgrade`` once capacity
-        returns (e.g. after a repair ticket closes) to finish the roll.
+        :meth:`apply`'s pass, after checks (the handle is live, managed
+        here, and keeps its name), with the definition taken as given:
+        every replica not running ``new_spec.service`` itself rolls, even
+        onto a canonically equal definition (a new role factory is
+        invisible to ``to_dict()``).  Returns the report of the roll.  A
+        roll cut short by capacity (``shortfall`` actions) is finished by
+        the next pass that finds room (a watchdog tick, a repair).
         """
-        return self.engine.drive(self._upgrade(handle, new_spec))
-
-    def _upgrade(
-        self, handle: ServiceHandle, new_spec: "ServiceSpec"
-    ) -> collections.abc.Generator:
-        yield from self._lock.acquire()
-        try:
-            if not handle.active:
-                raise RuntimeError(f"service {handle.name!r} has been drained")
-            if self.handles.get(handle.name) is not handle:
-                raise ValueError(f"{handle.name!r} is not managed by this manager")
-            if new_spec.name != handle.name:
-                raise ValueError(
-                    f"an upgrade keeps the service name: handle is "
-                    f"{handle.name!r}, new spec is {new_spec.name!r} "
-                    "(declare a differently named spec with apply())"
-                )
-            # In-flight requests dispatched before the roll carry the OLD
-            # spec's timeout; those dispatched during it carry the new
-            # one.  The drain bound must honour whichever is longer, or
-            # requests with a legitimately longer budget are spuriously
-            # diverted.
-            drain_bound_ns = max(
-                handle.spec.request_timeout_ns, new_spec.request_timeout_ns
-            )
-            handle.spec = new_spec
-            handle.balancer.policy = new_spec.balancing
-            actions: list[ReconcileAction] = []
-            for replica in list(handle.balancer.deployments):
-                outcome = yield from self._roll_one(
-                    handle,
-                    replica,
-                    verb="upgrade",
-                    kind_release="upgrade_release",
-                    kind_place="upgrade_place",
-                    bound_ns=drain_bound_ns,
-                    actions=actions,
-                )
-                if outcome == "capacity":
-                    # Capacity raced away mid-roll (e.g. configure
-                    # failures cordoned the freed slots): stop releasing
-                    # healthy old replicas; the final pass records the
-                    # remaining delta.
-                    break
-            # Converge any remaining delta: scale-up past the old replica
-            # count, or shortfall bookkeeping if capacity ran out mid-roll.
-            actions.extend((yield from self._converge([handle])))
-            return self._record(f"upgrade:{handle.name}", actions, [handle])
-        finally:
-            self._lock.release()
+        return self.engine.drive(self._apply(new_spec, upgrading=handle)).last_reconcile
 
     def _quiesce(
         self, replica, bound_ns: float, poll_ns: float = 50 * US
@@ -882,7 +827,7 @@ class ClusterManager:
 
     # -- health watchdog -------------------------------------------------------
 
-    def start_watchdog(self, handle: ServiceHandle) -> None:
+    def _start_watchdog(self, handle: ServiceHandle) -> None:
         """Periodic sweep-then-reconcile for one service.
 
         In production the Health Monitor "is invoked when there is a
@@ -893,9 +838,6 @@ class ClusterManager:
         rotations) and reconciles afterwards so exhausted rings are
         replaced without an operator in the loop.
         """
-        if handle._watchdog is not None and handle._watchdog.is_alive:
-            raise RuntimeError(f"watchdog for {handle.name!r} already running")
-
         def body() -> collections.abc.Generator:
             while handle.active:
                 # Read the period from the live spec each cycle so a

@@ -208,7 +208,7 @@ class RepairQueue:
         ticket.closed_ns = self.engine.now
         ticket.outcome = "repaired"
         if self.engine.fluid is not None:
-            self.engine.fluid.note_transient("repair")
+            self.engine.fluid.note_transient()
         ticket.components_serviced = self.datacenter.service_ring(ticket.slot)
         # Serviced boards return with good hardware and empty staging
         # DRAM: lift every cordon on the ring, drop its cached images.

@@ -5,21 +5,14 @@ The production deployment (§2.3) ran one service over 1,632 machines —
 resource view as one ledger of region claims per ring
 (:mod:`repro.cluster.tenancy`): a whole ring, a gang member and a
 tenant each hold one claim, and a cordon holds bad nodes out.  It
-places new :class:`ServiceDefinition` instances under a placement
-policy, and accounts for capacity and spares so operators can ask "how
-many more rings can this datacenter absorb?".
+places new :class:`ServiceDefinition` instances, and accounts for
+capacity and spares so operators can ask "how many more rings can this
+datacenter absorb?".
 
-Placement policies:
-
-``spread``
-    Round-robin across pods — each successive ring lands in the next
-    pod with a free slot.  Spreads a service's blast radius across
-    power domains and top-of-rack switches (each pod has its own PDU
-    and TOR, §2.2).
-
-``pack``
-    Fill a pod's rings before opening the next pod.  Minimises the
-    number of pods that must be built/powered for small services.
+Whole rings are *spread*: round-robin across pods, each successive ring
+in the next pod with a free one.  That spreads a service's blast radius
+across power domains and top-of-rack switches (each pod has its own PDU
+and TOR, §2.2); a gang's consecutive members land on neighbouring pods.
 """
 
 from __future__ import annotations
@@ -46,9 +39,6 @@ from repro.services.mapping_manager import (
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.bitstream_cache import BitstreamCache
     from repro.cluster.repair import RepairQueue
-
-PLACEMENT_POLICIES = ("spread", "pack")
-
 
 class InsufficientClusterCapacity(Exception):
     """More rings requested than the datacenter has free."""
@@ -347,39 +337,21 @@ class ClusterScheduler:
 
     # -- placement -------------------------------------------------------------
 
-    def _choose_gang(
-        self, count: int, policy: str, chained: bool = True
-    ) -> list[RingSlot]:
-        """Choose ``count`` free rings under ``policy``.
+    def _choose_gang(self, count: int) -> list[RingSlot]:
+        """Choose ``count`` free rings, spread across pods.
 
-        By default the rings compose ONE replica (a gang): they are
-        chained into one request path, so consecutive members should sit
-        on pods that are close on the datacenter's inter-pod loop
-        (:meth:`~repro.fabric.datacenter.Datacenter.pod_distance`):
-
-        ``pack``
-            Span the fewest pods (ideally one), breaking ties by the
-            shortest chained inter-pod path — minimises the cable runs
-            a request crosses between stages.  Independent replicas
-            (``chained=False``), where only pod diversity matters, take
-            the first free rings in pod-major order instead — what
-            ``count`` successive one-ring picks give.
-
-        ``spread``
-            One ring per pod where capacity allows, on *consecutive*
-            pods of the loop starting at the round-robin cursor: blast
-            radius still spans power domains, but each stage-to-stage
-            hop crosses a single inter-pod run.  Successive calls keep
-            rotating across pods instead of restarting at pod 0.
+        One ring per pod where capacity allows, on *consecutive* pods of
+        the datacenter's inter-pod loop starting at the round-robin
+        cursor: a service's blast radius spans power domains, and when
+        the rings compose one replica (a gang linked into one request
+        path) each stage-to-stage hop crosses a single inter-pod run
+        (:meth:`~repro.fabric.datacenter.Datacenter.pod_distance`).
+        Successive calls keep rotating across pods instead of
+        restarting at pod 0.
 
         Raises :class:`InsufficientClusterCapacity` if fewer than
         ``count`` rings are free datacenter-wide.
         """
-        if policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {policy!r}; "
-                f"choose from {PLACEMENT_POLICIES}"
-            )
         free = self.free_slots()
         if len(free) < count:
             raise InsufficientClusterCapacity(
@@ -390,34 +362,6 @@ class ClusterScheduler:
         for slot in free:
             by_pod.setdefault(slot.pod_id, []).append(slot)
         num_pods = self.datacenter.num_pods
-        if policy == "pack" and not chained:
-            ordered = [slot for pod_id in sorted(by_pod) for slot in by_pod[pod_id]]
-            return ordered[:count]
-        if policy == "pack":
-            best: tuple | None = None
-            for start in range(num_pods):
-                window: list[RingSlot] = []
-                pods_used = 0
-                for step in range(num_pods):
-                    queue = by_pod.get((start + step) % num_pods, [])
-                    take = min(len(queue), count - len(window))
-                    if take:
-                        window.extend(queue[:take])
-                        pods_used += 1
-                    if len(window) == count:
-                        break
-                if len(window) < count:
-                    continue
-                cost = sum(
-                    self.datacenter.pod_distance(a.pod_id, b.pod_id)
-                    for a, b in zip(window, window[1:], strict=False)
-                )
-                key = (pods_used, cost, start)
-                if best is None or key < best[:3]:
-                    best = (*key, window)
-            assert best is not None  # len(free) >= count guarantees a window
-            return best[3]
-        # spread
         chosen: list[RingSlot] = []
         start = self._next_pod_id % num_pods
         while len(chosen) < count:
@@ -442,8 +386,6 @@ class ClusterScheduler:
         rings: int = 1,
         adapter: RequestAdapter | None = None,
         slots_per_server: int = 48,
-        policy: str = "spread",
-        chained: bool = False,
         fraction: float | None = None,
         priority: str = "batch",
     ) -> collections.abc.Generator:
@@ -456,9 +398,8 @@ class ClusterScheduler:
         used rings, in slot order, take claims first — one per service
         per ring, so a service's replicas land on different rings; a
         whole ring never fits one.  The rest open fresh rings: whole
-        rings under ``policy``, ``chained`` when they compose one
-        replica (a gang, see :meth:`_choose_gang`); tenants the first
-        free rings in slot order.  Every deployment shares its pod's
+        rings spread across pods (:meth:`_choose_gang`); tenants the
+        first free rings in slot order.  Every deployment shares its pod's
         mapping manager, so failure handling sees every assignment.
 
         Raises :class:`InsufficientClusterCapacity` when the claims do
@@ -479,7 +420,7 @@ class ClusterScheduler:
         ][:rings]
         missing = rings - len(chosen)
         if whole:
-            chosen += self._choose_gang(missing, policy, chained)
+            chosen += self._choose_gang(missing)
         else:
             free = self.free_slots()
             if len(free) < missing:

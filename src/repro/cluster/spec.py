@@ -6,8 +6,8 @@ and Health Monitor keep 1,632 machines serving through failures (§2.3,
 they declare what the service should look like and management software
 converges the fleet onto it.  :class:`ServiceSpec` is that declaration:
 a frozen description of the desired state — which service, how many
-ring replicas, under which placement and balancing policies, with what
-dispatch limits and health-watchdog cadence.  The
+ring replicas, under which balancing policy, with what dispatch limits
+and health-watchdog cadence.  The
 :class:`~repro.cluster.manager.ClusterManager` consumes it via
 ``apply(spec)`` and owns every mechanism underneath.
 """
@@ -19,7 +19,6 @@ import dataclasses
 
 from repro.cluster.deployment import RequestAdapter
 from repro.cluster.load_balancer import BALANCING_POLICIES
-from repro.cluster.scheduler import PLACEMENT_POLICIES
 from repro.cluster.tenancy import PRIORITIES
 from repro.services.mapping_manager import ServiceDefinition
 from repro.sim.units import SEC
@@ -38,16 +37,16 @@ class ServiceSpec:
         Rings composing ONE replica.  The default (1) is the paper's
         ranking shape — one service instance per 8-FPGA ring; larger
         accelerators span multiple rings reached over the torus (§2.3),
-        so each replica becomes a gang of rings chained into one request
+        so each replica becomes a gang of rings linked into one request
         path (a :class:`~repro.cluster.composite.CompositeDeployment`).
         Gangs are placed all-or-nothing and fail as a unit: a member
         ring exhausting its spares makes the whole replica unservable,
         and reconciliation re-places the full gang.
 
-    ``placement`` / ``balancing``
-        Policies for the scheduler (``spread`` / ``pack``) and the
-        front-end balancer (``round_robin`` / ``least_outstanding`` /
-        ``weighted_health``).
+    ``balancing``
+        The front-end balancer's policy (``least_outstanding`` /
+        ``weighted_health``).  Placement has one policy: whole rings
+        spread across pods (:mod:`repro.cluster.scheduler`).
 
     ``adapter``
         Translates generic dispatch into service-specific wire traffic;
@@ -76,7 +75,6 @@ class ServiceSpec:
     service: ServiceDefinition
     replicas: int = 1
     rings_per_replica: int = 1
-    placement: str = "spread"
     balancing: str = "least_outstanding"
     adapter: RequestAdapter | None = None
     slots_per_server: int = 48
@@ -107,11 +105,6 @@ class ServiceSpec:
                     f"rings_per_replica={self.rings_per_replica} cannot "
                     "also declare regions"
                 )
-        if self.placement not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; "
-                f"choose from {PLACEMENT_POLICIES}"
-            )
         if self.balancing not in BALANCING_POLICIES:
             raise ValueError(
                 f"unknown balancing policy {self.balancing!r}; "
@@ -155,7 +148,6 @@ class ServiceSpec:
             "service": self.service.name,
             "replicas": self.replicas,
             "rings_per_replica": self.rings_per_replica,
-            "placement": self.placement,
             "balancing": self.balancing,
             "adapter": (
                 type(self.adapter).__name__ if self.adapter is not None else None

@@ -148,9 +148,9 @@ def ranking_spec(
     """The :class:`ServiceSpec` declaring the ranking service.
 
     Pairs :func:`ranking_service` with :class:`RankingRequestAdapter`;
-    ``spec_fields`` are the spec's own (``replicas``, ``placement``,
-    ``balancing``, ``health_period_ns``, ...).  The scoring engine is
-    shared by every replica, so callers warm their request pools on it.
+    ``spec_fields`` are the spec's own (``replicas``, ``balancing``,
+    ``health_period_ns``, ...).  The scoring engine is shared by every
+    replica, so callers warm their request pools on it.
     """
     return ServiceSpec(
         service=ranking_service(scoring_engine, qm_policy),

@@ -43,7 +43,7 @@ class RolePort:
 
     The port starts on one ``start`` event at the instant it is built,
     and :meth:`close` stops it: the running handler is closed and the
-    event it waits on is cancelled.
+    port leaves the event it waits on.
     """
 
     __slots__ = ("role", "source", "_handler", "_waiting_on")
@@ -110,15 +110,11 @@ class RolePort:
 
     def close(self) -> None:
         """Stop serving (the role is being replaced): close the handler
-        and cancel the event it waits on, as ``Process.kill`` does, so no
-        FIFO or timer hands it more work and a queued timeout no longer
-        holds a bare ``run()`` open; a stale wake-up finds the port
-        closed."""
-        waiting_on = self._waiting_on
-        if waiting_on is not None and not waiting_on.triggered:
-            waiting_on.cancelled = True
-            if waiting_on._scheduled:
-                waiting_on.engine.mark_daemon(waiting_on)
+        and leave the event it waits on, as ``Process.kill`` does
+        (:meth:`Event.abandon`), so no FIFO or timer hands it more work
+        and a queued timeout no longer holds a bare ``run()`` open."""
+        if self._waiting_on is not None:
+            self._waiting_on.abandon(self._resume)
         self._waiting_on = None
         if self._handler is not None:
             self._handler.close()

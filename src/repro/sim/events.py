@@ -121,6 +121,30 @@ class Event:
 
     # -- engine plumbing -------------------------------------------------
 
+    def abandon(self, callback: collections.abc.Callable[["Event"], None]) -> None:
+        """Withdraw a departing waiter's ``callback`` (its process was
+        killed, its role port closed).
+
+        Once no other waiter remains, the pending event is cancelled, so
+        no store or resource hands it work, and a queued one is demoted
+        to daemon work, so it no longer holds a bare ``run()`` open.  An
+        event another process or port still waits on stays live; a plain
+        callback some other party added does not keep it.
+        """
+        if self.triggered:
+            return
+        callbacks = self.callbacks or ()
+        if callback in callbacks:
+            callbacks.remove(callback)
+        for other in callbacks:
+            # A waiter (a process, a role port) is the owner of a bound
+            # callback that records this event as the one it waits on.
+            if getattr(getattr(other, "__self__", None), "_waiting_on", None) is self:
+                return
+        self.cancelled = True
+        if self._scheduled:
+            self.engine.mark_daemon(self)
+
     def add_callback(self, callback: collections.abc.Callable[["Event"], None]) -> None:
         """Register ``callback``; fired immediately if already dispatched."""
         if self._dispatched:
@@ -141,11 +165,11 @@ class Timeout(Event):
 
     Timeouts trigger *lazily*: the entry sits untriggered in the engine's
     heap and receives its value only when the deadline pops.  A timeout
-    cannot be disarmed; one whose waiter departed (``Process.kill``,
-    ``RolePort.close``) is cancelled and demoted to daemon work, so it
-    no longer holds a bare ``run()`` open, and is dropped at the head
-    without dispatching.  A deadline the waiter itself may abandon
-    belongs in ``engine.deadlines``.
+    cannot be disarmed; one whose last waiter departed (``Process.kill``,
+    ``RolePort.close``; see :meth:`Event.abandon`) is cancelled and
+    demoted to daemon work, so it no longer holds a bare ``run()`` open,
+    and is dropped at the head without dispatching.  A deadline the
+    waiter itself may abandon belongs in ``engine.deadlines``.
     """
 
     __slots__ = ("delay", "_timeout_value")

@@ -288,7 +288,7 @@ class FluidCoordinator:
 
     # -- transitions -----------------------------------------------------
 
-    def note_transient(self, label: str = "") -> None:
+    def note_transient(self) -> None:
         """Record that cluster state just changed: fluid stays
         disengaged until ``now + warmup_ns`` so the dip or recovery is
         simulated exactly."""

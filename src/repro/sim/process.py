@@ -105,22 +105,15 @@ class Process(Event):
     def kill(self) -> None:
         """Terminate the process unconditionally.
 
-        The event it waits on is cancelled, so no store or resource hands
-        it work; a queued timeout is also demoted to daemon work, so it no
-        longer holds a bare ``run()`` open until its instant.
+        The process leaves the event it waits on (:meth:`Event.abandon`):
+        with no other waiter left, the event is cancelled, so no store or
+        resource hands it work, and a queued timeout no longer holds a
+        bare ``run()`` open until its instant.
         """
         if self.triggered:
             return
-        waiting_on = self._waiting_on
-        if waiting_on is not None and not waiting_on.triggered:
-            if waiting_on.callbacks is not None:
-                try:
-                    waiting_on.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            waiting_on.cancelled = True
-            if waiting_on._scheduled:
-                self.engine.mark_daemon(waiting_on)
+        if self._waiting_on is not None:
+            self._waiting_on.abandon(self._resume)
         self._waiting_on = None
         self.generator.close()
         self.fail(ProcessKilled(self.name))

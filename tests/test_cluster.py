@@ -93,32 +93,26 @@ def request_pool():
 def test_spread_policy_alternates_pods():
     _eng, dc = small_datacenter()
     scheduler = ClusterScheduler(dc)
-    deployments = scheduler.deploy(echo_service(), rings=4, policy="spread")
+    deployments = scheduler.deploy(echo_service(), rings=4)
     pods = [scheduler.slot_of(d).pod_id for d in deployments]
     assert pods == [0, 1, 0, 1]
-
-
-def test_pack_policy_fills_first_pod():
-    _eng, dc = small_datacenter()
-    scheduler = ClusterScheduler(dc)
-    deployments = scheduler.deploy(echo_service(), rings=3, policy="pack")
-    slots = [scheduler.slot_of(d) for d in deployments]
-    assert [(s.pod_id, s.ring_x) for s in slots] == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_spread_cursor_persists_across_deploy_calls():
     _eng, dc = small_datacenter()
     scheduler = ClusterScheduler(dc)
-    (a,) = scheduler.deploy(echo_service("a"), rings=1, policy="spread")
-    (b,) = scheduler.deploy(echo_service("b"), rings=1, policy="spread")
+    (a,) = scheduler.deploy(echo_service("a"), rings=1)
+    (b,) = scheduler.deploy(echo_service("b"), rings=1)
     # Incremental scale-up must keep rotating pods, not restart at pod 0.
     assert [scheduler.slot_of(d).pod_id for d in (a, b)] == [0, 1]
 
 
 def test_unknown_policy_rejected():
+    # Placement has one policy (spread): a caller still naming one
+    # fails loudly rather than being silently spread.
     _eng, dc = small_datacenter()
-    with pytest.raises(ValueError):
-        ClusterScheduler(dc).deploy(echo_service(), policy="random")
+    with pytest.raises(TypeError):
+        ClusterScheduler(dc).deploy(echo_service(), policy="pack")
 
 
 def test_capacity_exhaustion_raises():
@@ -360,13 +354,13 @@ def test_next_service_on_a_released_ring_skips_a_draining_slot():
     eng, dc = small_datacenter(pods=1)
     scheduler = ClusterScheduler(dc)
     (first,) = scheduler.deploy(
-        echo_service("first", role=LateEchoRole), rings=1, policy="pack"
+        echo_service("first", role=LateEchoRole), rings=1
     )
     server = first.injection_servers()[0]
     timed_out = eng.process(first.submit(object(), server=server, timeout_ns=1 * SEC))
     assert eng.run_until(timed_out) is None and first.timeouts == 1
     slot = scheduler.release(first)
-    (second,) = scheduler.deploy(echo_service("second"), rings=1, policy="pack")
+    (second,) = scheduler.deploy(echo_service("second"), rings=1)
     assert scheduler.slot_of(second) == slot
     response = eng.run_until(eng.process(second.submit(object(), server=server)))
     assert response.payload == "scored"
@@ -517,18 +511,6 @@ class StubDeployment:
         return self._weight
 
 
-def test_round_robin_cycles_and_skips_unhealthy():
-    eng = Engine()
-    a, b, c = (
-        StubDeployment("a"),
-        StubDeployment("b", weight=0.0),
-        StubDeployment("c"),
-    )
-    balancer = LoadBalancer(eng, [a, b, c], policy="round_robin")
-    picks = [balancer.pick().name for _ in range(4)]
-    assert picks == ["a", "c", "a", "c"]
-
-
 def test_least_outstanding_picks_minimum():
     eng = Engine()
     a = StubDeployment("a", outstanding=5)
@@ -558,9 +540,11 @@ def test_no_healthy_deployment_raises():
 def test_balancer_validates_inputs():
     eng = Engine()
     with pytest.raises(ValueError):
-        LoadBalancer(eng, [])
-    with pytest.raises(ValueError):
         LoadBalancer(eng, [StubDeployment("a")], policy="fastest")
+    # An empty rotation (a service before its first placement) is
+    # valid; it serves nothing.
+    with pytest.raises(NoHealthyDeployment):
+        LoadBalancer(eng, []).pick()
 
 
 def test_balancer_spreads_load_end_to_end(request_pool):
@@ -585,7 +569,7 @@ def test_balancer_spreads_load_end_to_end(request_pool):
 def full_cluster_run(seed):
     eng, dc = small_datacenter(seed=seed)
     scheduler = ClusterScheduler(dc)
-    deployments = scheduler.deploy(echo_service(), rings=4, policy="spread")
+    deployments = scheduler.deploy(echo_service(), rings=4)
     balancer = LoadBalancer(eng, deployments, policy="least_outstanding")
     pool = [object() for _ in range(8)]
     injector = OpenLoopInjector(
@@ -685,7 +669,7 @@ def test_ranking_cluster_integration():
     )
     library = ModelLibrary.default(scale=0.1)
     scoring = ScoringEngine(library)
-    handle = manager.apply(ranking_spec(scoring, replicas=2, placement="spread"))
+    handle = manager.apply(ranking_spec(scoring, replicas=2))
     assert [manager.scheduler.slot_of(d).pod_id for d in handle.deployments] == [0, 1]
 
     generator = TraceGenerator(seed=23)

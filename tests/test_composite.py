@@ -9,10 +9,9 @@ re-places as a gang.
 Satellites: the open-loop injector sheds (instead of crashing) when
 every ring is momentarily unservable; a partial gang placement rolls
 back instead of leaking capacity; the contended-lease deadline is
-disarmed once the lease arrives; a round-robin policy bug raises
-instead of masquerading as weighted balancing; the spread cursor wraps
-past the last pod; a freed slot is redeployable by a different
-composite service.
+disarmed once the lease arrives; the spread cursor wraps past the
+last pod; a freed slot is redeployable by a different composite
+service.
 """
 
 import pytest
@@ -22,7 +21,6 @@ from repro.cluster import (
     ClusterManager,
     ClusterScheduler,
     CompositeDeployment,
-    LoadBalancer,
     PlacementFailed,
     RingSlot,
     ServiceSpec,
@@ -98,50 +96,13 @@ def test_spec_validates_rings_per_replica():
 # --- gang placement -----------------------------------------------------------------
 
 
-def test_choose_gang_pack_prefers_a_single_pod():
-    eng, dc, _ = small_cluster(pods=3)
-    scheduler = ClusterScheduler(dc)
-    chosen = scheduler._choose_gang(2, "pack")
-    assert [slot.pod_id for slot in chosen] == [0, 0]
-
-
-def test_choose_gang_pack_spans_adjacent_pods_when_forced():
-    eng, dc, _ = small_cluster(pods=4)
-    scheduler = ClusterScheduler(dc)
-    # Occupy pods 0 and 1 entirely; a 3-ring gang must span pods 2+3.
-    scheduler.deploy(echo_service("filler"), rings=4, policy="pack")
-    chosen = scheduler._choose_gang(3, "pack")
-    assert sorted(slot.pod_id for slot in chosen) == [2, 2, 3]
-    # Consecutive members sit at most one inter-pod hop apart.
-    assert all(
-        dc.pod_distance(a.pod_id, b.pod_id) <= 1
-        for a, b in zip(chosen, chosen[1:], strict=False)
-    )
-
-
-def test_choose_gang_pack_wraps_the_pod_loop():
-    eng, dc, _ = small_cluster(pods=4)
-    scheduler = ClusterScheduler(dc)
-    # Only pods 3 and 0 have free rings: adjacency is via the wraparound
-    # link of the pod loop, not the long way across pods 1 and 2.
-    for slot in dc.ring_slots():
-        if slot.pod_id in (1, 2):
-            scheduler.cordon(slot)
-    chosen = scheduler._choose_gang(3, "pack")
-    assert {slot.pod_id for slot in chosen} == {0, 3}
-    assert all(
-        dc.pod_distance(a.pod_id, b.pod_id) <= 1
-        for a, b in zip(chosen, chosen[1:], strict=False)
-    )
-
-
 def test_choose_gang_spread_uses_consecutive_pods():
     eng, dc, _ = small_cluster(pods=3)
     scheduler = ClusterScheduler(dc)
-    first = scheduler._choose_gang(2, "spread")
+    first = scheduler._choose_gang(2)
     assert [slot.pod_id for slot in first] == [0, 1]
     # The cursor advanced: the next gang starts after the last member.
-    second = scheduler._choose_gang(2, "spread")
+    second = scheduler._choose_gang(2)
     assert [slot.pod_id for slot in second] == [2, 0]
 
 
@@ -150,12 +111,12 @@ def test_deploy_gang_is_all_or_nothing():
     scheduler = ClusterScheduler(dc)
     wreck_ring(dc, 0, 1)
     with pytest.raises(PlacementFailed) as info:
-        scheduler.deploy(echo_service(), rings=2, policy="pack", chained=True)
+        scheduler.deploy(echo_service(), rings=2)
     assert info.value.slot == RingSlot(0, 1)
     # The gang rolled back: nothing occupied, the good ring redeployable.
     assert scheduler.capacity_report().occupied_rings == 0
     assert RingSlot(0, 0) in scheduler.free_slots()
-    (again,) = scheduler.deploy(echo_service(), rings=1, policy="pack")
+    (again,) = scheduler.deploy(echo_service(), rings=1)
     assert scheduler.slot_of(again) == RingSlot(0, 0)
 
 
@@ -168,7 +129,7 @@ def test_deploy_partial_failure_rolls_back_instead_of_leaking():
     scheduler = ClusterScheduler(dc)
     wreck_ring(dc, 0, 1)  # hardware fails configure on the 2nd of 3 rings
     with pytest.raises(PlacementFailed) as info:
-        scheduler.deploy(echo_service(), rings=3, policy="pack")
+        scheduler.deploy(echo_service(), rings=3)
     assert info.value.slot == RingSlot(0, 1)
     report = scheduler.capacity_report()
     assert report.occupied_rings == 0
@@ -187,7 +148,7 @@ def test_spread_cursor_wraps_past_the_last_pod():
     assert scheduler.slot_of(third).pod_id == 0
     # The gang chooser handles an arbitrarily stale cursor the same way.
     scheduler._next_pod_id = 7
-    chosen = scheduler._choose_gang(1, "spread")
+    chosen = scheduler._choose_gang(1)
     assert chosen[0].pod_id in (0, 1)
 
 
@@ -241,9 +202,14 @@ def test_chain_handoffs_pay_the_inter_pod_cable_runs():
     """Gang placement's link-awareness is observable: the same chain
     costs more end to end when its members sit on different pods."""
     eng, dc, manager = small_cluster(pods=3)
-    packed_members = manager.scheduler.deploy(
-        echo_service("packed"), rings=2, policy="pack", chained=True
-    )
+    scheduler = manager.scheduler
+    # Hold pods 1 and 2 out so the spread gang lands on pod 0 alone.
+    others = [slot for slot in dc.ring_slots() if slot.pod_id != 0]
+    for slot in others:
+        scheduler.cordon(slot)
+    packed_members = scheduler.deploy(echo_service("packed"), rings=2)
+    for slot in others:
+        scheduler.uncordon(slot)
     packed = CompositeDeployment(eng, packed_members, datacenter=dc)
     assert packed.hop_delays_ns == [0.0]  # same pod: no cable run
 
@@ -600,34 +566,6 @@ def test_contended_lease_deadline_disarmed_after_grant():
     # abandoned deadlines (lease wait + fabric wait) would have fired.
     assert ended_at == finished[-1]
     assert ended_at - started < 0.1 * SEC
-
-
-# --- round-robin fall-through (satellite) -------------------------------------------
-
-
-def test_round_robin_fallthrough_is_loud():
-    """A ring whose health flips between the healthy filter and the
-    scan exposes the old silent fall-through into weighted-random; it
-    must raise instead."""
-
-    class FlappingRing:
-        name = "flapping"
-        outstanding = 0
-        # simlint: allow-unbounded-accum -- stub ring attribute the
-        # balancer introspects; this test never appends to it.
-        latencies_ns: list = []
-
-        def __init__(self):
-            self.calls = 0
-
-        def health_weight(self):
-            self.calls += 1
-            return 1.0 if self.calls == 1 else 0.0
-
-    eng = Engine(seed=1)
-    balancer = LoadBalancer(eng, [FlappingRing()], policy="round_robin")
-    with pytest.raises(AssertionError):
-        balancer.pick()
 
 
 # --- release-then-redeploy by a different composite (satellite) ---------------------

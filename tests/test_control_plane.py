@@ -61,8 +61,6 @@ def test_spec_validates_fields():
     with pytest.raises(ValueError):
         echo_spec(replicas=0)
     with pytest.raises(ValueError):
-        echo_spec(placement="random")
-    with pytest.raises(ValueError):
         echo_spec(balancing="fastest")
     with pytest.raises(ValueError):
         echo_spec(slots_per_server=0)
@@ -111,29 +109,66 @@ def test_reapply_is_declarative():
         ServiceSpec(
             service=service,
             replicas=3,
-            balancing="round_robin",
+            balancing="weighted_health",
             health_period_ns=5e9,
         )
     )
     assert again is handle
-    assert handle.balancer.policy == "round_robin"
+    assert handle.balancer.policy == "weighted_health"
     assert handle.status().ready_replicas == 3
 
 
-def test_reapply_with_different_definition_rejected():
+def test_reapply_with_different_definition_rolls():
     # Same service name, *different* ServiceDefinition (a new role
-    # image): old rings would silently keep serving the old definition;
-    # refuse and point at upgrade().  A fresh build of the *identical*
-    # definition (equal serialized fingerprint, distinct factory
-    # closures) is the same declaration — the cluster-file path rebuilds
-    # catalogs every load — and must be accepted.
+    # image): re-applying rolls the replica onto it.  A fresh build of
+    # the *identical* definition (equal serialized fingerprint, distinct
+    # factory closures) is the same declaration — the cluster-file path
+    # rebuilds catalogs every load — and rolls nothing.
     _eng, _dc, manager = small_cluster()
-    manager.apply(echo_spec(replicas=1))
-    manager.apply(echo_spec(replicas=1))  # fingerprint-equal rebuild: ok
-    with pytest.raises(ValueError):
-        manager.apply(
-            echo_spec(replicas=1, service=echo_service(role_name="echo-v2"))
-        )
+    handle = manager.apply(echo_spec(replicas=1))
+    assert not manager.apply(echo_spec(replicas=1)).last_reconcile
+    v2 = echo_service(role_name="echo-v2")
+    report = manager.apply(echo_spec(replicas=1, service=v2)).last_reconcile
+    assert [action.kind for action in report.actions] == [
+        "upgrade_release",
+        "upgrade_place",
+    ]
+    assert all(d.service is v2 for d in handle.deployments)
+
+
+def test_reapply_with_new_definition_and_fewer_replicas_scales_down_then_rolls():
+    # One pass: the surplus replica is released first, then only the
+    # replicas that stay are rolled onto the new image.
+    _eng, _dc, manager = small_cluster()
+    handle = manager.apply(echo_spec(replicas=3))
+    v2 = echo_service(role_name="echo-v2")
+    report = manager.apply(echo_spec(replicas=2, service=v2)).last_reconcile
+    assert [action.kind for action in report.actions] == [
+        "scale_down",
+        "upgrade_release",
+        "upgrade_place",
+        "upgrade_release",
+        "upgrade_place",
+    ]
+    assert len(handle.deployments) == 2
+    assert all(d.service is v2 for d in handle.deployments)
+    assert manager.scheduler.capacity_report().occupied_rings == 2
+
+
+def test_canonically_equal_reapply_keeps_the_live_definition():
+    # A rebuilt catalog's definition equals the live one in canonical
+    # form: it is the live one.  Re-applying it with one more replica
+    # rolls nothing, and the new replica runs the live definition too,
+    # so the fleet never holds two definition objects for one image.
+    _eng, _dc, manager = small_cluster()
+    handle = manager.apply(echo_spec(replicas=1))
+    live = handle.spec.service
+    rebuilt = echo_service()
+    assert rebuilt is not live and rebuilt.to_dict() == live.to_dict()
+    report = manager.apply(echo_spec(replicas=2, service=rebuilt)).last_reconcile
+    assert [action.kind for action in report.actions] == ["replace"]
+    assert handle.spec.service is live
+    assert all(d.service is live for d in handle.deployments)
 
 
 def test_scale_after_drain_rejected():
@@ -376,11 +411,10 @@ def test_released_slot_redeployable_with_different_service():
             continue
         assert isinstance(pod.server_at(node).shell.role, PassthroughRole)
 
-    # Redeploy a *different* service onto the same (pack-first) slot.
+    # Redeploy a *different* service onto the same (one-pod) slot.
     (dep_b,) = scheduler.deploy(
         echo_service("svc-b", role_name="upper", payload="scored-by-b"),
         rings=1,
-        policy="pack",
     )
     assert scheduler.slot_of(dep_b) == slot
     # The dead card is pre-mapped-out of the new assignment.
@@ -420,7 +454,7 @@ def test_placement_failed_carries_slot():
     for node in pod.topology.ring(0):
         injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, node)
     with pytest.raises(PlacementFailed) as info:
-        scheduler.deploy(echo_service(), rings=1, policy="pack")
+        scheduler.deploy(echo_service(), rings=1)
     assert info.value.slot == RingSlot(0, 0)
     # The failed placement left no residue: slot free, no assignment.
     assert RingSlot(0, 0) in scheduler.free_slots()

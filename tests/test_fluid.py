@@ -225,11 +225,11 @@ def test_fluid_matches_discrete_across_kill_and_repair():
             victim = cluster.servers.pop()
             cluster._next %= len(cluster.servers)
             if engine.fluid is not None:
-                engine.fluid.note_transient("kill")
+                engine.fluid.note_transient()
             yield engine.timeout(repair_at - kill_at)
             cluster.servers.append(victim)
             if engine.fluid is not None:
-                engine.fluid.note_transient("repair")
+                engine.fluid.note_transient()
 
         engine.process(chaos(), name="chaos", daemon=True)
 
@@ -307,7 +307,7 @@ def test_window_end_respects_guard_and_observers():
 def test_note_transient_forces_discrete_warmup():
     engine = Engine(seed=0, fluid=True)
     fluid = engine.fluid
-    fluid.note_transient("test")
+    fluid.note_transient()
     assert fluid.window_end(0.0) == 0.0  # no window during warm-up
     until = engine.now + fluid.warmup_ns
     assert fluid.window_end(until - 1.0) == until - 1.0

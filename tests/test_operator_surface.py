@@ -57,8 +57,8 @@ def echo_spec(**overrides) -> ServiceSpec:
     "overrides",
     [
         {},
-        {"replicas": 1, "placement": "pack"},
-        {"rings_per_replica": 2, "balancing": "round_robin"},
+        {"replicas": 1, "balancing": "weighted_health"},
+        {"rings_per_replica": 2, "health_period_ns": 5e9},
         {"regions": 0.5, "priority": "latency"},
         {"regions": 0.25, "priority": "batch", "slots_per_server": 12},
         {"adapter": ADAPTERS["RequestAdapter"]},
@@ -87,7 +87,7 @@ def test_spec_document_references_code_by_name():
     "overrides",
     [
         {"replicas": 0},
-        {"placement": "random"},
+        {"rings_per_replica": 0},
         {"balancing": "fastest"},
         {"slots_per_server": 0},
         {"request_timeout_ns": 0.0},

@@ -504,8 +504,8 @@ def test_deadline_queue_matches_one_timeout_per_deadline(script, salted):
 # --- scheduler capacity accounting ---------------------------------------------------
 
 _PLACEMENT_OPS = st.one_of(
-    st.tuples(st.just("whole"), st.sampled_from(("spread", "pack"))),
-    st.tuples(st.just("gang"), st.integers(2, 3), st.sampled_from(("spread", "pack"))),
+    st.tuples(st.just("whole")),
+    st.tuples(st.just("gang"), st.integers(2, 3)),
     st.tuples(
         st.just("region"),
         st.sampled_from((0.25, 0.5, 0.75)),
@@ -580,11 +580,9 @@ def test_capacity_accounting_balances_under_placement_churn(pods, width, ops):
         service = echo_service(f"svc{number}")
         try:
             if op[0] == "whole":
-                placed.append(scheduler.deploy(service, rings=1, policy=op[1]))
+                placed.append(scheduler.deploy(service, rings=1))
             elif op[0] == "gang":
-                placed.append(
-                    scheduler.deploy(service, rings=op[1], policy=op[2], chained=True)
-                )
+                placed.append(scheduler.deploy(service, rings=op[1]))
             elif op[0] == "region":
                 placed.append(scheduler.deploy(service, fraction=op[1], priority=op[2]))
         except InsufficientClusterCapacity:

@@ -301,15 +301,67 @@ def test_upgrade_validates_input():
     handle = manager.apply(echo_spec(replicas=1))
     with pytest.raises(ValueError):
         handle.upgrade(echo_spec(service=echo_service(name="other"), replicas=1))
-    # apply() still refuses a changed definition (one whose serialized
-    # fingerprint differs — a new role image), pointing at upgrade().
-    with pytest.raises(ValueError, match="upgrade"):
-        manager.apply(
-            echo_spec(service=echo_service(role_name="echo-v2"), replicas=1)
-        )
+    # apply() rolls a changed definition (one whose serialized
+    # fingerprint differs — a new role image) the way upgrade() does.
+    v2 = echo_service(role_name="echo-v2")
+    report = manager.apply(echo_spec(service=v2, replicas=1)).last_reconcile
+    assert [a.kind for a in report.actions] == ["upgrade_release", "upgrade_place"]
+    assert handle.deployments[0].service is v2
     manager.drain(handle)
     with pytest.raises(RuntimeError):
         handle.upgrade(echo_spec(replicas=1))
+
+
+def kill_ring_unswept(dc, deployment, scheduler):
+    """Fail every FPGA of ``deployment``'s ring; nothing sweeps it."""
+    slot = scheduler.slot_of(deployment)
+    injector = ClusterFailureInjector(dc)
+    for node in dc.topology.ring(slot.ring_x):
+        injector.inject(FailureKind.FPGA_HARDWARE_FAULT, slot.pod_id, node)
+    return slot
+
+
+def test_upgrade_sheds_a_dead_replica_before_rolling():
+    """A replica whose ring died is shed (cordoned, "spares exhausted")
+    before the roll, rather than released as an upgrade step and its
+    dead ring picked again, failing configure."""
+    eng, dc, manager = managed_cluster(seed=3)
+    handle = manager.apply(echo_spec(replicas=2, health_period_ns=100 * SEC))
+    dead = handle.deployments[0]
+    slot = kill_ring_unswept(dc, dead, manager.scheduler)
+    eng.run_until(
+        manager.health_monitor(slot.pod_id).investigate(list(dc.topology.ring(slot.ring_x)))
+    )
+    assert dead.health_weight() == 0.0
+    report = handle.upgrade(echo_spec(service=new_echo(), replicas=2))
+    kinds = [a.kind for a in report.actions]
+    assert kinds == ["release_unservable", "upgrade_release", "upgrade_place", "replace"]
+    assert report.actions[0].slot == slot
+    assert manager.scheduler.cordon_reason(slot) == "spares exhausted"
+    assert all(d.service is handle.spec.service for d in handle.deployments)
+
+
+def test_a_roll_cut_short_by_capacity_resumes_after_repair():
+    """The first roll step's placement fails on hardware nobody swept
+    (the freed ring is cordoned and no ring is free): the second replica
+    keeps the old image.  Once the ring is repaired, the repair pass
+    rolls it too, with no second upgrade call."""
+    eng, dc, manager = managed_cluster(seed=3, pods=1, repair_policy=FAST_REPAIR)
+    quiet = 100 * SEC  # no watchdog pass before the repair's
+    handle = manager.apply(echo_spec(replicas=2, health_period_ns=quiet))
+    old_service = handle.spec.service
+    kill_ring_unswept(dc, handle.deployments[0], manager.scheduler)
+    v2 = new_echo()
+    report = handle.upgrade(echo_spec(service=v2, replicas=2, health_period_ns=quiet))
+    assert not report.converged
+    assert [d.service for d in handle.deployments] == [old_service]
+    eng.run(until=eng.now + FAST_REPAIR.mean_ns + 3 * SEC)
+    (ticket,) = manager.repairs.tickets
+    assert ticket.outcome == "repaired"
+    kinds = [a.kind for a in manager.reconcile_reports[-1].actions]
+    assert kinds == ["upgrade_release", "upgrade_place", "replace"]
+    assert len(handle.deployments) == 2
+    assert all(d.service is v2 for d in handle.deployments)
 
 
 def test_upgrade_keeps_serving_under_traffic():

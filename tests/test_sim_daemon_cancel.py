@@ -153,3 +153,22 @@ def test_a_killed_waiter_s_timeout_does_not_run_a_disarmed_deadline():
     assert eng.run() == 10.0
     # 2 starts, the controller's timeout, the kill.
     assert eng.events_dispatched == 4
+
+
+def test_killing_one_of_two_waiters_keeps_a_shared_timeout_live():
+    """Two processes wait on one timeout and one is killed: the timeout
+    still has a waiter, so it is neither cancelled nor demoted, and the
+    survivor wakes at its instant."""
+    eng = Engine()
+    shared = eng.timeout(10.0)
+    woke = []
+
+    def sleeper():
+        yield shared
+        woke.append(eng.now)
+
+    survivor = eng.process(sleeper())
+    eng.process(_kill_at(eng, 1.0, eng.process(sleeper())))
+    assert eng.run() == 10.0
+    assert woke == [10.0]
+    assert not survivor.is_alive
