@@ -23,7 +23,7 @@ paper's management plane makes between service declarations and the
 bitstream images they instantiate.
 
 Run:  python examples/cluster_from_file.py
-      python examples/cluster_from_file.py --check   # parse + dry-run only
+      python examples/cluster_from_file.py --check   # parse, dry-run, canonical form
 """
 
 import argparse
@@ -34,6 +34,7 @@ from repro.cluster import (
     ClusterManager,
     apply_file,
     diff_cluster,
+    dump_cluster,
     echo_service,
     load_cluster,
 )
@@ -85,7 +86,7 @@ def main() -> None:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="validate the committed file (parse + dry-run) and exit",
+        help="validate the committed file (parse, dry-run, canonical form) and exit",
     )
     args = parser.parse_args()
 
@@ -100,6 +101,14 @@ def main() -> None:
     desired = load_cluster(CLUSTER_FILE, services, adapters)
     print("  " + diff_cluster(manager, desired).summary().replace("\n", "\n  "))
     if args.check:
+        # The committed file is the canonical document of what it
+        # declares, so a dump of a live declaration diffs against it
+        # line by line.
+        if dump_cluster(desired) != json.loads(CLUSTER_FILE.read_text()):
+            raise SystemExit(
+                f"{CLUSTER_FILE.name} is not canonical: write it as "
+                "json.dumps(dump_cluster(load_cluster(...)), indent=2)"
+            )
         print("Cluster file OK.")
         return
 

@@ -47,13 +47,15 @@ class TraceReplay:
             return 0.0
         return self.steps[-1].timestamp_ns - self.steps[0].timestamp_ns
 
-    def stalls(self, threshold_ns: float = 50_000.0) -> list:
-        """Suspiciously long gaps between consecutive sightings —
+    STALL_NS = 50_000.0
+
+    def stalls(self) -> list:
+        """Gaps longer than ``STALL_NS`` between consecutive sightings —
         where a deadlocked or hung stage shows up."""
         slow = []
         for before, after in zip(self.steps, self.steps[1:], strict=False):
             gap = after.timestamp_ns - before.timestamp_ns
-            if gap > threshold_ns:
+            if gap > self.STALL_NS:
                 slow.append((before, after, gap))
         return slow
 

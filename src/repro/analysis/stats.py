@@ -95,13 +95,13 @@ class ReservoirSample:
     """Bounded-memory latency accumulator (Vitter's Algorithm R).
 
     Count, mean, and max are exact over every observation; percentiles
-    are computed from a uniform random sample of at most ``capacity``
+    are computed from a uniform random sample of at most ``CAPACITY``
     values, so memory stays flat no matter how many latencies a run
     records.  Below capacity the reservoir holds every observation in
     arrival order and all statistics are exact.
 
-    The replacement RNG is private and seeded at construction, so two
-    same-seed simulations produce identical quantiles.
+    The replacement RNG is private and seeded alike in every reservoir,
+    so two same-seed simulations produce identical quantiles.
 
     Supports enough of the list protocol (``append``, ``len``,
     iteration, indexing, ``==`` against a list, ``clear``) to drop in
@@ -118,22 +118,19 @@ class ReservoirSample:
     read sorts the whole sample once.
     """
 
+    CAPACITY = 100_000
+
     __slots__ = (
-        "capacity",
         "count",
         "total",
         "_max",
         "_sample",
-        "_seed",
         "_rng",
         "_ordered",
         "_ordered_len",
     )
 
-    def __init__(self, capacity: int = 100_000, seed: int = 0):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self):
         self.count = 0
         self.total = 0.0
         self._max = 0.0
@@ -142,11 +139,9 @@ class ReservoirSample:
         # -1 marks it stale after a replacement at capacity.
         self._ordered: list[float] = []
         self._ordered_len = 0
-        self._seed = seed
-        # simlint: allow-rng -- the construction-time seed IS the API:
-        # the reservoir is engine-free and clear() must restore the
-        # exact replacement stream.
-        self._rng = random.Random(seed)
+        # simlint: allow-rng -- the reservoir is engine-free, and clear()
+        # must restore the exact replacement stream.
+        self._rng = random.Random(0)
 
     # -- accumulation --------------------------------------------------
 
@@ -156,11 +151,11 @@ class ReservoirSample:
         if value > self._max:
             self._max = value
         sample = self._sample
-        if len(sample) < self.capacity:
+        if len(sample) < self.CAPACITY:
             sample.append(value)
         else:
             slot = self._rng.randrange(self.count)
-            if slot < self.capacity:
+            if slot < self.CAPACITY:
                 sample[slot] = value
                 self._ordered_len = -1
 
@@ -168,45 +163,32 @@ class ReservoirSample:
         for value in values:
             self.append(value)
 
-    def merge_analytic(
-        self,
-        n: int,
-        mean_value: float,
-        draw: collections.abc.Callable[[random.Random], float] | None = None,
-    ) -> None:
-        """Bulk-merge ``n`` analytically credited observations.
+    def merge_analytic(self, n: int, mean_value: float) -> None:
+        """Bulk-merge ``n`` analytically credited observations of
+        ``mean_value``.
 
         Fluid fast-forward credits whole windows of completions in one
         step; appending them one by one would defeat the point.  Count
         and total update exactly.  Below capacity each merged value is
-        materialized (``draw(rng)`` per value, or ``mean_value``
-        without a draw), so small runs stay exact.  At capacity the
+        materialized, so small runs stay exact.  At capacity the
         retained sample receives the *expected* number of Algorithm-R
-        slot replacements for ``n`` sequential appends — ``capacity *
+        slot replacements for ``n`` sequential appends — ``CAPACITY *
         ln(count_after / count_before)``, probabilistically rounded on
         the reservoir's private stream — so quantiles track the merged
         distribution while the merge stays O(capacity), not O(n).
-        ``max`` reflects only materialized values (plus ``mean_value``
-        itself without a draw): an analytic merge cannot know the
-        extreme of draws it never made.
         """
         if n < 0:
             raise ValueError(f"merge size must be >= 0, got {n}")
         if n == 0:
             return
         sample = self._sample
-        capacity = self.capacity
+        capacity = self.CAPACITY
         rng = self._rng
         before = self.count
         self.count = before + n
         self.total += mean_value * n
-        filled = 0
-        while len(sample) < capacity and filled < n:
-            value = draw(rng) if draw is not None else mean_value
-            if value > self._max:
-                self._max = value
-            sample.append(value)
-            filled += 1
+        filled = min(n, capacity - len(sample))
+        sample.extend([mean_value] * filled)
         leftover = n - filled
         if leftover > 0:
             # Append number j replaces a random slot with probability
@@ -220,11 +202,8 @@ class ReservoirSample:
             if replacements:
                 self._ordered_len = -1
             for _ in range(replacements):
-                value = draw(rng) if draw is not None else mean_value
-                if value > self._max:
-                    self._max = value
-                sample[rng.randrange(capacity)] = value
-        if draw is None and mean_value > self._max:
+                sample[rng.randrange(capacity)] = mean_value
+        if mean_value > self._max:
             self._max = mean_value
 
     def clear(self) -> None:
@@ -236,7 +215,7 @@ class ReservoirSample:
         self._ordered.clear()
         self._ordered_len = 0
         # simlint: allow-rng -- restores the constructor's stream exactly.
-        self._rng = random.Random(self._seed)
+        self._rng = random.Random(0)
 
     # -- list protocol --------------------------------------------------
 
@@ -321,5 +300,5 @@ class ReservoirSample:
     def __repr__(self) -> str:
         return (
             f"<ReservoirSample n={self.count} "
-            f"sample={len(self._sample)}/{self.capacity}>"
+            f"sample={len(self._sample)}/{self.CAPACITY}>"
         )

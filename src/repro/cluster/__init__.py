@@ -71,7 +71,6 @@ from repro.cluster.manager import (
 )
 from repro.cluster.metrics import MetricsRegistry, read_series
 from repro.cluster.repair import (
-    REPAIR_DISTRIBUTIONS,
     RepairPolicy,
     RepairQueue,
     ServiceTicket,
@@ -120,7 +119,6 @@ __all__ = [
     "ReconcileAction",
     "ReconcileReport",
     "RegionClaim",
-    "REPAIR_DISTRIBUTIONS",
     "RepairPolicy",
     "RepairQueue",
     "RequestAdapter",

@@ -9,16 +9,14 @@ DRAM, swapping the role region is a model-reload-class operation, not a
 flash read.
 
 :class:`BitstreamCache` models that staging memory.  Each node keeps
-the last ``capacity_per_node`` images it was configured with (LRU);
+the last ``CAPACITY_PER_NODE`` images it was configured with (LRU);
 when the Mapping Manager re-places a service onto a slot that recently
 ran its role, a hit downgrades the node's reconfiguration to
-:data:`CACHED_RELOAD_NS` (the §4.3 model-reload worst case).  Hardware
-service wipes the staging memory — the repair queue invalidates every
-node of a serviced slot — and hit/miss counters surface through
-:class:`~repro.cluster.scheduler.CapacityReport` so benchmarks can
-attribute re-placement speedups to the cache.
+:data:`CACHED_RELOAD_NS` (the §4.3 model-reload worst case).  Hit/miss
+counters surface through :class:`~repro.cluster.scheduler.CapacityReport`
+so benchmarks can attribute re-placement speedups to the cache.
 
-The cache is *opt-in* (``ClusterManager(..., bitstream_cache=...)``):
+The cache is *opt-in* (``ClusterScheduler(..., bitstream_cache=...)``):
 without one, every configure path is bit-identical to the uncached
 control plane.
 """
@@ -36,22 +34,16 @@ CACHED_RELOAD_NS = MODEL_RELOAD_WORST_NS
 
 # §3.1: board DRAM is shared with the role's working set; a handful of
 # ~21 MB images is what realistically stays resident per node.
-DEFAULT_CAPACITY_PER_NODE = 4
+CAPACITY_PER_NODE = 4
 
 
 class BitstreamCache:
     """LRU of the role images staged in each node's board DRAM."""
 
-    def __init__(self, capacity_per_node: int = DEFAULT_CAPACITY_PER_NODE):
-        if capacity_per_node < 1:
-            raise ValueError(
-                f"cache needs at least one image per node, got {capacity_per_node}"
-            )
-        self.capacity_per_node = capacity_per_node
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         # machine_id -> OrderedDict[Bitstream, None], oldest first.
         self._staged: dict[str, collections.OrderedDict] = {}
 
@@ -72,16 +64,9 @@ class BitstreamCache:
         images = self._staged.setdefault(machine_id, collections.OrderedDict())
         images[bitstream] = None
         images.move_to_end(bitstream)
-        while len(images) > self.capacity_per_node:
+        while len(images) > CAPACITY_PER_NODE:
             images.popitem(last=False)
             self.evictions += 1
-
-    def invalidate(self, machine_id: str) -> int:
-        """Drop every staged image (hardware serviced/replaced)."""
-        images = self._staged.pop(machine_id, None)
-        dropped = len(images) if images else 0
-        self.invalidations += dropped
-        return dropped
 
     # -- observation -------------------------------------------------------------
 
@@ -94,7 +79,6 @@ class BitstreamCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
         }
 
     def __repr__(self) -> str:

@@ -8,8 +8,8 @@ service, :func:`diff_cluster` classifies it against a live
 :class:`~repro.cluster.manager.ClusterManager` (add / change / remove /
 no-op, with the changed fields named), and :func:`apply_cluster`
 converges the fabric — new services placed, changed declarations
-re-applied, removed services drained.  A dry run returns the diff
-without touching anything.
+re-applied, removed services drained.  :func:`diff_cluster` is the dry
+run: it reports what an apply would do without touching anything.
 
 Document format (version 1)::
 
@@ -154,7 +154,7 @@ class ClusterDiff:
         return any(entry.action != "noop" for entry in self.entries)
 
     def summary(self) -> str:
-        """The dry-run report: one line per service, kubectl-diff style."""
+        """The diff report: one line per service, kubectl-diff style."""
         lines = [str(entry) for entry in self.entries]
         lines.append(
             f"{len(self.adds)} to add, {len(self.changes)} to change, "
@@ -236,12 +236,10 @@ class ClusterApply:
 
     ``reports`` maps each touched service to the reconcile report its
     convergence produced (drained services have no report — their
-    entry in ``diff.removes`` records the action).  A dry run carries
-    the diff only.
+    entry in ``diff.removes`` records the action).
     """
 
     diff: ClusterDiff
-    dry_run: bool
     reports: dict = dataclasses.field(default_factory=dict)
 
     @property
@@ -252,9 +250,8 @@ class ClusterApply:
 def apply_cluster(
     manager: "ClusterManager",
     desired: "collections.abc.Mapping[str, ServiceSpec]",
-    dry_run: bool = False,
 ) -> ClusterApply:
-    """Converge the live cluster onto ``desired`` (or report the diff).
+    """Converge the live cluster onto ``desired``.
 
     Apply order is removes, then changes, then adds (each sorted by
     name): draining first returns rings to the pool so grown or new
@@ -264,8 +261,8 @@ def apply_cluster(
     time onto a new shape or service *definition*.
     """
     diff = diff_cluster(manager, desired)
-    result = ClusterApply(diff=diff, dry_run=dry_run)
-    if dry_run or not diff:
+    result = ClusterApply(diff=diff)
+    if not diff:
         return result
     for entry in diff.removes:
         manager.drain(manager.handles[entry.service])
@@ -281,8 +278,6 @@ def apply_file(
     source: "dict | str | pathlib.Path",
     services: "collections.abc.Mapping",
     adapters: "collections.abc.Mapping | None" = None,
-    dry_run: bool = False,
 ) -> ClusterApply:
     """:func:`load_cluster` + :func:`apply_cluster` in one operator verb."""
-    desired = load_cluster(source, services, adapters)
-    return apply_cluster(manager, desired, dry_run=dry_run)
+    return apply_cluster(manager, load_cluster(source, services, adapters))

@@ -47,7 +47,6 @@ class CompositeDeployment:
         engine: Engine,
         members: collections.abc.Sequence[Deployment],
         datacenter: Datacenter | None = None,
-        name: str | None = None,
     ):
         if not members:
             raise ValueError("a composite needs at least one member ring")
@@ -66,7 +65,7 @@ class CompositeDeployment:
             for a, b in zip(self.members, self.members[1:], strict=False)
         ]
         self.service = self.members[0].service
-        self.name = name or (
+        self.name = (
             self.service.name
             + "@"
             + "->".join(

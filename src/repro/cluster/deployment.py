@@ -41,6 +41,9 @@ from repro.services.mapping_manager import (
 from repro.sim import Engine, Event, Store
 from repro.sim.units import SEC
 
+# Host slots per server of a ring a Deployment claims for itself.
+WHOLE_RING_SLOTS_PER_SERVER = 48
+
 
 class RequestAdapter:
     """Translates generic dispatch into service-specific wire traffic.
@@ -90,7 +93,6 @@ class Deployment:
         ring_x: int = 0,
         adapter: RequestAdapter | None = None,
         mapping_manager: MappingManager | None = None,
-        slots_per_server: int = 48,
         region: RegionClaim | None = None,
     ):
         self.engine = engine
@@ -101,7 +103,7 @@ class Deployment:
         self.mapping_manager = mapping_manager or MappingManager(engine, pod)
         self.region = region or RingTenancy(
             RingSlot(pod.pod_id, ring_x), pod.topology.ring(ring_x)
-        ).claim_whole(service.name, slots_per_server)
+        ).claim_whole(service.name, WHOLE_RING_SLOTS_PER_SERVER)
         # Whole rings keep the bare ring name; the metrics series key on it.
         self.name = f"{service.name}@pod{pod.pod_id}/ring{ring_x}"
         if not self.region.whole:

@@ -1,11 +1,12 @@
 """Failure injection for resilience experiments at datacenter scope
 (§3.5).
 
-Everything the Health Monitor's error vector can report is injectable
-(see :class:`~repro.services.failures.FailureKind`) at any node of any
-pod, addressed by ``(pod_id, node)``.  Service-level helpers pick
-victims from a live :class:`~repro.cluster.deployment.Deployment`:
-the node hosting a role, or enough of a ring to exhaust its spares.
+Every failure of :class:`~repro.services.failures.FailureKind` is
+injectable at any node of any pod, addressed by ``(pod_id, node)`` (a
+single dark cable is broken on its link directly:
+``Sl3Link.break_cable``).  Service-level helpers pick victims from a
+live :class:`~repro.cluster.deployment.Deployment`: the node hosting a
+role, or enough of a ring to exhaust its spares.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ class ClusterFailureInjector:
     def __init__(self, datacenter: Datacenter):
         self.datacenter = datacenter
 
-    def inject(
-        self, kind: FailureKind, pod_id: int, node: NodeId, port=None
-    ) -> None:
-        """Inject ``kind`` at ``node`` of pod ``pod_id`` (``port`` for
-        link failures)."""
+    def inject(self, kind: FailureKind, pod_id: int, node: NodeId) -> None:
+        """Inject ``kind`` at ``node`` of pod ``pod_id``."""
         pod = self.datacenter.pod(pod_id)
         server = pod.server_at(node)
         if kind is FailureKind.SERVER_HANG:
@@ -36,13 +34,6 @@ class ClusterFailureInjector:
             server.fpga.mark_failed()
         elif kind is FailureKind.PLL_UNLOCK:
             server.fpga.pll_locked = False
-        elif kind is FailureKind.LINK_FAILURE:
-            if port is None:
-                raise ValueError("LINK_FAILURE needs a port")
-            endpoint = server.shell.endpoints[port]
-            if endpoint.link is None:
-                raise ValueError(f"no link on {node} port {port}")
-            endpoint.link.break_cable()
         elif kind is FailureKind.CABLE_ASSEMBLY_FAILURE:
             self._assembly_for(pod, node).fail()
         elif kind is FailureKind.DRAM_CALIBRATION:
@@ -80,7 +71,6 @@ class ClusterFailureInjector:
         deployment: Deployment,
         kind: FailureKind,
         role_name: str | None = None,
-        port=None,
     ) -> NodeId:
         """Inject at the node hosting ``role_name`` (default: the head
         role) of ``deployment``; returns the victim node."""
@@ -90,7 +80,7 @@ class ClusterFailureInjector:
         if role_name is None:
             role_name = deployment.service.roles[0].name
         victim = assignment.node_of(role_name)
-        self.inject(kind, deployment.pod.pod_id, victim, port=port)
+        self.inject(kind, deployment.pod.pod_id, victim)
         return victim
 
     def kill_ring(

@@ -60,6 +60,9 @@ from repro.sim.units import US
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.spec import ServiceSpec
 
+# How often a drain re-checks a replica's in-flight requests.
+QUIESCE_POLL_NS = 50 * US
+
 
 @dataclasses.dataclass(frozen=True)
 class RingStatus:
@@ -313,11 +316,10 @@ class ClusterManager:
         self,
         datacenter: Datacenter,
         repair_policy: RepairPolicy | None = None,
-        bitstream_cache=None,  # opt-in BitstreamCache for re-placements
     ):
         self.datacenter = datacenter
         self.engine: Engine = datacenter.engine
-        self.scheduler = ClusterScheduler(datacenter, bitstream_cache=bitstream_cache)
+        self.scheduler = ClusterScheduler(datacenter)
         self.handles: dict[str, ServiceHandle] = {}
         self._endpoints: dict[str, ServiceEndpoint] = {}
         self.reconcile_reports: list[ReconcileReport] = []
@@ -347,8 +349,8 @@ class ClusterManager:
     # -- wiring ----------------------------------------------------------------
 
     def next_transient_ns(self, now_ns: float) -> float:
-        """Fluid windows stay shut while a watchdog, sweep or repair pass
-        holds the lock: no driver can announce these dips and recoveries
+        """Fluid windows stay shut while a watchdog or repair pass holds
+        the lock: no driver can announce these dips and recoveries
         ahead, so they are simulated exactly.  Operator calls are bounded
         by the driver's own schedule and run deadlines."""
         return now_ns if self._reacting else math.inf
@@ -498,7 +500,7 @@ class ClusterManager:
         self, handle: ServiceHandle | None = None, reactive: bool = False
     ) -> collections.abc.Generator:
         """:meth:`reconcile` as a generator; returns the report.
-        ``reactive`` marks a watchdog, sweep or repair pass."""
+        ``reactive`` marks a watchdog or repair pass."""
         yield from self._lock.acquire()
         self._reacting = reactive
         try:
@@ -549,7 +551,7 @@ class ClusterManager:
         """Converge one service (a generator); returns the actions.
 
         The only code that changes a service's replicas: first apply,
-        re-apply, upgrade, watchdog, sweep and repair passes all run it.
+        re-apply, upgrade, watchdog and repair passes all run it.
         It sheds dead replicas, scales down, rolls stale ones and scales
         up, in that order; a first apply (a handle not yet registered)
         has nothing to shed or roll and places with kind ``place``.
@@ -597,9 +599,14 @@ class ClusterManager:
         # whose definition is not the live one (an upgrade).  One at a
         # time, each with a capacity pre-flight, so a declaration that
         # cannot be placed degrades the service by at most one replica
-        # instead of taking every healthy replica dark.  A roll cut
-        # short by capacity resumes in the next pass.
+        # instead of taking every healthy replica dark.  Only a service
+        # that holds its declared count in rotation rolls: a short one
+        # keeps serving its old image, scales up in step 4, and a later
+        # pass (watchdog or repair) finishes the roll.  A roll cut short
+        # by capacity resumes the same way.
         for replica in list(balancer.deployments):
+            if len(balancer.deployments) < spec.replicas:
+                break
             if (
                 replica.service is spec.service
                 and len(self._member_rings(replica)) == spec.rings_per_replica
@@ -813,17 +820,15 @@ class ClusterManager:
         """
         return self.engine.drive(self._apply(new_spec, upgrading=handle)).last_reconcile
 
-    def _quiesce(
-        self, replica, bound_ns: float, poll_ns: float = 50 * US
-    ) -> collections.abc.Generator:
+    def _quiesce(self, replica, bound_ns: float) -> collections.abc.Generator:
         """Wait (a generator) until ``replica`` has no in-flight
         requests, bounded by ``bound_ns`` — every dispatched request
         resolves within its timeout, so the bound only bites when a
         ring died with stragglers (which then divert as timeouts on
         release, the §3.2 behavior)."""
-        deadline = self.engine.now + bound_ns + poll_ns
+        deadline = self.engine.now + bound_ns + QUIESCE_POLL_NS
         while replica.outstanding > 0 and self.engine.now < deadline:
-            yield self.engine.timeout(poll_ns)
+            yield self.engine.timeout(QUIESCE_POLL_NS)
 
     # -- health watchdog -------------------------------------------------------
 
@@ -861,16 +866,6 @@ class ClusterManager:
                 handle.spec.health_period_ns, anchor_ns=self.engine.now
             )
             self.engine.fluid.register(handle._watchdog_ticks, guarded=False)
-
-    def sweep(self, handle: ServiceHandle):
-        """One immediate health sweep + reconcile, as a process whose
-        value is the report (usable with ``engine.run_until``)."""
-
-        def body() -> collections.abc.Generator:
-            yield from self._sweep_body(handle)
-            return (yield from self._reconcile(handle, reactive=True))
-
-        return self.engine.process(body(), name=f"cluster.sweep:{handle.name}")
 
     def _sweep_body(self, handle: ServiceHandle) -> collections.abc.Generator:
         by_pod: dict[int, list] = {}

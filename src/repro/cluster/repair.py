@@ -11,29 +11,18 @@ first half; a cordoned slot stayed cordoned until an operator called
 This module closes the loop.  A :class:`RepairQueue` opens a
 :class:`ServiceTicket` whenever a slot is cordoned (the scheduler
 notifies an attached queue) or when deployment-time manufacturing
-tests find failed cards.  Each ticket draws a repair time from a
-configurable :class:`RepairPolicy` distribution — deterministic via
-the sim RNG — and on expiry the queue performs the technician's visit:
+tests find failed cards.  Each ticket draws a repair time from the
+:class:`RepairPolicy` distribution — deterministic via the sim RNG —
+and on expiry the queue performs the technician's visit:
 it resets the slot's hardware
 (:meth:`~repro.fabric.datacenter.Datacenter.service_ring`), un-cordons
 the slot through the scheduler, and fires its ``on_repaired``
 callbacks so the :class:`~repro.cluster.manager.ClusterManager` can
 immediately reconcile shortfall replicas onto the recovered capacity.
 
-Repair-time distributions:
-
-``fixed``
-    Every repair takes exactly ``mean_ns`` — the analytic baseline.
-
-``lognormal``
-    Right-skewed service times (most swaps are quick, a few wait on
-    parts), parameterised so the distribution's mean is ``mean_ns``
-    with log-space shape ``sigma``.
-
-``batched``
-    The "weekly truck roll": tickets wait until the next multiple of
-    ``batch_period_ns`` on the simulation clock and are all serviced
-    on that visit — the cheapest real-world staffing model.
+Repair times are lognormal: right-skewed service times (most swaps
+are quick, a few wait on parts), parameterised so the distribution's
+mean is ``mean_ns`` with log-space shape ``sigma``.
 """
 
 from __future__ import annotations
@@ -45,49 +34,37 @@ import typing
 
 from repro.fabric.datacenter import Datacenter, RingSlot
 from repro.sim import Engine
-from repro.sim.units import DAY, HOUR
+from repro.sim.units import HOUR
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.scheduler import ClusterScheduler
 
-REPAIR_DISTRIBUTIONS = ("fixed", "lognormal", "batched")
-
-
 @dataclasses.dataclass(frozen=True)
 class RepairPolicy:
-    """How long cordoned hardware waits for its technician."""
+    """How long cordoned hardware waits for its technician: lognormal
+    with mean ``mean_ns`` and log-space shape ``sigma``."""
 
-    distribution: str = "fixed"
+    # The one distribution.  The field stays because the serving
+    # benchmark's week workload names it.
+    distribution: str = "lognormal"
     mean_ns: float = 4 * HOUR
     sigma: float = 0.5  # lognormal log-space shape
-    batch_period_ns: float = 7 * DAY  # truck-roll cadence
 
     def __post_init__(self) -> None:
-        if self.distribution not in REPAIR_DISTRIBUTIONS:
+        if self.distribution != "lognormal":
             raise ValueError(
-                f"unknown repair distribution {self.distribution!r}; "
-                f"choose from {REPAIR_DISTRIBUTIONS}"
+                f"unknown repair distribution {self.distribution!r}; repairs are lognormal"
             )
         if self.mean_ns <= 0:
             raise ValueError(f"mean repair time must be positive, got {self.mean_ns}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.batch_period_ns <= 0:
-            raise ValueError(
-                f"batch period must be positive, got {self.batch_period_ns}"
-            )
 
-    def repair_delay_ns(self, rng, now_ns: float) -> float:
+    def repair_delay_ns(self, rng) -> float:
         """Time from ticket open until the repair completes."""
-        if self.distribution == "fixed":
-            return self.mean_ns
-        if self.distribution == "lognormal":
-            # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) = mean_ns.
-            mu = math.log(self.mean_ns) - self.sigma * self.sigma / 2.0
-            return rng.lognormvariate(mu, self.sigma)
-        # batched: the next truck-roll instant strictly after now.
-        remainder = now_ns % self.batch_period_ns
-        return self.batch_period_ns - remainder
+        # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) = mean_ns.
+        mu = math.log(self.mean_ns) - self.sigma * self.sigma / 2.0
+        return rng.lognormvariate(mu, self.sigma)
 
 
 @dataclasses.dataclass
@@ -176,7 +153,7 @@ class RepairQueue:
             slot=slot,
             reason=reason,
             opened_ns=now,
-            due_ns=now + self.policy.repair_delay_ns(self._rng, now),
+            due_ns=now + self.policy.repair_delay_ns(self._rng),
         )
         self.tickets.append(ticket)
         self._open_by_slot[slot] = ticket
@@ -210,18 +187,14 @@ class RepairQueue:
         if self.engine.fluid is not None:
             self.engine.fluid.note_transient()
         ticket.components_serviced = self.datacenter.service_ring(ticket.slot)
-        # Serviced boards return with good hardware and empty staging
-        # DRAM: lift every cordon on the ring, drop its cached images.
+        # Serviced boards return with good hardware: lift every cordon
+        # on the ring.
         self.scheduler.uncordon(ticket.slot)
-        cache = self.scheduler.bitstream_cache
-        if cache is not None:
-            for server in self.datacenter.ring_servers(ticket.slot):
-                cache.invalidate(server.machine_id)
         for callback in list(self.on_repaired):
             callback(ticket)
 
     def __repr__(self) -> str:
         return (
-            f"<RepairQueue {self.policy.distribution} "
+            f"<RepairQueue mean={self.policy.mean_ns:.0f}ns "
             f"open={len(self.open_tickets)} closed={len(self.closed_tickets)}>"
         )

@@ -22,9 +22,10 @@ class RpcTimeout(Exception):
 class EthernetNetwork:
     """Datacenter management network with per-machine RPC handlers."""
 
-    def __init__(self, engine: Engine, one_way_latency_ns: float = 50 * US):
+    ONE_WAY_LATENCY_NS = 50 * US
+
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.one_way_latency_ns = one_way_latency_ns
         self._handlers: dict[str, collections.abc.Callable[[object], object]] = {}
         self.rpcs_sent = 0
         self.rpcs_timed_out = 0
@@ -52,7 +53,7 @@ class EthernetNetwork:
         done = self.engine.event(name=f"rpc:{dst}")
 
         def body():
-            yield self.engine.timeout(self.one_way_latency_ns)
+            yield self.engine.timeout(self.ONE_WAY_LATENCY_NS)
             handler = self._handlers.get(dst)
             response = None
             if handler is not None:
@@ -66,7 +67,7 @@ class EthernetNetwork:
                 self.rpcs_timed_out += 1
                 done.fail(RpcTimeout(dst))
                 return
-            yield self.engine.timeout(self.one_way_latency_ns)
+            yield self.engine.timeout(self.ONE_WAY_LATENCY_NS)
             done.succeed(response)
 
         self.engine.process(body(), name=f"rpc.{dst}")

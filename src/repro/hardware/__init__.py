@@ -15,7 +15,7 @@ from repro.hardware.ecc import (
 from repro.hardware.bitstream import Bitstream, ResourceBudget, ShellVersion
 from repro.hardware.synthesis import SynthesisReport, synthesize
 from repro.hardware.fpga import Fpga, FpgaState, ReconfigError
-from repro.hardware.dram import DramController, DramConfig, DramError
+from repro.hardware.dram import DramController, DramError
 from repro.hardware.flash import ConfigFlash, FlashError
 from repro.hardware.power import PowerModel
 from repro.hardware.sensors import ThermalModel, TemperatureShutdown
@@ -26,7 +26,6 @@ __all__ = [
     "ConfigFlash",
     "Crc32",
     "DecodeStatus",
-    "DramConfig",
     "DramController",
     "DramError",
     "DramSpeed",

@@ -94,6 +94,7 @@ SL3_PEAK_GBPS = SL3_LANE_GBPS * SL3_LANES_PER_LINK  # 20 Gb/s bidirectional
 SL3_ECC_BANDWIDTH_TAX = 0.20  # ECC costs 20 % of peak bandwidth (§3.2)
 SL3_HOP_LATENCY_NS = 400.0  # "sub-microsecond latency" per hop (§2.2)
 SL3_FLIT_BYTES = 32  # 256-bit flits on the SL3 cores
+SL3_RETRAIN_NS = 2_000_000.0  # link retrain after reconfiguration
 
 # --- PCIe interface (§3.1) ------------------------------------------------
 
@@ -117,6 +118,7 @@ MACROPIPELINE_TARGET_MHZ = 200.0  # 1,600 cycles per stage budget
 # --- Shell (§3.2) ----------------------------------------------------------
 
 SHELL_AREA_FRACTION = 0.23  # the shell consumes 23 % of each FPGA
+SEU_SCRUB_PERIOD_NS = 100e6  # the scrubber's pass period, 100 ms
 
 # --- Documents (§4.1) -------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 The board carries two dual-rank DDR3-1600 SO-DIMMs that run at
 DDR3-1333 with the full 8 GB, or at DDR3-1600 single-rank trading
-capacity for bandwidth.  The two controllers can operate independently
-or as a unified interface.  SECDED ECC corrects single-bit and detects
-double-bit errors; datacenter-scale DRAM failure modes (bit errors,
-calibration failures) feed the Health Monitor's error vector.
+capacity for bandwidth; the shell runs them at DDR3-1333 as one
+unified interface.  SECDED ECC corrects single-bit and detects
+double-bit errors; datacenter-scale DRAM failure modes (calibration
+failures) feed the Health Monitor's error vector.
 """
 
 from __future__ import annotations
@@ -30,93 +30,45 @@ class DramHealth:
     calibration_failed: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
-class DramConfig:
-    """Operating point for the pair of controllers."""
-
-    speed: DramSpeed = DramSpeed.DDR3_1333_DUAL_RANK
-    unified: bool = True  # operate the two controllers as one interface
-    ecc_enabled: bool = True
-
-    @property
-    def total_capacity_bytes(self) -> int:
-        return self.speed.capacity_bytes
-
-    RANDOM_EFFICIENCY = 0.70
-    SEQUENTIAL_EFFICIENCY = 0.95  # streaming bursts (Model Reload, §4.3)
-
-    @property
-    def bandwidth_bytes_per_ns(self) -> float:
-        """Aggregate sustained bandwidth (both DIMMs, random-ish access)."""
-        channels = 2 if self.unified else 1
-        return (
-            self.speed.peak_bandwidth_bytes_per_ns * channels * self.RANDOM_EFFICIENCY
-        )
-
-    @property
-    def sequential_bandwidth_bytes_per_ns(self) -> float:
-        """Streaming bandwidth for long sequential bursts."""
-        channels = 2 if self.unified else 1
-        return (
-            self.speed.peak_bandwidth_bytes_per_ns
-            * channels
-            * self.SEQUENTIAL_EFFICIENCY
-        )
-
-
 class DramController:
     """Timing plus ECC model of the board DRAM.
 
-    Data contents are modelled sparsely: a dict of 64-bit words keyed by
-    word address.  Bulk transfers (queue buffers, model tables) use
-    :meth:`transfer` for pure timing.
+    The two dual-rank DIMMs run at DDR3-1333 with the full 8 GB, as one
+    unified interface, ECC on.  Data contents are modelled sparsely: a
+    dict of ECC codewords keyed by word address.  Bulk transfers (queue
+    buffers, model tables) use :meth:`transfer` for pure timing.
     """
 
+    SPEED = DramSpeed.DDR3_1333_DUAL_RANK
+    CHANNELS = 2  # both controllers as one interface
     ROW_ACTIVATE_NS = 45.0  # tRCD+tRP-ish fixed access overhead
+    RANDOM_EFFICIENCY = 0.70
+    SEQUENTIAL_EFFICIENCY = 0.95  # streaming bursts (Model Reload, §4.3)
 
-    def __init__(
-        self,
-        engine: Engine,
-        name: str = "dram",
-        config: DramConfig | None = None,
-        error_rate: float = 0.0,
-        double_error_rate: float = 0.0,
-    ):
+    def __init__(self, engine: Engine, name: str = "dram"):
         self.engine = engine
         self.name = name
-        self.config = config or DramConfig()
         self.health = DramHealth()
-        self.error_rate = error_rate  # per-read single-bit-flip probability
-        self.double_error_rate = double_error_rate  # per-read double-flip probability
         self._codec = SecDedCodec()
         self._words: dict[int, int] = {}  # address -> stored codeword
-        self._rng = engine.rng.stream(f"dram:{name}")
 
     @property
     def capacity_words(self) -> int:
-        return self.config.total_capacity_bytes // 8
+        return self.SPEED.capacity_bytes // 8
 
     # -- word access (functional + ECC) ------------------------------------
 
     def write_word(self, address: int, data: int) -> None:
-        """Store one 64-bit word (ECC-encoded if enabled)."""
+        """Store one 64-bit word, ECC-encoded."""
         self._check_address(address)
-        if self.config.ecc_enabled:
-            self._words[address] = self._codec.encode(data)
-        else:
-            self._words[address] = data
+        self._words[address] = self._codec.encode(data)
 
     def read_word(self, address: int) -> int:
-        """Read one 64-bit word, applying the soft-error/ECC pipeline."""
+        """Read one 64-bit word through the ECC decoder: a single-bit
+        error in the stored codeword is corrected (and scrubbed back),
+        a double-bit one raises."""
         self._check_address(address)
-        stored = self._words.get(address, self._codec.encode(0) if self.config.ecc_enabled else 0)
-        if self.double_error_rate and self._rng.random() < self.double_error_rate:
-            stored = self._flip_random_bits(stored, 2)
-        elif self.error_rate and self._rng.random() < self.error_rate:
-            stored = self._flip_random_bits(stored, 1)
-        if not self.config.ecc_enabled:
-            return stored & ((1 << 64) - 1)
-        result = self._codec.decode(stored)
+        result = self._codec.decode(self._words.get(address, self._codec.encode(0)))
         if result.status is DecodeStatus.CORRECTED:
             self.health.corrected_errors += 1
             self._words[address] = self._codec.encode(result.data)
@@ -124,12 +76,6 @@ class DramController:
             self.health.uncorrectable_errors += 1
             raise DramError(f"{self.name}: uncorrectable ECC error at {address:#x}")
         return result.data
-
-    def _flip_random_bits(self, word: int, count: int) -> int:
-        width = 72 if self.config.ecc_enabled else 64
-        for _ in range(count):
-            word ^= 1 << self._rng.randrange(width)
-        return word
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.capacity_words:
@@ -139,20 +85,16 @@ class DramController:
 
     # -- bulk timing ---------------------------------------------------------
 
-    def transfer(self, num_bytes: int, sequential: bool = False) -> Event:
+    def transfer(self, num_bytes: int) -> Event:
         """Timing-only bulk transfer; returns a completion event."""
         if num_bytes < 0:
             raise DramError(f"negative transfer size {num_bytes}")
-        duration = self.transfer_time_ns(num_bytes, sequential)
-        return self.engine.timeout(duration, value=num_bytes)
+        return self.engine.timeout(self.transfer_time_ns(num_bytes), value=num_bytes)
 
     def transfer_time_ns(self, num_bytes: int, sequential: bool = False) -> float:
         """Closed-form transfer duration used by Model Reload estimates."""
-        bandwidth = (
-            self.config.sequential_bandwidth_bytes_per_ns
-            if sequential
-            else self.config.bandwidth_bytes_per_ns
-        )
+        efficiency = self.SEQUENTIAL_EFFICIENCY if sequential else self.RANDOM_EFFICIENCY
+        bandwidth = self.SPEED.peak_bandwidth_bytes_per_ns * self.CHANNELS * efficiency
         return self.ROW_ACTIVATE_NS + num_bytes / bandwidth
 
     # -- failure injection ------------------------------------------------------
@@ -165,4 +107,4 @@ class DramController:
         self.health.calibration_failed = False
 
     def __repr__(self) -> str:
-        return f"<DramController {self.name} {self.config.speed.label}>"
+        return f"<DramController {self.name} {self.SPEED.label}>"

@@ -36,9 +36,6 @@ class ConfigFlash:
         self._slots: dict[str, Bitstream] = {}
         self.write_count = 0
 
-    def stored(self, slot: str) -> Bitstream | None:
-        return self._slots.get(slot)
-
     def write(self, slot: str, bitstream: Bitstream) -> Event:
         """Program ``bitstream`` into ``slot``; returns completion event.
 

@@ -8,7 +8,10 @@ Captures the behaviours the paper's resilience machinery exists for:
 * during reconfiguration the device disappears from PCIe, raising a
   non-maskable interrupt on the host unless the driver masked it;
 * configuration SRAM is subject to single-event upsets, which the SEU
-  scrubber repairs (§3.2).
+  scrubber repairs (§3.2).  The scrubber passes on a 100 ms period
+  counted from the hosting shell's creation, but only a pass that has
+  an upset to repair is simulated: a correctable upset schedules one,
+  and it re-arms while upsets stay pending on an unconfigured part.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import enum
+import math
 
 from repro.hardware.bitstream import Bitstream, ShellVersion
 from repro.hardware.constants import (
     FULL_RECONFIG_NS,
     PARTIAL_RECONFIG_NS,
+    SEU_SCRUB_PERIOD_NS,
     STRATIX_V_D5,
-    FpgaDevice,
 )
 from repro.sim import Engine, Event
 
@@ -56,19 +60,13 @@ class Fpga:
     and the error counters management software reads.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        name: str,
-        device: FpgaDevice = STRATIX_V_D5,
-        shell_version: ShellVersion | None = None,
-        reconfig_ns: float = FULL_RECONFIG_NS,
-    ):
+    # Every board carries the same part and shell (§2.1, §3.2).
+    device = STRATIX_V_D5
+    shell_version = ShellVersion()
+
+    def __init__(self, engine: Engine, name: str):
         self.engine = engine
         self.name = name
-        self.device = device
-        self.shell_version = shell_version or ShellVersion()
-        self.reconfig_ns = reconfig_ns
         self.state = FpgaState.UNCONFIGURED
         self.bitstream: Bitstream | None = None
         self.seu = SeuCounters()
@@ -77,6 +75,10 @@ class Fpga:
         self.reconfig_count = 0
         self.partial_reconfig_count = 0
         self.role_reloading = False  # partial reconfiguration in flight
+        # Instant the hosting shell's scrubber started (None: no shell,
+        # no scrubber) and whether one of its passes is scheduled.
+        self.scrub_anchor_ns: float | None = None
+        self._scrub_armed = False
         self._observers: list[collections.abc.Callable[[Fpga, FpgaState], None]] = []
 
     # -- observers -------------------------------------------------------
@@ -117,15 +119,18 @@ class Fpga:
     def _reconfigure_body(self, bitstream: Bitstream, done: Event) -> collections.abc.Generator:
         self._set_state(FpgaState.RECONFIGURING)
         self.bitstream = None
-        yield self.engine.timeout(self.reconfig_ns)
+        yield self.engine.timeout(FULL_RECONFIG_NS)
         if self.state == FpgaState.FAILED:
             # The part died mid-flight (failure injection); stay dead.
             done.fail(ReconfigError(f"{self.name}: failed during reconfiguration"))
             return
         self.bitstream = bitstream
         self.reconfig_count += 1
-        # Cleared configuration: any SEU damage is wiped by the reload.
-        self.seu.uncorrected = 0
+        # Cleared configuration: any SEU damage is wiped by the reload,
+        # and the scrubber's next pass counts it repaired.
+        if self.seu.uncorrected:
+            self.seu.uncorrected = 0
+            self._arm_scrub()
         self._set_state(FpgaState.CONFIGURED)
         done.succeed(bitstream)
 
@@ -183,17 +188,50 @@ class Fpga:
     def inject_seu(self, correctable: bool = True) -> None:
         """Inject a configuration-memory soft error (cosmic ray)."""
         self.seu.upsets_injected += 1
-        if not correctable:
+        if correctable:
+            self._arm_scrub()
+        else:
             self.seu.uncorrected += 1
+
+    def _arm_scrub(self) -> None:
+        """Schedule the scrubber's pass at its first period boundary not
+        before now, unless one is already scheduled."""
+        if self.scrub_anchor_ns is None or self._scrub_armed:
+            return
+        self._scrub_armed = True
+        period, anchor, now = SEU_SCRUB_PERIOD_NS, self.scrub_anchor_ns, self.engine.now
+        self._schedule_scrub(anchor + math.ceil((now - anchor) / period) * period - now)
+
+    def _schedule_scrub(self, delay_ns: float) -> None:
+        # Daemon work, as the pass of a free-running scrubber would be:
+        # a pending pass does not keep a bare run() alive.
+        scrub = self.engine.timeout(delay_ns)
+        self.engine.mark_daemon(scrub)
+        scrub.add_callback(self._scrub_pass)
+
+    def _scrub_pass(self, _event: Event) -> None:
+        """One scheduled pass: repairs pending upsets on a configured
+        part, and otherwise comes back a period later while any wait."""
+        if self.state is FpgaState.CONFIGURED:
+            self._scrub_armed = False
+            self.scrub()
+        elif self._pending_upsets > 0:
+            self._schedule_scrub(SEU_SCRUB_PERIOD_NS)
+        else:
+            self._scrub_armed = False
 
     def scrub(self) -> int:
         """One scrubber pass: repairs all pending correctable upsets.
 
         Returns the number of upsets repaired.
         """
-        pending = self.seu.upsets_injected - self.seu.upsets_scrubbed - self.seu.uncorrected
-        self.seu.upsets_scrubbed += max(pending, 0)
-        return max(pending, 0)
+        pending = max(self._pending_upsets, 0)
+        self.seu.upsets_scrubbed += pending
+        return pending
+
+    @property
+    def _pending_upsets(self) -> int:
+        return self.seu.upsets_injected - self.seu.upsets_scrubbed - self.seu.uncorrected
 
     def mark_failed(self) -> None:
         """Hardware fault: the part needs manual service (§3.5)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.hardware.bitstream import ResourceBudget, shell_budget
-from repro.hardware.constants import BOARD_LIMITS, STRATIX_V_D5, FpgaDevice
+from repro.hardware.constants import BOARD_LIMITS, STRATIX_V_D5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,13 +57,12 @@ class PowerModel:
         budget: ResourceBudget,
         clock_mhz: float,
         toggle_rate: float = 0.25,
-        device: FpgaDevice = STRATIX_V_D5,
         include_shell: bool = True,
     ) -> PowerReport:
         """Power for a role's ``budget`` at ``clock_mhz`` and toggle rate."""
         if not 0.0 <= toggle_rate <= 1.0:
             raise ValueError(f"toggle rate must be in [0,1], got {toggle_rate}")
-        total = budget + shell_budget(device) if include_shell else budget
+        total = budget + shell_budget(STRATIX_V_D5) if include_shell else budget
         dynamic = toggle_rate * clock_mhz * (
             total.alms * self.ALM_W_PER_MHZ
             + total.m20k_blocks * self.M20K_W_PER_MHZ
@@ -76,15 +75,12 @@ class PowerModel:
             misc_w=self.MISC_W,
         )
 
-    def power_virus(self, device: FpgaDevice = STRATIX_V_D5) -> PowerReport:
+    def power_virus(self) -> PowerReport:
         """The §5 experiment: max out area and activity factor."""
+        device = STRATIX_V_D5
         full_device = ResourceBudget(
             alms=device.alms, m20k_blocks=device.m20k_blocks, dsp_blocks=device.dsp_blocks
         )
         return self.estimate(
-            full_device,
-            clock_mhz=self.VIRUS_CLOCK_MHZ,
-            toggle_rate=1.0,
-            device=device,
-            include_shell=False,
+            full_device, clock_mhz=self.VIRUS_CLOCK_MHZ, toggle_rate=1.0, include_shell=False
         )

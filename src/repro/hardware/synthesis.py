@@ -81,10 +81,7 @@ def estimate_clock(role_name: str, budget: ResourceBudget, device: FpgaDevice) -
 
 
 def synthesize(
-    role_name: str,
-    components: dict[str, int],
-    device: FpgaDevice = STRATIX_V_D5,
-    clock_override_mhz: float | None = None,
+    role_name: str, components: dict[str, int]
 ) -> tuple[Bitstream, SynthesisReport]:
     """'Synthesize' a role: check fit, estimate clock, emit a bitstream.
 
@@ -92,6 +89,7 @@ def synthesize(
     device capacity — the condition that forces a service to span
     multiple FPGAs (the motivation for the fabric, §1).
     """
+    device = STRATIX_V_D5
     budget = role_budget(components)
     total = budget + shell_budget(device)
     if not total.fits(device):
@@ -101,7 +99,7 @@ def synthesize(
             f"logic {util['logic']:.0%}, ram {util['ram']:.0%}, "
             f"dsp {util['dsp']:.0%}"
         )
-    clock = clock_override_mhz or estimate_clock(role_name, budget, device)
+    clock = estimate_clock(role_name, budget, device)
     util = total.utilization(device)
     report = SynthesisReport(
         role_name=role_name,

@@ -25,7 +25,6 @@ from repro.ranking.models import ModelLibrary, RankingModel
 from repro.ranking.scoring import (
     BoostedTreeScorer,
     DecisionTree,
-    NeuralScorer,
     TreeNode,
 )
 from repro.ranking.software_ranker import SoftwareRanker
@@ -40,7 +39,6 @@ __all__ = [
     "FeatureLayout",
     "HitTuple",
     "ModelLibrary",
-    "NeuralScorer",
     "Query",
     "RankingModel",
     "SoftwareRanker",

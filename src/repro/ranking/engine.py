@@ -21,8 +21,9 @@ from repro.ranking.models import ModelLibrary, RankingModel
 class _LruCache:
     """A small bounded cache (documents cycle through benchmarks)."""
 
-    def __init__(self, capacity: int = 8_192):
-        self.capacity = capacity
+    CAPACITY = 8_192
+
+    def __init__(self):
         self._data: collections.OrderedDict = collections.OrderedDict()
 
     def get(self, key):
@@ -34,16 +35,16 @@ class _LruCache:
     def put(self, key, value) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
-        if len(self._data) > self.capacity:
+        if len(self._data) > self.CAPACITY:
             self._data.popitem(last=False)
 
 
 class ScoringEngine:
     """Functional evaluation with caching, plus model timing metadata."""
 
-    def __init__(self, library: ModelLibrary, layout: FeatureLayout | None = None):
+    def __init__(self, library: ModelLibrary):
         self.library = library
-        self.layout = layout or FeatureLayout()
+        self.layout = FeatureLayout()
         self.extractor = FeatureExtractor(self.layout)
         self._feature_cache = _LruCache()
         self._ffe_cache = _LruCache()

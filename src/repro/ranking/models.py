@@ -43,13 +43,13 @@ from repro.ranking.ffe.expr import METAFEATURE_BASE
 from repro.ranking.scoring import (
     BoostedTreeScorer,
     DecisionTree,
-    NeuralScorer,
     TreeNode,
 )
 from repro.sim.rng import RngStreams
 
 # FFE results live above metafeatures in the slot space.
 FFE_RESULT_BASE = 1 << 17
+TREE_DEPTH = 6  # depth of every synthetic model's decision trees
 
 
 @dataclasses.dataclass
@@ -166,13 +166,9 @@ def synthesize_model(
     model_id: int,
     name: str,
     language: str = "en",
-    seed: int | None = None,
     metafeatures: int = 48,
     stage1_expressions: int = 1_200,
     trees: int = 600,
-    tree_depth: int = 6,
-    scorer_kind: str = "trees",
-    layout: FeatureLayout | None = None,
 ) -> RankingModel:
     """Build a deterministic synthetic model of realistic proportions.
 
@@ -180,10 +176,8 @@ def synthesize_model(
     tree ensemble whose three banks dominate scoring-FPGA RAM, matching
     the paper's qualitative description.
     """
-    root = seed if seed is not None else model_id * 7919 + 13
-    rng = RngStreams(root).stream(f"model:{model_id}")
-    layout = layout or FeatureLayout()
-    synth = _ExpressionSynthesizer(rng, layout)
+    rng = RngStreams(model_id * 7919 + 13).stream(f"model:{model_id}")
+    synth = _ExpressionSynthesizer(rng, FeatureLayout())
     compiler = FfeCompiler()
 
     # Metafeatures: the deepest expressions, computed upstream (§4.5 —
@@ -229,30 +223,10 @@ def synthesize_model(
             right=make_tree(depth - 1),
         )
 
-    if scorer_kind == "trees":
-        scorer = BoostedTreeScorer(
-            [DecisionTree(make_tree(tree_depth)) for _ in range(trees)],
-            learning_rate=0.1,
-        )
-    elif scorer_kind == "mlp":
-        # A RankNet-style two-layer net over a sparse slice of the
-        # packed vector; hidden width scales with the tree budget.
-        hidden = max(6, trees // 10)
-        width = len(compression)
-        weights = []
-        for _ in range(hidden):
-            row = [0.0] * width
-            for _ in range(max(4, width // 50)):
-                row[rng.randrange(width)] = round(rng.uniform(-0.5, 0.5), 4)
-            weights.append(row)
-        scorer = NeuralScorer(
-            weights=weights,
-            hidden_bias=[round(rng.uniform(-0.2, 0.2), 4) for _ in range(hidden)],
-            output_weights=[round(rng.uniform(-1.0, 1.0), 4) for _ in range(hidden)],
-            output_bias=round(rng.uniform(-0.5, 0.5), 4),
-        )
-    else:
-        raise ValueError(f"unknown scorer kind {scorer_kind!r}")
+    scorer = BoostedTreeScorer(
+        [DecisionTree(make_tree(TREE_DEPTH)) for _ in range(trees)],
+        learning_rate=0.1,
+    )
     return RankingModel(
         model_id=model_id,
         name=name,
@@ -282,10 +256,9 @@ class ModelLibrary:
         return len(self.models)
 
     @classmethod
-    def default(cls, scale: float = 1.0, layout: FeatureLayout | None = None) -> "ModelLibrary":
+    def default(cls, scale: float = 1.0) -> "ModelLibrary":
         """Four production-flavoured models (three languages + one
         experimental), scaled by ``scale`` for cheaper test runs."""
-        layout = layout or FeatureLayout()
 
         def scaled(n: int) -> int:
             return max(8, int(n * scale))
@@ -304,7 +277,6 @@ class ModelLibrary:
                 metafeatures=scaled(48),
                 stage1_expressions=scaled(1_200),
                 trees=scaled(600),
-                layout=layout,
             )
             for model_id, name, language in specs
         )

@@ -26,14 +26,15 @@ from repro.sim.units import US
 class QueueManager:
     """Per-model queueing and dispatch at the pipeline head."""
 
+    SWITCH_TIMEOUT_NS = 500 * US
+    MAX_BATCH = 512
+
     def __init__(
         self,
         engine: Engine,
         dispatch: collections.abc.Callable,  # generator: yield-from'able per packet
         reload_model: collections.abc.Callable,  # generator: model switch actions
         policy: str = "batch",
-        switch_timeout_ns: float = 500 * US,
-        max_batch: int = 512,
     ):
         if policy not in ("batch", "fifo"):
             raise ValueError(f"unknown queue-manager policy {policy!r}")
@@ -41,8 +42,6 @@ class QueueManager:
         self.dispatch = dispatch
         self.reload_model = reload_model
         self.policy = policy
-        self.switch_timeout_ns = switch_timeout_ns
-        self.max_batch = max_batch
         self.queues: dict[int, deque] = {}
         self.fifo: deque = deque()
         self.current_model: int | None = None
@@ -137,7 +136,7 @@ class QueueManager:
         )
         timed_out = (
             others_waiting
-            and self.engine.now - self._batch_started_ns >= self.switch_timeout_ns
+            and self.engine.now - self._batch_started_ns >= self.SWITCH_TIMEOUT_NS
         )
         if current is not None and not timed_out:
             queue = self.queues.get(current)
@@ -155,7 +154,7 @@ class QueueManager:
         else:
             later = [m for m in candidates if current is None or m > current]
             next_model = later[0] if later else candidates[0]
-        self._batch_remaining = self.max_batch - 1
+        self._batch_remaining = self.MAX_BATCH - 1
         self._batch_started_ns = self.engine.now
         return next_model, self.queues[next_model].popleft()
 

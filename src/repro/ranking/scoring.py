@@ -93,64 +93,6 @@ class DecisionTree:
         return measure(self.root)
 
 
-class NeuralScorer:
-    """A two-layer MLP scorer (the RankNet-style alternative).
-
-    Bing-era ranking mixed boosted trees with neural models; the
-    scoring FPGAs hold whichever the selected model uses.  The hidden
-    layer is split across the three scoring banks: each bank evaluates
-    a third of the hidden units and contributes its partial sum of
-    ``v_j * tanh(w_j . x + b_j)``; the output bias rides with bank 2.
-    """
-
-    BANKS = 3
-
-    def __init__(self, weights, hidden_bias, output_weights, output_bias=0.0):
-        if not weights:
-            raise ValueError("need at least one hidden unit")
-        if len(weights) != len(hidden_bias) or len(weights) != len(output_weights):
-            raise ValueError("hidden bias / output weights must match hidden units")
-        self.weights = [list(w) for w in weights]  # hidden x features
-        self.hidden_bias = list(hidden_bias)
-        self.output_weights = list(output_weights)
-        self.output_bias = output_bias
-
-    @property
-    def hidden_units(self) -> int:
-        return len(self.weights)
-
-    def _unit(self, j: int, packed: collections.abc.Sequence[float]) -> float:
-        w = self.weights[j]
-        activation = self.hidden_bias[j] + sum(
-            w[i] * packed[i] for i in range(min(len(w), len(packed)))
-        )
-        return self.output_weights[j] * math.tanh(activation)
-
-    def evaluate_bank(self, index: int, packed: collections.abc.Sequence[float]) -> float:
-        if not 0 <= index < self.BANKS:
-            raise ValueError(f"bank index {index} out of range")
-        partial = sum(
-            self._unit(j, packed)
-            for j in range(index, self.hidden_units, self.BANKS)
-        )
-        if index == 2:
-            partial += self.output_bias
-        return partial
-
-    def evaluate(self, packed: collections.abc.Sequence[float]) -> float:
-        return sum(self.evaluate_bank(i, packed) for i in range(self.BANKS))
-
-    def bank_node_count(self, index: int) -> int:
-        """Parameter count proxy for Model Reload sizing."""
-        units = len(range(index, self.hidden_units, self.BANKS))
-        width = len(self.weights[0]) if self.weights else 0
-        return units * (width + 2)
-
-    @property
-    def tree_count(self) -> int:  # uniform scorer interface
-        return self.hidden_units
-
-
 def _source(node: TreeNode, features: set) -> tuple[str, int]:
     """Python source of the subtree at ``node``, and its parenthesis depth.
 

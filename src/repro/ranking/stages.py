@@ -163,7 +163,7 @@ class FeatureExtractionRole(RankingStageRole):
 
     clock_mhz = FE_CLOCK_MHZ
 
-    def __init__(self, assignment, role_name: str = "fe"):
+    def __init__(self, assignment, role_name: str):
         super().__init__(assignment, role_name)
         self.queue_manager: QueueManager | None = None
 

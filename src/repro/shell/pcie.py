@@ -54,19 +54,13 @@ class HostDmaBuffers:
     threads fill them and consume ``output_slots``.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        slot_count: int = PCIE_SLOT_COUNT,
-        slot_bytes: int = PCIE_SLOT_BYTES,
-    ):
-        if slot_count < 1:
-            raise SlotError(f"need at least one slot, got {slot_count}")
+    slot_count = PCIE_SLOT_COUNT
+    slot_bytes = PCIE_SLOT_BYTES
+
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.slot_count = slot_count
-        self.slot_bytes = slot_bytes
-        self.input_slots = [Slot(i) for i in range(slot_count)]
-        self.output_slots = [Slot(i) for i in range(slot_count)]
+        self.input_slots = [Slot(i) for i in range(PCIE_SLOT_COUNT)]
+        self.output_slots = [Slot(i) for i in range(PCIE_SLOT_COUNT)]
         self._full_inputs: set[int] = set()  # a snapshot reads these, not every slot
         self._dma_wake: Event | None = None
 
@@ -216,19 +210,10 @@ class PcieCore:
     A device that is down pauses both directions until it is restored.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        router: Router,
-        buffers: HostDmaBuffers,
-        gbps: float = PCIE_GBPS,
-        setup_ns: float = PCIE_DMA_SETUP_NS,
-    ):
+    def __init__(self, engine: Engine, router: Router, buffers: HostDmaBuffers):
         self.engine = engine
         self.router = router
         self.buffers = buffers
-        self.gbps = gbps
-        self.setup_ns = setup_ns
         self.stats = PcieStats()
         self.device_up = True
         self.on_nmi: collections.abc.Callable[[], None] | None = None
@@ -264,7 +249,7 @@ class PcieCore:
     # -- DMA engine ---------------------------------------------------------------------
 
     def dma_time_ns(self, size_bytes: int) -> float:
-        return self.setup_ns + transfer_time_ns(size_bytes, self.gbps)
+        return PCIE_DMA_SETUP_NS + transfer_time_ns(size_bytes, PCIE_GBPS)
 
     def _scan(self, _event=None) -> None:
         """Snapshot the full input bits and start DMAing the snapshot."""

@@ -176,18 +176,10 @@ class Role:
 
 
 class PassthroughRole(Role):
-    """Forwards requests to a fixed next hop; used by spare nodes and tests."""
+    """The idle role of a spare node: it consumes what reaches it."""
 
     name = "passthrough"
 
-    def __init__(self, next_hop: tuple | None = None, delay_ns: float = 0.0):
-        super().__init__()
-        self.next_hop = next_hop
-        self.delay_ns = delay_ns
-
     def handle(self, packet: Packet) -> collections.abc.Generator:
-        if self.delay_ns:
-            yield self.shell.engine.timeout(self.delay_ns)
-        if self.next_hop is not None:
-            packet.dst = self.next_hop
-            yield self.send(packet)
+        return
+        yield

@@ -27,8 +27,8 @@ import collections.abc
 import dataclasses
 
 from repro.hardware.bitstream import Bitstream
-from repro.hardware.constants import DramSpeed
-from repro.hardware.dram import DramConfig, DramController
+from repro.hardware.constants import FULL_RECONFIG_NS, SL3_RETRAIN_NS
+from repro.hardware.dram import DramController
 from repro.hardware.flash import ConfigFlash
 from repro.hardware.fpga import Fpga, FpgaState
 from repro.shell.fdr import FlightDataRecorder
@@ -38,7 +38,6 @@ from repro.shell.role import Role
 from repro.shell.router import NETWORK_PORTS, Port, Router
 from repro.shell.sl3 import Sl3Config, Sl3Endpoint
 from repro.sim import Engine, Event
-from repro.sim.units import MS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,9 +45,6 @@ class ShellConfig:
     """Per-board shell parameters."""
 
     sl3: Sl3Config = dataclasses.field(default_factory=Sl3Config)
-    dram_speed: DramSpeed = DramSpeed.DDR3_1333_DUAL_RANK
-    dram_error_rate: float = 0.0
-    seu_scrub_period_ns: float = 100 * MS
     router_queue_capacity: int = 64
 
 
@@ -75,21 +71,16 @@ class Shell:
         )
         self.buffers = buffers or HostDmaBuffers(engine)
         self.pcie = PcieCore(engine, self.router, self.buffers)
-        dram_config = DramConfig(speed=self.config.dram_speed)
         self.dram = (
-            DramController(
-                engine, f"{machine_id}.dram0", dram_config, self.config.dram_error_rate
-            ),
-            DramController(
-                engine, f"{machine_id}.dram1", dram_config, self.config.dram_error_rate
-            ),
+            DramController(engine, f"{machine_id}.dram0"),
+            DramController(engine, f"{machine_id}.dram1"),
         )
         self.flash = ConfigFlash(engine, name=f"{machine_id}.flash")
         self.endpoints: dict[Port, Sl3Endpoint] = {}
         self.role: Role | None = None
         self.tx_halt_asserted = False
         fpga.on_state_change(self._on_fpga_state)
-        engine.process(self._seu_scrubber(), name=f"seu.{machine_id}", daemon=True)
+        fpga.scrub_anchor_ns = engine.now  # the SEU scrubber's period starts here
         self.fdr.record_power_on("pll_lock", fpga.pll_locked)
 
     # -- wiring (done by the fabric) ---------------------------------------------
@@ -166,7 +157,7 @@ class Shell:
             if endpoint.link is not None:
                 endpoint.link.retrain(endpoint)
         if self.endpoints:
-            yield self.engine.timeout(self.config.sl3.retrain_ns)
+            yield self.engine.timeout(SL3_RETRAIN_NS)
         self.tx_halt_asserted = False
         if self.role is not None:
             self.role.reset()
@@ -207,7 +198,7 @@ class Shell:
         """
         for endpoint in self.endpoints.values():
             if endpoint.link is not None:
-                endpoint.link.start_garbage(endpoint, duration_ns=self.fpga.reconfig_ns)
+                endpoint.link.start_garbage(endpoint, duration_ns=FULL_RECONFIG_NS)
         return self.fpga.reconfigure(bitstream)
 
     def release_rx_halt(self) -> None:
@@ -215,14 +206,7 @@ class Shell:
         for endpoint in self.endpoints.values():
             endpoint.release_rx_halt()
 
-    # -- background services -----------------------------------------------------------------
-
-    def _seu_scrubber(self) -> collections.abc.Generator:
-        """Continuously scrub configuration-memory soft errors (§3.2)."""
-        while True:
-            yield self.engine.timeout(self.config.seu_scrub_period_ns)
-            if self.fpga.state is FpgaState.CONFIGURED:
-                self.fpga.scrub()
+    # -- device state ------------------------------------------------------------------------
 
     def _on_fpga_state(self, fpga: Fpga, state: FpgaState) -> None:
         if state is FpgaState.RECONFIGURING:

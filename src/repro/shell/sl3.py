@@ -28,6 +28,7 @@ from repro.hardware.constants import (
     SL3_FLIT_BYTES,
     SL3_HOP_LATENCY_NS,
     SL3_PEAK_GBPS,
+    SL3_RETRAIN_NS,
 )
 from repro.shell.messages import Packet, PacketKind
 from repro.sim import Engine, Event, Fifo
@@ -42,20 +43,17 @@ _GARBAGE_PERIOD_NS = 50_000.0
 class Sl3Config:
     """Link operating parameters."""
 
-    peak_gbps: float = SL3_PEAK_GBPS
     ecc_enabled: bool = True
-    hop_latency_ns: float = SL3_HOP_LATENCY_NS
     rx_fifo_packets: int = 16  # receive buffering before Xoff asserts
     flit_single_error_rate: float = 0.0  # per-flit single-bit-error prob
     flit_double_error_rate: float = 0.0  # per-flit double-bit-error prob
-    retrain_ns: float = 2_000_000.0  # link retrain after reconfiguration
 
     @property
     def effective_gbps(self) -> float:
         """Usable bandwidth after the ECC tax (§3.2: −20 %)."""
         if self.ecc_enabled:
-            return self.peak_gbps * (1.0 - SL3_ECC_BANDWIDTH_TAX)
-        return self.peak_gbps
+            return SL3_PEAK_GBPS * (1.0 - SL3_ECC_BANDWIDTH_TAX)
+        return SL3_PEAK_GBPS
 
 
 @dataclasses.dataclass
@@ -169,14 +167,10 @@ class Sl3Transmitter:
         self.dst = dst
         self.wire_next()
 
-    def feed(self, room: Event | None = None) -> None:
-        """Move router-queue packets onto the transmit queue.
-
-        ``room`` is the held send, once the wire has made room for it.
-        """
-        if self._held is not room:
+    def feed(self) -> None:
+        """Move router-queue packets onto the transmit queue."""
+        if self._held is not None:
             return  # still waiting for room
-        self._held = None
         source = self.source
         while source.items:
             packet = source.try_get()
@@ -185,8 +179,13 @@ class Sl3Transmitter:
             put = self.src.send(packet)
             if not put._dispatched:
                 self._held = put
-                put.add_callback(self.feed)
+                put.add_callback(self._room_made)
                 return
+
+    def _room_made(self, _put: Event) -> None:
+        """The held send's dispatch: the wire made room for it."""
+        self._held = None
+        self.feed()
 
     def wire_next(self) -> None:
         """Serialize the next queued packet unless the wire is busy."""
@@ -198,7 +197,7 @@ class Sl3Transmitter:
         self._busy = True
         config = self.link.config
         serialization = transfer_time_ns(packet.size_bytes, config.effective_gbps)
-        self.link.engine.timeout(serialization + config.hop_latency_ns, packet).add_callback(
+        self.link.engine.timeout(serialization + SL3_HOP_LATENCY_NS, packet).add_callback(
             self._arrive
         )
 
@@ -332,7 +331,7 @@ class Sl3Link:
         peer = requester.peer
 
         def body():
-            yield self.engine.timeout(self.config.retrain_ns)
+            yield self.engine.timeout(SL3_RETRAIN_NS)
             peer.ignore_peer = False
             requester.locked = True
 

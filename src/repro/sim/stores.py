@@ -152,8 +152,8 @@ class PriorityStore(Store):
     guarantee a total order.
     """
 
-    def __init__(self, engine: "Engine", name: str = ""):
-        super().__init__(engine, name)
+    def __init__(self, engine: "Engine"):
+        super().__init__(engine)
         self.items: list = []
 
     def _add(self, item: object) -> None:

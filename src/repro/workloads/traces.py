@@ -49,11 +49,13 @@ class ScoringRequest:
 class ZipfSampler:
     """Zipf(s=1.1) over a finite vocabulary, inverse-CDF sampled."""
 
-    def __init__(self, vocabulary: int, rng: random.Random, s: float = 1.1):
+    EXPONENT = 1.1
+
+    def __init__(self, vocabulary: int, rng: random.Random):
         if vocabulary < 1:
             raise ValueError("vocabulary must be positive")
         self.rng = rng
-        weights = [1.0 / (rank**s) for rank in range(1, vocabulary + 1)]
+        weights = [1.0 / (rank**self.EXPONENT) for rank in range(1, vocabulary + 1)]
         total = sum(weights)
         self.cdf = []
         acc = 0.0

@@ -117,7 +117,7 @@ def test_format_series_columns():
 def test_reservoir_exact_below_capacity():
     from repro.analysis import ReservoirSample
 
-    rs = ReservoirSample(capacity=100)
+    rs = ReservoirSample()
     values = [float(v) for v in range(50)]
     rs.extend(values)
     assert rs == values  # holds every observation, in arrival order
@@ -131,10 +131,11 @@ def test_reservoir_exact_below_capacity():
     assert summary.p99 == percentile(values, 99)
 
 
-def test_reservoir_bounded_above_capacity():
+def test_reservoir_bounded_above_capacity(monkeypatch):
     from repro.analysis import ReservoirSample
 
-    rs = ReservoirSample(capacity=200, seed=7)
+    monkeypatch.setattr(ReservoirSample, "CAPACITY", 200)
+    rs = ReservoirSample()
     n = 20_000
     rs.extend(float(v) for v in range(n))
     assert rs.count == n  # exact counters survive sampling
@@ -146,11 +147,12 @@ def test_reservoir_bounded_above_capacity():
     assert abs(rs.percentile(50) - n / 2) < 0.15 * n
 
 
-def test_reservoir_same_seed_is_reproducible():
+def test_reservoir_same_seed_is_reproducible(monkeypatch):
     from repro.analysis import ReservoirSample
 
-    a = ReservoirSample(capacity=64, seed=3)
-    b = ReservoirSample(capacity=64, seed=3)
+    monkeypatch.setattr(ReservoirSample, "CAPACITY", 64)
+    a = ReservoirSample()
+    b = ReservoirSample()
     for v in range(5_000):
         a.append(float(v))
         b.append(float(v))
@@ -158,10 +160,11 @@ def test_reservoir_same_seed_is_reproducible():
     assert a.percentile(99) == b.percentile(99)
 
 
-def test_reservoir_clear_resets_rng():
+def test_reservoir_clear_resets_rng(monkeypatch):
     from repro.analysis import ReservoirSample
 
-    rs = ReservoirSample(capacity=32, seed=11)
+    monkeypatch.setattr(ReservoirSample, "CAPACITY", 32)
+    rs = ReservoirSample()
     values = [float(v) for v in range(1_000)]
     rs.extend(values)
     first = list(rs)
@@ -175,11 +178,11 @@ def test_reservoir_clear_resets_rng():
 def test_reservoir_empty_summary_and_validation():
     from repro.analysis import ReservoirSample
 
-    with pytest.raises(ValueError):
-        ReservoirSample(capacity=0)
     empty = ReservoirSample()
     assert empty.summary().count == 0
     assert empty.summary().p99 == 0.0
+    with pytest.raises(ValueError):
+        empty.merge_analytic(-1, 1.0)
 
 
 class _CountingFloat(float):

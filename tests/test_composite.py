@@ -411,12 +411,9 @@ def test_composite_health_weight_is_min_over_members():
     (replica,) = handle.deployments
     assert replica.health_weight() == 1.0
     member = replica.members[1]
-    ClusterFailureInjector(dc).inject(
-        FailureKind.FPGA_HARDWARE_FAULT,
-        member.pod.pod_id,
-        member.assignment.spare_nodes[0],
-    )
-    eng.run_until(manager.sweep(handle))
+    spare = member.assignment.spare_nodes[0]
+    ClusterFailureInjector(dc).inject(FailureKind.FPGA_HARDWARE_FAULT, member.pod.pod_id, spare)
+    eng.run_until(manager.health_monitor(member.pod.pod_id).investigate([spare]))
     assert replica.members[0].health_weight() == 1.0
     assert replica.members[1].health_weight() == pytest.approx(2 / 3)
     assert replica.health_weight() == pytest.approx(2 / 3)

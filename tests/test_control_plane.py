@@ -295,13 +295,10 @@ def test_weighted_health_share_drops_in_proportion():
     injector = ClusterFailureInjector(dc)
 
     degraded = handle.deployments[0]
-    injector.inject(
-        FailureKind.FPGA_HARDWARE_FAULT,
-        degraded.pod.pod_id,
-        degraded.assignment.spare_nodes[0],
-    )
-    # One explicit sweep instead of waiting for the watchdog period.
-    eng.run_until(manager.sweep(handle))
+    spare = degraded.assignment.spare_nodes[0]
+    injector.inject(FailureKind.FPGA_HARDWARE_FAULT, degraded.pod.pod_id, spare)
+    # One explicit investigation instead of waiting for the watchdog.
+    eng.run_until(manager.health_monitor(degraded.pod.pod_id).investigate([spare]))
     assert degraded.health_weight() == pytest.approx(2 / 3)
 
     before = {d.name: d.completed for d in handle.deployments}
@@ -495,7 +492,7 @@ def test_repair_during_a_pass_queues_its_reconcile():
     eng = Engine(seed=5)
     dc = Datacenter(eng, num_pods=2, topology=TorusTopology(width=2, height=3))
     manager = ClusterManager(
-        dc, repair_policy=RepairPolicy(distribution="fixed", mean_ns=0.5e9)
+        dc, repair_policy=RepairPolicy(mean_ns=0.5e9, sigma=1e-9)
     )
     front = manager.apply(echo_spec(replicas=3, health_period_ns=100e9))
     back = manager.apply(
@@ -505,9 +502,13 @@ def test_repair_during_a_pass_queues_its_reconcile():
     injector = ClusterFailureInjector(dc)
     injector.kill_ring(front.deployments[0])
     injector.kill_ring(front.deployments[1])
-    # The sweep cordons both dead rings (repairs due in 0.5 s) and
-    # records a shortfall: no ring is free.
-    report = eng.run_until(manager.sweep(front))
+    # A health sweep of the dead rings, then a pass: it cordons both
+    # (repairs due in 0.5 s) and records a shortfall: no ring is free.
+    for replica in front.deployments[:2]:
+        assignment = replica.assignment
+        live = [node for node in assignment.ring_nodes if node not in assignment.excluded]
+        eng.run_until(manager.health_monitor(replica.pod.pod_id).investigate(live))
+    report = manager.reconcile(front)
     assert [a.kind for a in report.actions][-1] == "shortfall"
     swept = eng.now
     # The upgrade holds the lock for the ~1 s re-placement of its one

@@ -34,10 +34,13 @@ from tests.test_shell_integration import build_pair
 # 19,114 since the role port became a callback: a request that finds
 # its role idle no longer wakes it through a getter on its router queue
 # (972 events), and the 3 roles replaced while the service is placed
-# are no longer killed processes (one event each).  The simulated
-# figures did not move.
+# are no longer killed processes (one event each).  18,925 since SEU
+# scrubbing runs only for a pending upset: the 9 shells' scrubber
+# processes no longer start (9 events) or tick every 100 ms through the
+# 2.04 s run (9 x 20 events), and nothing injects an upset here.  The
+# simulated figures did not move.
 ARRIVALS = 2_000
-EVENTS_DISPATCHED = 19_114
+EVENTS_DISPATCHED = 18_925
 FINAL_NOW_NS = 2035768639.9525208
 
 # One request from a ring server one hop from the echo head: process

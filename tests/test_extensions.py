@@ -1,8 +1,7 @@
-"""Tests for the paper's future-work extensions we implement.
+"""Tests for the paper's future-work extension we implement.
 
 §3.2: partial reconfiguration — role swap with the shell still live,
 routing inter-FPGA traffic throughout, no PCIe NMI.
-§3.6: FDR extended history — evicted entries spilled to DRAM.
 """
 
 import pytest
@@ -11,8 +10,7 @@ from repro.fabric import Pod, ServerState, TorusTopology
 from repro.hardware import Bitstream, ResourceBudget, ReconfigError
 from repro.hardware.bitstream import ShellVersion
 from repro.hardware.constants import FULL_RECONFIG_NS, PARTIAL_RECONFIG_NS
-from repro.shell import PacketKind, Port, Role
-from repro.shell.fdr import FlightDataRecorder
+from repro.shell import Role
 from repro.sim import Engine, SEC
 
 
@@ -158,49 +156,3 @@ def test_full_reconfig_by_contrast_blocks_through_traffic():
     eng.run()
     # The request needed (1,0)'s links mid-reconfig: dropped, timed out.
     assert outcome == ["timeout"]
-
-
-# --- FDR extended history ------------------------------------------------------
-
-
-def hop(i):
-    """A raw router hop, as ``Router.submit`` records it."""
-    return (float(i), i % 7, 64, Port.NORTH, Port.ROLE, PacketKind.REQUEST, ())
-
-
-def test_fdr_spill_extends_history():
-    fdr = FlightDataRecorder(capacity=100, spill_to_dram=True)
-    for i in range(1_000):
-        fdr.record(hop(i))
-    assert len(fdr) == 100
-    history = fdr.extended_history()
-    assert len(history) == 1_000
-    assert history[0].timestamp_ns == 0.0
-    assert fdr.dropped == 0
-
-
-def test_fdr_spill_respects_dram_budget():
-    fdr = FlightDataRecorder(
-        capacity=100, spill_to_dram=True, dram_budget_entries=200
-    )
-    for i in range(1_000):
-        fdr.record(hop(i))
-    assert len(fdr.extended_history()) == 300  # 200 spilled + 100 on-chip
-    assert fdr.dropped == 700
-
-
-def test_fdr_no_spill_preserves_old_behavior():
-    fdr = FlightDataRecorder(capacity=100)
-    for i in range(250):
-        fdr.record(hop(i))
-    assert len(fdr) == 100
-    assert fdr.dropped == 150
-    assert len(fdr.extended_history()) == 100
-
-
-def test_fdr_trace_search_covers_spilled_entries():
-    fdr = FlightDataRecorder(capacity=10, spill_to_dram=True)
-    for i in range(100):
-        fdr.record(hop(i))
-    matches = fdr.entries_for_trace(3)
-    assert len(matches) == len([i for i in range(100) if i % 7 == 3])

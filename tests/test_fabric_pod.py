@@ -49,7 +49,7 @@ def test_rpc_roundtrip():
     proc = eng.process(caller(eng, net))
     eng.run()
     assert proc.value == "echo:hello"
-    assert eng.now == pytest.approx(2 * net.one_way_latency_ns)
+    assert eng.now == pytest.approx(2 * EthernetNetwork.ONE_WAY_LATENCY_NS)
 
 
 def test_rpc_timeout_on_unregistered():

@@ -10,7 +10,6 @@ from repro.analysis import ReservoirSample
 from repro.cluster import ClusterFailureInjector
 from repro.fabric import Datacenter, TorusTopology
 from repro.services import FailureKind
-from repro.shell.router import Port
 from repro.sim import Engine, SEC, Store
 from repro.sim.fluid import (
     FluidModel,
@@ -323,7 +322,7 @@ def test_every_failure_injection_notes_one_transient():
     injector.inject(FailureKind.FPGA_HARDWARE_FAULT, 0, (0, 0))
     assert fluid.transients_noted == 1
     assert fluid.window_end(0.0) == 0.0
-    injector.inject(FailureKind.LINK_FAILURE, 0, (1, 0), port=Port.EAST)
+    injector.inject(FailureKind.PLL_UNLOCK, 0, (1, 0))
     assert fluid.transients_noted == 2
 
 
@@ -421,7 +420,7 @@ def test_fluid_profile_validation():
 
 
 def test_merge_analytic_exact_below_capacity():
-    reservoir = ReservoirSample(capacity=1_000, seed=1)
+    reservoir = ReservoirSample()
     reservoir.merge_analytic(100, 2_000.0)
     assert reservoir.count == 100
     assert reservoir.total == pytest.approx(100 * 2_000.0)
@@ -430,8 +429,9 @@ def test_merge_analytic_exact_below_capacity():
     assert summary.p50 == pytest.approx(2_000.0)
 
 
-def test_merge_analytic_beyond_capacity_keeps_counts():
-    reservoir = ReservoirSample(capacity=64, seed=2)
+def test_merge_analytic_beyond_capacity_keeps_counts(monkeypatch):
+    monkeypatch.setattr(ReservoirSample, "CAPACITY", 64)
+    reservoir = ReservoirSample()
     reservoir.extend([1_000.0] * 64)
     reservoir.merge_analytic(10_000, 3_000.0)
     assert reservoir.count == 10_064
@@ -441,16 +441,8 @@ def test_merge_analytic_beyond_capacity_keeps_counts():
     assert merged > 32
 
 
-def test_merge_analytic_with_draw_injects_spread():
-    reservoir = ReservoirSample(capacity=32, seed=3)
-    reservoir.merge_analytic(16, 500.0, draw=lambda rng: 400.0 + rng.random() * 200.0)
-    values = set(reservoir._sample)
-    assert len(values) > 1
-    assert all(400.0 <= v <= 600.0 for v in values)
-
-
 def test_merge_analytic_validates_count():
-    reservoir = ReservoirSample(capacity=8, seed=4)
+    reservoir = ReservoirSample()
     with pytest.raises(ValueError):
         reservoir.merge_analytic(-1, 1.0)
     reservoir.merge_analytic(0, 1.0)  # no-op

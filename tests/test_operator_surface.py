@@ -232,11 +232,11 @@ def test_new_definition_diffs_as_upgrade():
 
 
 def test_dry_run_touches_nothing():
+    """diff_cluster is the dry run: it reports, and applies nothing."""
     _eng, _dc, manager = small_cluster()
     manager.apply(echo_spec())
-    result = apply_cluster(manager, {}, dry_run=True)
-    assert result.dry_run
-    assert result.diff.removes
+    diff = diff_cluster(manager, {})
+    assert diff.removes
     assert manager.handles["echo-service"].active  # still running
 
 
@@ -253,7 +253,6 @@ def test_apply_cluster_converges_add_change_remove(tmp_path):
         )
     )
     result = apply_file(manager, path, catalog)
-    assert not result.dry_run
     assert result.converged
     assert manager.handles["echo-service"].status().ready_replicas == 2
     assert manager.handles["other-service"].status().ready_replicas == 1

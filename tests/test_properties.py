@@ -1,6 +1,7 @@
 """Cross-cutting property tests (hypothesis) on system invariants."""
 
 import math
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -90,7 +91,7 @@ _reservoir_steps = st.lists(
     st.tuples(
         st.one_of(
             st.tuples(st.just("append"), st.lists(_latency, min_size=1, max_size=80)),
-            st.tuples(st.just("merge"), st.integers(0, 200), _latency, st.booleans()),
+            st.tuples(st.just("merge"), st.integers(0, 200), _latency),
             st.tuples(st.just("clear")),
         ),
         st.one_of(st.none(), st.floats(0.0, 100.0)),  # then read at this rank
@@ -99,22 +100,22 @@ _reservoir_steps = st.lists(
 )
 
 
-def _draw_latency(rng):
-    return rng.uniform(0.0, 1e6)
-
-
 @settings(max_examples=150, deadline=None)
 @given(capacity=st.integers(1, 64), steps=_reservoir_steps)
 def test_reservoir_reads_match_a_fresh_sort(capacity, steps):
     """Whatever mix of appends, merges (replacements included) and
     clears came before, a read equals the percentile of a fresh sort."""
-    rs = ReservoirSample(capacity=capacity, seed=capacity)
+    with unittest.mock.patch.object(ReservoirSample, "CAPACITY", capacity):
+        _check_reservoir_reads(ReservoirSample(), steps)
+
+
+def _check_reservoir_reads(rs, steps):
     for op, read_pct in steps:
         if op[0] == "append":
             for value in op[1]:
                 rs.append(value)
         elif op[0] == "merge":
-            rs.merge_analytic(op[1], op[2], _draw_latency if op[3] else None)
+            rs.merge_analytic(op[1], op[2])
         else:
             rs.clear()
         if read_pct is None:

@@ -95,10 +95,12 @@ def test_qm_sleeps_until_arrival():
     assert eng.now >= 1_000_000.0
 
 
-def test_switch_timeout_rotates_between_busy_queues():
+def test_switch_timeout_rotates_between_busy_queues(monkeypatch):
+    monkeypatch.setattr(QueueManager, "SWITCH_TIMEOUT_NS", 250.0 * US)
+    monkeypatch.setattr(QueueManager, "MAX_BATCH", 1000)
     eng = Engine()
     rec = Recorder(eng, dispatch_ns=100.0 * US)
-    qm = make_qm(eng, rec, switch_timeout_ns=250.0 * US, max_batch=1000)
+    qm = make_qm(eng, rec)
     for i in range(6):
         qm.enqueue(0, f"a{i}")
         qm.enqueue(1, f"b{i}")
@@ -109,10 +111,12 @@ def test_switch_timeout_rotates_between_busy_queues():
     assert qm.reload_count > 2
 
 
-def test_max_batch_caps_run_length():
+def test_max_batch_caps_run_length(monkeypatch):
+    monkeypatch.setattr(QueueManager, "SWITCH_TIMEOUT_NS", 1e12)
+    monkeypatch.setattr(QueueManager, "MAX_BATCH", 2)
     eng = Engine()
     rec = Recorder(eng)
-    qm = make_qm(eng, rec, max_batch=2, switch_timeout_ns=1e12)
+    qm = make_qm(eng, rec)
     for i in range(4):
         qm.enqueue(0, f"a{i}")
     qm.enqueue(1, "b0")

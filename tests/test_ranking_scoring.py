@@ -114,21 +114,19 @@ def test_compression_requires_slots():
 # --- models -----------------------------------------------------------------------
 
 
-def small_model(model_id=0, seed=4):
+def small_model(model_id=0):
     return synthesize_model(
         model_id,
         f"test-{model_id}",
-        seed=seed,
         metafeatures=6,
         stage1_expressions=40,
         trees=24,
-        tree_depth=4,
     )
 
 
 def test_model_synthesis_deterministic():
-    a = small_model(seed=4)
-    b = small_model(seed=4)
+    a = small_model()
+    b = small_model()
     gen = TraceGenerator(seed=8)
     request = gen.request()
     engine_a = ScoringEngine(ModelLibrary([a]))

@@ -27,7 +27,7 @@ from repro.hardware.fpga import FpgaState
 from repro.services import FailureKind
 from repro.sim import Engine
 from repro.sim.rng import RngStreams
-from repro.sim.units import DAY, HOUR, SEC
+from repro.sim.units import HOUR, SEC
 from repro.workloads import OpenLoopInjector, PoissonArrivals
 
 
@@ -43,7 +43,8 @@ def echo_spec(**overrides) -> ServiceSpec:
     return ServiceSpec(**defaults)
 
 
-FAST_REPAIR = RepairPolicy(distribution="fixed", mean_ns=2 * SEC)
+# Lognormal with a tiny shape: every repair takes 2 s to within nanoseconds.
+FAST_REPAIR = RepairPolicy(mean_ns=2 * SEC, sigma=1e-9)
 
 
 # --- RepairPolicy ---------------------------------------------------------------------
@@ -56,39 +57,22 @@ def test_repair_policy_validates_fields():
         RepairPolicy(mean_ns=0.0)
     with pytest.raises(ValueError):
         RepairPolicy(sigma=-1.0)
-    with pytest.raises(ValueError):
-        RepairPolicy(batch_period_ns=0.0)
-
-
-def test_fixed_policy_is_exact():
-    policy = RepairPolicy(distribution="fixed", mean_ns=3 * HOUR)
-    rng = RngStreams(0).stream("repair")
-    assert policy.repair_delay_ns(rng, now_ns=123.0) == 3 * HOUR
 
 
 def test_lognormal_policy_is_deterministic_and_calibrated():
     policy = RepairPolicy(distribution="lognormal", mean_ns=4 * HOUR, sigma=0.5)
     draws_a = [
-        policy.repair_delay_ns(RngStreams(9).stream("repair"), 0.0)
+        policy.repair_delay_ns(RngStreams(9).stream("repair"))
         for _ in range(1)
     ]
     draws_b = [
-        policy.repair_delay_ns(RngStreams(9).stream("repair"), 0.0)
+        policy.repair_delay_ns(RngStreams(9).stream("repair"))
         for _ in range(1)
     ]
     assert draws_a == draws_b  # same seed, same stream, same delay
     rng = RngStreams(3).stream("repair")
-    mean = sum(policy.repair_delay_ns(rng, 0.0) for _ in range(4000)) / 4000
+    mean = sum(policy.repair_delay_ns(rng) for _ in range(4000)) / 4000
     assert 0.9 * 4 * HOUR < mean < 1.1 * 4 * HOUR  # E[X] parameterisation
-
-
-def test_batched_policy_waits_for_the_truck():
-    policy = RepairPolicy(distribution="batched", batch_period_ns=7 * DAY)
-    rng = RngStreams(0).stream("repair")
-    # Mid-week: the ticket closes at the next weekly visit...
-    assert policy.repair_delay_ns(rng, now_ns=2 * DAY) == 5 * DAY
-    # ...and a ticket opened exactly at a visit waits a full period.
-    assert policy.repair_delay_ns(rng, now_ns=7 * DAY) == 7 * DAY
 
 
 # --- tickets --------------------------------------------------------------------------
@@ -101,7 +85,7 @@ def test_cordon_opens_ticket_and_capacity_report_sees_it():
     (ticket,) = manager.repairs.open_tickets
     assert ticket.slot == slot
     assert ticket.reason == "burn-in"
-    assert ticket.due_ns == eng.now + FAST_REPAIR.mean_ns
+    assert ticket.due_ns == pytest.approx(eng.now + FAST_REPAIR.mean_ns)
     report = manager.scheduler.capacity_report()
     assert report.cordoned_rings == 1
     assert report.open_tickets == 1
@@ -207,7 +191,7 @@ def test_shortfall_replica_replaced_after_repair():
 
 
 def test_repaired_slot_redeploys_under_traffic():
-    quick_repair = RepairPolicy(distribution="fixed", mean_ns=1 * SEC)
+    quick_repair = RepairPolicy(mean_ns=1 * SEC, sigma=1e-9)
     eng, dc, manager = managed_cluster(pods=1, repair_policy=quick_repair)
     handle = manager.apply(echo_spec(replicas=2, request_timeout_ns=0.04 * SEC))
     pool = [object() for _ in range(8)]
@@ -334,10 +318,16 @@ def test_upgrade_sheds_a_dead_replica_before_rolling():
     )
     assert dead.health_weight() == 0.0
     report = handle.upgrade(echo_spec(service=new_echo(), replicas=2))
+    # Shed, then short of the declared count: the pass scales up on the
+    # new image and leaves the survivor serving the old one.
     kinds = [a.kind for a in report.actions]
-    assert kinds == ["release_unservable", "upgrade_release", "upgrade_place", "replace"]
+    assert kinds == ["release_unservable", "replace"]
     assert report.actions[0].slot == slot
     assert manager.scheduler.cordon_reason(slot) == "spares exhausted"
+    assert [d.service is handle.spec.service for d in handle.deployments] == [False, True]
+    # At full count, the next pass rolls the survivor.
+    report = manager.reconcile(handle)
+    assert [a.kind for a in report.actions] == ["upgrade_release", "upgrade_place"]
     assert all(d.service is handle.spec.service for d in handle.deployments)
 
 
@@ -345,7 +335,8 @@ def test_a_roll_cut_short_by_capacity_resumes_after_repair():
     """The first roll step's placement fails on hardware nobody swept
     (the freed ring is cordoned and no ring is free): the second replica
     keeps the old image.  Once the ring is repaired, the repair pass
-    rolls it too, with no second upgrade call."""
+    restores the declared count and the next watchdog pass rolls the
+    old replica, with no second upgrade call."""
     eng, dc, manager = managed_cluster(seed=3, pods=1, repair_policy=FAST_REPAIR)
     quiet = 100 * SEC  # no watchdog pass before the repair's
     handle = manager.apply(echo_spec(replicas=2, health_period_ns=quiet))
@@ -359,9 +350,33 @@ def test_a_roll_cut_short_by_capacity_resumes_after_repair():
     (ticket,) = manager.repairs.tickets
     assert ticket.outcome == "repaired"
     kinds = [a.kind for a in manager.reconcile_reports[-1].actions]
-    assert kinds == ["upgrade_release", "upgrade_place", "replace"]
+    assert kinds == ["replace"]
+    assert [d.service for d in handle.deployments] == [old_service, v2]
+    eng.run(until=eng.now + quiet)
+    kinds = [a.kind for a in manager.reconcile_reports[-1].actions]
+    assert kinds == ["upgrade_release", "upgrade_place"]
     assert len(handle.deployments) == 2
     assert all(d.service is v2 for d in handle.deployments)
+
+
+def test_a_short_service_keeps_a_replica_in_rotation_through_an_upgrade():
+    """An upgrade over a ring that failed unswept leaves the service
+    short (the roll's re-placement finds the failed ring and no free
+    one).  Later passes scale up rather than roll, so the survivor on
+    the old image keeps serving: at least one replica stays in rotation
+    throughout, and the service records its shortfall."""
+    eng, dc, manager = managed_cluster(seed=3, pods=1)
+    handle = manager.apply(echo_spec(replicas=2))
+    old_service = handle.spec.service
+    kill_ring_unswept(dc, handle.deployments[0], manager.scheduler)
+    report = handle.upgrade(echo_spec(service=new_echo(), replicas=2))
+    assert not report.converged
+    end = eng.now + 3 * SEC
+    while eng.now < end:
+        assert handle.balancer.deployments, f"no replica in rotation at {eng.now:.0f} ns"
+        eng.run(until=eng.now + 0.01 * SEC)
+    assert [d.service for d in handle.deployments] == [old_service]
+    assert any(a.kind == "shortfall" for a in manager.reconcile_reports[-1].actions)
 
 
 def test_upgrade_keeps_serving_under_traffic():

@@ -237,7 +237,7 @@ def test_injected_same_timestamp_race_is_detected():
         eng.run()
         return {"order": tuple(order)}
 
-    report = dual_run(scenario, seed=7)
+    report = dual_run(scenario)
     assert report.racy
     assert not report.state_match
 
@@ -258,7 +258,7 @@ def test_order_insensitive_scenario_is_not_racy():
         eng.run()
         return {"done": sorted(done), "now": eng.now}
 
-    report = dual_run(scenario, seed=7)
+    report = dual_run(scenario)
     assert not report.racy
     assert report.state_match
     assert report.trace_match
@@ -291,7 +291,7 @@ def test_reference_cluster_scenario_is_tie_break_stable():
             "final_ns": eng.now,
         }
 
-    report = dual_run(scenario, seed=3)
+    report = dual_run(scenario)
     # State (the observable outcome) must match.  The folded trace is
     # not asserted here: it records each event's cancelled flag at
     # dispatch time, and whether a same-timestamp cancel lands before

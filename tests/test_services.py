@@ -217,7 +217,7 @@ def test_error_vector_flags_injected_failures():
     monitor = HealthMonitor(eng, pod)
 
     injector.inject(FailureKind.DRAM_CALIBRATION, 0, (1, 1))
-    injector.inject(FailureKind.LINK_FAILURE, 0, (2, 2), port=Port.EAST)
+    pod.server_at((2, 2)).shell.endpoints[Port.EAST].link.break_cable()
     report = eng.run_until(monitor.investigate([(1, 1), (2, 2)]))
     flags_a, flags_b = report.diagnoses[0].flags, report.diagnoses[1].flags
     assert flags_a.dram_calibration_failed and flags_a.needs_relocation

@@ -1,11 +1,13 @@
 """Integration tests: two full shells wired back-to-back over SL3."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.hardware import Bitstream, Fpga, ResourceBudget
+from repro.hardware import Bitstream, Fpga, FpgaState, ResourceBudget
+from repro.hardware.constants import FULL_RECONFIG_NS, SEU_SCRUB_PERIOD_NS
 from repro.shell import (
     Packet,
     PacketKind,
-    PassthroughRole,
     Port,
     Role,
     Shell,
@@ -32,11 +34,25 @@ class EchoRole(Role):
         yield self.send(response)
 
 
+class ForwardRole(Role):
+    """Forwards every request to a fixed next hop."""
+
+    name = "forward"
+
+    def __init__(self, next_hop):
+        super().__init__()
+        self.next_hop = next_hop
+
+    def handle(self, packet):
+        packet.dst = self.next_hop
+        yield self.send(packet)
+
+
 def build_pair(eng, config=None):
     """Two shells A(0,0) <-> B(1,0) wired east/west, configured, released."""
     config = config or ShellConfig()
-    fpga_a = Fpga(eng, "fpga-a", reconfig_ns=0.1 * SEC)
-    fpga_b = Fpga(eng, "fpga-b", reconfig_ns=0.1 * SEC)
+    fpga_a = Fpga(eng, "fpga-a")
+    fpga_b = Fpga(eng, "fpga-b")
     shell_a = Shell(eng, fpga_a, (0, 0), "machine-a", config=config)
     shell_b = Shell(eng, fpga_b, (1, 0), "machine-b", config=config)
     east = shell_a.create_endpoint(Port.EAST)
@@ -81,7 +97,7 @@ def test_host_to_remote_role_roundtrip():
 def test_roles_exchange_traffic_both_ways():
     eng = Engine()
     shell_a, shell_b = build_pair(eng)
-    shell_a.attach_role(PassthroughRole(next_hop=(1, 0)))
+    shell_a.attach_role(ForwardRole(next_hop=(1, 0)))
     shell_b.attach_role(EchoRole())
     received = []
 
@@ -190,10 +206,89 @@ def test_seu_scrubber_repairs_upsets():
     assert shell_a.fpga.seu.upsets_scrubbed == 2
 
 
+def reference_scrubber(engine, fpga):
+    """The free-running §3.2 scrubber: a pass every period from its
+    start, repairing what is pending on a configured part."""
+    while True:
+        yield engine.timeout(SEU_SCRUB_PERIOD_NS)
+        if fpga.state is FpgaState.CONFIGURED:
+            fpga.scrub()
+
+
+def apply_seu_action(fpga, action):
+    if action == "upset":
+        fpga.inject_seu()
+    elif action == "uncorrectable":
+        fpga.inject_seu(correctable=False)
+    elif action == "reconfigure":
+        if fpga.state not in (FpgaState.FAILED, FpgaState.RECONFIGURING):
+            fpga.reconfigure(bitstream())
+    elif action == "fail":
+        fpga.mark_failed()
+    else:
+        fpga.repair()
+
+
+# Quarter periods, so a quarter of the draws land on a scrub boundary.
+_seu_actions = st.lists(
+    st.tuples(
+        st.integers(0, 120).map(lambda quarter: quarter * SEU_SCRUB_PERIOD_NS / 4),
+        st.sampled_from(["upset", "upset", "uncorrectable", "reconfigure", "fail", "repair"]),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(actions=_seu_actions)
+@example(actions=[(0.0, "reconfigure"), (12 * SEU_SCRUB_PERIOD_NS, "upset")])
+@example(actions=[(0.0, "uncorrectable"), (0.0, "reconfigure")])  # a reload clears it
+def test_scrubbing_on_upsets_matches_a_free_running_scrubber(actions):
+    """A shell's FPGA and a shell-less twin scrubbed by the reference
+    ticker take the same upsets, reconfigurations, failures and repairs
+    at the same instants; their SEU counters agree at every instant.
+    Each action is scheduled from time 0, so at a boundary instant it
+    runs before the reference pass, and an upset there is scrubbed in
+    that pass on a configured part."""
+    engine = Engine()
+    fpga = Fpga(engine, "scrubbed")
+    Shell(engine, fpga, (0, 0), "machine-a")
+    twin = Fpga(engine, "reference")
+
+    def act(at, action):
+        yield engine.timeout(at)
+        apply_seu_action(fpga, action)
+        apply_seu_action(twin, action)
+
+    for at, action in actions:
+        engine.process(act(at, action))
+    engine.process(reference_scrubber(engine, twin), daemon=True)
+    horizon = 32 * SEU_SCRUB_PERIOD_NS + FULL_RECONFIG_NS
+    instants = {at for at, _ in actions} | {at + FULL_RECONFIG_NS for at, _ in actions}
+    instants |= {k * SEU_SCRUB_PERIOD_NS for k in range(1, 43)}
+    for instant in sorted(t for t in instants if t <= horizon):
+        engine.run(until=instant)
+        assert fpga.seu == twin.seu, f"at {instant:.0f} ns after {actions}"
+
+
+def test_an_fpga_with_no_pending_upset_schedules_no_scrub():
+    engine = Engine()
+    fpga = Fpga(engine, "f0")
+    Shell(engine, fpga, (0, 0), "machine-a")
+    engine.run_until(fpga.reconfigure(bitstream()))
+    engine.run(until=engine.now + 1 * SEC)
+    assert engine.queue_length == 0  # idle: nothing ticks
+    fpga.inject_seu()
+    assert engine.queue_length == 1  # one pass, at the next boundary
+    engine.run(until=engine.now + SEU_SCRUB_PERIOD_NS)
+    assert fpga.seu.upsets_scrubbed == 1
+    assert engine.queue_length == 0
+
+
 def test_send_from_role_with_no_route_is_dropped_not_fatal():
     eng = Engine()
     shell_a, _shell_b = build_pair(eng)
-    role = PassthroughRole(next_hop=(9, 9))  # unroutable
+    role = ForwardRole(next_hop=(9, 9))  # unroutable
     shell_a.attach_role(role)
 
     def injector(eng, shell_a):

@@ -14,9 +14,9 @@ from repro.sim import Engine
 from tests.test_cluster import echo_service, small_datacenter
 
 
-def setup_pcie(eng, slot_count=64):
+def setup_pcie(eng):
     router = Router(eng, node_id=(0, 0))
-    buffers = HostDmaBuffers(eng, slot_count=slot_count)
+    buffers = HostDmaBuffers(eng)
     pcie = PcieCore(eng, router, buffers)
     return router, buffers, pcie
 
@@ -148,12 +148,6 @@ def test_device_down_raises_nmi_and_pauses_dma():
     pcie.device_restored()
     eng.run()
     assert pcie.stats.requests_dma_in == 1  # resumes after restore
-
-
-def test_slot_count_validation():
-    eng = Engine()
-    with pytest.raises(SlotError):
-        HostDmaBuffers(eng, slot_count=0)
 
 
 # --- response hand-off: one event to the waiting consumer ----------------------------

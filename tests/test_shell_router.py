@@ -8,6 +8,7 @@ from repro.fabric import Datacenter, TorusTopology
 from repro.ranking.engine import ScoringEngine
 from repro.ranking.models import ModelLibrary
 from repro.ranking.pipeline import ranking_spec
+from repro.shell import fdr as fdr_module
 from repro.shell.fdr import FdrEntry, FlightDataRecorder
 from repro.shell.messages import Packet, PacketKind
 from repro.shell.router import Port, Router, RoutingError
@@ -105,7 +106,7 @@ def test_fdr_keeps_most_recent_512():
 
 
 def test_fdr_trace_filter():
-    fdr = FlightDataRecorder(capacity=10)
+    fdr = FlightDataRecorder()
     fdr.record(hop(0, trace=7))
     fdr.record(hop(1, trace=8))
     fdr.record(hop(2, trace=7))
@@ -119,15 +120,11 @@ def test_fdr_power_on_checks():
     assert fdr.power_on_checks == {"sl3_north_lock": True, "pll_lock": False}
 
 
-def test_fdr_capacity_validation():
-    with pytest.raises(ValueError):
-        FlightDataRecorder(capacity=0)
-
-
 def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
     """Hops are kept raw and become entries when read; what a reader gets
     must equal, entry for entry, the FdrEntry an eager recorder would
-    have built at the hop (with eviction and DRAM spill in play)."""
+    have built at the hop (with eviction in play: a 6-entry buffer)."""
+    monkeypatch.setattr(fdr_module, "FDR_CAPACITY", 6)
     eng = Engine(seed=31)
     manager = ClusterManager(
         Datacenter(eng, num_pods=1, topology=TorusTopology(width=2, height=8))
@@ -136,7 +133,7 @@ def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
     pipeline = manager.apply(ranking_spec(scoring)).deployments[0]
     pod = manager.datacenter.pod(0)
     for server in pod.servers.values():
-        fdr = FlightDataRecorder(capacity=6, spill_to_dram=True, dram_budget_entries=10)
+        fdr = FlightDataRecorder()
         server.shell.fdr = server.shell.router.fdr = fdr
 
     eager: dict = {}  # node -> every FdrEntry, in hop order
@@ -169,19 +166,18 @@ def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
     stats = eng.run_until(OpenLoopInjector(eng, pipeline, threads, pool).run(24))
     assert stats.completed == 24
 
-    assert sum(1 for entries in eager.values() if len(entries) > 16) >= 6
+    assert sum(1 for entries in eager.values() if len(entries) > 6) >= 6
     assert any(entry.queue_lengths for entries in eager.values() for entry in entries)
     for node, entries in eager.items():
         fdr = pod.server_at(node).shell.fdr
         assert fdr.total_recorded == len(entries)
-        assert fdr.dropped == max(0, len(entries) - 16)
+        assert fdr.dropped == max(0, len(entries) - 6)
         assert fdr.stream_out() == entries[-6:]
-        assert fdr.extended_history() == entries[-16:]
-        for entry in fdr.extended_history():
+        for entry in fdr.stream_out():
             assert type(entry) is FdrEntry
         for trace_id in sorted({entry.trace_id for entry in entries}):
             assert fdr.entries_for_trace(trace_id) == [
-                entry for entry in entries[-16:] if entry.trace_id == trace_id
+                entry for entry in entries[-6:] if entry.trace_id == trace_id
             ]
     # Replay reads the same entries back across the pod.
     last = max(entry.trace_id for entry in eager[(0, 0)])
@@ -189,7 +185,7 @@ def test_fdr_entries_match_eager_records_on_a_ring(monkeypatch):
     expected = sorted(
         (entry.timestamp_ns, entry.direction)
         for entries in eager.values()
-        for entry in entries[-16:]
+        for entry in entries[-6:]
         if entry.trace_id == last
     )
     assert sorted((s.timestamp_ns, s.direction) for s in replay.steps) == expected

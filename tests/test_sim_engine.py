@@ -769,5 +769,5 @@ def test_immediate_handoffs_are_tie_break_stable():
         eng.run()
         return {"items": sorted(items), "now": eng.now}
 
-    report = dual_run(scenario, seed=3)
+    report = dual_run(scenario)
     assert not report.racy

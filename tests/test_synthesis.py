@@ -41,14 +41,6 @@ def test_synthesize_rejects_oversized_role():
         synthesize("huge", {"ffe.core": 200})  # 200 cores cannot fit
 
 
-def test_clock_override():
-    bitstream, report = synthesize(
-        "fixed", {"spare.passthrough": 1}, clock_override_mhz=175.0
-    )
-    assert report.clock_mhz == 175.0
-    assert bitstream.clock_mhz == 175.0
-
-
 def test_clock_degrades_with_congestion():
     light = role_budget({"spare.passthrough": 1})
     heavy = role_budget({"ffe.core": 60, "ffe.complex_block": 10})

@@ -18,7 +18,6 @@ from repro.cluster import (
     ClusterScheduler,
     InsufficientClusterCapacity,
     PodCapacity,
-    RepairPolicy,
     RingSlot,
     RingTenancy,
     ServiceSpec,
@@ -383,19 +382,15 @@ def test_cache_lru_eviction_order():
             role_name=f"r{n}", role_budget=ResourceBudget(alms=n), clock_mhz=175.0
         )
 
-    cache = BitstreamCache(capacity_per_node=3)
-    for n in (1, 2, 3):
+    cache = BitstreamCache()  # four images per node
+    for n in (1, 2, 3, 4):
         cache.install("m0", image(n))
-    assert cache.lookup("m0", image(1))  # 1 becomes MRU: order 2, 3, 1
-    cache.install("m0", image(4))  # evicts 2 (LRU)
+    assert cache.lookup("m0", image(1))  # 1 becomes MRU: order 2, 3, 4, 1
+    cache.install("m0", image(5))  # evicts 2 (LRU)
     staged = cache.staged_on("m0")
-    assert [b.role_name for b in staged] == ["r3", "r1", "r4"]
+    assert [b.role_name for b in staged] == ["r3", "r4", "r1", "r5"]
     assert cache.evictions == 1
     assert not cache.lookup("m0", image(2))
-    assert cache.invalidate("m0") == 3
-    assert cache.staged_on("m0") == []
-    with pytest.raises(ValueError):
-        BitstreamCache(capacity_per_node=0)
 
 
 def warm_replacement_times(seed):
@@ -432,51 +427,17 @@ def test_warm_replacement_is_seed_deterministic():
     assert first[2].bitstream_cache.stats() == second[2].bitstream_cache.stats()
 
 
-def test_repair_ticket_invalidates_staged_images():
-    eng, dc = make_dc(seed=13)
-    cache = BitstreamCache()
-    manager = ClusterManager(
-        dc,
-        repair_policy=RepairPolicy(distribution="fixed", mean_ns=1e9),
-        bitstream_cache=cache,
-    )
-    manager.apply(region_spec("tenant", 0.5))
-    tenant_slot = slot_at(dc, 0, 0)
-    other = slot_at(dc, 0, 1)
-    # The pod-wide spare configure staged images on the other ring too.
-    other_machines = [s.machine_id for s in dc.ring_servers(other)]
-    assert all(cache.staged_on(m) for m in other_machines)
-
-    nodes = [server.node_id for server in dc.ring_servers(other)][:2]
-    manager.scheduler.cordon(other, nodes, reason="bad run")
-    assert [ticket.slot for ticket in manager.repairs.open_tickets] == [other]
-
-    eng.run(until=eng.now + 2e9)  # past the fixed repair time
-
-    assert manager.repairs.repaired_count == 1
-    # The serviced boards came back with empty staging DRAM...
-    assert all(not cache.staged_on(m) for m in other_machines)
-    assert cache.invalidations > 0
-    # ...the region cordon lifted, returning the ring to the pool...
-    assert manager.scheduler.tenancy_of(other) is None
-    assert manager.scheduler.capacity_report().cordoned_rings == 0
-    # ...and the untouched tenant ring kept its staged images.
-    tenant_machines = [s.machine_id for s in dc.ring_servers(tenant_slot)]
-    assert any(cache.staged_on(m) for m in tenant_machines)
-
-
 def test_manual_uncordon_keeps_staged_images():
     _eng, dc = make_dc(seed=13)
     cache = BitstreamCache()
-    manager = ClusterManager(dc, bitstream_cache=cache)
-    manager.apply(region_spec("tenant", 0.5))
+    scheduler = ClusterScheduler(dc, bitstream_cache=cache)
+    scheduler.deploy(echo_service("tenant"), fraction=0.5)
     other = slot_at(dc, 0, 1)
     machines = [s.machine_id for s in dc.ring_servers(other)]
     staged = {m: cache.staged_on(m) for m in machines}
     assert all(staged.values())
-    manager.scheduler.cordon(other, reason="burn-in")
-    # Only a repair ticket services the boards; an operator's uncordon
-    # returns the ring with its staging DRAM intact.
-    manager.scheduler.uncordon(other)
+    scheduler.cordon(other, reason="burn-in")
+    # An operator's uncordon returns the ring with its staging DRAM
+    # intact.
+    scheduler.uncordon(other)
     assert {m: cache.staged_on(m) for m in machines} == staged
-    assert cache.invalidations == 0

@@ -317,8 +317,8 @@ def test_open_loop_latencies_are_reservoir_bounded():
     stats = OpenLoopStats()
     reservoir = stats.latencies_ns
     assert isinstance(reservoir, ReservoirSample)
-    for value in range(reservoir.capacity + 500):
+    for value in range(reservoir.CAPACITY + 500):
         reservoir.append(float(value))
-    assert reservoir.count == reservoir.capacity + 500
-    assert reservoir.sample_size == reservoir.capacity  # memory stays flat
-    assert stats.stats().count == reservoir.capacity + 500
+    assert reservoir.count == reservoir.CAPACITY + 500
+    assert reservoir.sample_size == reservoir.CAPACITY  # memory stays flat
+    assert stats.stats().count == reservoir.CAPACITY + 500
