@@ -112,13 +112,16 @@ class Fpga:
             raise ReconfigError(
                 f"{self.name}: {bitstream} does not fit {self.device.name}"
             )
+        # The part leaves CONFIGURED now, not when the body first runs
+        # later in this instant: a scrub pass due at this instant sees it
+        # reconfiguring whichever runs first.
+        self._set_state(FpgaState.RECONFIGURING)
+        self.bitstream = None
         done = self.engine.event(name=f"reconfig:{self.name}")
         self.engine.process(self._reconfigure_body(bitstream, done), name=f"rcfg.{self.name}")
         return done
 
     def _reconfigure_body(self, bitstream: Bitstream, done: Event) -> collections.abc.Generator:
-        self._set_state(FpgaState.RECONFIGURING)
-        self.bitstream = None
         yield self.engine.timeout(FULL_RECONFIG_NS)
         if self.state == FpgaState.FAILED:
             # The part died mid-flight (failure injection); stay dead.

@@ -40,7 +40,7 @@ class _LruCache:
 
 
 class ScoringEngine:
-    """Functional evaluation with caching, plus model timing metadata."""
+    """Functional evaluation with caching."""
 
     def __init__(self, library: ModelLibrary):
         self.library = library
@@ -49,8 +49,6 @@ class ScoringEngine:
         self._feature_cache = _LruCache()
         self._ffe_cache = _LruCache()
         self._pack_cache = _LruCache()
-        self._cycle_cache: dict = {}
-        self._output_counts: dict = {}
 
     # -- functional pipeline -------------------------------------------------
 
@@ -96,29 +94,3 @@ class ScoringEngine:
 
     def model_for(self, document: CompressedDocument) -> RankingModel:
         return self.library[document.model_id]
-
-    # -- timing metadata --------------------------------------------------------
-
-    def ffe_stage_cycles(self, model: RankingModel, stage: int) -> int:
-        """Cycle count of one FFE stage for ``model``.
-
-        FFE timing is data-independent (predicated execution, static
-        instruction streams), so it is computed once per (model, stage)
-        with an empty feature vector and cached.
-        """
-        key = (model.model_id, stage)
-        if key not in self._cycle_cache:
-            program = model.ffe_stage0 if stage == 0 else model.ffe_stage1
-            result = FfeProcessor(program).execute({})
-            self._cycle_cache[key] = result.cycles
-        return self._cycle_cache[key]
-
-    def ffe_stage0_outputs(self, model: RankingModel) -> int:
-        """How many result slots FFE stage 0 forwards per document.
-
-        Like the cycle count, it depends only on the program, so it is
-        computed once per model.
-        """
-        if model.model_id not in self._output_counts:
-            self._output_counts[model.model_id] = len(model.ffe_stage0.output_slots())
-        return self._output_counts[model.model_id]

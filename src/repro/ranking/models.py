@@ -10,7 +10,8 @@ computes *metafeatures* — the paper's mechanism for splitting the
 longest expressions across FPGAs — consumed by stage 1), the
 compression map, and the three-bank tree scorer.  Models synthesize
 deterministically from a seed, and report the per-stage memory
-footprints that drive Model Reload timing (up to 250 µs, §4.3).
+footprints that drive Model Reload timing (up to 250 µs, §4.3) and the
+cycle count of each FFE stage.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.ranking.ffe import (
     Expr,
     Feature,
     FfeCompiler,
+    FfeProcessor,
     FfeProgram,
     IfThenElse,
     Metafeature,
@@ -88,8 +90,18 @@ class RankingModel:
     compression: CompressionMap
     scorer: BoostedTreeScorer
     footprint: ModelFootprint = None  # computed in __post_init__
+    # FFE timing is data-independent (predicated execution, static
+    # instruction streams), so one cycle-accurate run per stage over an
+    # empty feature vector times every document.
+    ffe_cycles: tuple = dataclasses.field(init=False)  # one per stage
+    ffe_stage0_outputs: int = dataclasses.field(init=False)  # result slots stage 0 forwards
 
     def __post_init__(self) -> None:
+        self.ffe_cycles = tuple(
+            FfeProcessor(program).execute({}).cycles
+            for program in (self.ffe_stage0, self.ffe_stage1)
+        )
+        self.ffe_stage0_outputs = len(self.ffe_stage0.output_slots())
         if self.footprint is None:
             self.footprint = ModelFootprint(
                 fe_bytes=64 * 1024,  # per-model FE parameter tables
@@ -238,11 +250,50 @@ def synthesize_model(
     )
 
 
-class ModelLibrary:
-    """The models a deployment serves, keyed by model id."""
+class _BuiltOnFirstUse(collections.abc.Mapping):
+    """Model id -> model, each made by ``build(model_id)`` (which raises
+    ``KeyError`` for an unknown id) on its first lookup.
 
-    def __init__(self, models: collections.abc.Iterable[RankingModel]):
-        self.models = {model.model_id: model for model in models}
+    Every synthesized model draws from its own RNG stream, so a model
+    built late is identical to one built up front.
+    """
+
+    def __init__(self, model_ids: collections.abc.Iterable[int], build):
+        self._ids = tuple(model_ids)
+        self._build = build
+        self._built: dict = {}
+
+    def __getitem__(self, model_id: int) -> RankingModel:
+        model = self._built.get(model_id)
+        if model is None:
+            model = self._built[model_id] = self._build(model_id)
+        return model
+
+    def __contains__(self, model_id) -> bool:
+        return model_id in self._ids
+
+    def __iter__(self) -> collections.abc.Iterator[int]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+class ModelLibrary:
+    """The models a deployment serves, keyed by model id.
+
+    ``models`` is an iterable of models, or a mapping of model id to
+    model (``default()`` passes one that builds each model on first use).
+    """
+
+    def __init__(
+        self,
+        models: collections.abc.Iterable[RankingModel] | collections.abc.Mapping[int, RankingModel],
+    ):
+        if isinstance(models, collections.abc.Mapping):
+            self.models = models
+        else:
+            self.models = {model.model_id: model for model in models}
         if not self.models:
             raise ValueError("model library cannot be empty")
 
@@ -258,19 +309,22 @@ class ModelLibrary:
     @classmethod
     def default(cls, scale: float = 1.0) -> "ModelLibrary":
         """Four production-flavoured models (three languages + one
-        experimental), scaled by ``scale`` for cheaper test runs."""
+        experimental), scaled by ``scale`` for cheaper test runs.  Each
+        is synthesized on its first lookup."""
 
         def scaled(n: int) -> int:
             return max(8, int(n * scale))
 
-        specs = [
-            (0, "en-main", "en"),
-            (1, "es-main", "es"),
-            (2, "zh-main", "zh"),
-            (3, "en-experimental", "en"),
-        ]
-        return cls(
-            synthesize_model(
+        specs = {
+            0: ("en-main", "en"),
+            1: ("es-main", "es"),
+            2: ("zh-main", "zh"),
+            3: ("en-experimental", "en"),
+        }
+
+        def build(model_id: int) -> RankingModel:
+            name, language = specs[model_id]
+            return synthesize_model(
                 model_id,
                 name,
                 language,
@@ -278,5 +332,5 @@ class ModelLibrary:
                 stage1_expressions=scaled(1_200),
                 trees=scaled(600),
             )
-            for model_id, name, language in specs
-        )
+
+        return cls(_BuiltOnFirstUse(specs, build))

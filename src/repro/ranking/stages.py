@@ -237,14 +237,12 @@ class FfeRole(RankingStageRole):
     def process_document(self, packet: Packet) -> collections.abc.Generator:
         payload: RankingPayload = packet.payload
         model = self.engine_ref.model_for(payload.document)
-        cycles = self.engine_ref.ffe_stage_cycles(model, self.stage_index)
-        yield self.sim.timeout(self.service_ns(cycles))
+        yield self.sim.timeout(self.service_ns(model.ffe_cycles[self.stage_index]))
         if self.stage_index == 1:
             payload.ffe_merged = self.engine_ref.ffe_values(payload.document, model)
             size = FEATURE_ENTRY_BYTES * len(payload.ffe_merged)
         else:
-            outputs = self.engine_ref.ffe_stage0_outputs(model)
-            size = packet.size_bytes + FEATURE_ENTRY_BYTES * outputs
+            size = packet.size_bytes + FEATURE_ENTRY_BYTES * model.ffe_stage0_outputs
         yield self.forward(packet, size)
 
 

@@ -11,6 +11,7 @@ from repro.analysis import ReservoirSample, percentile
 from repro.cluster import ClusterScheduler, InsufficientClusterCapacity, echo_service
 from repro.fabric import Datacenter
 from repro.fabric.torus import TorusTopology, dor_routes
+from repro.ranking import scoring
 from repro.ranking.compression import CompressionMap
 from repro.ranking.documents import HitTuple
 from repro.ranking.engine import ScoringEngine
@@ -230,6 +231,18 @@ def _chain(rng, depth, spine, pick):
     return DecisionTree(node)
 
 
+_EXAMPLE = dict(
+    seed=7,
+    max_depth=6,
+    length=12,
+    nan_every=0,
+    int_leaves=False,
+    special_frac=0.1,
+    chain=None,
+    learning_rate=0.1,
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -242,6 +255,11 @@ def _chain(rng, depth, spine, pick):
     chain=st.sampled_from([None, "left", "right"]),
     learning_rate=st.sampled_from([0.1, 0.25, 1.0, 1 / 3]),
 )
+# One tree leaves two banks empty, two trees one; 3 * GROUP + 3 trees put
+# one tree past a group boundary in every bank.
+@example(**_EXAMPLE, n_trees=1)
+@example(**_EXAMPLE, n_trees=2)
+@example(**_EXAMPLE, n_trees=3 * scoring.GROUP + 3)
 def test_compiled_scorer_matches_reference_exactly(
     seed, n_trees, max_depth, length, nan_every, int_leaves, special_frac, chain, learning_rate
 ):
@@ -280,6 +298,29 @@ def test_compiled_scorer_matches_reference_exactly(
         for i in range(length)
     ]
     assert_scorer_is_exact(scorer, packed)
+
+
+def test_each_bank_compiles_into_one_function_per_group(monkeypatch):
+    compiled = []
+
+    def counting_eval(source, *args):
+        compiled.append(source)
+        return eval(source, *args)
+
+    # ``scoring`` looks ``eval`` up in its globals before the builtins.
+    monkeypatch.setattr(scoring, "eval", counting_eval, raising=False)
+    leaf = TreeNode(value=0.5)
+    for n_trees in (1, 3 * scoring.GROUP + 4):
+        compiled.clear()
+        scorer = BoostedTreeScorer([DecisionTree(leaf)] * n_trees)
+        scorer.evaluate_bank(2, [0.0])  # compiles every bank
+        groups = sum(math.ceil(len(scorer.bank(i)) / scoring.GROUP) for i in range(3))
+        assert len(compiled) == groups
+        # The full score reuses the banks' functions.
+        assert scorer.evaluate([0.0]) == 0.1 * sum([0.5] * n_trees)
+        scorer.evaluate_bank(0, [0.0])
+        assert len(compiled) == groups
+    assert groups == 2 + 2 + 2  # banks of GROUP + 2, GROUP + 1 and GROUP + 1 trees
 
 
 def test_compiled_scorer_matches_reference_on_default_models():

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.ranking import models
 from repro.ranking.compression import CompressionMap
 from repro.ranking.engine import ScoringEngine
+from repro.ranking.ffe import FfeProcessor
 from repro.ranking.models import ModelLibrary, synthesize_model
 from repro.ranking.scoring import BoostedTreeScorer, DecisionTree, TreeNode
 from repro.workloads import TraceGenerator
@@ -144,11 +146,60 @@ def test_model_footprint_positive():
     assert fp.stage_bytes("score1") == fp.scoring_bytes[1]
 
 
+def test_model_times_its_ffe_stages_when_built():
+    model = small_model()
+    assert model.ffe_cycles == tuple(
+        FfeProcessor(program).execute({}).cycles
+        for program in (model.ffe_stage0, model.ffe_stage1)
+    )
+    assert all(cycles > 0 for cycles in model.ffe_cycles)
+
+
+def test_model_ffe_stage0_outputs_is_the_program_slot_count():
+    model = small_model()
+    assert model.ffe_stage0_outputs == len(model.ffe_stage0.output_slots()) > 0
+
+
 def test_model_library_default_scaled():
     library = ModelLibrary.default(scale=0.02)
     assert len(library) == 4
     assert sorted(library.models) == [0, 1, 2, 3]
     assert 0 in library
+
+
+def test_default_library_builds_each_model_on_first_lookup(monkeypatch):
+    built = []
+    synthesize = models.synthesize_model
+
+    def counting(model_id, *args, **kwargs):
+        built.append(model_id)
+        return synthesize(model_id, *args, **kwargs)
+
+    monkeypatch.setattr(models, "synthesize_model", counting)
+    library = ModelLibrary.default(scale=0.02)
+    assert len(library) == 4 and 2 in library and 9 not in library
+    assert built == []
+    lazy = library[2]
+    assert library[2] is lazy
+    assert built == [2]
+    eager = synthesize(2, "zh-main", "zh", metafeatures=8, stage1_expressions=24, trees=12)
+    assert (lazy.name, lazy.language) == (eager.name, eager.language)
+    assert lazy.footprint == eager.footprint
+    assert (lazy.ffe_cycles, lazy.ffe_stage0_outputs) == (
+        eager.ffe_cycles,
+        eager.ffe_stage0_outputs,
+    )
+    lazy_engine, eager_engine = ScoringEngine(library), ScoringEngine(ModelLibrary([eager]))
+    for request in TraceGenerator(seed=4).requests(4):
+        packed = lazy_engine.packed(request.document, lazy)
+        assert eager_engine.packed(request.document, eager) == packed
+        assert lazy.scorer.evaluate(packed) == eager.scorer.evaluate(packed)
+        for bank in range(3):
+            assert lazy.scorer.evaluate_bank(bank, packed) == eager.scorer.evaluate_bank(
+                bank, packed
+            )
+    with pytest.raises(KeyError):
+        library[9]
 
 
 # --- scoring engine ------------------------------------------------------------------
@@ -170,23 +221,6 @@ def test_engine_bank_partials_match_full_score():
     request = TraceGenerator(seed=6).request()
     partials = sum(engine.bank_partial(request.document, model, b) for b in range(3))
     assert partials == pytest.approx(engine.score(request.document, model))
-
-
-def test_engine_ffe_cycles_cached_and_positive():
-    model = small_model()
-    engine = ScoringEngine(ModelLibrary([model]))
-    c0 = engine.ffe_stage_cycles(model, 0)
-    c1 = engine.ffe_stage_cycles(model, 1)
-    assert c0 > 0 and c1 > 0
-    assert engine.ffe_stage_cycles(model, 0) == c0  # cached
-
-
-def test_engine_ffe_stage0_outputs_is_the_program_slot_count():
-    model = small_model()
-    engine = ScoringEngine(ModelLibrary([model]))
-    count = engine.ffe_stage0_outputs(model)
-    assert count == len(model.ffe_stage0.output_slots()) > 0
-    assert engine.ffe_stage0_outputs(model) == count
 
 
 def test_engine_metafeatures_flow_into_stage1():

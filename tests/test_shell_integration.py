@@ -243,6 +243,15 @@ _seu_actions = st.lists(
 @given(actions=_seu_actions)
 @example(actions=[(0.0, "reconfigure"), (12 * SEU_SCRUB_PERIOD_NS, "upset")])
 @example(actions=[(0.0, "uncorrectable"), (0.0, "reconfigure")])  # a reload clears it
+# A reload starting at a boundary: the part is reconfiguring for that
+# boundary's pass, whichever of the two passes runs first.
+@example(
+    actions=[
+        (0.0, "reconfigure"),
+        (14 * SEU_SCRUB_PERIOD_NS, "reconfigure"),
+        (14 * SEU_SCRUB_PERIOD_NS, "upset"),
+    ]
+)
 def test_scrubbing_on_upsets_matches_a_free_running_scrubber(actions):
     """A shell's FPGA and a shell-less twin scrubbed by the reference
     ticker take the same upsets, reconfigurations, failures and repairs
